@@ -146,6 +146,11 @@ void ParallelFor(size_t begin, size_t end,
   ThreadPool::Global().ParallelFor(begin, end, fn, grain);
 }
 
+size_t GrainForCost(size_t flops_per_index) {
+  constexpr size_t kMinFlopsPerChunk = 1 << 16;
+  return std::max<size_t>(1, kMinFlopsPerChunk / (flops_per_index + 1));
+}
+
 ScopedParallelBudget::ScopedParallelBudget(int max_threads)
     : previous_(t_parallel_budget) {
   t_parallel_budget = std::max(max_threads, 1);

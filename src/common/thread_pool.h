@@ -108,6 +108,11 @@ void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& fn,
                  size_t grain = 1);
 
+/// ParallelFor grain for a loop whose indices each cost about
+/// `flops_per_index`: at least ~64k flops per chunk, below which the
+/// pool's dispatch overhead outweighs the arithmetic.
+size_t GrainForCost(size_t flops_per_index);
+
 /// RAII cap on the fan-out of ParallelFor calls made *by this thread* while
 /// the scope is alive: each call splits into at most `max_threads` chunks
 /// regardless of the pool size. The shared train executor wraps every refit

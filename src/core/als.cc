@@ -13,127 +13,42 @@
 namespace limeqo::core {
 namespace {
 
+using Kind = FitCell::Kind;
+
 // Latencies below this are clamped before the log transform.
 constexpr double kEpsLatency = 1e-6;
 
-/// The effective fit problem after censored-mode handling and (optionally)
-/// the log-ratio transform: `values` are fit targets for cells with
-/// mask == 1, `thresholds` are censoring lower bounds for cells with
-/// censored == 1, in the same space as `values`.
-struct FitProblem {
-  linalg::Matrix values;
-  linalg::Matrix mask;
-  linalg::Matrix thresholds;
-  linalg::Matrix censored;  // 1 where a censoring threshold applies
-  /// kLogRatio bias terms; empty in kRaw.
-  std::vector<double> row_bias;
-  std::vector<double> col_bias;
-};
-
-/// Applies the censored mode: kNaiveObserved moves censored cells into the
-/// mask; kIgnore leaves them unobserved with no clamp.
-FitProblem BuildProblem(const WorkloadMatrix& w, CensoredMode mode) {
-  FitProblem p;
-  p.values = w.values();
-  p.mask = w.mask();
-  p.thresholds = w.timeouts();
-  p.censored = linalg::Matrix(w.num_queries(), w.num_hints());
-  for (int i = 0; i < w.num_queries(); ++i) {
-    for (int j = 0; j < w.num_hints(); ++j) {
-      if (w.state(i, j) != CellState::kCensored) continue;
-      switch (mode) {
-        case CensoredMode::kCensored:
-          p.censored(i, j) = 1.0;
-          break;
-        case CensoredMode::kNaiveObserved:
-          p.mask(i, j) = 1.0;  // pretend the timeout was the true latency
-          p.values(i, j) = p.thresholds(i, j);
-          break;
-        case CensoredMode::kIgnore:
-          break;  // fully unobserved
-      }
-    }
-  }
-  return p;
-}
-
 double SafeLog(double v) { return std::log(std::max(v, kEpsLatency)); }
 
-/// Rewrites `p` in place into log-ratio space: x = log(v) - b_i - c_j with
-/// b_i the row's observed default log latency (fallback: row mean, then
-/// global mean) and c_j a shrunk per-hint mean residual.
-void ToLogRatioSpace(FitProblem* p, double bias_shrinkage) {
-  const size_t n = p->values.rows();
-  const size_t k = p->values.cols();
-  p->row_bias.assign(n, 0.0);
+double Dot(const double* __restrict a, const double* __restrict b, size_t r) {
+  double s = 0.0;
+  for (size_t c = 0; c < r; ++c) s += a[c] * b[c];
+  return s;
+}
 
-  double global_sum = 0.0;
-  int global_count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (p->mask(i, j) > 0.0) {
-        global_sum += SafeLog(p->values(i, j));
-        ++global_count;
-      }
-    }
-  }
-  const double global_mean =
-      global_count > 0 ? global_sum / global_count : 0.0;
+// S_ij, the fill W-hat minus the factor product at one stored cell: the
+// target minus the prediction, or for a censoring bound the amount the
+// prediction falls short of it (zero once the prediction clears it).
+double Residual(const FitCell& cell, double pred) {
+  const double s = cell.value - pred;
+  return cell.kind == Kind::kBound ? std::max(s, 0.0) : s;
+}
 
-  for (size_t i = 0; i < n; ++i) {
-    if (p->mask(i, 0) > 0.0) {
-      p->row_bias[i] = SafeLog(p->values(i, 0));
-      continue;
-    }
-    double sum = 0.0;
-    int count = 0;
-    for (size_t j = 0; j < k; ++j) {
-      if (p->mask(i, j) > 0.0) {
-        sum += SafeLog(p->values(i, j));
-        ++count;
-      }
-    }
-    p->row_bias[i] = count > 0 ? sum / count : global_mean;
+// out = G x for the symmetric r x r Gram G (the dense half of a
+// right-hand-side row).
+void GramTimes(const double* __restrict g, const double* __restrict x,
+               size_t r, double* __restrict out) {
+  std::fill(out, out + r, 0.0);
+  for (size_t p = 0; p < r; ++p) {
+    const double xp = x[p];
+    const double* g_row = g + p * r;
+    for (size_t c = 0; c < r; ++c) out[c] += xp * g_row[c];
   }
+}
 
-  // Residuals after the row bias; then shrunk per-hint biases. Censored
-  // cells contribute their threshold (a lower bound on the hint's true
-  // latency): this is conservative Tobit-style evidence that the hint is
-  // *not fast* on that row, and it is exactly the information the initial
-  // all-defaults matrix lacks — without it, a hint that keeps timing out
-  // retains a neutral bias and keeps attracting probes.
-  p->col_bias.assign(k, 0.0);
-  std::vector<double> col_sum(k, 0.0);
-  std::vector<int> col_count(k, 0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (p->mask(i, j) > 0.0) {
-        col_sum[j] += SafeLog(p->values(i, j)) - p->row_bias[i];
-        ++col_count[j];
-      } else if (p->censored(i, j) > 0.0) {
-        col_sum[j] += SafeLog(p->thresholds(i, j)) - p->row_bias[i];
-        ++col_count[j];
-      }
-    }
-  }
-  for (size_t j = 0; j < k; ++j) {
-    p->col_bias[j] = col_sum[j] / (col_count[j] + bias_shrinkage);
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < k; ++j) {
-      if (p->mask(i, j) > 0.0) {
-        p->values(i, j) =
-            SafeLog(p->values(i, j)) - p->row_bias[i] - p->col_bias[j];
-      } else {
-        p->values(i, j) = 0.0;
-      }
-      if (p->censored(i, j) > 0.0) {
-        p->thresholds(i, j) =
-            SafeLog(p->thresholds(i, j)) - p->row_bias[i] - p->col_bias[j];
-      }
-    }
-  }
+void AddScaled(double s, const double* __restrict y, size_t r,
+               double* __restrict out) {
+  for (size_t c = 0; c < r; ++c) out[c] += s * y[c];
 }
 
 }  // namespace
@@ -160,20 +75,137 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteFrom(
 
 StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
     const WorkloadMatrix& w, const CompletionFactors* warm) {
-  if (w.NumComplete() == 0) {
-    return Status::FailedPrecondition(
-        "ALS needs at least one complete observation");
-  }
   const size_t n = static_cast<size_t>(w.num_queries());
   const size_t k = static_cast<size_t>(w.num_hints());
   const size_t r = static_cast<size_t>(options_.rank);
   const bool log_space = options_.fit_space == FitSpace::kLogRatio;
+  const CensoredMode mode = options_.censored_mode;
 
-  FitProblem in = BuildProblem(w, options_.censored_mode);
-  if (log_space) ToLogRatioSpace(&in, options_.bias_shrinkage);
+  // Every buffer comes from the installed arena (the shared train plane
+  // pools one per executor worker across all shards) or the private
+  // fallback. Every buffer is fully overwritten before it is read, so the
+  // two paths are bitwise identical.
+  CompletionArena& arena = arena_ != nullptr ? *arena_ : fallback_arena_;
+  std::vector<FitCell>& cells = arena.cells;
+  std::vector<size_t>& row_start = arena.row_start;
+
+  // The sparse fit problem, in one pass over the observations: complete
+  // cells are targets; censored cells are lower bounds under kCensored,
+  // targets at their timeout under kNaiveObserved, and dropped under
+  // kIgnore. Unobserved cells are not stored.
+  cells.clear();
+  row_start.resize(n + 1);
+  size_t num_complete = 0;
+  const double* values = w.values().data();
+  const double* timeouts = w.timeouts().data();
+  for (size_t i = 0; i < n; ++i) {
+    row_start[i] = cells.size();
+    const CellState* states = w.row_states(static_cast<int>(i));
+    for (size_t j = 0; j < k; ++j) {
+      FitCell cell;
+      cell.col = static_cast<uint32_t>(j);
+      if (states[j] == CellState::kComplete) {
+        cell.kind = Kind::kObserved;
+        cell.raw = values[i * k + j];
+        ++num_complete;
+      } else if (states[j] == CellState::kCensored &&
+                 mode != CensoredMode::kIgnore) {
+        cell.kind = mode == CensoredMode::kCensored ? Kind::kBound
+                                                    : Kind::kTimeoutAsObserved;
+        cell.raw = timeouts[i * k + j];
+      } else {
+        continue;
+      }
+      cell.value = cell.raw;
+      cells.push_back(cell);
+    }
+  }
+  row_start[n] = cells.size();
+  if (num_complete == 0) {
+    return Status::FailedPrecondition(
+        "ALS needs at least one complete observation");
+  }
+  LIMEQO_CHECK(n <= std::numeric_limits<uint32_t>::max() &&
+               cells.size() <= std::numeric_limits<uint32_t>::max());
+
+  // Log-ratio space: x = log(v) - b_i - c_j, with b_i the row's observed
+  // default log latency (fallback: row mean, then global mean) and c_j a
+  // shrunk per-hint mean residual. Censored cells contribute their
+  // threshold to c_j (a lower bound on the hint's true latency): this is
+  // conservative Tobit-style evidence that the hint is *not fast* on that
+  // row, and it is exactly the information the initial all-defaults matrix
+  // lacks — without it, a hint that keeps timing out retains a neutral
+  // bias and keeps attracting probes.
+  //
+  // The same pass records the observed ratio envelope for the output:
+  // predicted log ratios are clamped to the range of complete observations
+  // (with a small margin), because a sparse low-rank fit occasionally
+  // extrapolates a cell to a speedup far beyond anything ever measured,
+  // and such phantom predictions would dominate Algorithm 1's
+  // improvement-ratio ranking and send exploration chasing artifacts.
+  std::vector<double>& row_bias = arena.row_bias;
+  std::vector<double>& col_bias = arena.col_bias;
+  double lo_ratio = 0.0, hi_ratio = 0.0;
+  if (log_space) {
+    double global_sum = 0.0;
+    int global_count = 0;
+    for (FitCell& cell : cells) {
+      cell.value = SafeLog(cell.raw);
+      if (cell.kind != Kind::kBound) {
+        global_sum += cell.value;
+        ++global_count;
+      }
+    }
+    const double global_mean =
+        global_count > 0 ? global_sum / global_count : 0.0;
+    row_bias.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t begin = row_start[i], end = row_start[i + 1];
+      if (begin < end && cells[begin].col == 0 &&
+          cells[begin].kind != Kind::kBound) {
+        row_bias[i] = cells[begin].value;
+        continue;
+      }
+      double sum = 0.0;
+      int count = 0;
+      for (size_t c = begin; c < end; ++c) {
+        if (cells[c].kind == Kind::kBound) continue;
+        sum += cells[c].value;
+        ++count;
+      }
+      row_bias[i] = count > 0 ? sum / count : global_mean;
+    }
+    // Column sums accumulate in row order, column counts in col_start.
+    col_bias.assign(k, 0.0);
+    std::vector<size_t>& col_count = arena.col_start;
+    col_count.assign(k, 0);
+    bool any = false;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
+        FitCell& cell = cells[c];
+        const double x = cell.value - row_bias[i];
+        if (cell.kind == Kind::kObserved) {
+          if (!any || x < lo_ratio) lo_ratio = x;
+          if (!any || x > hi_ratio) hi_ratio = x;
+          any = true;
+        }
+        col_bias[cell.col] += x;
+        ++col_count[cell.col];
+        cell.value = x;
+      }
+    }
+    for (size_t j = 0; j < k; ++j) {
+      col_bias[j] /= static_cast<double>(col_count[j]) +
+                     options_.bias_shrinkage;
+    }
+    for (FitCell& cell : cells) cell.value -= col_bias[cell.col];
+    constexpr double kEnvelopeMargin = 0.2;  // ~ +/- 22% beyond observed
+    lo_ratio -= kEnvelopeMargin;
+    hi_ratio += kEnvelopeMargin;
+  }
 
   // Carve a validation split out of the complete observations. Validation
-  // cells are removed from the fit mask but still pass through as observed
+  // cells are removed from the fit but still pass through as observed
   // values in the final output.
   //
   // Only cells from rows with at least two *distinct* observed values
@@ -185,37 +217,70 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   // distinct observations. (Exact equality is intentional: equivalence
   // classes share bit-identical values by construction.)
   Rng val_rng(options_.seed ^ 0x9e3779b97f4a7c15ull);
-  std::vector<std::pair<size_t, size_t>> validation;
-  if (options_.early_stopping && w.NumComplete() >= 20) {
+  std::vector<FitCellRef>& held_out = arena.held_out;
+  held_out.clear();
+  if (options_.early_stopping && num_complete >= 20) {
     for (size_t i = 0; i < n; ++i) {
+      const size_t begin = row_start[i], end = row_start[i + 1];
       double first_value = 0.0;
       bool have_first = false;
       bool diverse = false;
-      for (size_t j = 0; j < k && !diverse; ++j) {
-        if (in.mask(i, j) <= 0.0 ||
-            w.state(static_cast<int>(i), static_cast<int>(j)) !=
-                CellState::kComplete) {
-          continue;
-        }
+      for (size_t c = begin; c < end && !diverse; ++c) {
+        if (cells[c].kind != Kind::kObserved) continue;
         if (!have_first) {
-          first_value = w.values()(i, j);
+          first_value = cells[c].raw;
           have_first = true;
-        } else if (w.values()(i, j) != first_value) {
+        } else if (cells[c].raw != first_value) {
           diverse = true;
         }
       }
       if (!diverse) continue;
-      for (size_t j = 0; j < k; ++j) {
-        if (in.mask(i, j) > 0.0 &&
-            w.state(static_cast<int>(i), static_cast<int>(j)) ==
-                CellState::kComplete &&
+      for (size_t c = begin; c < end; ++c) {
+        if (cells[c].kind == Kind::kObserved &&
             val_rng.Bernoulli(options_.validation_fraction)) {
-          validation.emplace_back(i, j);
-          in.mask(i, j) = 0.0;
+          cells[c].kind = Kind::kHeldOut;
+          held_out.push_back(
+              {static_cast<uint32_t>(i), static_cast<uint32_t>(c)});
         }
       }
     }
   }
+
+  // Column index over the fitted cells (held-out cells excluded), each
+  // column in ascending row order: the H half-sweep accumulates per column
+  // in this fixed order, so it is bitwise stable for any thread count.
+  std::vector<size_t>& col_start = arena.col_start;
+  std::vector<FitCellRef>& col_cells = arena.col_cells;
+  col_start.assign(k + 1, 0);
+  for (const FitCell& cell : cells) {
+    if (cell.kind != Kind::kHeldOut) ++col_start[cell.col + 1];
+  }
+  for (size_t j = 0; j < k; ++j) col_start[j + 1] += col_start[j];
+  col_cells.resize(col_start[k]);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
+      if (cells[c].kind == Kind::kHeldOut) continue;
+      col_cells[col_start[cells[c].col]++] = {static_cast<uint32_t>(i),
+                                              static_cast<uint32_t>(c)};
+    }
+  }
+  // The fill loop advanced every start to the next column's; shift back.
+  for (size_t j = k; j > 0; --j) col_start[j] = col_start[j - 1];
+  col_start[0] = 0;
+
+  // Mean fitted value of row i (raw-space initialization scale).
+  auto row_fit_mean = [&](size_t i, double fallback) {
+    double sum = 0.0;
+    int count = 0;
+    for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
+      if (cells[c].kind == Kind::kHeldOut || cells[c].kind == Kind::kBound) {
+        continue;
+      }
+      sum += cells[c].value;
+      ++count;
+    }
+    return count > 0 ? sum / count : fallback;
+  };
 
   // Initialize the factors (Algorithm 2 line 1). A warm start (the
   // CompleteFrom contract) copies the previous fit's factors when their
@@ -226,22 +291,20 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   // for query i is near its mean observed latency: latencies span orders
   // of magnitude, so a row-aware start matters. In log-ratio space the
   // biases already absorb the scale, so small signed factors around zero
-  // are correct.
+  // are correct. Every entry of q_ and h_ is written below.
   const bool warm_compatible =
       warm != nullptr && !warm->empty() && warm->query_factors.cols() == r &&
       warm->hint_factors.cols() == r && warm->hint_factors.rows() == k &&
       warm->query_factors.rows() <= n;
   const size_t warm_rows = warm_compatible ? warm->query_factors.rows() : 0;
   Rng rng(options_.seed);
-  q_ = linalg::Matrix(n, r);
-  h_ = linalg::Matrix(k, r);
+  q_.ResizeUninitialized(n, r);
+  h_.ResizeUninitialized(k, r);
   if (warm_compatible) {
-    for (size_t i = 0; i < warm_rows; ++i) {
-      for (size_t c = 0; c < r; ++c) q_(i, c) = warm->query_factors(i, c);
-    }
-    for (size_t j = 0; j < k; ++j) {
-      for (size_t c = 0; c < r; ++c) h_(j, c) = warm->hint_factors(j, c);
-    }
+    std::copy(warm->query_factors.data(),
+              warm->query_factors.data() + warm_rows * r, q_.data());
+    std::copy(warm->hint_factors.data(), warm->hint_factors.data() + k * r,
+              h_.data());
     // Fresh rows (queries that arrived after the warm factors were fitted)
     // get the same per-space cold initialization as below: small signed
     // factors in log-ratio space, row-mean-scaled positive factors in raw
@@ -254,16 +317,7 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
         for (size_t c = 0; c < r; ++c) q_(i, c) = rng.Uniform(-0.1, 0.1);
         continue;
       }
-      double row_mean = 0.0;
-      int row_count = 0;
-      for (size_t j = 0; j < k; ++j) {
-        if (in.mask(i, j) > 0.0) {
-          row_mean += in.values(i, j);
-          ++row_count;
-        }
-      }
-      row_mean = row_count > 0 ? row_mean / row_count : 1.0;
-      const double scale = std::max(row_mean, 1e-6) / r;
+      const double scale = std::max(row_fit_mean(i, 1.0), 1e-6) / r;
       for (size_t c = 0; c < r; ++c) {
         q_(i, c) = scale * rng.Uniform(0.6, 1.4);
       }
@@ -278,28 +332,17 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   } else {
     double global_mean = 0.0;
     int count_obs = 0;
-    std::vector<double> row_mean(n, 0.0);
-    std::vector<int> row_count(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        if (in.mask(i, j) > 0.0) {
-          row_mean[i] += in.values(i, j);
-          ++row_count[i];
-          global_mean += in.values(i, j);
-          ++count_obs;
-        }
-      }
+    for (const FitCell& cell : cells) {
+      if (cell.kind == Kind::kHeldOut || cell.kind == Kind::kBound) continue;
+      global_mean += cell.value;
+      ++count_obs;
     }
     global_mean = std::max(global_mean / std::max(count_obs, 1), 1e-6);
-    for (size_t i = 0; i < n; ++i) {
-      row_mean[i] =
-          row_count[i] > 0 ? row_mean[i] / row_count[i] : global_mean;
-    }
     const double spread_lo = 0.6, spread_hi = 1.4;
     for (size_t i = 0; i < n; ++i) {
       // With h entries ~ O(1), a row scale of row_mean / r makes the
-      // initial dot product q_i . h_j land near row_mean[i].
-      const double scale = std::max(row_mean[i], 1e-6) / r;
+      // initial dot product q_i . h_j land near the row's mean.
+      const double scale = std::max(row_fit_mean(i, global_mean), 1e-6) / r;
       for (size_t c = 0; c < r; ++c) {
         q_(i, c) = scale * rng.Uniform(spread_lo, spread_hi);
       }
@@ -311,101 +354,129 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
     }
   }
 
-  // Fills W-hat = M .* W + (1 - M) .* (Q H^T) and applies the censored
-  // clamp (Algorithm 2 lines 3-5 / 8-10). `w_hat` is a persistent buffer
-  // and the observed/censored cells are precomputed index lists, so one
-  // fill is the factor product plus a sparse scatter — no dense mask scan
-  // and no allocations after the first call. Exploration-regime matrices
-  // are a few percent observed, so the scatter touches ~1% of the cells
-  // the old dense pass read. The lists are disjoint by construction
-  // (BuildProblem only marks `censored` cells whose mask stays 0), which
-  // keeps the scatter order-independent, and they are rebuilt after the
-  // validation split is carved out of the mask below.
-  const bool clamp = options_.censored_mode == CensoredMode::kCensored;
-  // The fill, factor-update, and Gram/Cholesky buffers come from the
-  // installed arena (the shared train plane pools one per executor worker
-  // across all shards) or the private fallback. Every buffer is fully
-  // overwritten before it is read, so the two paths are bitwise identical.
-  CompletionArena& arena = arena_ != nullptr ? *arena_ : fallback_arena_;
-  linalg::Matrix& w_hat = arena.w_hat;
-  std::vector<std::pair<size_t, double>> observed_cells;   // flat index, value
-  std::vector<std::pair<size_t, double>> censored_cells;   // flat index, bound
-  auto rebuild_fill_lists = [&]() {
-    observed_cells.clear();
-    censored_cells.clear();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        const size_t c = i * k + j;
-        if (in.mask(i, j) > 0.0) {
-          observed_cells.emplace_back(c, in.values(i, j));
-        } else if (clamp && in.censored(i, j) > 0.0) {
-          censored_cells.emplace_back(c, in.thresholds(i, j));
-        }
-      }
-    }
-  };
-  auto fill = [&]() {
-    linalg::MultiplyTransposedInto(q_, h_, &w_hat);
-    double* w_hat_d = w_hat.data();
-    for (const auto& [c, v] : observed_cells) w_hat_d[c] = v;
-    for (const auto& [c, bound] : censored_cells) {
-      if (w_hat_d[c] < bound) w_hat_d[c] = bound;  // censored technique
-    }
-  };
-
-  rebuild_fill_lists();
-
+  // The alternating sweeps (Algorithm 2 lines 2-12) without the dense
+  // fill. W-hat = M .* W + (1 - M) .* (Q H^T), censored cells clamped up
+  // to their bound, equals Q H^T + S for a residual S that is non-zero
+  // only on stored cells (see Residual). Hence W-hat H = Q (H^T H) + S H
+  // and W-hat^T Q = H (Q^T Q) + S^T Q: each right-hand side is a dense
+  // r x r product per row plus a sparse pass, and the Gram doubles as the
+  // ridge system's matrix.
   const bool non_negative = options_.non_negative && !log_space;
-  linalg::Matrix best_q = q_;
-  linalg::Matrix best_h = h_;
-  // Factor updates write into persistent buffers that swap with q_ / h_;
-  // the Gram/Cholesky workspaces are shared across all iterations.
   linalg::RidgeWorkspace& ws = arena.ridge;
   linalg::Matrix& q_next = arena.q_next;
   linalg::Matrix& h_next = arena.h_next;
+  std::vector<double>& residual = arena.residual;
+  residual.resize(cells.size());
+  const size_t row_cells = cells.size() / std::max<size_t>(n, 1) + 1;
+  const size_t col_entries = col_cells.size() / k + 1;
+  const size_t q_grain = GrainForCost(r * r + 2 * r * row_cells);
+  const size_t residual_grain = GrainForCost(r * row_cells);
+  const size_t h_grain = GrainForCost(r * r + r * col_entries);
+  // Q <- W-hat H (H^T H + lambda I)^-1 (lines 3-7).
+  auto update_q = [&]() -> Status {
+    linalg::GramInto(h_, &ws.gram);
+    q_next.ResizeUninitialized(n, r);
+    const double* g = ws.gram.data();
+    const double* q = q_.data();
+    const double* h = h_.data();
+    double* out = q_next.data();
+    ParallelFor(
+        0, n,
+        [&](size_t row_begin, size_t row_end) {
+          for (size_t i = row_begin; i < row_end; ++i) {
+            const double* q_i = q + i * r;
+            double* out_i = out + i * r;
+            GramTimes(g, q_i, r, out_i);
+            for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
+              const FitCell& cell = cells[c];
+              if (cell.kind == Kind::kHeldOut) continue;
+              const double* h_j = h + cell.col * r;
+              const double s = Residual(cell, Dot(q_i, h_j, r));
+              if (s != 0.0) AddScaled(s, h_j, r, out_i);
+            }
+          }
+        },
+        q_grain);
+    return linalg::RidgeSolveGramInPlace(options_.lambda, &ws, &q_next);
+  };
+  // H <- W-hat^T Q (Q^T Q + lambda I)^-1 (lines 8-12): residuals row by
+  // row, then each column's S^T Q accumulated in ascending row order.
+  auto update_h = [&]() -> Status {
+    linalg::GramInto(q_, &ws.gram);
+    const double* g = ws.gram.data();
+    const double* q = q_.data();
+    const double* h = h_.data();
+    ParallelFor(
+        0, n,
+        [&](size_t row_begin, size_t row_end) {
+          for (size_t i = row_begin; i < row_end; ++i) {
+            const double* q_i = q + i * r;
+            for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
+              const FitCell& cell = cells[c];
+              if (cell.kind == Kind::kHeldOut) continue;
+              residual[c] = Residual(cell, Dot(q_i, h + cell.col * r, r));
+            }
+          }
+        },
+        residual_grain);
+    h_next.ResizeUninitialized(k, r);
+    double* out = h_next.data();
+    ParallelFor(
+        0, k,
+        [&](size_t col_begin, size_t col_end) {
+          for (size_t j = col_begin; j < col_end; ++j) {
+            double* out_j = out + j * r;
+            GramTimes(g, h + j * r, r, out_j);
+            for (size_t e = col_start[j]; e < col_start[j + 1]; ++e) {
+              const FitCellRef ref = col_cells[e];
+              const double s = residual[ref.cell];
+              if (s != 0.0) AddScaled(s, q + ref.row * r, r, out_j);
+            }
+          }
+        },
+        h_grain);
+    return linalg::RidgeSolveGramInPlace(options_.lambda, &ws, &h_next);
+  };
+
+  linalg::Matrix& best_q = arena.best_q;
+  linalg::Matrix& best_h = arena.best_h;
+  if (!held_out.empty()) {
+    best_q = q_;
+    best_h = h_;
+  }
   double best_val_rmse = std::numeric_limits<double>::infinity();
   auto validation_rmse = [&]() {
     double se = 0.0;
-    for (const auto& [i, j] : validation) {
-      double pred = 0.0;
-      for (size_t c = 0; c < r; ++c) pred += q_(i, c) * h_(j, c);
-      const double d = pred - in.values(i, j);
+    for (const FitCellRef& ref : held_out) {
+      const FitCell& cell = cells[ref.cell];
+      const double d =
+          Dot(q_.data() + ref.row * r, h_.data() + cell.col * r, r) -
+          cell.value;
       se += d * d;
     }
-    return std::sqrt(se / validation.size());
+    return std::sqrt(se / held_out.size());
   };
   // Under the convergence criterion the *initial* factors are the first
   // candidate fit: a warm start already at the alternating fixed point
   // then exits after just the patience window. (Skipped when tol == 0 so
-  // the fixed-iteration path reproduces Algorithm 2 byte for byte.)
+  // the fixed-iteration path runs Algorithm 2's t sweeps.)
   const bool converging = options_.convergence_tol > 0.0;
-  if (converging && !validation.empty()) {
-    best_val_rmse = validation_rmse();
-    best_q = q_;
-    best_h = h_;
-  }
+  if (converging && !held_out.empty()) best_val_rmse = validation_rmse();
   int stalled_sweeps = 0;
   last_iterations_ = 0;
   for (int iter = 0; iter < options_.iterations; ++iter) {
     ++last_iterations_;
-    // Q update (Algorithm 2 lines 3-7): Q <- W_hat H (H^T H + lambda I)^-1.
-    fill();
-    Status q_st =
-        linalg::RidgeSolveInto(w_hat, h_, options_.lambda, &ws, &q_next);
+    Status q_st = update_q();
     if (!q_st.ok()) return q_st;
     std::swap(q_, q_next);
     if (non_negative) q_.ClampMin(0.0);
 
-    // H update (Algorithm 2 lines 8-12): H <- W_hat^T Q (Q^T Q + l I)^-1,
-    // with W_hat^T never materialized.
-    fill();
-    Status h_st = linalg::RidgeSolveTransposedInto(w_hat, q_, options_.lambda,
-                                                   &ws, &h_next);
+    Status h_st = update_h();
     if (!h_st.ok()) return h_st;
     std::swap(h_, h_next);
     if (non_negative) h_.ClampMin(0.0);
 
-    if (!validation.empty()) {
+    if (!held_out.empty()) {
       const double val_rmse = validation_rmse();
       const bool improved_enough =
           val_rmse < best_val_rmse * (1.0 - options_.convergence_tol);
@@ -444,63 +515,56 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
       }
     }
   }
-  if (!validation.empty()) {
-    q_ = std::move(best_q);
-    h_ = std::move(best_h);
-    // Validation cells are observed values; restore them for the output.
-    for (const auto& [i, j] : validation) in.mask(i, j) = 1.0;
-    rebuild_fill_lists();
+  if (!held_out.empty()) {
+    std::swap(q_, best_q);
+    std::swap(h_, best_h);
   }
 
-  // Final fill (Algorithm 2 line 13): observed entries pass through, the
-  // rest are the factored predictions, mapped back to seconds in log-ratio
-  // space. Predicted log ratios are clamped to the *observed* ratio
-  // envelope (with a small margin): a sparse low-rank fit occasionally
-  // extrapolates a cell to a speedup far beyond anything ever measured,
-  // and such phantom predictions would dominate Algorithm 1's
-  // improvement-ratio ranking and send exploration chasing artifacts.
-  double lo_ratio = 0.0, hi_ratio = 0.0;
-  if (log_space) {
-    bool any = false;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        if (w.mask()(i, j) <= 0.0) continue;
-        const double x = SafeLog(w.values()(i, j)) - in.row_bias[i];
-        if (!any || x < lo_ratio) lo_ratio = x;
-        if (!any || x > hi_ratio) hi_ratio = x;
-        any = true;
-      }
-    }
-    constexpr double kEnvelopeMargin = 0.2;  // ~ +/- 22% beyond observed
-    lo_ratio -= kEnvelopeMargin;
-    hi_ratio += kEnvelopeMargin;
+  // Output (Algorithm 2 line 13), one fused pass per row: observed and
+  // held-out entries pass through raw (the measured latency, or the
+  // timeout under kNaiveObserved); every other entry is the factored
+  // prediction, raised to its censored floor, and in log-ratio space
+  // clamped to the envelope and mapped back to seconds. The censored
+  // floor survives the envelope clamp (Algorithm 2 lines 4-5: never
+  // predict below a known lower bound). A row's predictions q_i H^T are
+  // built with the rank loop outside, so the inner loop runs over all k
+  // hints and vectorizes; h_next, free once the sweeps end, holds H^T.
+  linalg::Matrix result(n, k);
+  linalg::Matrix& h_t = h_next;
+  h_t.ResizeUninitialized(r, k);
+  for (size_t j = 0; j < k; ++j) {
+    for (size_t c = 0; c < r; ++c) h_t(c, j) = h_(j, c);
   }
-  fill();
-  // The result must outlive this call (the engine shares it into
-  // snapshots), so the final fill's storage leaves the arena by move; the
-  // factor-update and Gram/Cholesky buffers stay pooled.
-  linalg::Matrix result = std::move(w_hat);
-  if (log_space) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        if (in.mask(i, j) > 0.0) {
-          // Exact raw passthrough of whatever the fit treated as observed:
-          // the measured latency, or the timeout under kNaiveObserved.
-          result(i, j) = w.mask()(i, j) > 0.0 ? w.values()(i, j)
-                                              : w.timeouts()(i, j);
-        } else {
-          const double log_ratio = std::clamp(
-              result(i, j) + in.col_bias[j], lo_ratio, hi_ratio);
-          result(i, j) = std::exp(log_ratio + in.row_bias[i]);
-          // The censored floor survives the envelope clamp (Algorithm 2
-          // lines 4-5: never predict below a known lower bound).
-          if (clamp && in.censored(i, j) > 0.0) {
-            result(i, j) = std::max(result(i, j), w.timeouts()(i, j));
+  ParallelFor(
+      0, n,
+      [&](size_t row_begin, size_t row_end) {
+        for (size_t i = row_begin; i < row_end; ++i) {
+          const double* q_i = q_.data() + i * r;
+          double* __restrict out = result.data() + i * k;
+          for (size_t t = 0; t < r; ++t) {
+            AddScaled(q_i[t], h_t.data() + t * k, k, out);
+          }
+          size_t c = row_start[i];
+          const size_t end = row_start[i + 1];
+          for (size_t j = 0; j < k; ++j) {
+            const FitCell* cell =
+                c < end && cells[c].col == j ? &cells[c++] : nullptr;
+            if (cell != nullptr && cell->kind != Kind::kBound) {
+              out[j] = cell->raw;
+              continue;
+            }
+            double x = out[j];
+            if (cell != nullptr) x = std::max(x, cell->value);
+            if (log_space) {
+              x = std::exp(std::clamp(x + col_bias[j], lo_ratio, hi_ratio) +
+                           row_bias[i]);
+              if (cell != nullptr) x = std::max(x, cell->raw);
+            }
+            out[j] = x;
           }
         }
-      }
-    }
-  }
+      },
+      GrainForCost(k * (r + 20)));
   return result;
 }
 

@@ -90,6 +90,26 @@ struct AlsOptions {
 /// Solves  min_{Q,H} || M .* (W - Q H^T) ||_F^2 + lambda (||Q||_F^2 +
 /// ||H||_F^2)  by alternating ridge least-squares updates of Q and H, with
 /// censored clamping and non-negativity projection between updates.
+///
+/// The filled matrix of Algorithm 2, W-hat = M .* W + (1 - M) .* (Q H^T)
+/// with censored cells clamped up to their bound, is never materialized.
+/// It equals Q H^T + S, where the residual S is non-zero only on stored
+/// cells: value - q_i . h_j on fit cells, max(0, bound - q_i . h_j) on
+/// clamped censored cells. The updates use the softImpute-ALS identity
+/// (Hastie, Mazumder, Lee & Zadeh, JMLR 2015)
+///
+///   W-hat H   = Q (H^T H) + S H,      W-hat^T Q = H (Q^T Q) + S^T Q,
+///
+/// and the same r x r Gram serves the right-hand side and the ridge solve.
+/// One sweep costs O((n + k) r^2 + nnz r) for nnz observed and censored
+/// cells, instead of O(n k r) plus two n x k fill passes; set-up and output
+/// each make a single pass, and nothing before the output touches n x k
+/// memory. The fit is the dense-fill fit in exact arithmetic but not
+/// bitwise equal to it: the floating-point sums run in a different order
+/// (tests/als_sparse_residual_test.cc keeps the dense sweep as a reference
+/// and bounds the difference). Results are bitwise identical for any
+/// thread count: rows accumulate in column order and the H side in
+/// ascending row order per column.
 class AlsCompleter : public Completer {
  public:
   explicit AlsCompleter(AlsOptions options = {});
@@ -109,11 +129,11 @@ class AlsCompleter : public Completer {
 
   std::string name() const override { return "ALS"; }
 
-  /// Borrows `arena` for the fill / factor-update / Gram-Cholesky buffers
-  /// of subsequent completions (nullptr reverts to private buffers). See
-  /// Completer::SetArena for the ownership contract; results are bitwise
-  /// identical either way because every buffer is fully overwritten before
-  /// use.
+  /// Borrows `arena` for the sparse cell list and its indices, the factor
+  /// updates and the Gram/Cholesky buffers of subsequent completions
+  /// (nullptr reverts to private buffers). See Completer::SetArena for the
+  /// ownership contract; results are bitwise identical either way because
+  /// every buffer is fully overwritten before use.
   void SetArena(CompletionArena* arena) override { arena_ = arena; }
 
   const AlsOptions& options() const { return options_; }

@@ -177,17 +177,6 @@ bool Matrix::ApproxEquals(const Matrix& other, double tol) const {
   return true;
 }
 
-namespace {
-
-// Thread-chunk grain sized so one chunk is at least ~64k flops; below that
-// the dispatch overhead of the pool outweighs the arithmetic.
-size_t GrainForCost(size_t flops_per_index) {
-  constexpr size_t kMinFlopsPerChunk = 1 << 16;
-  return std::max<size_t>(1, kMinFlopsPerChunk / (flops_per_index + 1));
-}
-
-}  // namespace
-
 void MultiplyInto(const Matrix& a, const Matrix& b, Matrix* out) {
   LIMEQO_CHECK(a.cols() == b.rows());
   LIMEQO_CHECK(out != &a && out != &b);

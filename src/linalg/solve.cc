@@ -160,20 +160,29 @@ StatusOr<Matrix> SolveSpd(const Matrix& a, const Matrix& b) {
   return x;
 }
 
-namespace {
-
-// Shared tail of the ridge solvers: factor A^T A + lambda I into ws->chol,
-// then overwrite the rows of `x` (already holding the right-hand side
-// B A or B^T A) with the solution.
-Status RidgeFinish(const Matrix& a, double lambda, RidgeWorkspace* ws,
-                   Matrix* x) {
-  const size_t r = a.cols();
-  GramInto(a, &ws->gram);
+Status RidgeSolveGramInPlace(double lambda, RidgeWorkspace* ws, Matrix* x) {
+  if (lambda <= 0.0) {
+    return Status::InvalidArgument("RidgeSolve requires lambda > 0");
+  }
+  const size_t r = ws->gram.rows();
+  if (ws->gram.cols() != r || x->cols() != r) {
+    return Status::InvalidArgument("RidgeSolve: dimension mismatch");
+  }
   for (size_t i = 0; i < r; ++i) ws->gram(i, i) += lambda;
   Status st = CholeskyInto(ws->gram, &ws->chol);
   if (!st.ok()) return st;
   SolveCholeskyRowsInPlace(ws->chol, x);
   return Status::Ok();
+}
+
+namespace {
+
+// Shared tail of the ridge solvers: with `x` already holding the
+// right-hand side B A or B^T A, solve against A^T A + lambda I.
+Status RidgeFinish(const Matrix& a, double lambda, RidgeWorkspace* ws,
+                   Matrix* x) {
+  GramInto(a, &ws->gram);
+  return RidgeSolveGramInPlace(lambda, ws, x);
 }
 
 }  // namespace

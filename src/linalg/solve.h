@@ -46,6 +46,14 @@ Status RidgeSolveInto(const Matrix& b, const Matrix& a, double lambda,
 Status RidgeSolveTransposedInto(const Matrix& b, const Matrix& a,
                                 double lambda, RidgeWorkspace* ws, Matrix* x);
 
+/// The shared tail of the ridge solvers, for callers that already hold the
+/// Gram matrix: given ws->gram = A^T A (r x r) and the rows of `x` (m x r)
+/// holding a right-hand side, adds lambda I to ws->gram in place, factors it
+/// into ws->chol and overwrites `x` with x (A^T A + lambda I)^{-1}. One Gram
+/// then serves both a right-hand side built from it and the solve (the
+/// sparse-residual ALS sweep). lambda must be > 0.
+Status RidgeSolveGramInPlace(double lambda, RidgeWorkspace* ws, Matrix* x);
+
 /// Lower-level pieces of the workspace solvers, exposed for reuse:
 /// Cholesky into a preallocated factor, and an in-place solve of
 /// G X^T = C^T for row-major C (each row of `c` is replaced by the solution

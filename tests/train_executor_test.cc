@@ -11,11 +11,13 @@
 // Seeded and shrinkable via tests/proptest.h (LIMEQO_PROPTEST_SEED).
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -345,6 +347,13 @@ TEST(TrainExecutorTest, FreeRunningExecutorDrainsAndParksIdleShards) {
     });
   }
   for (std::thread& t : servers) t.join();
+  // The servers can finish before a loaded box schedules any worker; the
+  // undrained backlog guarantees a step, so wait for one (bounded) rather
+  // than letting Stop's serial finish race the workers.
+  for (int waited_ms = 0;
+       executor.steps_executed() == 0 && waited_ms < 10000; ++waited_ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   executor.Stop();
   EXPECT_FALSE(executor.running());
   EXPECT_GT(executor.steps_executed(), 0u);

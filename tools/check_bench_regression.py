@@ -1,20 +1,29 @@
 #!/usr/bin/env python3
-"""Serving-bench perf smoke: fail when a watched metric regresses.
+"""Serving and micro-bench perf smoke: fail when a watched metric regresses.
 
-Compares a freshly generated BENCH_serving.json against the checked-in
-baseline and exits non-zero when any watched metric is more than
---max-ratio times slower than the baseline value. Used by CI (the
-"Serving perf smoke" step) to catch order-of-magnitude decision-path
-regressions — an accidental per-serving allocation, a re-introduced
-per-hint scan, a lock on the snapshot read path — without being flaky
-about scheduler noise on shared runners: a 2x guard band is far above
-run-to-run jitter but far below the cost of any of those mistakes.
+Compares a freshly generated BENCH_serving.json (and, when given,
+BENCH_micro.json) against the checked-in baselines and exits non-zero when
+any watched metric is more than --max-ratio times slower than the baseline
+value. Used by CI (the "Serving perf smoke" step) to catch
+order-of-magnitude regressions — an accidental per-serving allocation, a
+re-introduced per-hint scan, a lock on the snapshot read path, a dense
+n x k fill back in the ALS sweep — without being flaky about scheduler
+noise on shared runners: a 2x guard band is far above run-to-run jitter
+but far below the cost of any of those mistakes.
 
-Watched metrics:
+Watched serving metrics:
   * choose_hint_scalar_ns @ 1 thread — the pure decision cost of
     ServingSnapshot::ChooseHint (the sub-100ns acceptance metric).
   * serving_ns_per_op @ 1 thread — end-to-end serving including backend
     execution and observation reporting.
+
+Watched micro metrics (with --micro-baseline/--micro-current):
+  * als_complete_rank10_1000x49 @ 1 thread — a cold 50-sweep ALS
+    completion.
+  * als_refresh_warm_rank10_1000x49 @ 1 thread — a warm-started refit,
+    the train plane's per-refresh cost.
+  Measured back to back on one host, the dense-fill sweep these replaced
+  ran both about 2.3x slower than the sparse-residual sweep.
 
 Also checks two *within-run* ratios (current vs current, so scheduler
 noise largely cancels):
@@ -35,6 +44,8 @@ noise largely cancels):
 Usage:
   check_bench_regression.py BASELINE.json CURRENT.json [--max-ratio 2.0]
                             [--max-router-tax 1.3] [--max-fleet-tax 1.6]
+                            [--micro-baseline MICRO_BASELINE.json
+                             --micro-current MICRO_CURRENT.json]
 """
 
 import argparse
@@ -46,6 +57,11 @@ WATCHED = [
     ("serving_ns_per_op", 1),
 ]
 
+WATCHED_MICRO = [
+    ("als_complete_rank10_1000x49", 1),
+    ("als_refresh_warm_rank10_1000x49", 1),
+]
+
 
 def load_metrics(path):
     """Returns {(name, threads): ns_per_op} for every benchmark entry."""
@@ -55,6 +71,30 @@ def load_metrics(path):
     for entry in doc.get("benchmarks", []):
         metrics[(entry["name"], entry["threads"])] = entry["ns_per_op"]
     return metrics
+
+
+def check_watched(baseline, current, watched, max_ratio, failures):
+    """Appends to `failures` every watched metric over max_ratio x baseline."""
+    for name, threads in watched:
+        key = (name, threads)
+        if key not in baseline:
+            print(f"SKIP  {name}@{threads}t: not in baseline")
+            continue
+        if key not in current:
+            failures.append(f"{name}@{threads}t missing from current run")
+            continue
+        ratio = current[key] / baseline[key]
+        verdict = "FAIL" if ratio > max_ratio else "ok"
+        print(
+            f"{verdict:>4}  {name}@{threads}t: "
+            f"{baseline[key]:.1f} -> {current[key]:.1f} ns/op "
+            f"({ratio:.2f}x, limit {max_ratio:.2f}x)"
+        )
+        if ratio > max_ratio:
+            failures.append(
+                f"{name}@{threads}t regressed {ratio:.2f}x "
+                f"({baseline[key]:.1f} -> {current[key]:.1f} ns/op)"
+            )
 
 
 def main():
@@ -82,32 +122,29 @@ def main():
         "this times the 1-shard/1-thread point within the current run "
         "(default: 1.6)",
     )
+    parser.add_argument(
+        "--micro-baseline", help="checked-in BENCH_micro.json (optional)"
+    )
+    parser.add_argument(
+        "--micro-current", help="freshly generated BENCH_micro.json (optional)"
+    )
     args = parser.parse_args()
+    if (args.micro_baseline is None) != (args.micro_current is None):
+        parser.error("--micro-baseline and --micro-current go together")
 
     baseline = load_metrics(args.baseline)
     current = load_metrics(args.current)
 
     failures = []
-    for name, threads in WATCHED:
-        key = (name, threads)
-        if key not in baseline:
-            print(f"SKIP  {name}@{threads}t: not in baseline")
-            continue
-        if key not in current:
-            failures.append(f"{name}@{threads}t missing from current run")
-            continue
-        ratio = current[key] / baseline[key]
-        verdict = "FAIL" if ratio > args.max_ratio else "ok"
-        print(
-            f"{verdict:>4}  {name}@{threads}t: "
-            f"{baseline[key]:.1f} -> {current[key]:.1f} ns/op "
-            f"({ratio:.2f}x, limit {args.max_ratio:.2f}x)"
+    check_watched(baseline, current, WATCHED, args.max_ratio, failures)
+    if args.micro_baseline is not None:
+        check_watched(
+            load_metrics(args.micro_baseline),
+            load_metrics(args.micro_current),
+            WATCHED_MICRO,
+            args.max_ratio,
+            failures,
         )
-        if ratio > args.max_ratio:
-            failures.append(
-                f"{name}@{threads}t regressed {ratio:.2f}x "
-                f"({baseline[key]:.1f} -> {current[key]:.1f} ns/op)"
-            )
 
     # Within-run router-tax guard: 1-shard sharded tier vs bare serving.
     bare = current.get(("serving_ns_per_op", 1))
