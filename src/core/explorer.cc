@@ -162,12 +162,7 @@ void OfflineExplorer::ResetAfterDataShift() {
 }
 
 std::vector<int> OfflineExplorer::BestHints() const {
-  std::vector<int> hints(matrix().num_queries(), 0);
-  for (int i = 0; i < matrix().num_queries(); ++i) {
-    const int best = matrix().BestObservedHint(i);
-    hints[i] = best >= 0 ? best : 0;
-  }
-  return hints;
+  return matrix().BestObservedHints();
 }
 
 TrajectoryPoint OfflineExplorer::RecordPoint() const {

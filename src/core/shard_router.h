@@ -13,8 +13,9 @@
 /// Within a shard, rows are ordered by adoption: construction adopts rows
 /// in ascending global order, so at num_shards == 1 the local order is the
 /// identity and the tier degenerates to a bare engine, decision for
-/// decision (tests/shard_router_test.cc pins this bitwise over the full
-/// scenario grid).
+/// decision (tests/shard_router_test.cc pins it against frozen bare-engine
+/// trace hashes over the full scenario grid). It is the driver's only
+/// concurrent serving path, at any shard count.
 ///
 /// Trace-merge determinism: every serving decision is
 /// shard_snapshot->ChooseHint(local_row, global_index) — the *global*
@@ -32,13 +33,15 @@
 ///    allowance_i, so the fleet overshoot is slack-bounded by the sum of
 ///    the per-shard allowances.
 ///  * staleness: each shard obeys the single-engine local bound L =
-///    2 * capacity + threads * batch + publish_every; a shard holding m_i
-///    of the n rows receives m_i global servings per window of n, so a
-///    local-sequence gap of L spans at most (L / m_i + 2) windows in
-///    schedule order. Free-running serving threads report claimed batches
-///    out of schedule order by at most the in-flight window, widening the
-///    gap by 2 * threads * batch, for a tier-wide global-index bound of
-///    ((L + 2 * threads * batch) / m_i + 2) * n on shard-i servings.
+///    2 * capacity + threads * batch + publish_every, which stays hard
+///    because a free-running serving thread claims its shard-local index
+///    *before* probing the shard snapshot (the drain cannot pass a claimed,
+///    unreported index). Fleet-wide, the earlier global servings on a
+///    serving's shard that its deciding snapshot had not drained number at
+///    most L + (threads - 1) * batch: those ahead of it in local order
+///    are within L, and those behind it were claimed globally earlier but
+///    took their local index later — at most one claimed batch per other
+///    serving thread.
 ///  * checkpoint/restore: each shard reuses the PR 6 EngineCheckpoint path
 ///    verbatim; a tier manifest (same CRC'd header convention) records the
 ///    row->shard assignment, the per-shard local row order, and the
@@ -204,7 +207,8 @@ class ShardedServingTier {
   /// analogue of ExplorationEngine::AcquireServingIndices). A free-running
   /// serving thread claims a global batch, routes each index's query with
   /// ShardOfRow/LocalRowOf, acquires a *local* index from that shard's
-  /// engine, and reports there. Global indices never enter any shard's
+  /// engine, then probes that shard's snapshot, decides, and reports
+  /// there. Global indices never enter any shard's
   /// queue, so indices claimed past the end of traffic are simply never
   /// reported — no hole, no stall.
   uint64_t AcquireServingIndices(uint64_t count) {

@@ -1,5 +1,6 @@
 #include "core/workload_matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -88,6 +89,14 @@ int WorkloadMatrix::BestObservedHint(int query) const {
     }
   }
   return best;
+}
+
+std::vector<int> WorkloadMatrix::BestObservedHints() const {
+  std::vector<int> hints(num_queries(), 0);
+  for (int i = 0; i < num_queries(); ++i) {
+    hints[i] = std::max(BestObservedHint(i), 0);
+  }
+  return hints;
 }
 
 double WorkloadMatrix::CurrentWorkloadLatency() const {

@@ -80,6 +80,10 @@ class WorkloadMatrix {
   /// Hint index achieving RowMinObserved; -1 when no complete observation.
   int BestObservedHint(int query) const;
 
+  /// BestObservedHint per row, with the default hint 0 for rows that have
+  /// no complete observation: the no-regression serving choice.
+  std::vector<int> BestObservedHints() const;
+
   /// Current workload latency P(W-tilde) (paper Eq. 2): sum over rows of the
   /// best complete observation.
   double CurrentWorkloadLatency() const;

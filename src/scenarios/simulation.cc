@@ -1,11 +1,9 @@
 #include "scenarios/simulation.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -316,6 +314,24 @@ void ApplyArrivalChecked(core::OfflineExplorer* explorer,
   }
 }
 
+/// Fenwick tree of counts over positions [0, size): Add marks a position,
+/// CountBelow counts the marked positions below a bound, both O(log size).
+class CountTree {
+ public:
+  explicit CountTree(size_t size) : tree_(size + 1, 0) {}
+  void Add(size_t pos) {
+    for (size_t i = pos + 1; i < tree_.size(); i += i & (~i + 1)) ++tree_[i];
+  }
+  uint64_t CountBelow(size_t bound) const {
+    uint64_t count = 0;
+    for (size_t i = bound; i > 0; i -= i & (~i + 1)) count += tree_[i];
+    return count;
+  }
+
+ private:
+  std::vector<uint64_t> tree_;
+};
+
 }  // namespace
 
 std::string PolicyKindName(PolicyKind p) {
@@ -415,6 +431,9 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
   // surface is a configuration error, not a world property.
   LIMEQO_CHECK(config.arm == PredictorArm::kCompleter ||
                config.world == WorldKind::kSimDb);
+  // Concurrent serving always runs through a tier of >= 1 shards.
+  LIMEQO_CHECK(config.serve_threads <= 0 || config.shards >= 1);
+  LIMEQO_CHECK(!config.free_running || config.serve_threads >= 1);
 
   SimulationResult result;
   result.scenario = spec_.name;
@@ -461,15 +480,6 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
   options.initial_queries =
       total_arrivals > 0 ? spec_.num_queries - total_arrivals : -1;
   options.engine.delta_publication = !config.full_snapshot_rebuild;
-  if (config.free_running) {
-    LIMEQO_CHECK(config.serve_threads >= 1);
-    // A queue much smaller than the serving phase makes the free-running
-    // staleness bound meaningful (2 * capacity + threads + publish_every
-    // must undercut the total servings): producers more than a lap ahead
-    // of the drain block, so the bound is a hard invariant, not a
-    // heuristic.
-    options.engine.queue_capacity = 64;
-  }
   core::OfflineExplorer explorer(backend.get(), exploration_policy.get(),
                                  options);
 
@@ -554,431 +564,33 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
 
   // ---- Online serving phase --------------------------------------------
   if (spec_.online_servings > 0) {
-    std::unique_ptr<core::Predictor> predictor =
-        MakePredictor(config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu));
     core::OnlineExplorationOptions online;
     online.epsilon = spec_.epsilon;
     online.min_predicted_ratio = spec_.min_predicted_ratio;
     online.regret_budget_seconds = spec_.online_regret_budget_seconds;
     online.seed = MixSeed(spec_.seed, 0x534Fu);
-    core::ExplorationEngine& engine = explorer.engine();
-    engine.SetPredictor(predictor.get());
 
     // The per-mode regret-overshoot allowance: one serving's latency in
     // the synchronous mode (the budget check is live, before each
-    // serving); one epoch's exploratory regret in the epoch-synchronized
-    // concurrent mode (the gate reads the snapshot's frozen ledger, so
-    // everything charged within an epoch lands after the decision that
-    // allowed it); the largest in-flight regret window any single
-    // decision could not yet see in the free-running mode.
+    // serving); one epoch's exploratory regret per shard in the
+    // epoch-synchronized mode (the gate reads the snapshot's frozen
+    // ledger, so everything charged within an epoch lands after the
+    // decision that allowed it); the largest in-flight regret window per
+    // shard that no single decision could yet see in the free-running
+    // mode.
     double regret_allowance = 0.0;
     const char* allowance_kind = "one serving";
-    // Sharded runs serve from the tier's per-shard matrices; the merged
-    // reassembly replaces explorer.matrix() for the final checks.
-    std::optional<core::WorkloadMatrix> sharded_final;
+    // Concurrent runs serve from the tier's per-shard matrices; their
+    // merged reassembly replaces explorer.matrix() for the final checks.
+    std::optional<core::WorkloadMatrix> merged;
 
-    if (config.shards >= 1) {
-      // -- Sharded serving tier: the whole online phase runs across
-      // config.shards engines behind the deterministic router
-      // (src/core/shard_router.h). Rows partition by the seed-pure hash;
-      // the fleet regret budget splits into row-count-proportional
-      // slices; decisions stay keyed by *global* serving index, so the
-      // fleet consumes exactly one epsilon-gate draw per serving like a
-      // single engine would.
-      LIMEQO_CHECK(config.serve_threads >= 1);
-      LIMEQO_CHECK(config.arm == PredictorArm::kCompleter);
-      std::vector<std::unique_ptr<core::Predictor>> shard_predictors;
-      std::vector<core::Predictor*> shard_predictor_ptrs;
-      shard_predictors.reserve(config.shards);
-      for (int i = 0; i < config.shards; ++i) {
-        // Per-shard instances of the same predictor configuration (same
-        // derived seed): refits are per-shard-matrix pure functions, and
-        // at one shard the single predictor matches the unsharded path.
-        shard_predictors.push_back(MakePredictor(
-            config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu)));
-        shard_predictor_ptrs.push_back(shard_predictors.back().get());
-      }
-      core::ShardedTierOptions tier_options;
-      tier_options.num_shards = config.shards;
-      tier_options.online = online;
-      tier_options.engine.delta_publication = !config.full_snapshot_rebuild;
-      if (config.free_running) tier_options.engine.queue_capacity = 64;
-      tier_options.shared_train_plane = config.shared_train_plane;
-      core::ShardedServingTier tier(explorer.matrix(), shard_predictor_ptrs,
-                                    tier_options);
-      tier.RefreshAll(/*force=*/true);
-      tier.PublishAll();
-
-      const int total = spec_.online_servings;
-      const int threads = config.serve_threads;
-      const int n = spec_.num_queries;
-      const int shards = tier.num_shards();
-
-      if (config.free_running) {
-        // -- Free-running sharded plane: every shard runs its own train
-        // thread; serving threads claim *global* index batches, route
-        // each serving to its shard, and report under shard-local
-        // sequence numbers. The invariants below are the single-engine
-        // statistical set applied per shard, plus the fleet-wide
-        // compositions.
-        struct ShardFreeRecord {
-          int query = 0;
-          int hint = 0;
-          double latency = 0.0;
-          bool exploratory = false;
-          double regret_delta = 0.0;
-          int shard = 0;
-          uint64_t local_seq = 0;
-          uint64_t snapshot_seq = 0;  // shard-local published_seq
-          int serve_failures = 0;
-          bool degraded = false;
-          double backoff_seconds = 0.0;
-        };
-        std::vector<ShardFreeRecord> records(total);
-
-        tier.StartTraining();
-        std::vector<std::thread> servers;
-        servers.reserve(threads);
-        for (int t = 0; t < threads; ++t) {
-          servers.emplace_back([&] {
-            std::vector<std::shared_ptr<const core::ServingSnapshot>> snaps(
-                shards);
-            std::vector<uint64_t> versions(shards, ~uint64_t{0});
-            constexpr uint64_t kDecisionBatch = 16;
-            for (;;) {
-              const uint64_t first =
-                  tier.AcquireServingIndices(kDecisionBatch);
-              if (first >= static_cast<uint64_t>(total)) break;
-              const uint64_t cnt = std::min<uint64_t>(
-                  kDecisionBatch, static_cast<uint64_t>(total) - first);
-              for (uint64_t i = 0; i < cnt; ++i) {
-                const uint64_t seq = first + i;
-                const int q = static_cast<int>(seq % n);
-                const int shard = tier.ShardOfRow(q);
-                const int local_row = tier.LocalRowOf(q);
-                core::ExplorationEngine& eng = tier.shard_engine(shard);
-                if (snaps[shard] == nullptr ||
-                    eng.snapshot_version() != versions[shard]) {
-                  snaps[shard] = eng.snapshot();
-                  versions[shard] = snaps[shard]->version();
-                }
-                const int chosen = snaps[shard]->ChooseHint(local_row, seq);
-                const ResolvedServing served = ResolveServingFaults(
-                    *backend, config.faults, config.max_retries,
-                    config.retry_backoff_seconds, q, chosen, seq);
-                const double latency =
-                    backend->ServeLatency(q, served.hint, seq);
-                const uint64_t local_seq = eng.AcquireServingIndex();
-                core::ServingObservation obs = snaps[shard]->MakeObservation(
-                    local_seq, local_row, served.hint, latency);
-                if (served.degraded) {
-                  obs.exploratory = false;
-                  obs.regret_delta = 0.0;
-                }
-                records[seq] = {q,
-                                served.hint,
-                                latency,
-                                obs.exploratory,
-                                obs.regret_delta,
-                                shard,
-                                local_seq,
-                                snaps[shard]->published_seq(),
-                                served.failures,
-                                served.degraded,
-                                served.backoff_seconds};
-                eng.Report(obs);
-              }
-            }
-          });
-        }
-        for (std::thread& t : servers) t.join();
-        tier.StopTraining();
-
-        result.servings = total;
-        result.explorations = tier.explorations();
-        result.regret_spent = tier.regret_spent();
-        // Capture the merged reassembly before the freeze probe below adds
-        // diagnostic traffic (the bare modes record final_latency at the
-        // same point).
-        sharded_final = tier.MergedMatrix();
-        result.final_latency = sharded_final->CurrentWorkloadLatency();
-
-        // Fault accounting in global sequence order (deterministic sums
-        // over a timing-dependent run).
-        for (int s = 0; s < total; ++s) {
-          result.fault_serve_failures += records[s].serve_failures;
-          if (records[s].degraded) ++result.fault_serve_fallbacks;
-          result.fault_backoff_seconds += records[s].backoff_seconds;
-        }
-
-        // ---- No serving lost or double-counted: each shard's local
-        // sequence numbers must be exactly 0..count-1 for the servings
-        // routed to it, and each shard must have drained exactly what was
-        // routed.
-        std::vector<uint64_t> routed(shards, 0);
-        for (int s = 0; s < total; ++s) ++routed[records[s].shard];
-        std::vector<std::vector<int>> local_to_global(shards);
-        for (int i = 0; i < shards; ++i) {
-          local_to_global[i].assign(static_cast<size_t>(routed[i]), -1);
-        }
-        bool seq_ok = true;
-        for (int s = 0; s < total; ++s) {
-          const ShardFreeRecord& r = records[s];
-          if (r.local_seq >= local_to_global[r.shard].size() ||
-              local_to_global[r.shard][r.local_seq] != -1) {
-            std::ostringstream os;
-            os << "serving " << s << " drained at shard " << r.shard
-               << " local seq " << r.local_seq
-               << " (out of range or double-counted)";
-            Violate(&result, "shard-seq-accounting", os.str());
-            seq_ok = false;
-            continue;
-          }
-          local_to_global[r.shard][r.local_seq] = s;
-        }
-        for (int i = 0; i < shards; ++i) {
-          if (tier.shard_engine(i).drained_servings() != routed[i]) {
-            std::ostringstream os;
-            os << "shard " << i << " drained "
-               << tier.shard_engine(i).drained_servings() << " servings, "
-               << routed[i] << " were routed to it";
-            Violate(&result, "shard-seq-accounting", os.str());
-            seq_ok = false;
-          }
-        }
-
-        if (seq_ok) {
-          // ---- Per-shard replay in local order: ledger consistency,
-          // slice-gated exploration, the local staleness bound — plus the
-          // fleet compositions (summed in-flight slack, the composed
-          // global-index staleness bound).
-          double summed_inflight = 0.0;
-          std::vector<uint64_t> global_staleness;
-          global_staleness.reserve(static_cast<size_t>(total));
-          for (int i = 0; i < shards; ++i) {
-            const std::vector<int>& order = local_to_global[i];
-            const uint64_t count = routed[i];
-            std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
-            for (uint64_t l = 0; l < count; ++l) {
-              prefix[l + 1] = prefix[l] + records[order[l]].regret_delta;
-            }
-            const double shard_spent = tier.shard_engine(i).regret_spent();
-            if (std::abs(prefix[count] - shard_spent) > 1e-9) {
-              std::ostringstream os;
-              os << "shard " << i << " drained ledger " << shard_spent
-                 << "s != replayed per-serving deltas " << prefix[count]
-                 << "s";
-              Violate(&result, "free-ledger-consistency", os.str());
-            }
-            const double slice = tier.shard_budget(i);
-            const uint64_t local_bound =
-                2 * tier.shard_engine(i).queue_capacity() +
-                static_cast<uint64_t>(threads) * 16 +
-                static_cast<uint64_t>(online.publish_every);
-            const uint64_t rows_here =
-                static_cast<uint64_t>(tier.ShardRowCount(i));
-            // Shard i holds rows_here of the n round-robin queries, so a
-            // local-sequence gap of d spans at most (d / rows_here + 2)
-            // windows of n global indices *in schedule order*. Free-running
-            // threads report claimed batches out of schedule order by at
-            // most the in-flight window (threads * 16 claimed-but-
-            // unreported globals at either end of the gap), which widens
-            // the rank gap by 2 * threads * 16.
-            const uint64_t skew = 2 * static_cast<uint64_t>(threads) * 16;
-            const uint64_t global_bound =
-                rows_here > 0 ? ((local_bound + skew) / rows_here + 2) *
-                                    static_cast<uint64_t>(n)
-                              : 0;
-            double max_inflight = 0.0;
-            for (uint64_t l = 0; l < count; ++l) {
-              const ShardFreeRecord& r = records[order[l]];
-              const uint64_t p = r.snapshot_seq;
-              if (p > l) {
-                std::ostringstream os;
-                os << "shard " << i << " local serving " << l
-                   << " decided on snapshot seq " << p
-                   << " ahead of itself";
-                Violate(&result, "free-gate", os.str());
-                continue;
-              }
-              if (r.exploratory) {
-                if (prefix[p] >= slice) {
-                  std::ostringstream os;
-                  os << "shard " << i << " serving " << order[l]
-                     << " (query " << r.query << ", hint " << r.hint << ", "
-                     << r.latency
-                     << "s) explored on a snapshot whose ledger ("
-                     << prefix[p] << "s) already exhausted the slice ("
-                     << slice << "s)";
-                  Violate(&result, "free-gate", os.str());
-                }
-                max_inflight = std::max(max_inflight, prefix[l + 1] - prefix[p]);
-              }
-              const uint64_t local_stale = l - p;
-              if (local_stale > local_bound) {
-                std::ostringstream os;
-                os << "shard " << i << " local staleness " << local_stale
-                   << " exceeds the per-shard bound " << local_bound;
-                Violate(&result, "free-staleness", os.str());
-              }
-              const uint64_t deciding_global = static_cast<uint64_t>(
-                  p < count ? order[p] : order[l]);
-              const uint64_t s = static_cast<uint64_t>(order[l]);
-              const uint64_t gstale =
-                  s > deciding_global ? s - deciding_global : 0;
-              global_staleness.push_back(gstale);
-              if (gstale > global_bound) {
-                std::ostringstream os;
-                os << "serving " << s << " global staleness " << gstale
-                   << " exceeds the composed tier bound " << global_bound
-                   << " (shard " << i << ", " << rows_here << "/" << n
-                   << " rows)";
-                Violate(&result, "free-staleness", os.str());
-              }
-            }
-            summed_inflight += max_inflight;
-          }
-          regret_allowance = summed_inflight;
-          allowance_kind = "summed per-shard in-flight windows";
-          result.regret_slack = std::max(
-              0.0, result.regret_spent - online.regret_budget_seconds);
-          std::sort(global_staleness.begin(), global_staleness.end());
-          if (!global_staleness.empty()) {
-            result.staleness_p50 = static_cast<double>(
-                global_staleness[global_staleness.size() / 2]);
-            result.staleness_p95 = static_cast<double>(
-                global_staleness[(95 * (global_staleness.size() - 1)) / 100]);
-            result.staleness_max =
-                static_cast<double>(global_staleness.back());
-          }
-        }
-
-        // ---- Fleet freeze: once every slice's exhausted ledger is
-        // published, no shard may explore again. Probed with the
-        // deterministic schedule (StopTraining re-synced the counters).
-        if (tier.budget_exhausted()) {
-          std::vector<int> frozen(shards);
-          for (int i = 0; i < shards; ++i) {
-            frozen[i] = tier.shard_engine(i).explorations();
-          }
-          const uint64_t probe = tier.claimed_servings();
-          tier.ServeSchedule(
-              probe, probe + 50, 1,
-              [&](int q, int chosen, uint64_t seq) {
-                core::ServedOutcome out;
-                out.hint = chosen;
-                out.latency = backend->ServeLatency(q, chosen, seq);
-                return out;
-              });
-          for (int i = 0; i < shards; ++i) {
-            if (tier.shard_engine(i).explorations() != frozen[i]) {
-              std::ostringstream os;
-              os << "shard " << i << ": "
-                 << tier.shard_engine(i).explorations() - frozen[i]
-                 << " explorations after budget exhaustion";
-              Violate(&result, "online-budget-freeze", os.str());
-            }
-          }
-        }
-      } else {
-        // -- Epoch-synchronized sharded plane: ServeSchedule preassigns
-        // shard-local sequence numbers in global order, so the merged
-        // trace keeps the bitwise thread-count-determinism contract (and
-        // at one shard equals the unsharded trace bitwise).
-        result.serving_trace.resize(total);
-        std::vector<int> serve_failures(total, 0);
-        std::vector<uint8_t> serve_degraded(total, 0);
-        std::vector<double> serve_backoff(total, 0.0);
-        std::vector<double> shard_epoch_regret(shards, 0.0);
-        std::vector<double> regret_before(shards, 0.0);
-        auto run_epochs = [&](int first, int last) {
-          for (int epoch = first; epoch < last;
-               epoch += online.publish_every) {
-            const int end = std::min(last, epoch + online.publish_every);
-            for (int i = 0; i < shards; ++i) {
-              regret_before[i] = tier.shard_engine(i).regret_spent();
-            }
-            tier.ServeSchedule(
-                epoch, end, threads,
-                [&](int q, int chosen, uint64_t seq) {
-                  const ResolvedServing served = ResolveServingFaults(
-                      *backend, config.faults, config.max_retries,
-                      config.retry_backoff_seconds, q, chosen, seq);
-                  if (seq < static_cast<uint64_t>(total)) {
-                    serve_failures[seq] = served.failures;
-                    serve_degraded[seq] = served.degraded ? 1 : 0;
-                    serve_backoff[seq] = served.backoff_seconds;
-                  }
-                  core::ServedOutcome out;
-                  out.hint = served.hint;
-                  out.degraded = served.degraded;
-                  out.latency = backend->ServeLatency(q, served.hint, seq);
-                  return out;
-                },
-                [&](uint64_t seq, int q, int hint, double latency) {
-                  if (seq < static_cast<uint64_t>(total)) {
-                    result.serving_trace[seq] =
-                        ServingRecord{q, hint, latency};
-                  }
-                });
-            for (int i = 0; i < shards; ++i) {
-              shard_epoch_regret[i] = std::max(
-                  shard_epoch_regret[i],
-                  tier.shard_engine(i).regret_spent() - regret_before[i]);
-            }
-          }
-        };
-        run_epochs(0, total);
-        for (int s = 0; s < total; ++s) {
-          result.fault_serve_failures += serve_failures[s];
-          if (serve_degraded[s]) ++result.fault_serve_fallbacks;
-          result.fault_backoff_seconds += serve_backoff[s];
-        }
-        // Each shard's slice can be overshot by one epoch of its own
-        // exploratory regret, so the fleet allowance is the sum.
-        regret_allowance = 0.0;
-        for (int i = 0; i < shards; ++i) {
-          regret_allowance += shard_epoch_regret[i];
-        }
-        allowance_kind = "one epoch per shard";
-
-        result.servings = total;
-        result.explorations = tier.explorations();
-        result.regret_spent = tier.regret_spent();
-        // Capture the merged reassembly before the freeze probe below adds
-        // diagnostic traffic (the bare modes record final_latency at the
-        // same point).
-        sharded_final = tier.MergedMatrix();
-        result.final_latency = sharded_final->CurrentWorkloadLatency();
-
-        // Per-shard freeze: any shard whose slice is exhausted must stay
-        // frozen through further epochs (the other shards may keep
-        // exploring their own slices).
-        std::vector<uint8_t> exhausted(shards, 0);
-        std::vector<int> frozen(shards, 0);
-        bool any_exhausted = false;
-        for (int i = 0; i < shards; ++i) {
-          exhausted[i] = tier.shard_engine(i).budget_exhausted() ? 1 : 0;
-          frozen[i] = tier.shard_engine(i).explorations();
-          any_exhausted |= exhausted[i] != 0;
-        }
-        if (any_exhausted) {
-          run_epochs(total, total + 50);
-          for (int i = 0; i < shards; ++i) {
-            if (!exhausted[i]) continue;
-            if (tier.shard_engine(i).explorations() != frozen[i]) {
-              std::ostringstream os;
-              os << "shard " << i << ": "
-                 << tier.shard_engine(i).explorations() - frozen[i]
-                 << " explorations after slice exhaustion";
-              Violate(&result, "online-budget-freeze", os.str());
-            }
-          }
-        }
-      }
-
-    } else if (config.serve_threads <= 0) {
-      // -- Synchronous path: one thread acting as both planes. ----------
+    if (config.serve_threads <= 0) {
+      // -- Synchronous path: one thread acting as both planes, on the
+      // offline explorer's engine.
+      std::unique_ptr<core::Predictor> predictor =
+          MakePredictor(config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu));
+      core::ExplorationEngine& engine = explorer.engine();
+      engine.SetPredictor(predictor.get());
       core::OnlineExplorationOptimizer optimizer(&engine, online);
       double max_served = 0.0;
       for (int s = 0; s < spec_.online_servings; ++s) {
@@ -1030,255 +642,319 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
           Violate(&result, "online-budget-freeze", os.str());
         }
       }
-    } else if (config.free_running) {
-      // -- Free-running serving plane: a real background train thread
-      // against serve_threads free-running serving threads — the
-      // deployment shape. Which snapshot a serving sees depends on
-      // timing, so the invariants checked below are statistical (hard
-      // staleness bound, gate correctness, slack-bounded regret, ledger
-      // consistency) rather than bitwise.
-      engine.ConfigureServing(online);
-      engine.RefreshPredictions(/*force=*/true);
-      engine.Publish();
+    } else {
+      // -- Concurrent serving: serve_threads threads over a tier of
+      // config.shards engines behind the deterministic router
+      // (src/core/shard_router.h). Rows partition by the seed-pure hash;
+      // the fleet regret budget splits into row-count-proportional
+      // slices; decisions stay keyed by *global* serving index, so the
+      // fleet consumes exactly one epsilon-gate draw per serving like a
+      // single engine would. At one shard local rows are global rows, so
+      // every predictor arm serves; more shards need a per-shard
+      // completion model.
+      LIMEQO_CHECK(config.shards == 1 ||
+                   config.arm == PredictorArm::kCompleter);
+      std::vector<std::unique_ptr<core::Predictor>> shard_predictors;
+      std::vector<core::Predictor*> shard_predictor_ptrs;
+      shard_predictors.reserve(config.shards);
+      for (int i = 0; i < config.shards; ++i) {
+        // Per-shard instances of the same predictor configuration (same
+        // derived seed): refits are per-shard-matrix pure functions.
+        shard_predictors.push_back(MakePredictor(
+            config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu)));
+        shard_predictor_ptrs.push_back(shard_predictors.back().get());
+      }
+      core::ShardedTierOptions tier_options;
+      tier_options.num_shards = config.shards;
+      tier_options.online = online;
+      tier_options.engine.delta_publication = !config.full_snapshot_rebuild;
+      // A queue much smaller than the serving phase makes the free-running
+      // staleness bound meaningful (2 * capacity + threads * batch +
+      // publish_every must undercut the total servings): producers more
+      // than a lap ahead of the drain block, so the bound is a hard
+      // invariant, not a heuristic.
+      if (config.free_running) tier_options.engine.queue_capacity = 64;
+      tier_options.shared_train_plane = config.shared_train_plane;
+      core::ShardedServingTier tier(explorer.matrix(), shard_predictor_ptrs,
+                                    tier_options);
+      tier.RefreshAll(/*force=*/true);
+      tier.PublishAll();
 
       const int total = spec_.online_servings;
       const int threads = config.serve_threads;
       const int n = spec_.num_queries;
-      // Everything the replay checks need, written once per seq by the
-      // serving thread that owned it (no locking required).
-      struct FreeRecord {
-        int query = 0;
-        int hint = 0;
-        double latency = 0.0;
-        bool exploratory = false;
-        double regret_delta = 0.0;
-        uint64_t snapshot_seq = 0;  // published_seq of the deciding snapshot
-        int serve_failures = 0;     // faulted attempts before this serving
-        bool degraded = false;      // fell back to the default hint
-        double backoff_seconds = 0.0;  // seeded retry backoff accounted
+      const int shards = tier.num_shards();
+      // How each serving's faults resolved, written once per global index
+      // by the serving thread that owns it (no locking required).
+      std::vector<ResolvedServing> resolved(total);
+      const auto resolve = [&](int q, int chosen, uint64_t seq) {
+        resolved[seq] = ResolveServingFaults(
+            *backend, config.faults, config.max_retries,
+            config.retry_backoff_seconds, q, chosen, seq);
+        return resolved[seq];
       };
-      std::vector<FreeRecord> records(total);
 
-      engine.StartTraining();
-      std::vector<std::thread> servers;
-      servers.reserve(threads);
-      for (int t = 0; t < threads; ++t) {
-        servers.emplace_back([&] {
-          std::shared_ptr<const core::ServingSnapshot> snap =
-              engine.snapshot();
-          uint64_t version = snap->version();
-          // Each thread claims kDecisionBatch consecutive indices per
-          // atomic RMW and decides them with one batched ChooseHints call
-          // (decision-identical to per-index scalar calls) — the version
-          // probe, snapshot pin, and index acquisition are amortized
-          // across the batch. Indices claimed at or past `total` are
-          // simply never reported: nothing below them is left unreported,
-          // so the drain cleanly stops at the `total` front.
-          constexpr size_t kDecisionBatch = 16;
-          std::array<int, kDecisionBatch> queries;
-          std::array<int, kDecisionBatch> hints;
-          for (;;) {
-            const uint64_t first = engine.AcquireServingIndices(
-                static_cast<uint64_t>(kDecisionBatch));
-            if (first >= static_cast<uint64_t>(total)) break;
-            const size_t cnt = static_cast<size_t>(std::min<uint64_t>(
-                kDecisionBatch, static_cast<uint64_t>(total) - first));
-            // Steady-state read path: one relaxed version probe per batch;
-            // the pointer handoff only happens on an actual publication.
-            if (engine.snapshot_version() != version) {
-              snap = engine.snapshot();
-              version = snap->version();
-            }
-            for (size_t i = 0; i < cnt; ++i) {
-              queries[i] =
-                  static_cast<int>((first + static_cast<uint64_t>(i)) % n);
-            }
-            snap->ChooseHints(std::span<const int>(queries.data(), cnt),
-                              first, std::span<int>(hints.data(), cnt));
-            for (size_t i = 0; i < cnt; ++i) {
-              const uint64_t seq = first + static_cast<uint64_t>(i);
-              const int q = queries[i];
-              const ResolvedServing served = ResolveServingFaults(
-                  *backend, config.faults, config.max_retries,
-                  config.retry_backoff_seconds, q, hints[i], seq);
-              const double latency =
-                  backend->ServeLatency(q, served.hint, seq);
-              core::ServingObservation obs =
-                  snap->MakeObservation(seq, q, served.hint, latency);
-              if (served.degraded) {
-                // A degraded fallback is fault cost, not an exploration
-                // decision: it must neither charge the ledger nor look
-                // like a budgeted probe to the free-gate/freeze
-                // invariants.
-                obs.exploratory = false;
-                obs.regret_delta = 0.0;
+      if (config.free_running) {
+        // -- Free-running plane: every shard runs its own train thread;
+        // serving threads claim *global* index batches, route each
+        // serving to its shard, and report under shard-local sequence
+        // numbers. Which snapshot a serving sees depends on timing, so
+        // the invariants below are statistical: the single-engine set
+        // applied per shard, plus the fleet-wide compositions.
+        constexpr uint64_t kDecisionBatch = 16;
+        struct FreeRecord {
+          int query = 0;
+          int hint = 0;
+          double latency = 0.0;
+          bool exploratory = false;
+          double regret_delta = 0.0;
+          int shard = 0;
+          uint64_t local_seq = 0;
+          uint64_t snapshot_seq = 0;  // shard-local published_seq
+        };
+        std::vector<FreeRecord> records(total);
+
+        tier.StartTraining();
+        std::vector<std::thread> servers;
+        servers.reserve(threads);
+        for (int t = 0; t < threads; ++t) {
+          servers.emplace_back([&] {
+            std::vector<std::shared_ptr<const core::ServingSnapshot>> snaps(
+                shards);
+            std::vector<uint64_t> versions(shards, ~uint64_t{0});
+            for (;;) {
+              // Global indices claimed at or past `total` are simply never
+              // reported: they never enter any shard's queue.
+              const uint64_t first =
+                  tier.AcquireServingIndices(kDecisionBatch);
+              if (first >= static_cast<uint64_t>(total)) break;
+              const uint64_t cnt = std::min<uint64_t>(
+                  kDecisionBatch, static_cast<uint64_t>(total) - first);
+              for (uint64_t i = 0; i < cnt; ++i) {
+                const uint64_t seq = first + i;
+                const int q = static_cast<int>(seq % n);
+                const int shard = tier.ShardOfRow(q);
+                const int local_row = tier.LocalRowOf(q);
+                core::ExplorationEngine& eng = tier.shard_engine(shard);
+                // Claim the shard-local index *before* probing the
+                // snapshot, the engine's own claim-then-probe order: the
+                // drain cannot pass an acquired-but-unreported index, so
+                // a thread descheduled between the two cannot fall behind
+                // the per-shard staleness bound.
+                const uint64_t local_seq = eng.AcquireServingIndex();
+                if (snaps[shard] == nullptr ||
+                    eng.snapshot_version() != versions[shard]) {
+                  snaps[shard] = eng.snapshot();
+                  versions[shard] = snaps[shard]->version();
+                }
+                const ResolvedServing served = resolve(
+                    q, snaps[shard]->ChooseHint(local_row, seq), seq);
+                const double latency =
+                    backend->ServeLatency(q, served.hint, seq);
+                core::ServingObservation obs = snaps[shard]->MakeObservation(
+                    local_seq, local_row, served.hint, latency);
+                if (served.degraded) {
+                  // A degraded fallback is fault cost, not an exploration
+                  // decision: it must neither charge the ledger nor look
+                  // like a budgeted probe to the gate/freeze invariants.
+                  obs.exploratory = false;
+                  obs.regret_delta = 0.0;
+                }
+                records[seq] = {q,
+                                served.hint,
+                                latency,
+                                obs.exploratory,
+                                obs.regret_delta,
+                                shard,
+                                local_seq,
+                                snaps[shard]->published_seq()};
+                eng.Report(obs);
               }
-              records[seq] = {q,
-                              served.hint,
-                              latency,
-                              obs.exploratory,
-                              obs.regret_delta,
-                              snap->published_seq(),
-                              served.failures,
-                              served.degraded,
-                              served.backoff_seconds};
-              engine.Report(obs);
             }
+          });
+        }
+        for (std::thread& t : servers) t.join();
+        tier.StopTraining();  // final drain + publish on every shard
+
+        // ---- No serving lost or double-counted: each shard's local
+        // sequence numbers must be exactly 0..count-1 for the servings
+        // routed to it, and each shard must have drained exactly what was
+        // routed. shard_rank[s] counts the servings routed to s's shard
+        // under a smaller global index.
+        std::vector<uint64_t> routed(shards, 0);
+        std::vector<uint64_t> shard_rank(total);
+        for (int s = 0; s < total; ++s) {
+          shard_rank[s] = routed[records[s].shard]++;
+        }
+        std::vector<std::vector<int>> local_to_global(shards);
+        for (int i = 0; i < shards; ++i) {
+          local_to_global[i].assign(static_cast<size_t>(routed[i]), -1);
+        }
+        bool seq_ok = true;
+        for (int s = 0; s < total; ++s) {
+          const FreeRecord& r = records[s];
+          if (r.local_seq >= local_to_global[r.shard].size() ||
+              local_to_global[r.shard][r.local_seq] != -1) {
+            std::ostringstream os;
+            os << "serving " << s << " drained at shard " << r.shard
+               << " local seq " << r.local_seq
+               << " (out of range or double-counted)";
+            Violate(&result, "shard-seq-accounting", os.str());
+            seq_ok = false;
+            continue;
           }
-        });
-      }
-      for (std::thread& t : servers) t.join();
-      engine.StopTraining();  // final drain + publish
-
-      result.servings = total;
-      result.explorations = engine.explorations();
-      result.regret_spent = engine.regret_spent();
-      result.final_latency = explorer.matrix().CurrentWorkloadLatency();
-
-      // ---- Replay checks (seq order). prefix[s] is the regret drained
-      // before serving s — bitwise the ledger any snapshot published at
-      // drain front s froze, because the drain applies deltas in the same
-      // order with the same additions.
-      std::vector<double> prefix(static_cast<size_t>(total) + 1, 0.0);
-      for (int s = 0; s < total; ++s) {
-        prefix[s + 1] = prefix[s] + records[s].regret_delta;
-        // Fault accounting, summed in sequence order so the reported
-        // numbers are deterministic despite the timing-dependent run.
-        result.fault_serve_failures += records[s].serve_failures;
-        if (records[s].degraded) ++result.fault_serve_fallbacks;
-        result.fault_backoff_seconds += records[s].backoff_seconds;
-      }
-      if (std::abs(prefix[total] - result.regret_spent) > 1e-9) {
-        std::ostringstream os;
-        os << "drained ledger " << result.regret_spent
-           << "s != replayed per-serving deltas " << prefix[total] << "s";
-        Violate(&result, "free-ledger-consistency", os.str());
-      }
-      // Gate correctness + the explicit slack term: every exploration's
-      // deciding snapshot must have been under budget, and the total
-      // regret can exceed the budget only by what some single decision
-      // could not yet see (its in-flight window).
-      double max_inflight = 0.0;
-      for (int s = 0; s < total; ++s) {
-        if (!records[s].exploratory) continue;
-        const uint64_t p = records[s].snapshot_seq;
-        if (p > static_cast<uint64_t>(total)) {
-          std::ostringstream os;
-          os << "serving " << s << " decided on snapshot seq " << p
-             << " beyond the " << total << " servings";
-          Violate(&result, "free-gate", os.str());
-          continue;
+          local_to_global[r.shard][r.local_seq] = s;
         }
-        if (prefix[p] >= online.regret_budget_seconds) {
-          std::ostringstream os;
-          os << "serving " << s << " (query " << records[s].query << ", hint "
-             << records[s].hint << ", " << records[s].latency
-             << "s) explored on a snapshot whose ledger (" << prefix[p]
-             << "s) already exhausted the budget ("
-             << online.regret_budget_seconds << "s)";
-          Violate(&result, "free-gate", os.str());
+        for (int i = 0; i < shards; ++i) {
+          if (tier.shard_engine(i).drained_servings() != routed[i]) {
+            std::ostringstream os;
+            os << "shard " << i << " drained "
+               << tier.shard_engine(i).drained_servings() << " servings, "
+               << routed[i] << " were routed to it";
+            Violate(&result, "shard-seq-accounting", os.str());
+            seq_ok = false;
+          }
         }
-        max_inflight = std::max(max_inflight, prefix[s + 1] - prefix[p]);
-      }
-      regret_allowance = max_inflight;
-      allowance_kind = "max in-flight window";
-      result.regret_slack = std::max(
-          0.0, result.regret_spent - online.regret_budget_seconds);
 
-      // Staleness percentiles and the hard bound: a producer of serving s
-      // blocks until the drain passes s - capacity, the train loop's
-      // publications lag the drain front by < capacity + publish_every
-      // (capacity-capped batches, publish at >= publish_every lag), and at
-      // most threads * kDecisionBatch acquired indices are unreported at
-      // any instant (each serving thread decides a whole claimed batch on
-      // the snapshot it probed at batch start).
-      constexpr uint64_t kStalenessBatch = 16;  // == kDecisionBatch above
-      std::vector<uint64_t> staleness(total);
-      for (int s = 0; s < total; ++s) {
-        const uint64_t p = records[s].snapshot_seq;
-        staleness[s] = static_cast<uint64_t>(s) > p
-                           ? static_cast<uint64_t>(s) - p
-                           : 0;
-      }
-      std::sort(staleness.begin(), staleness.end());
-      result.staleness_p50 = static_cast<double>(staleness[total / 2]);
-      result.staleness_p95 =
-          static_cast<double>(staleness[(95 * (total - 1)) / 100]);
-      result.staleness_max = static_cast<double>(staleness.back());
-      const uint64_t staleness_bound =
-          2 * engine.queue_capacity() +
-          static_cast<uint64_t>(threads) * kStalenessBatch +
-          static_cast<uint64_t>(online.publish_every);
-      if (staleness.back() > staleness_bound) {
-        std::ostringstream os;
-        os << "max snapshot staleness " << staleness.back()
-           << " servings exceeds 2*capacity (" << 2 * engine.queue_capacity()
-           << ") + threads*batch (" << threads << "*" << kStalenessBatch
-           << ") + publish_every (" << online.publish_every << ")";
-        Violate(&result, "free-staleness", os.str());
-      }
-
-      // Eventual freeze: once the exhausted ledger is published (the
-      // final StopTraining publish at the latest), no serving may explore
-      // again. Probe with schedule-assigned sequence numbers so the queue
-      // stays contiguous past the threads' unreported overshoot indices.
-      if (engine.budget_exhausted()) {
-        const int frozen = engine.explorations();
-        std::shared_ptr<const core::ServingSnapshot> snap =
-            engine.snapshot();
-        for (int i = 0; i < 50; ++i) {
-          const uint64_t seq = static_cast<uint64_t>(total) + i;
-          const int q = static_cast<int>(seq % n);
-          const int hint = snap->ChooseHint(q, seq);
-          const double latency = backend->ServeLatency(q, hint, seq);
-          engine.Report(snap->MakeObservation(seq, q, hint, latency));
+        if (seq_ok) {
+          // ---- Per-shard replay in local order: ledger consistency,
+          // slice-gated exploration, the local staleness bound — plus the
+          // fleet compositions (summed in-flight slack, the global
+          // staleness bound).
+          std::vector<uint64_t> global_staleness;
+          global_staleness.reserve(static_cast<size_t>(total));
+          for (int i = 0; i < shards; ++i) {
+            const std::vector<int>& order = local_to_global[i];
+            const uint64_t count = routed[i];
+            // prefix[l] is the regret drained before local serving l —
+            // bitwise the ledger any snapshot published at drain front l
+            // froze, because the drain applies deltas in the same order
+            // with the same additions.
+            std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
+            for (uint64_t l = 0; l < count; ++l) {
+              prefix[l + 1] = prefix[l] + records[order[l]].regret_delta;
+            }
+            const double shard_spent = tier.shard_engine(i).regret_spent();
+            if (std::abs(prefix[count] - shard_spent) > 1e-9) {
+              std::ostringstream os;
+              os << "shard " << i << " drained ledger " << shard_spent
+                 << "s != replayed per-serving deltas " << prefix[count]
+                 << "s";
+              Violate(&result, "free-ledger-consistency", os.str());
+            }
+            const double slice = tier.shard_budget(i);
+            // The single-engine bound: a producer of local serving l
+            // blocks until the drain passes l - capacity, publications lag
+            // the drain front by < capacity + publish_every, and each
+            // thread holds at most one claimed batch.
+            const uint64_t local_bound =
+                2 * tier.shard_engine(i).queue_capacity() +
+                static_cast<uint64_t>(threads) * kDecisionBatch +
+                static_cast<uint64_t>(online.publish_every);
+            // Global staleness of the serving at local position l, global
+            // index s, decided on snapshot p: the earlier global servings
+            // of its shard the snapshot had not drained,
+            // #{m >= p : order[m] < s}. Those at m < l number at most
+            // l - p <= local_bound; those at m > l were claimed globally
+            // before s but took their local index after it — at most one
+            // claimed batch per other serving thread.
+            const uint64_t global_bound =
+                local_bound +
+                static_cast<uint64_t>(threads - 1) * kDecisionBatch;
+            double max_inflight = 0.0;
+            std::vector<std::pair<uint64_t, uint64_t>> by_snapshot;  // (p, l)
+            by_snapshot.reserve(static_cast<size_t>(count));
+            for (uint64_t l = 0; l < count; ++l) {
+              const FreeRecord& r = records[order[l]];
+              const uint64_t p = r.snapshot_seq;
+              if (p > l) {
+                std::ostringstream os;
+                os << "shard " << i << " local serving " << l
+                   << " decided on snapshot seq " << p
+                   << " ahead of itself";
+                Violate(&result, "free-gate", os.str());
+                continue;
+              }
+              if (r.exploratory) {
+                if (prefix[p] >= slice) {
+                  std::ostringstream os;
+                  os << "shard " << i << " serving " << order[l]
+                     << " (query " << r.query << ", hint " << r.hint << ", "
+                     << r.latency
+                     << "s) explored on a snapshot whose ledger ("
+                     << prefix[p] << "s) already exhausted the slice ("
+                     << slice << "s)";
+                  Violate(&result, "free-gate", os.str());
+                }
+                max_inflight =
+                    std::max(max_inflight, prefix[l + 1] - prefix[p]);
+              }
+              if (l - p > local_bound) {
+                std::ostringstream os;
+                os << "shard " << i << " local staleness " << l - p
+                   << " exceeds the per-shard bound " << local_bound;
+                Violate(&result, "free-staleness", os.str());
+              }
+              by_snapshot.emplace_back(p, l);
+            }
+            // One sweep over the snapshot fronts in ascending order:
+            // `drained` holds the shard ranks of the local positions below
+            // the front, so the missing count is the serving's own rank
+            // minus the drained servings ranked below it.
+            std::sort(by_snapshot.begin(), by_snapshot.end());
+            CountTree drained(static_cast<size_t>(count));
+            uint64_t front = 0;
+            for (const auto& [p, l] : by_snapshot) {
+              for (; front < p; ++front) {
+                drained.Add(shard_rank[order[front]]);
+              }
+              const uint64_t s = static_cast<uint64_t>(order[l]);
+              const uint64_t gstale =
+                  shard_rank[s] - drained.CountBelow(shard_rank[s]);
+              global_staleness.push_back(gstale);
+              if (gstale > global_bound) {
+                std::ostringstream os;
+                os << "serving " << s << " global staleness " << gstale
+                   << " exceeds the tier bound " << global_bound
+                   << " (shard " << i << ", local staleness " << l - p
+                   << ")";
+                Violate(&result, "free-staleness", os.str());
+              }
+            }
+            regret_allowance += max_inflight;
+          }
+          allowance_kind = "summed per-shard in-flight windows";
+          result.regret_slack = std::max(
+              0.0, tier.regret_spent() - online.regret_budget_seconds);
+          std::sort(global_staleness.begin(), global_staleness.end());
+          if (!global_staleness.empty()) {
+            result.staleness_p50 = static_cast<double>(
+                global_staleness[global_staleness.size() / 2]);
+            result.staleness_p95 = static_cast<double>(
+                global_staleness[(95 * (global_staleness.size() - 1)) / 100]);
+            result.staleness_max =
+                static_cast<double>(global_staleness.back());
+          }
         }
-        engine.SyncEpoch();
-        if (engine.explorations() != frozen) {
-          std::ostringstream os;
-          os << engine.explorations() - frozen
-             << " explorations after budget exhaustion";
-          Violate(&result, "online-budget-freeze", os.str());
-        }
-      }
-    } else {
-      // -- Concurrent serving plane: serve_threads threads over shared
-      // snapshots, epoch-synchronized with the train plane. Decisions are
-      // pure functions of (snapshot, serving index) and observations
-      // drain in serving order, so the merged trace is bitwise identical
-      // at every thread count. Epochs are publish_every servings long;
-      // the engine refits on its own refresh_every cadence inside the
-      // epoch barrier, so the publications between refits are deltas.
-      engine.ConfigureServing(online);
-      engine.RefreshPredictions(/*force=*/true);
-      engine.Publish();
-
-      const int total = spec_.online_servings;
-      const int threads = config.serve_threads;
-      result.serving_trace.resize(total);
-      // Per-seq fault accounting, written by the serving thread that owns
-      // the index and summed in sequence order afterwards — so the fault
-      // numbers are as bitwise-deterministic as the trace itself.
-      std::vector<int> serve_failures(total, 0);
-      std::vector<uint8_t> serve_degraded(total, 0);
-      std::vector<double> serve_backoff(total, 0.0);
-      double max_epoch_regret = 0.0;
-      auto run_epochs = [&](int first, int last) {
-        for (int epoch = first; epoch < last;
-             epoch += online.publish_every) {
-          const int end = std::min(last, epoch + online.publish_every);
-          const double regret_before = engine.regret_spent();
-          engine.ServeEpochResolved(
+      } else {
+        // -- Epoch-synchronized plane: epochs of publish_every servings,
+        // each ending in the tier's SyncEpoch barrier (drain, refit on
+        // the refresh_every cadence, republish). ServeSchedule preassigns
+        // shard-local sequence numbers in global order and decisions are
+        // pure functions of (snapshot, serving index), so the merged trace
+        // is bitwise identical at every thread count.
+        result.serving_trace.resize(total);
+        std::vector<double> shard_epoch_regret(shards, 0.0);
+        std::vector<double> regret_before(shards, 0.0);
+        for (int epoch = 0; epoch < total; epoch += online.publish_every) {
+          const int end = std::min(total, epoch + online.publish_every);
+          for (int i = 0; i < shards; ++i) {
+            regret_before[i] = tier.shard_engine(i).regret_spent();
+          }
+          tier.ServeSchedule(
               epoch, end, threads,
               [&](int q, int chosen, uint64_t seq) {
-                const ResolvedServing served = ResolveServingFaults(
-                    *backend, config.faults, config.max_retries,
-                    config.retry_backoff_seconds, q, chosen, seq);
-                if (seq < static_cast<uint64_t>(total)) {
-                  serve_failures[seq] = served.failures;
-                  serve_degraded[seq] = served.degraded ? 1 : 0;
-                  serve_backoff[seq] = served.backoff_seconds;
-                }
+                const ResolvedServing served = resolve(q, chosen, seq);
                 core::ServedOutcome out;
                 out.hint = served.hint;
                 out.degraded = served.degraded;
@@ -1286,46 +962,81 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
                 return out;
               },
               [&](uint64_t seq, int q, int hint, double latency) {
-                if (seq < static_cast<uint64_t>(total)) {
-                  result.serving_trace[seq] = ServingRecord{q, hint, latency};
-                }
+                result.serving_trace[seq] = ServingRecord{q, hint, latency};
               });
-          max_epoch_regret = std::max(
-              max_epoch_regret, engine.regret_spent() - regret_before);
+          for (int i = 0; i < shards; ++i) {
+            shard_epoch_regret[i] = std::max(
+                shard_epoch_regret[i],
+                tier.shard_engine(i).regret_spent() - regret_before[i]);
+          }
         }
-      };
-      run_epochs(0, total);
-      for (int s = 0; s < total; ++s) {
-        result.fault_serve_failures += serve_failures[s];
-        if (serve_degraded[s]) ++result.fault_serve_fallbacks;
-        result.fault_backoff_seconds += serve_backoff[s];
+        // Each shard's slice can be overshot by one epoch of its own
+        // exploratory regret, so the fleet allowance is the sum.
+        for (int i = 0; i < shards; ++i) {
+          regret_allowance += shard_epoch_regret[i];
+        }
+        allowance_kind = "one epoch per shard";
       }
-      regret_allowance = max_epoch_regret;
-      allowance_kind = "one epoch";
 
       result.servings = total;
-      result.explorations = engine.explorations();
-      result.regret_spent = engine.regret_spent();
-      result.final_latency = explorer.matrix().CurrentWorkloadLatency();
+      result.explorations = tier.explorations();
+      result.regret_spent = tier.regret_spent();
+      // Capture the merged reassembly before the freeze probe below adds
+      // diagnostic traffic.
+      merged = tier.MergedMatrix();
+      result.final_latency = merged->CurrentWorkloadLatency();
+      // Fault accounting in global sequence order: deterministic sums,
+      // even over a timing-dependent free-running run.
+      for (const ResolvedServing& r : resolved) {
+        result.fault_serve_failures += r.failures;
+        if (r.degraded) ++result.fault_serve_fallbacks;
+        result.fault_backoff_seconds += r.backoff_seconds;
+      }
 
-      // An exhausted budget must freeze exploration for good: once a
-      // published snapshot carries regret >= budget, no later epoch may
-      // explore.
-      if (engine.budget_exhausted()) {
-        const int frozen = engine.explorations();
-        run_epochs(total, total + 50);
-        if (engine.explorations() != frozen) {
+      // ---- Per-shard freeze: a shard whose exhausted slice is published
+      // (the last epoch barrier or StopTraining's final publish) must not
+      // explore again; the other shards may keep exploring their own
+      // slices. Probed past every claimed index with the deterministic
+      // schedule (StopTraining re-synced its counters), in publish_every
+      // epochs so the slice must stay frozen across several barriers,
+      // refits and republished snapshots.
+      std::vector<int> frozen(shards, -1);
+      bool any_exhausted = false;
+      for (int i = 0; i < shards; ++i) {
+        if (!tier.shard_engine(i).budget_exhausted()) continue;
+        frozen[i] = tier.shard_engine(i).explorations();
+        any_exhausted = true;
+      }
+      if (any_exhausted) {
+        const uint64_t probe =
+            std::max<uint64_t>(total, tier.claimed_servings());
+        const uint64_t probe_end = probe + 50;
+        for (uint64_t k = probe; k < probe_end; k += online.publish_every) {
+          tier.ServeSchedule(
+              k, std::min<uint64_t>(k + online.publish_every, probe_end), 1,
+              [&](int q, int chosen, uint64_t seq) {
+                core::ServedOutcome out;
+                out.hint = chosen;
+                out.latency = backend->ServeLatency(q, chosen, seq);
+                return out;
+              });
+        }
+        for (int i = 0; i < shards; ++i) {
+          if (frozen[i] < 0 ||
+              tier.shard_engine(i).explorations() == frozen[i]) {
+            continue;
+          }
           std::ostringstream os;
-          os << engine.explorations() - frozen
-             << " explorations after budget exhaustion";
+          os << "shard " << i << ": "
+             << tier.shard_engine(i).explorations() - frozen[i]
+             << " explorations after slice exhaustion";
           Violate(&result, "online-budget-freeze", os.str());
         }
       }
     }
 
     // Regret is checked before a serving against state that may lag by up
-    // to the mode's allowance: one serving (synchronous, live ledger) or
-    // one epoch of exploratory regret (concurrent, frozen ledger).
+    // to the mode's allowance (see regret_allowance above).
     if (result.regret_spent >
         online.regret_budget_seconds + regret_allowance + 1e-9) {
       std::ostringstream os;
@@ -1353,20 +1064,15 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
               "explorations with epsilon = 0");
     }
 
-    if (sharded_final) {
-      // Sharded runs serve from the tier's per-shard matrices; the merged
-      // reassembly is the ground truth the fleet actually observed.
-      CheckMatrixConsistency(*sharded_final, &result);
-      CheckNoRegression(*sharded_final, OnlineServedHints(*sharded_final),
-                        "online-serving", &result);
-    } else {
-      CheckMatrixConsistency(explorer.matrix(), &result);
-      CheckNoRegression(explorer.matrix(), explorer.BestHints(), "online",
-                        &result);
-      CheckNoRegression(explorer.matrix(),
-                        OnlineServedHints(explorer.matrix()),
-                        "online-serving", &result);
-    }
+    // The matrix the serving plane actually observed: the explorer's for
+    // the synchronous path, the tier's merged reassembly otherwise.
+    const core::WorkloadMatrix& final_matrix =
+        merged ? *merged : explorer.matrix();
+    CheckMatrixConsistency(final_matrix, &result);
+    CheckNoRegression(final_matrix, final_matrix.BestObservedHints(), "online",
+                      &result);
+    CheckNoRegression(final_matrix, OnlineServedHints(final_matrix),
+                      "online-serving", &result);
   } else {
     result.final_latency = explorer.matrix().CurrentWorkloadLatency();
   }

@@ -92,31 +92,32 @@ struct RunConfig {
   /// TCNN hyper-parameters for the neural arms (seed is overridden from
   /// the scenario seed per phase).
   nn::TcnnOptions tcnn = ScenarioTcnnOptions();
-  /// Serving threads for the online phase. 0 (default) runs the legacy
-  /// synchronous path — one thread acting as both planes through
-  /// OnlineExplorationOptimizer, with the live (per-serving) regret
-  /// check. >= 1 runs the concurrent serving plane: that many serving
-  /// threads decide hints on shared ServingSnapshots over a deterministic
-  /// schedule, in epochs of publish_every servings, with the engine
-  /// draining/refitting-on-cadence/republishing at each epoch boundary.
-  /// The merged serving trace is bitwise identical at every
-  /// serve_threads >= 1.
+  /// Serving threads for the online phase. 0 (default) runs the
+  /// synchronous path: one thread acting as both planes on the offline
+  /// explorer's engine through OnlineExplorationOptimizer, with the live
+  /// (per-serving) regret check. >= 1 runs the concurrent serving plane:
+  /// that many serving threads over a ShardedServingTier of `shards`
+  /// engines (src/core/shard_router.h), epoch-synchronized by default or
+  /// free-running (below).
   int serve_threads = 0;
-  /// Free-running online mode (requires serve_threads >= 1): the actual
-  /// deployment shape — a background train thread
-  /// (StartTraining/StopTraining) drains, refits, and republishes while
-  /// the serving threads free-run against whatever snapshot is current.
+  /// Concurrent serving mode (requires serve_threads >= 1). False
+  /// (default) is epoch-synchronized: the threads decide hints on the
+  /// shard snapshots over the deterministic schedule in epochs of
+  /// publish_every servings, and each epoch ends in the tier's barrier
+  /// (drain, refit on cadence, republish). The merged serving trace is
+  /// bitwise identical at every serve_threads. True is the deployment
+  /// shape: each shard's background train plane drains, refits, and
+  /// republishes while the serving threads free-run against whatever
+  /// snapshot is current, claiming global indices in batches of 16.
   /// Timing decides which snapshot each serving sees, so the bitwise
   /// trace contract does not apply; the driver instead checks
-  /// *statistical* invariants: a hard snapshot-staleness bound
-  /// (2 * queue capacity + serve_threads * decision batch +
-  /// publish_every — serving threads claim indices and decide them in
-  /// batches of 16 via ServingSnapshot::ChooseHints), gate
-  /// correctness (no exploration ever decided on an exhausted published
-  /// ledger), regret bounded by the budget plus an explicit in-flight
-  /// slack term, the binomial epsilon cap, and eventual
-  /// freeze-after-exhaustion. The epoch-synchronized mode
-  /// (free_running = false) keeps its bitwise-determinism contract.
+  /// *statistical* invariants per shard and fleet-wide: a hard per-shard
+  /// staleness bound L = 2 * queue capacity + serve_threads * 16 +
+  /// publish_every, a global staleness bound L + (serve_threads - 1) * 16,
+  /// gate correctness (no exploration ever decided on an exhausted
+  /// published slice), regret bounded by the budget plus the summed
+  /// in-flight slack, ledger consistency, the binomial epsilon cap, and
+  /// freeze-after-exhaustion.
   bool free_running = false;
   /// Forces every snapshot publication to a full O(n*k) rebuild instead of
   /// the default base+delta protocol. Exists for the delta/full
@@ -144,27 +145,22 @@ struct RunConfig {
   /// never slept, and never charged to the offline clock or the regret
   /// ledger — the no-double-charge invariant for transient faults.
   double retry_backoff_seconds = 0.05;
-  /// Shard the online serving phase across this many ExplorationEngines
-  /// behind a ShardedServingTier (src/core/shard_router.h). 0 (default)
-  /// serves from the single offline engine (the legacy paths above);
-  /// >= 1 routes every serving through the tier's deterministic
-  /// row->shard partition, with the fleet regret budget split into
-  /// row-count-proportional per-shard slices. Requires serve_threads >= 1
-  /// and arm == kCompleter (per-shard matrices need a per-shard
-  /// completion model). In the epoch-synchronized mode the merged trace
-  /// keeps the bitwise thread-count-determinism contract, and at
-  /// shards == 1 it is bitwise identical to the unsharded trace
-  /// (tests/shard_router_test.cc); in the free-running mode the
-  /// statistical invariants are checked per shard (local staleness
-  /// bounds, slice-gated exploration, per-shard freeze) plus fleet-wide
-  /// (summed ledger vs fleet budget with summed slack, a composed
-  /// global-index staleness bound, the binomial epsilon cap).
-  int shards = 0;
+  /// Engine shards of the concurrent serving tier; must be >= 1 whenever
+  /// serve_threads >= 1 (the synchronous path ignores it). Rows route by
+  /// the tier's deterministic row->shard partition and the fleet regret
+  /// budget splits into row-count-proportional per-shard slices. At one
+  /// shard (default) local rows are global rows and the single slice is
+  /// the whole budget, so every predictor arm serves and the trace equals
+  /// the one a bare engine served (tests/shard_router_test.cc pins frozen
+  /// bare-engine goldens); more shards require arm == kCompleter
+  /// (per-shard matrices need a per-shard completion model).
+  int shards = 1;
   /// Drive the sharded tier's train plane through the shared TrainExecutor
   /// (src/core/train_executor.h) instead of one train thread per shard:
   /// free-running mode runs the executor's worker pool, the
   /// epoch-synchronized mode its prioritized SyncEpochAll barrier. Only
-  /// meaningful when shards >= 1. The merged trace and every invariant are
+  /// meaningful when serve_threads >= 1. The merged trace and every
+  /// invariant are
   /// unchanged — the executor is bitwise-neutral on the epoch path and
   /// timing-equivalent on the free-running path
   /// (tests/train_executor_test.cc pins both).
@@ -214,16 +210,18 @@ struct SimulationResult {
   int explorations = 0;           ///< exploratory servings
   double regret_spent = 0.0;      ///< cumulative regret charged (seconds)
   /// Per-serving record of the online phase (filled only by the
-  /// epoch-synchronized concurrent mode, serve_threads >= 1 and not
-  /// free_running), indexed by serving sequence number — the bitwise
-  /// determinism artifact. Free-running runs are timing-dependent by
-  /// design and record the statistical fields below instead.
+  /// epoch-synchronized concurrent mode: serve_threads >= 1, not
+  /// free_running), indexed by global serving sequence number — the
+  /// bitwise determinism artifact. Free-running runs are timing-dependent
+  /// by design and record the statistical fields below instead.
   std::vector<ServingRecord> serving_trace;
 
   // Free-running serving accounting (zeros unless RunConfig::free_running).
-  double staleness_p50 = 0.0;  ///< median snapshot age at decision (servings)
-  double staleness_p95 = 0.0;  ///< 95th-percentile snapshot age (servings)
-  double staleness_max = 0.0;  ///< worst snapshot age observed (servings)
+  // A serving's staleness is the number of earlier global servings on its
+  // shard that its deciding snapshot had not yet drained.
+  double staleness_p50 = 0.0;  ///< median staleness at decision (servings)
+  double staleness_p95 = 0.0;  ///< 95th-percentile staleness (servings)
+  double staleness_max = 0.0;  ///< worst staleness observed (servings)
   /// Regret overshoot past the budget (seconds): regret charged by
   /// explorations whose deciding snapshot predated budget exhaustion. The
   /// driver checks it against the explicit in-flight slack term (the
@@ -279,23 +277,26 @@ struct SimulationResult {
 ///    observed (all other cells unobserved);
 ///  * online bounds: cumulative regret <= regret_budget_seconds plus one
 ///    serving's overshoot (synchronous mode) or one epoch's exploratory
-///    regret (concurrent mode, where the gate reads the snapshot's frozen
-///    ledger), exploration count stays under its binomial epsilon cap, and
-///    an exhausted budget freezes exploration;
-///  * serving determinism (epoch-synchronized concurrent mode): the merged
-///    serving trace is a pure function of (spec, config) — bitwise
-///    identical at every serve_threads — because each decision depends
-///    only on the epoch's snapshot and its serving index, and
+///    regret per shard (epoch-synchronized mode, where the gate reads the
+///    snapshot's frozen ledger), exploration count stays under its
+///    binomial epsilon cap, and an exhausted budget (slice, per shard)
+///    freezes exploration;
+///  * serving determinism (epoch-synchronized mode): the merged serving
+///    trace is a pure function of (spec, config) — bitwise identical at
+///    every serve_threads — because each decision depends only on the
+///    epoch's shard snapshot and its global serving index, and
 ///    observations are drained in serving order;
-///  * free-running statistics (free_running mode): snapshot staleness is
-///    hard-bounded by 2 * queue capacity + serve_threads * decision batch
-///    + publish_every (threads decide batches of 16 indices per snapshot
-///    probe),
-///    no exploration is ever decided on a published ledger at/over budget,
-///    total regret stays within budget plus the largest in-flight window
-///    any decision could not see, the drained ledger reproduces the
+///  * free-running statistics (free_running mode), per shard: snapshot
+///    staleness is hard-bounded by L = 2 * queue capacity + serve_threads
+///    * 16 + publish_every (threads claim the shard-local index before
+///    probing the snapshot and decide in claimed batches of 16 global
+///    indices), no exploration is ever decided on a published ledger
+///    at/over the shard's slice, the drained ledger reproduces the
 ///    per-serving regret deltas exactly, and exploration freezes for good
-///    once an exhausted ledger is published;
+///    once an exhausted ledger is published; fleet-wide, the earlier
+///    global servings missing from any deciding snapshot stay within
+///    L + (serve_threads - 1) * 16 and total regret stays within budget
+///    plus the summed per-shard in-flight windows;
 ///  * fault tolerance (RunConfig::faults): under any seed-pure fault world
 ///    every invariant above still holds — failed executions are dropped
 ///    whole (no offline charge, no observation), failed servings retry and

@@ -41,6 +41,7 @@
 #include "core/workload_matrix.h"
 #include "scenarios/scenario.h"
 #include "scenarios/simulation.h"
+#include "trace_hash.h"
 
 namespace limeqo {
 namespace {
@@ -55,26 +56,7 @@ using scenarios::ScenarioGrid;
 using scenarios::ScenarioSpec;
 using scenarios::SimulationDriver;
 using scenarios::SimulationResult;
-
-// FNV-1a over the serving trace: every (query, hint, latency-bits) triple
-// in sequence order. Latency goes in as its exact bit pattern, so the hash
-// pins the trace bitwise, not approximately.
-uint64_t TraceHash(const SimulationResult& r) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  auto mix = [&h](const void* p, size_t len) {
-    const unsigned char* bytes = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001B3ULL;
-    }
-  };
-  for (const scenarios::ServingRecord& rec : r.serving_trace) {
-    mix(&rec.query, sizeof(rec.query));
-    mix(&rec.hint, sizeof(rec.hint));
-    mix(&rec.latency, sizeof(rec.latency));
-  }
-  return h;
-}
+using tests::TraceHash;
 
 struct PinnedWorld {
   const char* name;

@@ -142,20 +142,30 @@ TEST(SimDbBridgeTest, CreateFromPlantedRejectsInconsistentClasses) {
 // neural arms, under the full invariant checks.
 // ---------------------------------------------------------------------------
 
-class BridgeGridTest
-    : public ::testing::TestWithParam<std::tuple<std::string, PredictorArm>> {
-};
+// How the online phase serves: the synchronous path, or two serving
+// threads through the epoch-synchronized or free-running tier (one shard,
+// so the neural arms' plan features index global rows).
+enum class Serving { kSync, kEpoch, kFreeRunning };
+
+using BridgeParam = std::tuple<std::string, PredictorArm, Serving>;
+
+class BridgeGridTest : public ::testing::TestWithParam<BridgeParam> {};
 
 TEST_P(BridgeGridTest, NeuralArmInvariantsHold) {
   const ScenarioSpec spec = GridSpec(std::get<0>(GetParam()));
   RunConfig config;
   config.world = WorldKind::kSimDb;
   config.arm = std::get<1>(GetParam());
+  const Serving serving = std::get<2>(GetParam());
+  config.serve_threads = serving == Serving::kSync ? 0 : 2;
+  config.free_running = serving == Serving::kFreeRunning;
   SimulationDriver driver(spec);
   const SimulationResult result = driver.Run(config);
   EXPECT_TRUE(result.ok())
       << "invariants violated; reproduce with spec {" << Describe(spec)
-      << "} arm=" << PredictorArmName(config.arm) << "\n"
+      << "} arm=" << PredictorArmName(config.arm)
+      << " serve_threads=" << config.serve_threads
+      << " free_running=" << config.free_running << "\n"
       << result.Summary();
   EXPECT_GT(result.executions, 0) << Describe(spec);
   if (spec.online_servings > 0) {
@@ -163,11 +173,19 @@ TEST_P(BridgeGridTest, NeuralArmInvariantsHold) {
   }
 }
 
-std::string BridgeParamName(
-    const ::testing::TestParamInfo<std::tuple<std::string, PredictorArm>>&
-        info) {
+std::string BridgeParamName(const ::testing::TestParamInfo<BridgeParam>& info) {
   std::string name = std::get<0>(info.param) + "_" +
                      PredictorArmName(std::get<1>(info.param));
+  switch (std::get<2>(info.param)) {
+    case Serving::kSync:
+      break;
+    case Serving::kEpoch:
+      name += "_epoch";
+      break;
+    case Serving::kFreeRunning:
+      name += "_free_running";
+      break;
+  }
   for (char& c : name) {
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   }
@@ -178,18 +196,27 @@ std::string BridgeParamName(
 // both TCNN (plain, no embeddings) and LimeQO+ (transductive) see timeout,
 // heavy-tail, plan-equivalence, drift, and arrival regimes.
 // "arrival-midstream" under LimeQO+ exercises TcnnModel::GrowQueries (the
-// embedding table must grow when rows arrive mid-run).
+// embedding table must grow when rows arrive mid-run). "baseline" under
+// LimeQO+ also serves concurrently, in both modes.
 INSTANTIATE_TEST_SUITE_P(
     Grid, BridgeGridTest,
     ::testing::Values(
-        std::make_tuple(std::string("baseline"), PredictorArm::kLimeQoPlus),
+        std::make_tuple(std::string("baseline"), PredictorArm::kLimeQoPlus,
+                        Serving::kSync),
         std::make_tuple(std::string("plan-equivalence"),
-                        PredictorArm::kLimeQoPlus),
+                        PredictorArm::kLimeQoPlus, Serving::kSync),
         std::make_tuple(std::string("arrival-midstream"),
-                        PredictorArm::kLimeQoPlus),
-        std::make_tuple(std::string("heavy-tail-mild"), PredictorArm::kTcnn),
-        std::make_tuple(std::string("tight-timeouts"), PredictorArm::kTcnn),
-        std::make_tuple(std::string("drift-single"), PredictorArm::kTcnn)),
+                        PredictorArm::kLimeQoPlus, Serving::kSync),
+        std::make_tuple(std::string("heavy-tail-mild"), PredictorArm::kTcnn,
+                        Serving::kSync),
+        std::make_tuple(std::string("tight-timeouts"), PredictorArm::kTcnn,
+                        Serving::kSync),
+        std::make_tuple(std::string("drift-single"), PredictorArm::kTcnn,
+                        Serving::kSync),
+        std::make_tuple(std::string("baseline"), PredictorArm::kLimeQoPlus,
+                        Serving::kEpoch),
+        std::make_tuple(std::string("baseline"), PredictorArm::kLimeQoPlus,
+                        Serving::kFreeRunning)),
     BridgeParamName);
 
 // The matrix arms must run unchanged behind the bridge too: the bridge is a
