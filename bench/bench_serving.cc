@@ -180,7 +180,8 @@ double MeasureServing(const scenarios::ScenarioSpec& spec, int threads,
 /// over the bare MeasureServing loop — the <1.3x guard in
 /// tools/check_bench_regression.py; shared_train_s4 vs sharded s4r4 is
 /// the executor's win over the oversubscribed thread-per-shard plane.
-/// *refit_ns_out receives the fleet-mean wall time per completed refit,
+/// *refit_ns_out receives the fleet-mean fitting time per completed refit
+/// (ExplorationEngine::refit_nanos, refit yields excluded),
 /// *refits_out the fleet refit count.
 double MeasureShardedServing(const scenarios::ScenarioSpec& spec, int shards,
                              int refit_threads, bool shared_train,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -92,30 +93,29 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   // The sparse fit problem, in one pass over the observations: complete
   // cells are targets; censored cells are lower bounds under kCensored,
   // targets at their timeout under kNaiveObserved, and dropped under
-  // kIgnore. Unobserved cells are not stored.
+  // kIgnore. Unobserved cells are not stored. A censored cell's value is
+  // its timeout, so one values() read serves both kinds.
   cells.clear();
   row_start.resize(n + 1);
   size_t num_complete = 0;
-  const double* values = w.values().data();
-  const double* timeouts = w.timeouts().data();
   for (size_t i = 0; i < n; ++i) {
     row_start[i] = cells.size();
     const CellState* states = w.row_states(static_cast<int>(i));
+    const double* values = w.row_values(static_cast<int>(i));
     for (size_t j = 0; j < k; ++j) {
       FitCell cell;
       cell.col = static_cast<uint32_t>(j);
       if (states[j] == CellState::kComplete) {
         cell.kind = Kind::kObserved;
-        cell.raw = values[i * k + j];
         ++num_complete;
       } else if (states[j] == CellState::kCensored &&
                  mode != CensoredMode::kIgnore) {
         cell.kind = mode == CensoredMode::kCensored ? Kind::kBound
                                                     : Kind::kTimeoutAsObserved;
-        cell.raw = timeouts[i * k + j];
       } else {
         continue;
       }
+      cell.raw = values[j];
       cell.value = cell.raw;
       cells.push_back(cell);
     }
@@ -354,6 +354,12 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
     }
   }
 
+  // Set-up is done: from here on the fit reads only the cell list, the
+  // biases and the factors, never `w` — the yield contract of
+  // RefitYieldPoint (completer.h). Every yield below sits on the calling
+  // thread between passes, outside any ParallelFor body.
+  RefitYieldPoint();
+
   // The alternating sweeps (Algorithm 2 lines 2-12) without the dense
   // fill. W-hat = M .* W + (1 - M) .* (Q H^T), censored cells clamped up
   // to their bound, equals Q H^T + S for a residual S that is non-zero
@@ -470,11 +476,13 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
     if (!q_st.ok()) return q_st;
     std::swap(q_, q_next);
     if (non_negative) q_.ClampMin(0.0);
+    RefitYieldPoint();
 
     Status h_st = update_h();
     if (!h_st.ok()) return h_st;
     std::swap(h_, h_next);
     if (non_negative) h_.ClampMin(0.0);
+    RefitYieldPoint();
 
     if (!held_out.empty()) {
       const double val_rmse = validation_rmse();
@@ -529,14 +537,15 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   // predict below a known lower bound). A row's predictions q_i H^T are
   // built with the rank loop outside, so the inner loop runs over all k
   // hints and vectorizes; h_next, free once the sweeps end, holds H^T.
+  // Rows are independent, so the pass runs in blocks with a yield point
+  // between them; the blocking changes no bit of the result.
   linalg::Matrix result(n, k);
   linalg::Matrix& h_t = h_next;
   h_t.ResizeUninitialized(r, k);
   for (size_t j = 0; j < k; ++j) {
     for (size_t c = 0; c < r; ++c) h_t(c, j) = h_(j, c);
   }
-  ParallelFor(
-      0, n,
+  const std::function<void(size_t, size_t)> output_rows =
       [&](size_t row_begin, size_t row_end) {
         for (size_t i = row_begin; i < row_end; ++i) {
           const double* q_i = q_.data() + i * r;
@@ -563,8 +572,14 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
             out[j] = x;
           }
         }
-      },
-      GrainForCost(k * (r + 20)));
+      };
+  const size_t output_grain = GrainForCost(k * (r + 20));
+  constexpr size_t kOutputBlockRows = 2048;
+  for (size_t block = 0; block < n; block += kOutputBlockRows) {
+    if (block > 0) RefitYieldPoint();
+    ParallelFor(block, std::min(n, block + kOutputBlockRows), output_rows,
+                output_grain);
+  }
   return result;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -115,10 +116,42 @@ struct CompletionArena {
   linalg::RidgeWorkspace ridge;
 };
 
+/// RAII scope that lends the calling thread back to its owner while a
+/// completion runs: every RefitYieldPoint() this thread reaches while the
+/// scope is alive runs `yield`. The train plane opens one around each
+/// refit so it can keep draining and publishing through a long fit. The
+/// scope is thread-local like ScopedParallelBudget: pool workers never see
+/// it, and it needs no Completer virtual, so it reaches through any
+/// decorator that forwards Complete/CompleteFrom. Scopes nest (the inner
+/// one wins until it exits). While `yield` runs, yield points on this
+/// thread are no-ops, so a callback can never re-enter itself.
+class ScopedRefitYield {
+ public:
+  explicit ScopedRefitYield(std::function<void()> yield);
+  ~ScopedRefitYield();
+
+  ScopedRefitYield(const ScopedRefitYield&) = delete;
+  ScopedRefitYield& operator=(const ScopedRefitYield&) = delete;
+
+ private:
+  std::function<void()> yield_;
+  const std::function<void()>* previous_;
+};
+
+/// Runs the innermost open ScopedRefitYield's callback on this thread; a
+/// no-op when no scope is open. Completers call it at pass boundaries on
+/// the calling thread, never inside a ParallelFor body. The contract that
+/// makes a yield safe: once a completion reaches its first yield point it
+/// never reads its input WorkloadMatrix again, because the callback may
+/// mutate that matrix (the train plane drains observations into it).
+void RefitYieldPoint();
+
 /// A matrix-completion algorithm: estimates the full workload matrix W-hat
 /// from the partial observations in a WorkloadMatrix. Implementations:
 /// AlsCompleter (the paper's Algorithm 2), SvtCompleter and
-/// NuclearNormCompleter (the Sec. 5.5.5 comparison baselines).
+/// NuclearNormCompleter (the Sec. 5.5.5 comparison baselines). Only
+/// AlsCompleter calls RefitYieldPoint(), and it reads `w` only before its
+/// first yield; the others never yield, so they may read `w` throughout.
 class Completer {
  public:
   virtual ~Completer() = default;

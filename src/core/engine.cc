@@ -361,19 +361,29 @@ void ExplorationEngine::ApplyObservation(const ServingObservation& obs) {
 
 bool ExplorationEngine::TryRefit() {
   if (predictor_ == nullptr) return false;
+  const int updates_before = updates_since_refresh_;
+  const uint64_t yield_before =
+      refit_yield_nanos_.load(std::memory_order_relaxed);
   const auto refit_start = std::chrono::steady_clock::now();
   StatusOr<linalg::Matrix> prediction = predictor_->PredictFrom(
       matrix_, options_.warm_start ? &factors_ : nullptr);
+  const auto elapsed = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - refit_start)
+          .count());
+  // Fitting time only: what the train plane spent inside refit yields
+  // (TrainStep's drain and publish) is counted in refit_yield_nanos.
   refit_nanos_.fetch_add(
-      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now() - refit_start)
-                                .count()),
+      elapsed - (refit_yield_nanos_.load(std::memory_order_relaxed) -
+                 yield_before),
       std::memory_order_relaxed);
   if (!prediction.ok()) return false;
   refits_completed_.fetch_add(1, std::memory_order_relaxed);
   predictions_ = std::make_shared<const linalg::Matrix>(
       std::move(prediction).value());
-  updates_since_refresh_ = 0;
+  // The fit saw the matrix as of its start; observations drained by its
+  // yields are updates it has not absorbed yet.
+  updates_since_refresh_ -= updates_before;
   // Refits happen on the compaction cadence (refresh_every), so they are
   // the natural point to fold the delta overlay back into a fresh base.
   InvalidateSnapshotBase();
@@ -420,11 +430,12 @@ void ExplorationEngine::Publish() {
                             int* best_unobserved, double* best_unobserved_pred,
                             int* unobserved_count) {
     const int best = rule.ChooseHint(q);
+    const CellState* row_states = matrix_.row_states(q);
     *verified_best = best;
-    *verified_latency = matrix_.IsComplete(q, best)
-                            ? matrix_.observed(q, best)
+    *verified_latency = row_states[best] == CellState::kComplete
+                            ? matrix_.row_values(q)[best]
                             : std::numeric_limits<double>::infinity();
-    for (int j = 0; j < k; ++j) states[j] = matrix_.state(q, j);
+    std::copy(row_states, row_states + k, states);
     const HintScan scan = ScanHintRow(
         states,
         pred_rows != nullptr ? pred_rows + static_cast<size_t>(q) * k
@@ -641,10 +652,12 @@ bool ExplorationEngine::TrainStep() {
   // drain front passes it — everything in flight when the previous refit
   // finished must land first. Under light load the mark is always behind
   // the front (refits run on the refresh_every cadence); under saturation
-  // it amortizes one refit per queue-capacity's worth of servings, so a
-  // slow model can never starve the drain-and-publish path — on a loaded
-  // box the serving plane keeps its throughput and the model refreshes as
-  // fast as it can keep up, which is the Bao-style advisor-loop behaviour.
+  // it amortizes one refit per queue-capacity's worth of servings. A slow
+  // model cannot starve the drain-and-publish path either way: the refit
+  // runs inside a ScopedRefitYield, and at each of the completer's yield
+  // points the step keeps draining and publishing (RefitYield), so the
+  // serving plane keeps its throughput while the model refreshes as fast
+  // as it can — the Bao-style advisor-loop behaviour.
   const bool due =
       predictor_ != nullptr && seen >= step_.refit_after_seq &&
       (updates_since_refresh_ >= options_.online.refresh_every ||
@@ -657,7 +670,10 @@ bool ExplorationEngine::TrainStep() {
   // snapshot handoff on every serving.
   if (due && seen != step_.drained_at_last_attempt) {
     step_.drained_at_last_attempt = seen;
-    refreshed = TryRefit();
+    {
+      ScopedRefitYield yield([this] { RefitYield(); });
+      refreshed = TryRefit();
+    }
     // Only a *completed* refit defers the next one behind the in-flight
     // backlog; a failed attempt may retry as soon as new observations
     // drain (drained_at_last_attempt already prevents failure storms).
@@ -671,14 +687,9 @@ bool ExplorationEngine::TrainStep() {
   // through the pointer handoff, so publishing after every single
   // observation would defeat the cached-snapshot fast path. Between
   // refits these publications are deltas — O(changed rows), not O(n*k).
-  bool published = false;
-  if (refreshed ||
-      seen - step_.published_seen >=
-          static_cast<uint64_t>(options_.online.publish_every)) {
-    Publish();
-    step_.published_seen = seen;
-    published = true;
-  }
+  // The cadence reads the current drain front: the refit's yields may
+  // have moved it past `seen`.
+  const bool published = PublishIfDue(/*force=*/refreshed);
   // Checkpoints ride the same drain-front cadence as publications. The
   // write happens on the stepping thread (serialize + fsync + rename)
   // while the serving plane keeps running against the current snapshot;
@@ -686,18 +697,49 @@ bool ExplorationEngine::TrainStep() {
   // ahead wait for the next drain — which the free-running staleness
   // bound already accounts for.
   bool checkpointed = false;
+  const uint64_t front = drained_seq_.load(std::memory_order_relaxed);
   const auto checkpoint_cadence =
       static_cast<uint64_t>(options_.checkpoint_every);
   if (checkpoint_cadence > 0 && !options_.checkpoint_path.empty() &&
-      seen - step_.checkpointed_seen >= checkpoint_cadence) {
+      front - step_.checkpointed_seen >= checkpoint_cadence) {
     // A failed write (disk gone, path unwritable) is not fatal to the
     // loop: serving continues and checkpoints_written() stops advancing,
     // which is the observable signal operators alert on.
     (void)SaveCheckpoint();
-    step_.checkpointed_seen = seen;
+    step_.checkpointed_seen = front;
     checkpointed = true;
   }
   return drained > 0 || refreshed || published || checkpointed;
+}
+
+bool ExplorationEngine::PublishIfDue(bool force) {
+  const uint64_t front = drained_seq_.load(std::memory_order_relaxed);
+  if (!force && front - step_.published_seen <
+                    static_cast<uint64_t>(options_.online.publish_every)) {
+    return false;
+  }
+  Publish();
+  step_.published_seen = front;
+  return true;
+}
+
+void ExplorationEngine::RefitYield() {
+  const auto start = std::chrono::steady_clock::now();
+  // Publish before draining: the step's own drain may have left the
+  // published snapshot up to a lap plus publish_every behind the front, and
+  // draining another lap on top of that would let producers run two laps
+  // past the snapshot that decides them. Publishing first keeps the
+  // publication lag below queue_capacity() + publish_every at every drain,
+  // so the free-running staleness bound holds straight through a refit.
+  PublishIfDue();
+  if (Drain(slots_.size()) > 0) step_.has_complete = true;
+  PublishIfDue();
+  refit_yield_nanos_.fetch_add(
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()),
+      std::memory_order_relaxed);
 }
 
 void ExplorationEngine::FinishTrainSteps() {
@@ -778,15 +820,11 @@ MigratedRow ExplorationEngine::ExtractRow(int query) const {
   LIMEQO_CHECK(!training_);
   LIMEQO_CHECK(query >= 0 && query < matrix_.num_queries());
   const int k = matrix_.num_hints();
+  const CellState* states = matrix_.row_states(query);
+  const double* values = matrix_.row_values(query);
   MigratedRow row;
-  row.states.resize(static_cast<size_t>(k));
-  row.values.resize(static_cast<size_t>(k));
-  row.timeouts.resize(static_cast<size_t>(k));
-  for (int j = 0; j < k; ++j) {
-    row.states[j] = matrix_.state(query, j);
-    row.values[j] = matrix_.values()(query, j);
-    row.timeouts[j] = matrix_.timeouts()(query, j);
-  }
+  row.states.assign(states, states + k);
+  row.values.assign(values, values + k);
   row.regret_spent = row_regret_[query];
   row.explorations = row_explorations_[query];
   row.servings = row_servings_[query];
@@ -822,7 +860,7 @@ int ExplorationEngine::AdoptRow(const MigratedRow& row) {
         matrix_.Observe(local, j, row.values[j]);
         break;
       case CellState::kCensored:
-        matrix_.ObserveCensored(local, j, row.timeouts[j]);
+        matrix_.ObserveCensored(local, j, row.values[j]);
         break;
       case CellState::kUnobserved:
         break;

@@ -221,21 +221,19 @@ class ServingSnapshot {
 
 /// One query row packaged for migration between engines (shard
 /// rebalancing, see src/core/shard_router.h): the row's cell payload —
-/// per-hint observation states, latencies, and censoring thresholds,
-/// copied bitwise from the source matrix — plus the row's slice of the
-/// regret and exploration ledgers. Produced by
-/// ExplorationEngine::ExtractRow, consumed by ExplorationEngine::AdoptRow
-/// on the destination engine; replaying the payload there reconstructs
-/// the row cell-for-cell, so a migrated row is indistinguishable from one
-/// that was always observed on the destination.
+/// per-hint observation states and values, copied bitwise from the source
+/// matrix — plus the row's slice of the regret and exploration ledgers.
+/// Produced by ExplorationEngine::ExtractRow, consumed by
+/// ExplorationEngine::AdoptRow on the destination engine; replaying the
+/// payload there reconstructs the row cell-for-cell, so a migrated row is
+/// indistinguishable from one that was always observed on the
+/// destination.
 struct MigratedRow {
   /// Per-hint observation states (num_hints entries).
   std::vector<CellState> states;
   /// Per-hint observed values: exact latency for complete cells, the
   /// censoring threshold for censored cells, 0 for unobserved cells.
   std::vector<double> values;
-  /// Per-hint censoring thresholds (non-zero only for censored cells).
-  std::vector<double> timeouts;
   /// Regret charged by exploratory servings of this row, in seconds.
   double regret_spent = 0.0;
   /// Exploratory servings of this row.
@@ -460,6 +458,15 @@ class ExplorationEngine {
   /// step made progress — drained observations, refitted, published, or
   /// wrote a checkpoint — and false when the engine was idle, so a
   /// scheduler can park idle engines instead of spinning on them.
+  ///
+  /// A refit does not stop the drain: the step runs it inside a
+  /// ScopedRefitYield (completer.h) whose callback publishes if due,
+  /// drains at most one queue lap and publishes if due again, which keeps
+  /// the free-running staleness bound through the refit. The refit fits
+  /// the matrix as of its start, so updates_since_refresh() afterwards
+  /// counts what its yields drained. The epoch path (SyncEpoch,
+  /// RefreshPredictions) never yields, so its traces stay a pure function
+  /// of the schedule.
   bool TrainStep();
   /// The shutdown tail of the train plane: drains everything left,
   /// refreshes, publishes a final snapshot, and (when configured) writes a
@@ -564,7 +571,8 @@ class ExplorationEngine {
   }
   /// True once a refit has succeeded (predictions() is meaningful).
   bool have_predictions() const { return predictions_ != nullptr; }
-  /// Matrix updates since the last successful refit.
+  /// Matrix updates the last successful refit has not absorbed: those
+  /// since it finished plus those its own yields drained while it ran.
   int updates_since_refresh() const { return updates_since_refresh_; }
   /// Warm-start factor state (empty when cold or disabled).
   const CompletionFactors& warm_factors() const { return factors_; }
@@ -625,11 +633,17 @@ class ExplorationEngine {
   uint64_t refits_completed() const {
     return refits_completed_.load(std::memory_order_relaxed);
   }
-  /// Wall-clock nanoseconds spent inside refit attempts (successful or
-  /// not). refit_nanos() / refits_completed() is the per-refit latency the
-  /// serving bench reports per shard.
+  /// Wall-clock nanoseconds spent fitting inside refit attempts (successful
+  /// or not), excluding the time TrainStep's refit yields spent draining
+  /// and publishing (refit_yield_nanos). refit_nanos() / refits_completed()
+  /// is the per-refit latency the serving bench reports per shard.
   uint64_t refit_nanos() const {
     return refit_nanos_.load(std::memory_order_relaxed);
+  }
+  /// Wall-clock nanoseconds TrainStep spent inside refit yields: the
+  /// draining and publishing it did while a refit was in flight.
+  uint64_t refit_yield_nanos() const {
+    return refit_yield_nanos_.load(std::memory_order_relaxed);
   }
   /// Checkpoints successfully written by SaveCheckpoint (including the
   /// train loop's cadence-driven writes and StopTraining's final one).
@@ -648,9 +662,17 @@ class ExplorationEngine {
   void ApplyObservation(const ServingObservation& obs);
   void TrainLoop();
   /// Refits unconditionally; true when the fit succeeded (predictions_
-  /// replaced, staleness counter reset). A successful refit schedules a
-  /// full snapshot-base rebuild for the next Publish.
+  /// replaced, updates_since_refresh_ reduced to the observations drained
+  /// by the refit's own yields). A successful refit schedules a full
+  /// snapshot-base rebuild for the next Publish.
   bool TryRefit();
+  /// Publishes when publish_every observations have drained since the last
+  /// stepping publication (or unconditionally with `force`) and moves the
+  /// cadence mark to the current drain front. Returns whether it published.
+  bool PublishIfDue(bool force = false);
+  /// TrainStep's refit yield (the ScopedRefitYield callback): publish if
+  /// due, drain at most one queue lap, publish if due.
+  void RefitYield();
   /// Marks one row changed since the snapshot base was built; the next
   /// Publish ships it in the delta overlay.
   void MarkRowDirty(int query);
@@ -683,6 +705,7 @@ class ExplorationEngine {
   std::atomic<uint64_t> checkpoints_written_{0};
   std::atomic<uint64_t> refits_completed_{0};
   std::atomic<uint64_t> refit_nanos_{0};
+  std::atomic<uint64_t> refit_yield_nanos_{0};
 
   // Per-row ledger split (train plane only, updated in drain order): the
   // regret / exploration slice each row contributed, so a migrating row
@@ -723,7 +746,11 @@ class ExplorationEngine {
     uint64_t drained_at_last_attempt = ~uint64_t{0};
     /// Drain front at the last publication (publish_every cadence mark).
     uint64_t published_seen = 0;
-    /// The next refit may not start before the drain front passes this.
+    /// The next refit may not start before the drain front passes this:
+    /// the claim front when the previous refit finished, so everything in
+    /// flight then lands first. Under saturation this spaces refits at
+    /// least a backlog apart; the drain itself never waits on a refit
+    /// (TrainStep's refit yields keep it running).
     uint64_t refit_after_seq = 0;
     /// Drain front at the last checkpoint (checkpoint_every cadence mark).
     uint64_t checkpointed_seen = 0;

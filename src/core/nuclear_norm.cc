@@ -24,7 +24,14 @@ StatusOr<linalg::Matrix> NuclearNormCompleter::Complete(
   const size_t n = static_cast<size_t>(w.num_queries());
   const size_t k = static_cast<size_t>(w.num_hints());
   const linalg::Matrix& values = w.values();
-  const linalg::Matrix& mask = w.mask();
+  // M of the paper: 1 on complete cells, 0 elsewhere.
+  linalg::Matrix mask(n, k);
+  for (size_t i = 0; i < n; ++i) {
+    const CellState* states = w.row_states(static_cast<int>(i));
+    for (size_t j = 0; j < k; ++j) {
+      if (states[j] == CellState::kComplete) mask(i, j) = 1.0;
+    }
+  }
 
   const linalg::Matrix zero_filled = values.Hadamard(mask);
   std::vector<double> sv = linalg::SingularValues(zero_filled);

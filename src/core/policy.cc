@@ -59,7 +59,7 @@ StatusOr<std::vector<Candidate>> GreedyPolicy::SelectBatch(
         pool.push_back(j);
       } else if (revisit_censored_ &&
                  w.state(i, j) == CellState::kCensored &&
-                 w.timeouts()(i, j) < latency) {
+                 w.timeout(i, j) < latency) {
         pool.push_back(j);
       }
     }
@@ -116,7 +116,7 @@ StatusOr<std::vector<Candidate>> ModelGuidedPolicy::SelectBatch(
       bool eligible = w.IsUnobserved(i, j);
       if (!eligible && revisit_censored_ &&
           w.state(i, j) == CellState::kCensored) {
-        pred = std::max(pred, w.timeouts()(i, j));
+        pred = std::max(pred, w.timeout(i, j));
         eligible = pred < current_best;
       }
       if (!eligible) continue;

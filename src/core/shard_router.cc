@@ -48,7 +48,7 @@ void ReplayRow(const WorkloadMatrix& src, int src_row, WorkloadMatrix* dst,
         dst->Observe(dst_row, j, src.values()(src_row, j));
         break;
       case CellState::kCensored:
-        dst->ObserveCensored(dst_row, j, src.timeouts()(src_row, j));
+        dst->ObserveCensored(dst_row, j, src.timeout(src_row, j));
         break;
       case CellState::kUnobserved:
         break;

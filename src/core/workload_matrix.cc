@@ -8,8 +8,6 @@ namespace limeqo::core {
 
 WorkloadMatrix::WorkloadMatrix(int num_queries, int num_hints)
     : values_(num_queries, num_hints),
-      mask_(num_queries, num_hints),
-      timeouts_(num_queries, num_hints),
       states_(static_cast<size_t>(num_queries) * num_hints,
               CellState::kUnobserved) {
   // Zero queries is a legal (empty) workload: fleets start with no rows
@@ -29,8 +27,6 @@ void WorkloadMatrix::Observe(int query, int hint, double latency) {
   const size_t idx = CellIndex(query, hint);
   states_[idx] = CellState::kComplete;
   values_(query, hint) = latency;
-  mask_(query, hint) = 1.0;
-  timeouts_(query, hint) = 0.0;
 }
 
 void WorkloadMatrix::ObserveCensored(int query, int hint, double timeout) {
@@ -45,21 +41,17 @@ void WorkloadMatrix::ObserveCensored(int query, int hint, double timeout) {
   // revisit-censored policy runs with an optimistic model prediction)
   // must not erase the stronger evidence.
   if (states_[idx] == CellState::kCensored &&
-      timeouts_(query, hint) >= timeout) {
+      values_(query, hint) >= timeout) {
     return;
   }
   states_[idx] = CellState::kCensored;
   values_(query, hint) = timeout;
-  mask_(query, hint) = 0.0;
-  timeouts_(query, hint) = timeout;
 }
 
 void WorkloadMatrix::Clear(int query, int hint) {
   const size_t idx = CellIndex(query, hint);
   states_[idx] = CellState::kUnobserved;
   values_(query, hint) = 0.0;
-  mask_(query, hint) = 0.0;
-  timeouts_(query, hint) = 0.0;
 }
 
 CellState WorkloadMatrix::state(int query, int hint) const {
@@ -148,8 +140,6 @@ int WorkloadMatrix::AppendQueries(int count) {
   const std::vector<double> zero_row(num_hints(), 0.0);
   for (int c = 0; c < count; ++c) {
     values_.AppendRow(zero_row);
-    mask_.AppendRow(zero_row);
-    timeouts_.AppendRow(zero_row);
     states_.insert(states_.end(), num_hints(), CellState::kUnobserved);
   }
   return first;
@@ -160,23 +150,17 @@ void WorkloadMatrix::RemoveQuery(int query) {
   const int n = num_queries();
   const int k = num_hints();
   linalg::Matrix values(n - 1, k);
-  linalg::Matrix mask(n - 1, k);
-  linalg::Matrix timeouts(n - 1, k);
   std::vector<CellState> states(static_cast<size_t>(n - 1) * k,
                                 CellState::kUnobserved);
   for (int i = 0, dst = 0; i < n; ++i) {
     if (i == query) continue;
     for (int j = 0; j < k; ++j) {
       values(dst, j) = values_(i, j);
-      mask(dst, j) = mask_(i, j);
-      timeouts(dst, j) = timeouts_(i, j);
       states[static_cast<size_t>(dst) * k + j] = states_[CellIndex(i, j)];
     }
     ++dst;
   }
   values_ = std::move(values);
-  mask_ = std::move(mask);
-  timeouts_ = std::move(timeouts);
   states_ = std::move(states);
 }
 

@@ -22,12 +22,13 @@ enum class CellState {
 /// The partially observed workload matrix W-tilde of the paper (Fig. 1 and
 /// Eq. 1/5): rows are queries, columns are hints, entries are latencies.
 ///
-/// Three aligned matrices are maintained, mirroring Algorithm 2's inputs:
-///  * values():   observed latency for complete cells, the timeout value for
-///                censored cells, 0 for unobserved cells;
-///  * mask():     1 for complete cells, 0 otherwise (M in the paper);
-///  * timeouts(): the censoring threshold for censored cells, 0 otherwise
-///                (T in the paper).
+/// Two aligned row-major arrays hold Algorithm 2's inputs:
+///  * values(): observed latency for complete cells, the timeout value for
+///              censored cells, 0 for unobserved cells;
+///  * states:   the CellState of each cell.
+/// Together they determine the paper's mask M (1 exactly on complete cells)
+/// and threshold matrix T (timeout(), non-zero exactly on censored cells),
+/// so neither is stored.
 ///
 /// Hint column 0 is the DBMS default plan by convention.
 class WorkloadMatrix {
@@ -67,9 +68,20 @@ class WorkloadMatrix {
   /// censored cells. Must not be called on unobserved cells.
   double observed(int query, int hint) const;
 
+  /// Censoring threshold of (query, hint): the recorded bound for a
+  /// censored cell, 0 otherwise (T in the paper).
+  double timeout(int query, int hint) const {
+    return state(query, hint) == CellState::kCensored ? values_(query, hint)
+                                                      : 0.0;
+  }
+
   const linalg::Matrix& values() const { return values_; }
-  const linalg::Matrix& mask() const { return mask_; }
-  const linalg::Matrix& timeouts() const { return timeouts_; }
+  /// Contiguous values() slice of one row (num_hints entries), the
+  /// companion of row_states for hot row scans.
+  const double* row_values(int query) const {
+    return values_.data() +
+           static_cast<size_t>(query) * static_cast<size_t>(num_hints());
+  }
 
   /// Minimum *complete* observed latency in the row; infinity when the row
   /// has no complete observation. Censored cells never define the row best:
@@ -105,14 +117,12 @@ class WorkloadMatrix {
 
   /// Removes one query row; rows above it shift down by one. Used by shard
   /// rebalancing, where a row migrates to another shard's matrix: the cell
-  /// payload travels bitwise (values, mask, timeouts, states), so removal
+  /// payload travels bitwise (values and states), so removal
   /// here plus replay there reconstructs the row exactly.
   void RemoveQuery(int query);
 
  private:
   linalg::Matrix values_;
-  linalg::Matrix mask_;
-  linalg::Matrix timeouts_;
   std::vector<CellState> states_;  // row-major n*k
 
   size_t CellIndex(int query, int hint) const;

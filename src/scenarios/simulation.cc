@@ -193,35 +193,31 @@ std::vector<int> OnlineServedHints(const core::WorkloadMatrix& m) {
   return hints;
 }
 
-/// The three aligned matrices must stay mutually consistent (Algorithm 2's
-/// input contract): mask marks exactly the complete cells, thresholds exist
-/// exactly for censored cells, and a censored cell's value is its
-/// threshold.
+/// Cell values must stay consistent with their states (Algorithm 2's
+/// input contract): a complete cell holds a non-negative latency, a
+/// censored cell a positive threshold, and an unobserved cell 0.
 void CheckMatrixConsistency(const core::WorkloadMatrix& m,
                             SimulationResult* result) {
   for (int q = 0; q < m.num_queries(); ++q) {
     for (int j = 0; j < m.num_hints(); ++j) {
       const core::CellState state = m.state(q, j);
       const double value = m.values()(q, j);
-      const double mask = m.mask()(q, j);
-      const double threshold = m.timeouts()(q, j);
       bool ok = true;
       switch (state) {
         case core::CellState::kComplete:
-          ok = mask == 1.0 && threshold == 0.0 && value >= 0.0;
+          ok = value >= 0.0;
           break;
         case core::CellState::kCensored:
-          ok = mask == 0.0 && threshold > 0.0 && value == threshold;
+          ok = value > 0.0;
           break;
         case core::CellState::kUnobserved:
-          ok = mask == 0.0 && threshold == 0.0 && value == 0.0;
+          ok = value == 0.0;
           break;
       }
       if (!ok) {
         std::ostringstream os;
-        os << "cell (" << q << "," << j << ") state/value/mask/threshold = "
-           << static_cast<int>(state) << "/" << value << "/" << mask << "/"
-           << threshold;
+        os << "cell (" << q << "," << j << ") state/value = "
+           << static_cast<int>(state) << "/" << value;
         Violate(result, "matrix-consistency", os.str());
       }
     }
@@ -269,8 +265,6 @@ void ApplyArrivalChecked(core::OfflineExplorer* explorer,
   const int old_n = m.num_queries();
   const int k = m.num_hints();
   const linalg::Matrix values = m.values();
-  const linalg::Matrix mask = m.mask();
-  const linalg::Matrix timeouts = m.timeouts();
   std::vector<core::CellState> states(static_cast<size_t>(old_n) * k);
   for (int q = 0; q < old_n; ++q) {
     for (int j = 0; j < k; ++j) {
@@ -284,8 +278,7 @@ void ApplyArrivalChecked(core::OfflineExplorer* explorer,
     for (int j = 0; j < k; ++j) {
       const bool intact =
           m.state(q, j) == states[static_cast<size_t>(q) * k + j] &&
-          m.values()(q, j) == values(q, j) && m.mask()(q, j) == mask(q, j) &&
-          m.timeouts()(q, j) == timeouts(q, j);
+          m.values()(q, j) == values(q, j);
       if (!intact) {
         std::ostringstream os;
         os << "cell (" << q << "," << j << ") changed during arrival of "

@@ -13,6 +13,8 @@
 //     counts;
 //   * the output is bitwise equal at 1/2/4 threads and with or without a
 //     borrowed arena;
+//   * mutating the input matrix at every RefitYieldPoint changes no bit of
+//     the completion (the yield contract of completer.h);
 // and that a warmed arena leaves the result matrix as the only
 // allocation of a completion that scales with the problem.
 
@@ -26,6 +28,7 @@
 #include <new>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -82,11 +85,13 @@ struct DenseProblem {
 DenseProblem BuildDenseProblem(const WorkloadMatrix& w, CensoredMode mode) {
   DenseProblem p;
   p.values = w.values();
-  p.mask = w.mask();
-  p.thresholds = w.timeouts();
+  p.mask = linalg::Matrix(w.num_queries(), w.num_hints());
+  p.thresholds = linalg::Matrix(w.num_queries(), w.num_hints());
   p.censored = linalg::Matrix(w.num_queries(), w.num_hints());
   for (int i = 0; i < w.num_queries(); ++i) {
     for (int j = 0; j < w.num_hints(); ++j) {
+      if (w.IsComplete(i, j)) p.mask(i, j) = 1.0;
+      p.thresholds(i, j) = w.timeout(i, j);
       if (w.state(i, j) != CellState::kCensored) continue;
       if (mode == CensoredMode::kCensored) {
         p.censored(i, j) = 1.0;
@@ -375,13 +380,13 @@ DenseFit DenseReferenceComplete(const AlsOptions& o, const WorkloadMatrix& w,
       for (size_t j = 0; j < k; ++j) {
         double& out = fit.result(i, j);
         if (in.mask(i, j) > 0.0) {
-          out = w.mask()(i, j) > 0.0 ? w.values()(i, j) : w.timeouts()(i, j);
+          out = w.values()(i, j);
           continue;
         }
         out = std::exp(std::clamp(out + in.col_bias[j], lo_ratio, hi_ratio) +
                        in.row_bias[i]);
         if (clamp && in.censored(i, j) > 0.0) {
-          out = std::max(out, w.timeouts()(i, j));
+          out = std::max(out, w.timeout(i, j));
         }
       }
     }
@@ -657,6 +662,121 @@ TEST(AlsSparseResidualTest, BitwiseAcrossThreadCountsAndArenas) {
         EXPECT_TRUE(BitwiseEqual(got.first, reference.first))
             << threads << " threads, arena " << (borrowed != nullptr);
         EXPECT_EQ(got.second, reference.second);
+      }
+    }
+  }
+}
+
+TEST(AlsSparseResidualTest, RefitYieldPointWithoutAScopeIsANoOp) {
+  int calls = 0;
+  RefitYieldPoint();  // nothing open: returns without effect
+  {
+    ScopedRefitYield outer([&] { ++calls; });
+    RefitYieldPoint();
+    {
+      // The inner scope wins until it exits; a yield point reached from
+      // inside a callback is a no-op, so callbacks never recurse.
+      ScopedRefitYield inner([&] {
+        calls += 10;
+        RefitYieldPoint();
+      });
+      RefitYieldPoint();
+    }
+    RefitYieldPoint();
+  }
+  RefitYieldPoint();
+  EXPECT_EQ(calls, 12);
+  // The scope is thread-local: another thread sees no open scope.
+  ScopedRefitYield scope([&] { ++calls; });
+  std::thread other([] { RefitYieldPoint(); });
+  other.join();
+  EXPECT_EQ(calls, 12);
+}
+
+TEST(AlsSparseResidualTest, CompletionNeverReadsTheMatrixAfterItsFirstYield) {
+  // The train plane drains observations into the live matrix at every
+  // yield point of a refit. The fit must not see them: a completion whose
+  // input is mutated at every yield is bitwise equal to one on an
+  // untouched copy — output, factors and sweep count.
+  const WorkloadMatrix original = RandomCensoredMatrix(2400, 32, 0.08, 606);
+  for (CensoredMode mode : {CensoredMode::kCensored,
+                            CensoredMode::kNaiveObserved,
+                            CensoredMode::kIgnore}) {
+    for (FitSpace space : {FitSpace::kLogRatio, FitSpace::kRaw}) {
+      for (bool warm : {false, true}) {
+        const Config config{mode,  space, space == FitSpace::kRaw,
+                            warm,  true,  true};
+        SCOPED_TRACE(config.Name());
+        AlsOptions o = config.Options(kRank);
+        o.iterations = 8;
+        CompletionFactors warm_factors;
+        if (warm) warm_factors = WarmFactors(o, original, 40);
+        struct Fit {
+          linalg::Matrix out, q, h;
+          CompletionFactors factors;
+          int iterations = 0;
+          int yields = 0;
+        };
+        auto run = [&](int threads, bool mutate) {
+          SetNumThreads(threads);
+          WorkloadMatrix w = original;
+          Fit fit;
+          fit.factors = warm_factors;
+          Rng rng(707 + static_cast<uint64_t>(threads));
+          ScopedRefitYield yield([&] {
+            ++fit.yields;
+            if (!mutate) return;
+            for (int c = 0; c < 6; ++c) {
+              const int i = static_cast<int>(rng.NextUint64Below(2400));
+              const int j = static_cast<int>(rng.NextUint64Below(32));
+              switch (w.state(i, j)) {
+                case CellState::kUnobserved:
+                  if (c % 2 == 0) {
+                    w.Observe(i, j, rng.Uniform(0.1, 5.0));
+                  } else {
+                    w.ObserveCensored(i, j, rng.Uniform(0.1, 5.0));
+                  }
+                  break;
+                case CellState::kCensored:
+                  w.ObserveCensored(i, j, w.timeout(i, j) * 2.0);
+                  break;
+                case CellState::kComplete:
+                  w.Observe(i, j, w.observed(i, j) * 0.5);
+                  break;
+              }
+            }
+          });
+          AlsCompleter als(o);
+          StatusOr<linalg::Matrix> out =
+              als.CompleteFrom(w, warm ? &fit.factors : nullptr);
+          EXPECT_TRUE(out.ok());
+          fit.out = *out;
+          fit.q = als.query_factors();
+          fit.h = als.hint_factors();
+          fit.iterations = als.last_iterations();
+          SetNumThreads(1);
+          return fit;
+        };
+        const Fit reference = run(1, /*mutate=*/false);
+        // Set-up, every half-sweep, and between the two output blocks.
+        EXPECT_EQ(reference.yields, 1 + 2 * reference.iterations + 1);
+        for (int threads : {1, 2, 4}) {
+          const Fit got = run(threads, /*mutate=*/true);
+          EXPECT_EQ(got.yields, reference.yields) << threads << " threads";
+          EXPECT_TRUE(BitwiseEqual(got.out, reference.out))
+              << threads << " threads";
+          EXPECT_TRUE(BitwiseEqual(got.q, reference.q))
+              << threads << " threads";
+          EXPECT_TRUE(BitwiseEqual(got.h, reference.h))
+              << threads << " threads";
+          if (warm) {
+            EXPECT_TRUE(BitwiseEqual(got.factors.query_factors,
+                                     reference.factors.query_factors));
+            EXPECT_TRUE(BitwiseEqual(got.factors.hint_factors,
+                                     reference.factors.hint_factors));
+          }
+          EXPECT_EQ(got.iterations, reference.iterations);
+        }
       }
     }
   }

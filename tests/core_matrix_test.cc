@@ -26,8 +26,7 @@ TEST(WorkloadMatrixTest, ObserveRecordsCompleteCell) {
   EXPECT_EQ(w.state(0, 1), CellState::kComplete);
   EXPECT_DOUBLE_EQ(w.observed(0, 1), 5.5);
   EXPECT_DOUBLE_EQ(w.values()(0, 1), 5.5);
-  EXPECT_DOUBLE_EQ(w.mask()(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(w.timeouts()(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(w.timeout(0, 1), 0.0);
   EXPECT_EQ(w.NumComplete(), 1);
 }
 
@@ -36,8 +35,9 @@ TEST(WorkloadMatrixTest, ObserveCensoredRecordsLowerBound) {
   w.ObserveCensored(1, 2, 10.0);
   EXPECT_EQ(w.state(1, 2), CellState::kCensored);
   EXPECT_DOUBLE_EQ(w.observed(1, 2), 10.0);
-  EXPECT_DOUBLE_EQ(w.mask()(1, 2), 0.0);  // not ground truth for the model
-  EXPECT_DOUBLE_EQ(w.timeouts()(1, 2), 10.0);
+  EXPECT_FALSE(w.IsComplete(1, 2));  // not ground truth for the model
+  EXPECT_DOUBLE_EQ(w.timeout(1, 2), 10.0);
+  EXPECT_DOUBLE_EQ(w.values()(1, 2), 10.0);
 }
 
 TEST(WorkloadMatrixTest, CompleteSupersedesCensored) {
@@ -161,16 +161,16 @@ TEST(WorkloadMatrixTest, CensoringBoundsOnlyTighten) {
   // model prediction can legally be cut off below the recorded bound).
   w.ObserveCensored(0, 1, 0.6);
   EXPECT_EQ(w.state(0, 1), CellState::kCensored);
-  EXPECT_DOUBLE_EQ(w.timeouts()(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(w.timeout(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(w.values()(0, 1), 2.0);
   // A longer censored run strengthens the bound.
   w.ObserveCensored(0, 1, 3.5);
-  EXPECT_DOUBLE_EQ(w.timeouts()(0, 1), 3.5);
+  EXPECT_DOUBLE_EQ(w.timeout(0, 1), 3.5);
   // And a complete observation still supersedes censoring entirely.
   w.Observe(0, 1, 3.9);
   EXPECT_EQ(w.state(0, 1), CellState::kComplete);
   EXPECT_DOUBLE_EQ(w.values()(0, 1), 3.9);
-  EXPECT_DOUBLE_EQ(w.timeouts()(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(w.timeout(0, 1), 0.0);
 }
 
 }  // namespace

@@ -42,7 +42,8 @@ std::string UniqueCheckpointPath(const char* tag) {
   return os.str();
 }
 
-// Bitwise matrix equality (values, mask, censoring thresholds, states).
+// Bitwise matrix equality (states and values; a censored cell's value is
+// its threshold).
 ::testing::AssertionResult MatricesIdentical(const core::WorkloadMatrix& a,
                                              const core::WorkloadMatrix& b) {
   if (a.num_queries() != b.num_queries() || a.num_hints() != b.num_hints()) {
@@ -53,8 +54,6 @@ std::string UniqueCheckpointPath(const char* tag) {
   for (int q = 0; q < a.num_queries(); ++q) {
     for (int j = 0; j < a.num_hints(); ++j) {
       if (a.values()(q, j) != b.values()(q, j) ||
-          a.mask()(q, j) != b.mask()(q, j) ||
-          a.timeouts()(q, j) != b.timeouts()(q, j) ||
           a.state(q, j) != b.state(q, j)) {
         return ::testing::AssertionFailure()
                << "cell (" << q << "," << j << ") differs";

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <thread>
@@ -519,6 +520,214 @@ TEST(EngineTest, ServeEpochHandlesRangesLargerThanTheQueue) {
     return backend.ServeLatency(q, hint, seq);
   });
   EXPECT_EQ(engine.drained_servings(), kServings);
+}
+
+// ---------------------------------------------------------------------------
+// Draining during a refit: TrainStep opens a ScopedRefitYield around the
+// refit, and every RefitYieldPoint the completer reaches publishes if due,
+// drains up to one queue lap, and publishes if due again.
+// ---------------------------------------------------------------------------
+
+/// Stands in for a long refit: reads the matrix shape once, then calls
+/// RefitYieldPoint() until `done` says stop (or `max_yields` is reached),
+/// sleeping `pause` before each yield, and returns a flat prediction.
+/// Hooks run at entry and exit on the refitting thread. The pause sleeps
+/// rather than spins so the producers get CPU time during the refit even
+/// on a host with fewer free cores than threads.
+class YieldingCompleter : public Completer {
+ public:
+  std::function<void()> on_start;
+  std::function<bool()> done;
+  std::function<void()> on_end;
+  int max_yields = 200;
+  std::chrono::microseconds pause{20};
+  /// Wall time the completer spent inside RefitYieldPoint() calls.
+  uint64_t yield_ns = 0;
+
+  StatusOr<linalg::Matrix> Complete(const WorkloadMatrix& w) override {
+    const size_t n = static_cast<size_t>(w.num_queries());
+    const size_t k = static_cast<size_t>(w.num_hints());
+    if (on_start) on_start();
+    for (int i = 0; i < max_yields && !(done && done()); ++i) {
+      std::this_thread::sleep_for(pause);
+      const auto t0 = std::chrono::steady_clock::now();
+      RefitYieldPoint();
+      yield_ns += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+    }
+    if (on_end) on_end();
+    return linalg::Matrix(n, k, 1.0);
+  }
+  std::string name() const override { return "yielding"; }
+};
+
+/// `threads` producers serve `total` servings through the real
+/// free-running protocol (batched claims of kClaim, one version probe per
+/// batch, ChooseHint, Report), recording the largest staleness any
+/// decision saw.
+class Producers {
+ public:
+  static constexpr uint64_t kClaim = 16;
+
+  Producers(ExplorationEngine* engine, int threads, uint64_t total)
+      : engine_(engine) {
+    for (int t = 0; t < threads; ++t) {
+      threads_.emplace_back([this, total] { Serve(total); });
+    }
+  }
+  void Join() {
+    for (std::thread& t : threads_) t.join();
+    threads_.clear();
+  }
+  uint64_t max_staleness() const {
+    return max_staleness_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  void Serve(uint64_t total) {
+    const int n = engine_->snapshot()->num_queries();
+    std::shared_ptr<const ServingSnapshot> snap = engine_->snapshot();
+    uint64_t version = snap->version();
+    uint64_t worst = 0;
+    for (;;) {
+      const uint64_t first = engine_->AcquireServingIndices(kClaim);
+      if (engine_->snapshot_version() != version) {
+        snap = engine_->snapshot();
+        version = snap->version();
+      }
+      for (uint64_t seq = first; seq < first + kClaim; ++seq) {
+        // Past the end the claimed indices are still reported (every
+        // acquired index must be, or the drain stalls at the hole).
+        const int q = static_cast<int>(seq % static_cast<uint64_t>(n));
+        const int hint = snap->ChooseHint(q, seq);
+        worst = std::max(worst, seq - snap->published_seq());
+        engine_->Report(snap->MakeObservation(
+            seq, q, hint, 1.0 + static_cast<double>(seq % 7)));
+      }
+      if (first + kClaim >= total) break;
+    }
+    uint64_t seen = max_staleness_.load(std::memory_order_relaxed);
+    while (worst > seen && !max_staleness_.compare_exchange_weak(
+                               seen, worst, std::memory_order_relaxed)) {
+    }
+  }
+
+  ExplorationEngine* engine_;
+  std::vector<std::thread> threads_;
+  std::atomic<uint64_t> max_staleness_{0};
+};
+
+TEST(EngineRefitYieldTest, DrainRunsMoreThanTwoLapsInsideOneRefit) {
+  EngineOptions options;
+  options.queue_capacity = 64;
+  auto owned = std::make_unique<YieldingCompleter>();
+  YieldingCompleter* completer = owned.get();
+  CompleterPredictor predictor(std::move(owned));
+  ExplorationEngine engine(MakeMatrix(32, 4, 0.0, 41), &predictor, options);
+  const uint64_t lap = engine.queue_capacity();
+  uint64_t start = 0, end = 0;
+  completer->max_yields = 1 << 30;
+  completer->on_start = [&] { start = engine.drained_servings(); };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  completer->done = [&] {
+    return engine.drained_servings() > start + 2 * lap ||
+           std::chrono::steady_clock::now() > deadline;
+  };
+  completer->on_end = [&] { end = engine.drained_servings(); };
+
+  const uint64_t total = 16 * lap;
+  Producers producers(&engine, 2, total);
+  engine.BeginTrainSteps();
+  // No predictions yet and complete defaults: the first step refits.
+  ASSERT_TRUE(engine.TrainStep());
+  ASSERT_EQ(engine.refits_completed(), 1u);
+  // The drain front kept moving while the model was fitting: producers
+  // that would have parked a lap ahead of a stalled drain kept serving.
+  EXPECT_GT(end - start, 2 * lap);
+  EXPECT_GT(engine.refit_yield_nanos(), 0u);
+  // The engine times the drain and publish inside each yield; the
+  // completer's clock around the same calls encloses them.
+  EXPECT_LE(engine.refit_yield_nanos(), completer->yield_ns);
+
+  completer->done = nullptr;
+  completer->max_yields = 0;
+  while (engine.drained_servings() < total) engine.TrainStep();
+  producers.Join();
+  engine.FinishTrainSteps();
+  EXPECT_EQ(engine.drained_servings(), engine.claimed_servings());
+}
+
+TEST(EngineRefitYieldTest, UpdatesSinceRefreshCountsWhatTheRefitMissed) {
+  EngineOptions options;
+  options.queue_capacity = 64;
+  auto owned = std::make_unique<YieldingCompleter>();
+  YieldingCompleter* completer = owned.get();
+  CompleterPredictor predictor(std::move(owned));
+  ExplorationEngine engine(MakeMatrix(32, 4, 0.0, 42), &predictor, options);
+  uint64_t start = 0, end = 0;
+  completer->max_yields = 50;
+  completer->on_start = [&] { start = engine.drained_servings(); };
+  completer->on_end = [&] { end = engine.drained_servings(); };
+
+  const uint64_t total = 64 * engine.queue_capacity();
+  Producers producers(&engine, 2, total);
+  engine.BeginTrainSteps();
+  uint64_t refits = 0;
+  while (engine.drained_servings() < total) {
+    engine.TrainStep();
+    if (engine.refits_completed() == refits) continue;
+    refits = engine.refits_completed();
+    // Right after a successful refit the step has published but not
+    // drained again: the only updates the fresh model has not absorbed
+    // are the ones its own yields drained.
+    EXPECT_EQ(static_cast<uint64_t>(engine.updates_since_refresh()),
+              end - start)
+        << "refit " << refits;
+  }
+  producers.Join();
+  engine.FinishTrainSteps();
+  EXPECT_GT(refits, 1u);
+}
+
+TEST(EngineRefitYieldTest, StalenessBoundHoldsWhileRefitsYield) {
+  // The free-running bound 2 * capacity + threads * 16 + publish_every
+  // must hold straight through refits that drain and publish at their
+  // yield points: each yield publishes before it drains, so the
+  // publication lag stays below capacity + publish_every at every drain.
+  constexpr int kThreads = 3;
+  EngineOptions options;
+  options.queue_capacity = 64;
+  options.online.epsilon = 0.2;
+  options.online.min_predicted_ratio = 0.0;
+  options.online.regret_budget_seconds = 1e9;
+  auto owned = std::make_unique<YieldingCompleter>();
+  YieldingCompleter* completer = owned.get();
+  completer->max_yields = 100;
+  uint64_t start = 0;
+  uint64_t most_drained_in_a_refit = 0;
+  CompleterPredictor predictor(std::move(owned));
+  ExplorationEngine engine(MakeMatrix(48, 6, 0.1, 43), &predictor, options);
+  completer->on_start = [&] { start = engine.drained_servings(); };
+  completer->on_end = [&] {
+    most_drained_in_a_refit =
+        std::max(most_drained_in_a_refit, engine.drained_servings() - start);
+  };
+  const uint64_t total = 400 * engine.queue_capacity();
+  engine.StartTraining();
+  Producers producers(&engine, kThreads, total);
+  producers.Join();
+  engine.StopTraining();
+
+  const uint64_t bound = 2 * engine.queue_capacity() +
+                         kThreads * Producers::kClaim +
+                         static_cast<uint64_t>(options.online.publish_every);
+  EXPECT_LE(producers.max_staleness(), bound);
+  // Not vacuous: refits ran, and their yields drained observations.
+  EXPECT_GT(engine.refits_completed(), 1u);
+  EXPECT_GT(most_drained_in_a_refit, 0u);
 }
 
 // ---------------------------------------------------------------------------

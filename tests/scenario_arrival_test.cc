@@ -43,16 +43,18 @@ TEST(AddNewQueriesTest, PreservesObservationsAndStartsRowsFresh) {
   const core::WorkloadMatrix& m = explorer.matrix();
   ASSERT_EQ(m.num_queries(), 20);
   const linalg::Matrix values = m.values();
-  const linalg::Matrix mask = m.mask();
-  const linalg::Matrix timeouts = m.timeouts();
+  std::vector<core::CellState> states;
+  for (int q = 0; q < 20; ++q) {
+    for (int j = 0; j < spec.num_hints; ++j) states.push_back(m.state(q, j));
+  }
 
   explorer.AddNewQueries(10);
   ASSERT_EQ(m.num_queries(), 30);
   for (int q = 0; q < 20; ++q) {
     for (int j = 0; j < spec.num_hints; ++j) {
       EXPECT_EQ(m.values()(q, j), values(q, j));
-      EXPECT_EQ(m.mask()(q, j), mask(q, j));
-      EXPECT_EQ(m.timeouts()(q, j), timeouts(q, j));
+      EXPECT_EQ(m.state(q, j),
+                states[static_cast<size_t>(q) * spec.num_hints + j]);
     }
   }
   for (int q = 20; q < 30; ++q) {

@@ -30,7 +30,6 @@ namespace {
 struct RowCapture {
   std::vector<core::CellState> states;
   std::vector<double> values;
-  std::vector<double> timeouts;
   double regret = 0.0;
   int explorations = 0;
   uint64_t servings = 0;
@@ -42,7 +41,6 @@ RowCapture CaptureRow(const core::ExplorationEngine& e, int local) {
   for (int h = 0; h < m.num_hints(); ++h) {
     cap.states.push_back(m.state(local, h));
     cap.values.push_back(m.values()(local, h));
-    cap.timeouts.push_back(m.timeouts()(local, h));
   }
   cap.regret = e.row_regret(local);
   cap.explorations = e.row_explorations(local);
@@ -55,8 +53,7 @@ bool RowMatches(const core::ExplorationEngine& e, int local,
   const core::WorkloadMatrix& m = e.matrix();
   for (int h = 0; h < m.num_hints(); ++h) {
     if (m.state(local, h) != cap.states[h] ||
-        m.values()(local, h) != cap.values[h] ||
-        m.timeouts()(local, h) != cap.timeouts[h]) {
+        m.values()(local, h) != cap.values[h]) {
       std::fprintf(stderr, "cell (%d,%d) payload diverged after migration\n",
                    local, h);
       return false;
@@ -92,7 +89,7 @@ core::WorkloadMatrix TwinMatrix(const core::ExplorationEngine& e) {
           out.Observe(q, h, src.values()(q, h));
           break;
         case core::CellState::kCensored:
-          out.ObserveCensored(q, h, src.timeouts()(q, h));
+          out.ObserveCensored(q, h, src.timeout(q, h));
           break;
         case core::CellState::kUnobserved:
           break;

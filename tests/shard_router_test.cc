@@ -399,8 +399,6 @@ struct TierFixture {
   for (int q = 0; q < a.num_queries(); ++q) {
     for (int j = 0; j < a.num_hints(); ++j) {
       if (a.values()(q, j) != b.values()(q, j) ||
-          a.mask()(q, j) != b.mask()(q, j) ||
-          a.timeouts()(q, j) != b.timeouts()(q, j) ||
           a.state(q, j) != b.state(q, j)) {
         return ::testing::AssertionFailure()
                << "cell (" << q << "," << j << ") differs";
