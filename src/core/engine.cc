@@ -3,7 +3,6 @@
 #include "core/online.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -210,103 +209,6 @@ void ExplorationEngine::Report(const ServingObservation& obs) {
   }
   slot.obs = obs;
   slot.turn.store(obs.seq + 1, std::memory_order_release);
-}
-
-void ExplorationEngine::ServeEpoch(
-    uint64_t begin, uint64_t end, int threads,
-    const std::function<double(int query, int hint, uint64_t seq)>& execute,
-    const std::function<void(uint64_t seq, int query, int hint,
-                             double latency)>& record) {
-  ServeEpochResolved(
-      begin, end, threads,
-      [&execute](int query, int hint, uint64_t seq) {
-        return ServedOutcome{hint, execute(query, hint, seq)};
-      },
-      record);
-}
-
-void ExplorationEngine::ServeEpochResolved(
-    uint64_t begin, uint64_t end, int threads,
-    const std::function<ServedOutcome(int query, int chosen_hint,
-                                      uint64_t seq)>& resolve,
-    const std::function<void(uint64_t seq, int query, int hint,
-                             double latency)>& record) {
-  LIMEQO_CHECK(threads >= 1);
-  LIMEQO_CHECK(begin <= end);
-  std::shared_ptr<const ServingSnapshot> snap = snapshot();
-  const uint64_t n = static_cast<uint64_t>(snap->num_queries());
-  // An empty schedule — or an empty workload (an engine may hold a
-  // zero-row matrix until AppendQueries populates it) — has nothing to
-  // serve; bail out before the round-robin map s % n divides by zero. The
-  // epoch barrier still runs, so the call keeps its publish-at-exit
-  // contract either way.
-  if (begin == end || n == 0) {
-    SyncEpoch();
-    return;
-  }
-  // The whole epoch decides on one snapshot, but Report would deadlock if
-  // the range outran the queue by a full lap with nobody draining (the
-  // lanes only join at the end). Chunking to the queue capacity with a
-  // drain between chunks keeps arbitrary epoch sizes safe and changes
-  // nothing observable: decisions still use the epoch snapshot, and the
-  // drain still applies in sequence order.
-  const uint64_t chunk = slots_.size();
-  for (uint64_t chunk_begin = begin; chunk_begin < end;
-       chunk_begin += chunk) {
-    const uint64_t chunk_end = std::min(end, chunk_begin + chunk);
-    auto apply_serving = [&, snap](uint64_t s, int q, int chosen) {
-      // The resolver may substitute a different hint (degradation);
-      // the observation is built for what actually ran.
-      const ServedOutcome out = resolve(q, chosen, s);
-      if (record) record(s, q, out.hint, out.latency);
-      ServingObservation obs =
-          snap->MakeObservation(s, q, out.hint, out.latency);
-      if (out.degraded) {
-        // A degraded fallback is an infrastructure fault, not an
-        // exploration decision: it must neither count against the
-        // exploration budget nor look like a budgeted probe to the
-        // free-gate invariant.
-        obs.exploratory = false;
-        obs.regret_delta = 0.0;
-      }
-      Report(obs);
-    };
-    auto serve_lane = [&, snap](int lane) {
-      for (uint64_t s = chunk_begin + lane; s < chunk_end;
-           s += static_cast<uint64_t>(threads)) {
-        const int q = static_cast<int>(s % n);
-        apply_serving(s, q, snap->ChooseHint(q, s));
-      }
-    };
-    if (threads == 1) {
-      // A single lane owns a contiguous sequence range, which is exactly
-      // the batched entry point's shape: decide kBatch servings per
-      // ChooseHints call (decision-identical to the scalar calls) and
-      // apply them in order.
-      constexpr size_t kBatch = 64;
-      std::array<int, kBatch> queries;
-      std::array<int, kBatch> hints;
-      for (uint64_t b = chunk_begin; b < chunk_end; b += kBatch) {
-        const size_t cnt =
-            static_cast<size_t>(std::min<uint64_t>(kBatch, chunk_end - b));
-        for (size_t i = 0; i < cnt; ++i) {
-          queries[i] = static_cast<int>((b + static_cast<uint64_t>(i)) % n);
-        }
-        snap->ChooseHints(std::span<const int>(queries.data(), cnt), b,
-                          std::span<int>(hints.data(), cnt));
-        for (size_t i = 0; i < cnt; ++i) {
-          apply_serving(b + static_cast<uint64_t>(i), queries[i], hints[i]);
-        }
-      }
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(threads);
-      for (int t = 0; t < threads; ++t) workers.emplace_back(serve_lane, t);
-      for (std::thread& t : workers) t.join();
-    }
-    if (chunk_end < end) Drain();
-  }
-  SyncEpoch();
 }
 
 size_t ExplorationEngine::Drain(size_t max_observations) {

@@ -16,7 +16,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -54,7 +53,7 @@ struct ServingObservation {
 };
 
 /// What a serving resolver actually did for one serving (see
-/// ExplorationEngine::ServeEpochResolved): the hint that was really served
+/// ShardedServingTier::ServeSchedule): the hint that was really served
 /// — normally the chosen one, but a fault-degradation policy may
 /// substitute the default plan after exhausting its retries — and the
 /// latency that was observed for it.
@@ -366,41 +365,6 @@ class ExplorationEngine {
   /// passed s - queue_capacity(), which is what bounds snapshot staleness
   /// in free-running operation.
   size_t queue_capacity() const { return slots_.size(); }
-
-  /// Serves the deterministic round-robin schedule [begin, end) as one
-  /// epoch of the concurrent serving plane, then runs the SyncEpoch
-  /// barrier. `threads` lanes share the snapshot current at entry (lane t
-  /// serves begin+t, begin+t+threads, ...; serving s maps to query
-  /// s % num_queries); each serving calls `execute(query, hint, seq)` —
-  /// which must be thread-safe and a pure function of its arguments — and
-  /// reports the observation. `record`, when set, is invoked once per
-  /// serving from the serving threads (each seq exactly once, so writes
-  /// to seq-indexed storage need no locking). The merged outcome is a
-  /// pure function of (engine state at entry, schedule, execute) —
-  /// bitwise identical at every `threads` count. Train-plane method: it
-  /// runs the epoch barrier itself.
-  void ServeEpoch(
-      uint64_t begin, uint64_t end, int threads,
-      const std::function<double(int query, int hint, uint64_t seq)>&
-          execute,
-      const std::function<void(uint64_t seq, int query, int hint,
-                               double latency)>& record = nullptr);
-
-  /// ServeEpoch for callers that may serve a *different* hint than the one
-  /// chosen from the snapshot — the graceful-degradation path, where a
-  /// faulted serving retries and then falls back to the default plan.
-  /// `resolve(query, chosen_hint, seq)` returns the hint actually served
-  /// and its latency; the observation is built for that hint, so the
-  /// regret ledger charges what really ran. `resolve` must be thread-safe
-  /// and a pure function of its arguments (fault schedules are seed-pure
-  /// per serving index), which preserves the bitwise thread-count
-  /// determinism of ServeEpoch. `record` sees the resolved hint.
-  void ServeEpochResolved(
-      uint64_t begin, uint64_t end, int threads,
-      const std::function<ServedOutcome(int query, int chosen_hint,
-                                        uint64_t seq)>& resolve,
-      const std::function<void(uint64_t seq, int query, int hint,
-                               double latency)>& record = nullptr);
 
   // --- Train plane -------------------------------------------------------
   /// No cap for Drain: consume the whole contiguous published prefix.

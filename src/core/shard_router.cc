@@ -221,15 +221,18 @@ void ShardedServingTier::ServeSchedule(
     LIMEQO_CHECK(!training_);
   }
   LIMEQO_CHECK(threads >= 1);
-  if (end <= begin) {
+  const uint64_t n = static_cast<uint64_t>(num_queries());
+  // An empty schedule — or an empty tier (a fleet may hold zero rows until
+  // AppendQueries populates it) — has nothing to serve; bail out before the
+  // round-robin map s % n divides by zero. The epoch barrier still runs,
+  // so the call keeps its publish-at-exit contract either way.
+  if (end <= begin || n == 0) {
     SyncEpochAll();
     return;
   }
-  const uint64_t n = static_cast<uint64_t>(num_queries());
-  LIMEQO_CHECK(n > 0);
   const int shards = num_shards();
   // Decisions for the whole epoch come from the per-shard snapshots
-  // current at entry, exactly like the single-engine ServeEpochResolved.
+  // current at entry.
   std::vector<std::shared_ptr<const ServingSnapshot>> snaps(shards);
   for (int i = 0; i < shards; ++i) snaps[i] = engines_[i]->snapshot();
   // Chunk to the smallest shard queue so no producer can wrap any queue

@@ -182,13 +182,26 @@ class ShardedServingTier {
   // --- Deterministic schedule serving (train plane) ------------------------
   /// Serves the global round-robin schedule [begin, end) — serving s maps
   /// to global query s % num_queries() — as one epoch across all shards,
-  /// then runs the epoch barrier on every shard. Decisions are made on the
-  /// per-shard snapshots current at entry; local sequence numbers are
-  /// preassigned by walking the schedule in global order, so the merged
-  /// trace is bitwise identical at every `threads` count. `resolve` and
-  /// `record` follow the ExplorationEngine::ServeEpochResolved contract
-  /// (thread-safe, pure per serving index; `record` sees each global index
-  /// exactly once).
+  /// then runs the epoch barrier (SyncEpochAll) on every shard. Decisions
+  /// are made on the per-shard snapshots current at entry; local sequence
+  /// numbers are preassigned by walking the schedule in global order, so
+  /// the merged trace is bitwise identical at every `threads` count. An
+  /// empty range or a zero-row tier serves nothing and runs only the
+  /// barrier. Ranges wider than a shard queue are served in chunks with a
+  /// drain between them, still deciding on the entry snapshots.
+  ///
+  /// `resolve(query, chosen_hint, seq)` returns the hint actually served
+  /// and its latency. It may substitute a different hint than the chosen
+  /// one (graceful degradation: a faulted serving retries, then falls back
+  /// to the default plan); the observation is built for the served hint,
+  /// so the regret ledger charges what really ran, and a degraded serving
+  /// is reported non-exploratory with zero regret. `resolve` must be
+  /// thread-safe and a pure function of its arguments (fault schedules are
+  /// seed-pure per serving index), which is what keeps the trace
+  /// independent of `threads`. `record`, when set, is invoked once per
+  /// serving from the serving threads with the resolved hint (each global
+  /// index exactly once, so writes to seq-indexed storage need no
+  /// locking).
   void ServeSchedule(
       uint64_t begin, uint64_t end, int threads,
       const std::function<ServedOutcome(int query, int chosen_hint,

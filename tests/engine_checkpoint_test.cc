@@ -1,10 +1,11 @@
-// Crash-consistent checkpoints of the exploration engine. The contract
-// under test: a checkpoint captured at an op boundary (drain / refit /
-// publish / append) and written through the real on-disk format restores
-// into an engine whose remaining serving trace — at any thread count — is
-// bitwise identical to the engine that never died, whose regret ledger and
-// matrix agree exactly, and whose next refit warm-starts from the
-// checkpointed factors. Plus the failure half: corrupted or truncated
+// Crash-consistent checkpoints of the exploration engine and of the serving
+// tier built from it. The contract under test: a tier checkpointed at an op
+// boundary (epoch / observe / append / refit) through the real on-disk
+// format (per-shard engine checkpoints plus the tier manifest) restores
+// into a fleet whose remaining serving trace — at any thread count — is
+// bitwise identical to the fleet that never died, whose regret ledger and
+// matrix agree exactly; and a restored engine's next refit warm-starts from
+// the checkpointed factors. Plus the failure half: corrupted or truncated
 // checkpoints are rejected loudly and the caller falls back to a cold
 // start, and the free-running train loop's checkpoint cadence never
 // exposes a torn file to a concurrent reader.
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -25,6 +27,7 @@
 #include "core/engine.h"
 #include "core/predictor.h"
 #include "core/serialization.h"
+#include "core/shard_router.h"
 #include "core/workload_matrix.h"
 #include "proptest.h"
 #include "scenarios/scenario.h"
@@ -40,6 +43,20 @@ std::string UniqueCheckpointPath(const char* tag) {
   os << ::testing::TempDir() << "limeqo_" << tag << "_"
      << counter.fetch_add(1) << ".ckpt";
   return os.str();
+}
+
+// A unique, existing tier checkpoint directory per call.
+std::string UniqueCheckpointDir(const char* tag) {
+  const std::string dir = UniqueCheckpointPath(tag) + ".d";
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// Serves every chosen hint at the backend's latency for that serving.
+auto ServeFrom(const SyntheticBackend& backend) {
+  return [&backend](int q, int h, uint64_t s) {
+    return core::ServedOutcome{h, backend.ServeLatency(q, h, s)};
+  };
 }
 
 // Bitwise matrix equality (states and values; a censored cell's value is
@@ -63,8 +80,8 @@ std::string UniqueCheckpointPath(const char* tag) {
   return ::testing::AssertionSuccess();
 }
 
-// Builds an engine over `rows` queries of `backend` with the default plan
-// of every row observed (the normal bring-up state).
+// A matrix of `rows` queries of `backend` with the default plan of every
+// row observed (the normal bring-up state).
 core::WorkloadMatrix SeedMatrix(const SyntheticBackend& backend, int rows,
                                 int hints) {
   core::WorkloadMatrix m(rows, hints);
@@ -74,10 +91,10 @@ core::WorkloadMatrix SeedMatrix(const SyntheticBackend& backend, int rows,
 
 // ---------------------------------------------------------------------------
 // The twin schedule: a random interleaving of the train-plane op kinds a
-// live engine performs between serving epochs. Every op ends in a
-// publication — exactly what the train loop does after mutating state — so
-// every op boundary is a legal kill point: the live snapshot, the drained
-// matrix, and the ledgers all agree there, which is the consistency a
+// live fleet performs between serving epochs. Every op ends in a
+// publication — exactly what the train plane does after mutating state — so
+// every op boundary is a legal kill point: the live snapshots, the drained
+// matrices, and the ledgers all agree there, which is the consistency a
 // checkpoint captures.
 // ---------------------------------------------------------------------------
 
@@ -94,48 +111,59 @@ struct TraceEntry {
   bool valid = false;
 };
 
-void ApplyOp(core::ExplorationEngine& engine, const SyntheticBackend& backend,
+void ApplyOp(core::ShardedServingTier& tier, const SyntheticBackend& backend,
              const Op& op, int threads, uint64_t* next_seq,
              std::vector<TraceEntry>* trace) {
   switch (op.kind) {
     case OpKind::kEpoch: {
       const uint64_t begin = *next_seq;
       const uint64_t end = begin + static_cast<uint64_t>(op.arg);
-      engine.ServeEpoch(
-          begin, end, threads,
-          [&backend](int q, int h, uint64_t s) {
-            return backend.ServeLatency(q, h, s);
-          },
-          [trace](uint64_t s, int q, int h, double latency) {
-            (*trace)[s] = {q, h, latency, true};
-          });
+      tier.ServeSchedule(begin, end, threads, ServeFrom(backend),
+                         [trace](uint64_t s, int q, int h, double latency) {
+                           (*trace)[s] = {q, h, latency, true};
+                         });
       *next_seq = end;
       break;
     }
     case OpKind::kObserve: {
-      // One direct train-plane observation (the offline exploration path),
-      // then republish so the serving plane sees it.
-      const int n = engine.matrix().num_queries();
-      const int k = engine.matrix().num_hints();
+      // One direct train-plane observation (the offline exploration path)
+      // on the row's shard, then republish so the serving plane sees it.
+      const int n = tier.num_queries();
+      const int k = tier.num_hints();
       const int q = op.arg % n;
       const int h = 1 + (op.arg / n) % (k - 1);
-      engine.Observe(q, h, backend.TrueLatency(q, h));
-      engine.Publish();
+      core::ExplorationEngine& shard = tier.shard_engine(tier.ShardOfRow(q));
+      shard.Observe(tier.LocalRowOf(q), h, backend.TrueLatency(q, h));
+      shard.Publish();
       break;
     }
     case OpKind::kAppend: {
-      const int first = engine.AppendQueries(op.arg);
+      const int first = tier.AppendQueries(op.arg);
       for (int q = first; q < first + op.arg; ++q) {
-        engine.Observe(q, 0, backend.TrueLatency(q, 0));
+        tier.shard_engine(tier.ShardOfRow(q))
+            .Observe(tier.LocalRowOf(q), 0, backend.TrueLatency(q, 0));
       }
-      engine.Publish();
+      tier.PublishAll();
       break;
     }
     case OpKind::kRefit:
-      engine.SyncEpoch();
+      tier.SyncEpochAll();
       break;
   }
 }
+
+// Per-shard predictors of one ALS configuration (fresh fitted state).
+struct Predictors {
+  std::vector<std::unique_ptr<core::Predictor>> owned;
+  std::vector<core::Predictor*> ptrs;
+  Predictors(int shards, const core::AlsOptions& als) {
+    for (int i = 0; i < shards; ++i) {
+      owned.push_back(std::make_unique<core::CompleterPredictor>(
+          std::make_unique<core::AlsCompleter>(als)));
+      ptrs.push_back(owned.back().get());
+    }
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Kill-and-restore twins: the headline property.
@@ -145,11 +173,12 @@ TEST(KillRestoreTest, RestoredTwinReplaysBitwiseAtEveryThreadCount) {
   proptest::Config config;
   config.runs = 8;
   proptest::Check(
-      "kill-and-restore twin serves bitwise-identically",
+      "kill-and-restore twin fleet serves bitwise-identically",
       [](proptest::Params& p) {
         const int hints = static_cast<int>(p.Int(4, 8));
         const int init_rows = static_cast<int>(p.Int(6, 12));
         int append_budget = static_cast<int>(p.Int(0, 10));
+        const int shards = static_cast<int>(p.Int(1, 3));
         ScenarioSpec spec;
         spec.name = "kill-restore";
         spec.num_queries = init_rows + append_budget;
@@ -159,15 +188,16 @@ TEST(KillRestoreTest, RestoredTwinReplaysBitwiseAtEveryThreadCount) {
         spec.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
         const SyntheticBackend backend(spec);
 
-        core::EngineOptions opts;
+        core::ShardedTierOptions opts;
+        opts.num_shards = shards;
         opts.online.epsilon = p.Double(0.1, 0.4);
         opts.online.min_predicted_ratio = 0.05;
         opts.online.regret_budget_seconds = p.Double(0.5, 10.0);
         opts.online.refresh_every = static_cast<int>(p.Int(6, 24));
         opts.online.publish_every = static_cast<int>(p.Int(4, 12));
         opts.online.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
-        opts.warm_start = p.Bool(0.7);
-        opts.delta_publication = p.Bool(0.8);
+        opts.engine.warm_start = p.Bool(0.7);
+        opts.engine.delta_publication = p.Bool(0.8);
 
         core::AlsOptions als;
         als.rank = static_cast<int>(p.Int(1, 3));
@@ -215,23 +245,22 @@ TEST(KillRestoreTest, RestoredTwinReplaysBitwiseAtEveryThreadCount) {
           total += 16;
         }
 
-        // Reference engine A: lives through the whole schedule, but writes
-        // a checkpoint through the real file format at the kill boundary.
-        auto als_a = std::make_unique<core::AlsCompleter>(als);
-        core::CompleterPredictor pred_a(std::move(als_a));
-        core::ExplorationEngine a(SeedMatrix(backend, init_rows, hints),
-                                  &pred_a, opts);
-        a.SyncEpoch();
+        // Reference fleet A: lives through the whole schedule, but writes
+        // its checkpoints through the real file formats at the kill
+        // boundary.
+        Predictors pred_a(shards, als);
+        core::ShardedServingTier a(SeedMatrix(backend, init_rows, hints),
+                                   pred_a.ptrs, opts);
+        a.SyncEpochAll();
 
-        const std::string path = UniqueCheckpointPath("kill_restore");
+        const std::string dir = UniqueCheckpointDir("kill_restore");
         std::vector<TraceEntry> trace_a(total);
         uint64_t seq_a = 0;
         uint64_t kill_seq = 0;
         for (size_t i = 0; i < ops.size(); ++i) {
           ApplyOp(a, backend, ops[i], /*threads=*/1, &seq_a, &trace_a);
           if (i == static_cast<size_t>(kill_after)) {
-            const Status saved =
-                core::SaveEngineCheckpointToFile(a.MakeCheckpoint(), path);
+            const Status saved = a.SaveCheckpoints(dir);
             if (!saved.ok()) {
               std::fprintf(stderr, "save failed: %s\n",
                            saved.message().c_str());
@@ -241,21 +270,27 @@ TEST(KillRestoreTest, RestoredTwinReplaysBitwiseAtEveryThreadCount) {
           }
         }
 
-        // Twins: fresh engine + fresh completer restored from the file,
-        // replaying the post-kill schedule at several thread counts.
+        // Twins: a fresh fleet + fresh completers restored from the
+        // directory, replaying the post-kill schedule at several thread
+        // counts.
         for (const int threads : {1, 2, 4}) {
-          StatusOr<core::EngineCheckpoint> loaded =
-              core::LoadEngineCheckpointFromFile(path);
-          if (!loaded.ok()) {
-            std::fprintf(stderr, "load failed: %s\n",
-                         loaded.status().message().c_str());
+          Predictors pred_b(shards, als);
+          StatusOr<std::unique_ptr<core::ShardedServingTier>> restored =
+              core::ShardedServingTier::RestoreFromDirectory(dir, pred_b.ptrs,
+                                                             opts);
+          if (!restored.ok()) {
+            std::fprintf(stderr, "restore failed: %s\n",
+                         restored.status().message().c_str());
             return false;
           }
-          auto als_b = std::make_unique<core::AlsCompleter>(als);
-          core::CompleterPredictor pred_b(std::move(als_b));
-          core::ExplorationEngine b(core::WorkloadMatrix(1, hints), &pred_b,
-                                    opts);
-          b.RestoreFromCheckpoint(std::move(*loaded));
+          core::ShardedServingTier& b = **restored;
+          if (b.scheduled_servings() != kill_seq) {
+            std::fprintf(stderr, "twin resumes at %llu, killed at %llu\n",
+                         static_cast<unsigned long long>(
+                             b.scheduled_servings()),
+                         static_cast<unsigned long long>(kill_seq));
+            return false;
+          }
 
           std::vector<TraceEntry> trace_b(total);
           uint64_t seq_b = kill_seq;
@@ -276,14 +311,17 @@ TEST(KillRestoreTest, RestoredTwinReplaysBitwiseAtEveryThreadCount) {
                 ea.hint != eb.hint || ea.latency != eb.latency) {
               std::fprintf(
                   stderr,
-                  "trace diverges at seq %llu (threads=%d): "
+                  "trace diverges at seq %llu (%d shards, threads=%d): "
                   "ref (q=%d h=%d lat=%.17g) twin (q=%d h=%d lat=%.17g)\n",
-                  static_cast<unsigned long long>(s), threads, ea.query,
-                  ea.hint, ea.latency, eb.query, eb.hint, eb.latency);
+                  static_cast<unsigned long long>(s), shards, threads,
+                  ea.query, ea.hint, ea.latency, eb.query, eb.hint,
+                  eb.latency);
               return false;
             }
           }
-          if (!MatricesIdentical(a.matrix(), b.matrix())) return false;
+          if (!MatricesIdentical(a.MergedMatrix(), b.MergedMatrix())) {
+            return false;
+          }
           if (a.regret_spent() != b.regret_spent() ||
               a.explorations() != b.explorations()) {
             std::fprintf(stderr,
@@ -293,7 +331,7 @@ TEST(KillRestoreTest, RestoredTwinReplaysBitwiseAtEveryThreadCount) {
             return false;
           }
         }
-        std::remove(path.c_str());
+        std::filesystem::remove_all(dir);
         return true;
       },
       config);
@@ -314,16 +352,15 @@ TEST(CheckpointFormatTest, SaveLoadSaveIsByteIdentical) {
   als.rank = 2;
   auto completer = std::make_unique<core::AlsCompleter>(als);
   core::CompleterPredictor pred(std::move(completer));
-  core::EngineOptions opts;
+  core::ShardedTierOptions opts;
   opts.online.epsilon = 0.25;
   opts.online.regret_budget_seconds = 4.0;
-  core::ExplorationEngine engine(SeedMatrix(backend, 14, 6), &pred, opts);
+  core::ShardedServingTier tier(SeedMatrix(backend, 14, 6), {&pred}, opts);
+  core::ExplorationEngine& engine = tier.shard_engine(0);
   engine.Observe(3, 2, backend.TrueLatency(3, 2));
   engine.ObserveCensored(5, 4, 0.75);
-  engine.SyncEpoch();
-  engine.ServeEpoch(0, 32, 2, [&backend](int q, int h, uint64_t s) {
-    return backend.ServeLatency(q, h, s);
-  });
+  tier.SyncEpochAll();
+  tier.ServeSchedule(0, 32, 2, ServeFrom(backend));
 
   const core::EngineCheckpoint original = engine.MakeCheckpoint();
   std::ostringstream first;
@@ -348,15 +385,16 @@ TEST(CheckpointRestoreTest, RestoreRewindsServingPlaneAndRepublishes) {
   spec.num_hints = 5;
   spec.seed = 42;
   const SyntheticBackend backend(spec);
-  core::EngineOptions opts;
+  core::ShardedTierOptions opts;
   opts.online.epsilon = 0.2;
-  core::ExplorationEngine a(SeedMatrix(backend, 10, 5), nullptr, opts);
-  a.SyncEpoch();
-  a.ServeEpoch(0, 24, 1, [&backend](int q, int h, uint64_t s) {
-    return backend.ServeLatency(q, h, s);
-  });
+  core::ShardedServingTier tier(SeedMatrix(backend, 10, 5), {}, opts);
+  tier.SyncEpochAll();
+  tier.ServeSchedule(0, 24, 1, ServeFrom(backend));
+  const core::ExplorationEngine& a = tier.shard_engine(0);
 
-  core::ExplorationEngine b(core::WorkloadMatrix(1, 5), nullptr, opts);
+  core::EngineOptions engine_opts;
+  engine_opts.online = opts.online;
+  core::ExplorationEngine b(core::WorkloadMatrix(1, 5), nullptr, engine_opts);
   b.RestoreFromCheckpoint(a.MakeCheckpoint());
   // The serving plane resumes exactly where the drained prefix ended...
   EXPECT_EQ(b.AcquireServingIndex(), 24u);
@@ -481,14 +519,16 @@ TEST(CheckpointRecoveryTest, CorruptedCheckpointIsRejectedWithColdFallback) {
   // The documented recovery: treat "no usable checkpoint" as a cold start.
   // An empty-backend bring-up is legal and grows through AppendQueries.
   if (!truncated.ok()) {
-    core::ExplorationEngine cold(core::WorkloadMatrix(0, 4), nullptr, opts);
+    core::ShardedServingTier cold(core::WorkloadMatrix(0, 4), {},
+                                  core::ShardedTierOptions{});
     EXPECT_EQ(cold.AppendQueries(8), 0);
-    for (int q = 0; q < 8; ++q) cold.Observe(q, 0, backend.TrueLatency(q, 0));
-    cold.SyncEpoch();
-    cold.ServeEpoch(0, 16, 2, [&backend](int q, int h, uint64_t s) {
-      return backend.ServeLatency(q, h, s);
-    });
-    EXPECT_EQ(cold.drained_servings(), 16u);
+    for (int q = 0; q < 8; ++q) {
+      cold.shard_engine(0).Observe(cold.LocalRowOf(q), 0,
+                                   backend.TrueLatency(q, 0));
+    }
+    cold.SyncEpochAll();
+    cold.ServeSchedule(0, 16, 2, ServeFrom(backend));
+    EXPECT_EQ(cold.shard_engine(0).drained_servings(), 16u);
   }
   std::remove(path.c_str());
 }

@@ -141,42 +141,9 @@ TEST(EngineTest, EpsilonZeroAndExhaustedBudgetServeVerifiedOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-edge regressions: empty workloads, shape-stale predictions, and
-// version-counter consistency.
+// Engine-edge regressions: shape-stale predictions and version-counter
+// consistency.
 // ---------------------------------------------------------------------------
-
-TEST(EngineTest, ServeEpochOnAnEmptyWorkloadIsANoOpBarrier) {
-  // A zero-row matrix is a legal workload (rows arrive via AppendQueries);
-  // ServeEpoch used to compute s % 0 on it. The guarded path must execute
-  // nothing while still running the epoch barrier.
-  ExplorationEngine engine(WorkloadMatrix(0, 4));
-  const uint64_t v0 = engine.snapshot_version();
-  engine.ServeEpoch(0, 64, 2, [](int, int, uint64_t) -> double {
-    ADD_FAILURE() << "no serving should execute on an empty workload";
-    return 0.0;
-  });
-  EXPECT_EQ(engine.drained_servings(), 0u);
-  EXPECT_GT(engine.snapshot_version(), v0);  // the barrier still published
-
-  // Once rows exist the same engine serves normally.
-  engine.AppendQueries(4);
-  for (int q = 0; q < 4; ++q) engine.Observe(q, 0, 1.0 + q);
-  engine.Publish();
-  engine.ServeEpoch(0, 8, 2,
-                    [](int, int, uint64_t) -> double { return 1.0; });
-  EXPECT_EQ(engine.drained_servings(), 8u);
-}
-
-TEST(EngineTest, ServeEpochEmptyRangeRunsOnlyTheBarrier) {
-  ExplorationEngine engine(MakeMatrix(5, 3, 0.2, 21));
-  const uint64_t v0 = engine.snapshot_version();
-  engine.ServeEpoch(7, 7, 3, [](int, int, uint64_t) -> double {
-    ADD_FAILURE() << "empty range must not serve";
-    return 0.0;
-  });
-  EXPECT_EQ(engine.drained_servings(), 0u);
-  EXPECT_GT(engine.snapshot_version(), v0);
-}
 
 /// A predictor whose output shape is decoupled from the input matrix, to
 /// reproduce shape-stale predictions.
@@ -493,33 +460,6 @@ TEST(EngineTest, ConcurrentServingDrainsEveryObservationExactlyOnce) {
   }
   // Exploration actually happened and was accounted.
   EXPECT_GT(engine.explorations(), 0);
-}
-
-TEST(EngineTest, ServeEpochHandlesRangesLargerThanTheQueue) {
-  // An epoch wider than the observation queue must not deadlock: ServeEpoch
-  // chunks the range to the queue capacity and drains between chunks,
-  // deciding everything on the one epoch snapshot.
-  scenarios::ScenarioSpec spec;
-  spec.num_queries = 10;
-  spec.num_hints = 4;
-  spec.noise_sigma = 0.0;
-  spec.seed = 13;
-  scenarios::SyntheticBackend backend(spec);
-  WorkloadMatrix w(spec.num_queries, spec.num_hints);
-  for (int q = 0; q < spec.num_queries; ++q) {
-    w.Observe(q, 0, backend.TrueLatency(q, 0));
-  }
-  EngineOptions options;
-  options.queue_capacity = 64;  // rounded-up minimum
-  options.online.epsilon = 0.5;
-  options.online.min_predicted_ratio = 0.0;
-  options.online.regret_budget_seconds = 1e9;
-  ExplorationEngine engine(std::move(w), nullptr, options);
-  constexpr uint64_t kServings = 1000;  // ~16 queue laps
-  engine.ServeEpoch(0, kServings, 2, [&](int q, int hint, uint64_t seq) {
-    return backend.ServeLatency(q, hint, seq);
-  });
-  EXPECT_EQ(engine.drained_servings(), kServings);
 }
 
 // ---------------------------------------------------------------------------

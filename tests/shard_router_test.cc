@@ -489,6 +489,87 @@ TEST(TierCheckpointTest, CorruptManifestIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// ServeSchedule edges: an empty tier, an empty range, and epochs wider than
+// the shard queues.
+// ---------------------------------------------------------------------------
+
+TEST(ServeScheduleTest, EmptyTierIsANoOpBarrier) {
+  // A zero-row fleet is legal (rows arrive via AppendQueries); the
+  // round-robin map s % 0 must never run, but the epoch barrier still does.
+  core::ShardedServingTier tier(core::WorkloadMatrix(0, 4), {},
+                                core::ShardedTierOptions{});
+  const uint64_t v0 = tier.shard_engine(0).snapshot_version();
+  tier.ServeSchedule(0, 64, 2, [](int, int, uint64_t) -> core::ServedOutcome {
+    ADD_FAILURE() << "no serving should execute on an empty tier";
+    return {};
+  });
+  EXPECT_EQ(tier.scheduled_servings(), 0u);
+  EXPECT_EQ(tier.shard_engine(0).drained_servings(), 0u);
+  EXPECT_GT(tier.shard_engine(0).snapshot_version(), v0);  // barrier ran
+
+  // Once rows exist the same tier serves normally.
+  EXPECT_EQ(tier.AppendQueries(4), 0);
+  for (int q = 0; q < 4; ++q) {
+    tier.shard_engine(0).Observe(tier.LocalRowOf(q), 0, 1.0 + q);
+  }
+  tier.PublishAll();
+  tier.ServeSchedule(0, 8, 2, [](int, int chosen, uint64_t) {
+    return core::ServedOutcome{chosen, 1.0};
+  });
+  EXPECT_EQ(tier.scheduled_servings(), 8u);
+  EXPECT_EQ(tier.shard_engine(0).drained_servings(), 8u);
+}
+
+TEST(ServeScheduleTest, EmptyRangeRunsOnlyTheBarrier) {
+  TierFixture fx(/*rows=*/5, /*hints=*/3, /*shards=*/2, /*seed=*/21);
+  std::vector<uint64_t> v0;
+  for (int i = 0; i < 2; ++i) {
+    v0.push_back(fx.tier->shard_engine(i).snapshot_version());
+  }
+  fx.tier->ServeSchedule(7, 7, 3,
+                         [](int, int, uint64_t) -> core::ServedOutcome {
+                           ADD_FAILURE() << "empty range must not serve";
+                           return {};
+                         });
+  EXPECT_EQ(fx.tier->scheduled_servings(), 0u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(fx.tier->shard_engine(i).drained_servings(), 0u);
+    EXPECT_GT(fx.tier->shard_engine(i).snapshot_version(), v0[i]);
+  }
+}
+
+TEST(ServeScheduleTest, HandlesRangesWiderThanTheQueue) {
+  // An epoch wider than a shard queue must not deadlock: ServeSchedule
+  // chunks the range to the smallest queue and drains between chunks,
+  // deciding everything on the entry snapshots.
+  ScenarioSpec spec;
+  spec.num_queries = 10;
+  spec.num_hints = 4;
+  spec.noise_sigma = 0.0;
+  spec.seed = 13;
+  const SyntheticBackend backend(spec);
+  core::WorkloadMatrix w(spec.num_queries, spec.num_hints);
+  for (int q = 0; q < spec.num_queries; ++q) {
+    w.Observe(q, 0, backend.TrueLatency(q, 0));
+  }
+  core::ShardedTierOptions options;
+  options.num_shards = 2;
+  options.engine.queue_capacity = 64;  // rounded-up minimum
+  options.online.epsilon = 0.5;
+  options.online.min_predicted_ratio = 0.0;
+  options.online.regret_budget_seconds = 1e9;
+  core::ShardedServingTier tier(w, {}, options);
+  constexpr uint64_t kServings = 1000;  // ~16 queue laps
+  tier.ServeSchedule(0, kServings, 2, [&](int q, int hint, uint64_t seq) {
+    return core::ServedOutcome{hint, backend.ServeLatency(q, hint, seq)};
+  });
+  EXPECT_EQ(tier.scheduled_servings(), kServings);
+  EXPECT_EQ(tier.shard_engine(0).drained_servings() +
+                tier.shard_engine(1).drained_servings(),
+            kServings);
+}
+
+// ---------------------------------------------------------------------------
 // Growth and rebalancing smoke: AppendQueries routes new rows by the same
 // hash, RebalanceHotShards converges to the advertised bound, and the
 // fleet ledgers survive migration exactly.

@@ -10,6 +10,10 @@
 //   # Continue where the previous run left off.
 //   limeqo_sim --workload=ceb --scale=0.2 --policy=limeqo --budget=0.5 \
 //              --load=ceb_matrix.txt --save=ceb_matrix.txt
+//   # Explore, then serve through the sharded tier with fleet checkpoints;
+//   # a later run restores the fleet, explores on, and keeps serving.
+//   limeqo_sim --workload=ceb --budget=0.5 --serve=50000 --checkpoint-dir=ck
+//   limeqo_sim --workload=ceb --budget=0.2 --serve=50000 --restore=ck
 
 #include <algorithm>
 #include <atomic>
@@ -53,23 +57,26 @@ struct Args {
   /// merged trace is identical at any thread count).
   int serve_threads = 1;
   /// Shard the serving phase across N engines behind the deterministic
-  /// router (0 = bare engine). At 1 shard the tier serves the bare
-  /// engine's trace bitwise; with --checkpoint-dir each epoch writes
-  /// per-shard checkpoints plus a tier manifest, and --restore=DIR
-  /// reassembles the fleet from them.
-  int shards = 0;
+  /// router (>= 1). With --checkpoint-dir the tier writes per-shard
+  /// checkpoints plus a tier manifest, and --restore=DIR reassembles the
+  /// fleet from them.
+  int shards = 1;
   /// Drive the sharded tier's epoch barriers through the shared
   /// TrainExecutor (one prioritized worker pool for the whole fleet)
-  /// instead of the serial per-shard loop. Requires --shards >= 1; the
-  /// merged trace is bitwise unchanged.
+  /// instead of the serial per-shard loop; the merged trace is bitwise
+  /// unchanged.
   bool shared_train = false;
-  /// Directory for crash-consistent engine checkpoints: one is written
-  /// after exploration and after every serving epoch (atomic temp + fsync
-  /// + rename, so a kill at any instant leaves a loadable file).
+  /// Directory for crash-consistent tier checkpoints (`shard-<i>.ckpt`
+  /// per shard plus `tier.manifest`): written once as soon as the serving
+  /// tier is published and again after every serving epoch (atomic temp +
+  /// fsync + rename, so a kill at any instant leaves a loadable set).
+  /// Requires --serve > 0.
   std::string checkpoint_dir;
-  /// Warm-restart from an engine checkpoint written by --checkpoint-dir.
-  /// An unusable checkpoint (truncated, corrupted, wrong shape) is
-  /// reported and the run falls back to a cold start.
+  /// Warm-restart the serving fleet from a --checkpoint-dir directory.
+  /// The fleet is restored first and exploration continues from its
+  /// merged matrix. An unusable directory (missing, truncated or
+  /// corrupted files, wrong shape) is reported and the run falls back to
+  /// a cold start. Requires --serve > 0; excludes --load.
   std::string restore;
   /// Fault world for the serving phase (see FaultWorlds(): none, flaky,
   /// spiky, storms, chaos). Failed servings retry up to --max-retries
@@ -93,19 +100,20 @@ void Usage() {
       "                  [--serve=N]    online servings after exploring\n"
       "                  [--serve-threads=T]  serving threads (default 1)\n"
       "                  [--shared-train]  one shared train-plane executor\n"
-      "                                 for the fleet (requires --shards)\n"
-      "                  [--shards=N]   shard serving across N engines behind\n"
-      "                                 the deterministic router (default 0 =\n"
-      "                                 bare engine)\n"
+      "                                 for the fleet\n"
+      "                  [--shards=N]   shard serving across N >= 1 engines\n"
+      "                                 behind the deterministic router\n"
+      "                                 (default 1)\n"
       "                  [--checkpoint-dir=DIR]  write crash-consistent\n"
-      "                                 engine checkpoints to DIR/engine.ckpt\n"
-      "                                 (with --shards: DIR/shard-<i>.ckpt per\n"
-      "                                 shard plus DIR/tier.manifest)\n"
-      "                  [--restore=PATH]  warm-restart from a checkpoint\n"
-      "                                 (with --shards: PATH is the checkpoint\n"
-      "                                 directory; the tier manifest is\n"
-      "                                 authoritative for the shard count)\n"
-      "                                 (falls back to cold start if unusable)\n"
+      "                                 checkpoints: DIR/shard-<i>.ckpt per\n"
+      "                                 shard plus DIR/tier.manifest\n"
+      "                                 (requires --serve)\n"
+      "                  [--restore=DIR]  warm-restart the fleet from a\n"
+      "                                 checkpoint directory, then explore\n"
+      "                                 from its matrix (requires --serve,\n"
+      "                                 excludes --load; --shards must match\n"
+      "                                 the run that wrote it; falls back to\n"
+      "                                 a cold start if unusable)\n"
       "                  [--faults=W]   serving fault world: none|flaky|\n"
       "                                 spiky|storms|chaos\n"
       "                  [--max-retries=N]  serving retries before degrading\n"
@@ -157,7 +165,49 @@ bool Parse(int argc, char** argv, Args* args) {
       return false;
     }
   }
+  if (args->shards < 1) {
+    std::fprintf(stderr, "--shards must be >= 1\n");
+    return false;
+  }
+  if ((!args->checkpoint_dir.empty() || !args->restore.empty()) &&
+      args->serve <= 0) {
+    std::fprintf(stderr, "--checkpoint-dir and --restore need --serve > 0\n");
+    return false;
+  }
+  if (!args->load.empty() && !args->restore.empty()) {
+    std::fprintf(stderr,
+                 "--load and --restore both set the starting matrix; pick "
+                 "one\n");
+    return false;
+  }
   return true;
+}
+
+// Replays every cell where `explored` differs from the fleet's merged
+// matrix into the shard that holds its row, so a restored fleet serves
+// from what this run's exploration observed. Clearing first makes the
+// replay exact for any transition (Observe and ObserveCensored alone
+// cannot lower a censoring bound).
+void ReplayExploration(const core::WorkloadMatrix& explored,
+                       core::ShardedServingTier* tier) {
+  const core::WorkloadMatrix fleet = tier->MergedMatrix();
+  for (int q = 0; q < explored.num_queries(); ++q) {
+    core::ExplorationEngine& shard = tier->shard_engine(tier->ShardOfRow(q));
+    const int local = tier->LocalRowOf(q);
+    for (int j = 0; j < explored.num_hints(); ++j) {
+      const core::CellState state = explored.state(q, j);
+      if (state == fleet.state(q, j) &&
+          explored.values()(q, j) == fleet.values()(q, j)) {
+        continue;
+      }
+      shard.Clear(local, j);
+      if (state == core::CellState::kComplete) {
+        shard.Observe(local, j, explored.values()(q, j));
+      } else if (state == core::CellState::kCensored) {
+        shard.ObserveCensored(local, j, explored.timeout(q, j));
+      }
+    }
+  }
 }
 
 StatusOr<workloads::WorkloadId> ParseWorkload(const std::string& name) {
@@ -232,38 +282,58 @@ int Run(const Args& args) {
       return 2;
     }
   }
-  const std::string checkpoint_path =
-      args.checkpoint_dir.empty() || args.shards >= 1
-          ? std::string()
-          : args.checkpoint_dir + "/engine.ckpt";
 
-  // A sharded --restore names the checkpoint *directory* and reassembles
-  // the fleet in the serving phase below; the bare path restores the
-  // single engine checkpoint here.
-  if (!args.restore.empty() && args.shards <= 0) {
-    StatusOr<core::EngineCheckpoint> ckpt =
-        core::LoadEngineCheckpointFromFile(args.restore);
-    if (!ckpt.ok()) {
+  // The serving tier: N engines behind the deterministic router, built
+  // once exploration is done (or restored before it, see --restore).
+  const int threads = std::max(1, args.serve_threads);
+  core::AlsOptions als;
+  als.convergence_tol = 1e-3;  // warm-started refreshes stop early
+  core::OnlineExplorationOptions online;
+  online.epsilon = 0.1;
+  online.min_predicted_ratio = 0.05;
+  online.regret_budget_seconds = 0.02 * db->DefaultTotal();
+  online.seed = args.seed;
+  core::ShardedTierOptions tier_options;
+  tier_options.num_shards = args.shards;
+  tier_options.online = online;
+  tier_options.shared_train_plane = args.shared_train;
+  tier_options.executor.workers = threads;
+  std::vector<std::unique_ptr<core::Predictor>> predictors;
+  std::vector<core::Predictor*> predictor_ptrs;
+  for (int i = 0; i < args.shards; ++i) {
+    predictors.push_back(std::make_unique<core::CompleterPredictor>(
+        std::make_unique<core::AlsCompleter>(als)));
+    predictor_ptrs.push_back(predictors.back().get());
+  }
+
+  // A restored fleet is reassembled before exploring: its merged matrix is
+  // the starting matrix (as with --load), and the cells exploration then
+  // changes are replayed into the shards below.
+  std::unique_ptr<core::ShardedServingTier> tier;
+  if (!args.restore.empty()) {
+    StatusOr<std::unique_ptr<core::ShardedServingTier>> restored =
+        core::ShardedServingTier::RestoreFromDirectory(
+            args.restore, predictor_ptrs, tier_options);
+    if (!restored.ok()) {
       // The documented recovery: any unusable checkpoint means cold start.
-      std::fprintf(stderr,
-                   "checkpoint unusable (%s); starting cold instead\n",
-                   ckpt.status().ToString().c_str());
-    } else if (ckpt->matrix.num_queries() != db->num_queries() ||
-               ckpt->matrix.num_hints() != db->num_hints()) {
+      std::fprintf(stderr, "tier checkpoints unusable (%s); starting cold\n",
+                   restored.status().ToString().c_str());
+    } else if ((*restored)->num_queries() != db->num_queries() ||
+               (*restored)->num_hints() != db->num_hints()) {
       std::fprintf(stderr,
                    "checkpoint shape %dx%d does not match workload %dx%d "
                    "(same --workload/--scale/--seed?); starting cold\n",
-                   ckpt->matrix.num_queries(), ckpt->matrix.num_hints(),
+                   (*restored)->num_queries(), (*restored)->num_hints(),
                    db->num_queries(), db->num_hints());
     } else {
+      tier = std::move(*restored);
+      explorer.LoadMatrix(tier->MergedMatrix());
       std::printf(
-          "warm restart from %s: %d complete / %d censored cells, serving "
-          "seq %llu, regret spent %.2f s\n",
-          args.restore.c_str(), ckpt->matrix.NumComplete(),
-          ckpt->matrix.NumCensored(),
-          static_cast<unsigned long long>(ckpt->serving_seq),
-          ckpt->regret_spent);
-      explorer.engine().RestoreFromCheckpoint(std::move(*ckpt));
+          "fleet restart from %s: %d shards, %d rows, serving seq %llu, "
+          "regret spent %.2f s\n",
+          args.restore.c_str(), tier->num_shards(), tier->num_queries(),
+          static_cast<unsigned long long>(tier->scheduled_servings()),
+          tier->regret_spent());
     }
   }
 
@@ -291,14 +361,6 @@ int Run(const Args& args) {
 
   const double before = explorer.WorkloadLatency();
   explorer.Explore(args.budget * db->DefaultTotal());
-  if (!checkpoint_path.empty()) {
-    Status st = core::SaveEngineCheckpointToFile(
-        explorer.engine().MakeCheckpoint(), checkpoint_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "checkpoint failed: %s\n", st.ToString().c_str());
-      return 2;
-    }
-  }
   std::printf(
       "%s on %s (n=%d): %.0f s -> %.0f s of %.0f s default (optimal %.0f "
       "s)\n"
@@ -308,156 +370,37 @@ int Run(const Args& args) {
       db->OptimalTotal(), explorer.offline_seconds(),
       explorer.overhead_seconds());
 
-  // ---- Online serving phase (the engine's concurrent serving plane) ----
-  if (args.serve > 0 && args.shards >= 1) {
-    // Sharded serving tier: N engines behind the deterministic router.
-    // Decisions stay keyed by global serving index, so at --shards=1 the
-    // tier serves the bare engine's trace bitwise.
-    const int threads = std::max(1, args.serve_threads);
-    core::AlsOptions als;
-    als.convergence_tol = 1e-3;
-    core::OnlineExplorationOptions online;
-    online.epsilon = 0.1;
-    online.min_predicted_ratio = 0.05;
-    online.regret_budget_seconds = 0.02 * db->DefaultTotal();
-    online.seed = args.seed;
-    core::ShardedTierOptions tier_options;
-    tier_options.num_shards = args.shards;
-    tier_options.online = online;
-    tier_options.shared_train_plane = args.shared_train;
-    tier_options.executor.workers = std::max(1, args.serve_threads);
-
-    std::vector<std::unique_ptr<core::Predictor>> predictors;
-    std::vector<core::Predictor*> predictor_ptrs;
-    auto make_predictors = [&](int count) {
-      predictors.clear();
-      predictor_ptrs.clear();
-      for (int i = 0; i < count; ++i) {
-        predictors.push_back(std::make_unique<core::CompleterPredictor>(
-            std::make_unique<core::AlsCompleter>(als)));
-        predictor_ptrs.push_back(predictors.back().get());
-      }
-    };
-
-    std::unique_ptr<core::ShardedServingTier> tier;
-    if (!args.restore.empty()) {
-      // The tier manifest is authoritative for the shard count and the
-      // row->shard assignment; --shards only shapes a cold start.
-      make_predictors(args.shards);
-      StatusOr<std::unique_ptr<core::ShardedServingTier>> restored =
-          core::ShardedServingTier::RestoreFromDirectory(
-              args.restore, predictor_ptrs, tier_options);
-      if (restored.ok()) {
-        tier = std::move(*restored);
-        std::printf(
-            "fleet restart from %s: %d shards, %d rows, serving seq %llu, "
-            "regret spent %.2f s\n",
-            args.restore.c_str(), tier->num_shards(), tier->num_queries(),
-            static_cast<unsigned long long>(tier->scheduled_servings()),
-            tier->regret_spent());
-      } else {
-        std::fprintf(stderr,
-                     "tier checkpoints unusable (%s); starting cold\n",
-                     restored.status().ToString().c_str());
-      }
-    }
-    if (tier == nullptr) {
-      make_predictors(args.shards);
+  // ---- Online serving phase (the tier's concurrent serving plane) ----
+  if (args.serve > 0) {
+    if (tier != nullptr) {
+      ReplayExploration(explorer.matrix(), tier.get());
+    } else {
       tier = std::make_unique<core::ShardedServingTier>(
           explorer.matrix(), predictor_ptrs, tier_options);
     }
     tier->RefreshAll(/*force=*/true);
     tier->PublishAll();
-
-    const double before_serving = explorer.WorkloadLatency();
-    const auto t0 = std::chrono::steady_clock::now();
-    const int epoch_len = online.refresh_every;
-    const uint64_t base = tier->scheduled_servings();
-    std::atomic<long> serve_failures{0};
-    std::atomic<long> serve_fallbacks{0};
-    const auto resolve = [&](int q, int chosen,
-                             uint64_t seq) -> core::ServedOutcome {
-      core::ServedOutcome out;
-      out.hint = chosen;
-      for (int attempt = 0;; ++attempt) {
-        if (!scenarios::FaultyBackend::AttemptFails(fault_spec, q, out.hint,
-                                                    seq, attempt)) {
-          break;
-        }
-        serve_failures.fetch_add(1, std::memory_order_relaxed);
-        if (attempt >= args.max_retries) {
-          out.hint = 0;
-          out.degraded = true;
-          serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
+    // Every checkpoint is taken at a fleet-wide op boundary (here, and
+    // after each epoch barrier): every shard's checkpoint and the tier
+    // manifest agree, so RestoreFromDirectory reassembles a fleet that
+    // continues bitwise (tests/shard_router_test.cc).
+    const auto checkpoint = [&]() -> bool {
+      if (args.checkpoint_dir.empty()) return true;
+      const Status st = tier->SaveCheckpoints(args.checkpoint_dir);
+      if (!st.ok()) {
+        std::fprintf(stderr, "tier checkpoint failed: %s\n",
+                     st.ToString().c_str());
       }
-      out.latency = db->TrueLatency(q, out.hint);
-      return out;
+      return st.ok();
     };
-    for (uint64_t epoch = base; epoch < base + args.serve;
-         epoch += epoch_len) {
-      const uint64_t end =
-          std::min<uint64_t>(base + args.serve, epoch + epoch_len);
-      tier->ServeSchedule(epoch, end, threads, resolve);
-      if (!args.checkpoint_dir.empty()) {
-        // Epoch boundaries are fleet-wide op boundaries: every shard's
-        // checkpoint and the tier manifest agree, so RestoreFromDirectory
-        // reassembles a fleet that continues bitwise
-        // (tests/shard_router_test.cc).
-        Status st = tier->SaveCheckpoints(args.checkpoint_dir);
-        if (!st.ok()) {
-          std::fprintf(stderr, "tier checkpoint failed: %s\n",
-                       st.ToString().c_str());
-          return 2;
-        }
-      }
-    }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    // Fold the merged reassembly back into the explorer so the final
-    // latency report and --save reflect what the fleet observed.
-    explorer.LoadMatrix(tier->MergedMatrix());
-    std::printf(
-        "served %d queries across %d shard(s) on %d thread(s) in %.3f s "
-        "(%.0f servings/s)\n"
-        "  workload latency %.0f s -> %.0f s, explorations: %d, regret "
-        "spent: %.2f / %.2f s\n",
-        args.serve, tier->num_shards(), threads, wall,
-        args.serve / std::max(wall, 1e-9), before_serving,
-        explorer.WorkloadLatency(), tier->explorations(),
-        tier->regret_spent(), online.regret_budget_seconds);
-    if (fault_spec.any()) {
-      std::printf(
-          "  fault world '%s': %ld failed serving attempts, %ld degraded "
-          "to the default hint\n",
-          fault_spec.name.c_str(), serve_failures.load(),
-          serve_fallbacks.load());
-    }
-  } else if (args.serve > 0) {
-    const int threads = std::max(1, args.serve_threads);
-    core::AlsOptions als;
-    als.convergence_tol = 1e-3;  // warm-started refreshes stop early
-    core::CompleterPredictor predictor(
-        std::make_unique<core::AlsCompleter>(als));
-    core::ExplorationEngine& engine = explorer.engine();
-    engine.SetPredictor(&predictor);
-    core::OnlineExplorationOptions online;
-    online.epsilon = 0.1;
-    online.min_predicted_ratio = 0.05;
-    online.regret_budget_seconds = 0.02 * db->DefaultTotal();
-    online.seed = args.seed;
-    engine.ConfigureServing(online);
-    engine.RefreshPredictions(/*force=*/true);
-    engine.Publish();
+    if (!checkpoint()) return 2;
 
     const double before_serving = explorer.WorkloadLatency();
     const auto t0 = std::chrono::steady_clock::now();
     const int epoch_len = online.refresh_every;
     // A warm restart resumes the serving sequence where the checkpoint
-    // left off; a fresh engine starts at 0.
-    const uint64_t base = engine.drained_servings();
+    // left off; a fresh tier starts at 0.
+    const uint64_t base = tier->scheduled_servings();
     // Serving faults retry up to max_retries attempts, then degrade to the
     // default hint — reported non-exploratory with zero regret, so fault
     // cost never touches the exploration ledger. The counters are atomics
@@ -490,30 +433,24 @@ int Run(const Args& args) {
          epoch += epoch_len) {
       const uint64_t end =
           std::min<uint64_t>(base + args.serve, epoch + epoch_len);
-      engine.ServeEpochResolved(epoch, end, threads, resolve);
-      if (!checkpoint_path.empty()) {
-        // Epoch boundaries are op boundaries: the drained matrix, the
-        // ledger, and the published snapshot agree, so the checkpoint is
-        // warm-restartable bitwise (tests/engine_checkpoint_test.cc).
-        Status st = core::SaveEngineCheckpointToFile(engine.MakeCheckpoint(),
-                                                     checkpoint_path);
-        if (!st.ok()) {
-          std::fprintf(stderr, "checkpoint failed: %s\n",
-                       st.ToString().c_str());
-          return 2;
-        }
-      }
+      tier->ServeSchedule(epoch, end, threads, resolve);
+      if (!checkpoint()) return 2;
     }
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    // Fold the merged reassembly back into the explorer so the final
+    // latency report and --save reflect what the fleet observed.
+    explorer.LoadMatrix(tier->MergedMatrix());
     std::printf(
-        "served %d queries on %d thread(s) in %.3f s (%.0f servings/s)\n"
+        "served %d queries across %d shard(s) on %d thread(s) in %.3f s "
+        "(%.0f servings/s)\n"
         "  workload latency %.0f s -> %.0f s, explorations: %d, regret "
         "spent: %.2f / %.2f s\n",
-        args.serve, threads, wall, args.serve / std::max(wall, 1e-9),
-        before_serving, explorer.WorkloadLatency(), engine.explorations(),
-        engine.regret_spent(), online.regret_budget_seconds);
+        args.serve, tier->num_shards(), threads, wall,
+        args.serve / std::max(wall, 1e-9), before_serving,
+        explorer.WorkloadLatency(), tier->explorations(),
+        tier->regret_spent(), online.regret_budget_seconds);
     if (fault_spec.any()) {
       std::printf(
           "  fault world '%s': %ld failed serving attempts, %ld degraded "
@@ -521,8 +458,6 @@ int Run(const Args& args) {
           fault_spec.name.c_str(), serve_failures.load(),
           serve_fallbacks.load());
     }
-    // The predictor is block-scoped; detach it before it goes away.
-    engine.SetPredictor(nullptr);
   }
 
   if (!args.save.empty()) {
