@@ -181,7 +181,7 @@ double MeasureServing(const scenarios::ScenarioSpec& spec, int threads,
 /// tools/check_bench_regression.py; shared_train_s4 vs sharded s4r4 is
 /// the executor's win over the oversubscribed thread-per-shard plane.
 /// *refit_ns_out receives the fleet-mean fitting time per completed refit
-/// (ExplorationEngine::refit_nanos, refit yields excluded),
+/// (ExplorationEngine::refit_nanos),
 /// *refits_out the fleet refit count.
 double MeasureShardedServing(const scenarios::ScenarioSpec& spec, int shards,
                              int refit_threads, bool shared_train,
@@ -313,14 +313,16 @@ double MeasureDecisionCost(core::ExplorationEngine& engine, int threads,
          (static_cast<double>(decisions_per_thread) * threads) * 1e9;
 }
 
-/// Publication cost as a function of matrix rows, full-copy vs base+delta.
-/// Each measured publication is preceded by kDirtyRowsPerPublication
-/// observations on random rows — the steady-state shape of the free-running
-/// train loop between refits. With `delta` the engine ships only those rows
-/// as an overlay; without it every Publish rebuilds the O(n*k) base.
-constexpr int kDirtyRowsPerPublication = 32;
+/// Publication cost as a function of matrix rows, in the steady state of
+/// the free-running train loop between refits: each cycle folds
+/// kObservationsPerPublication observations on random rows into the
+/// snapshot chunks (Observe, timed as *fold_ns_out per observation), then
+/// publishes (timed as the return value, ns per publication). Nothing is
+/// reset between cycles, so every cost that accumulates across
+/// publications — chunk copies, recycled-buffer reuse — is in the numbers.
+constexpr int kObservationsPerPublication = 32;
 
-double MeasurePublication(int n, int k, bool delta) {
+double MeasurePublication(int n, int k, double* fold_ns_out) {
   core::WorkloadMatrix w(n, k);
   Rng fill(1234);
   for (int q = 0; q < n; ++q) {
@@ -328,34 +330,29 @@ double MeasurePublication(int n, int k, bool delta) {
     w.Observe(q, 1 + static_cast<int>(fill.NextUint64Below(k - 1)),
               fill.Uniform(0.05, 10.0));
   }
-  core::EngineOptions options;
-  options.delta_publication = delta;
-  core::ExplorationEngine engine(std::move(w), nullptr, options);
-  engine.Publish();  // settle the base before timing
+  core::ExplorationEngine engine(std::move(w), nullptr);
 
   Rng rng(5678);
   const int reps =
-      std::max(8, static_cast<int>(2'000'000 / static_cast<long>(n)));
-  double timed = 0.0;
+      std::max(64, static_cast<int>(2'000'000 / static_cast<long>(n)));
+  double publish_s = 0.0;
+  double fold_s = 0.0;
   for (int rep = 0; rep < reps; ++rep) {
-    // Untimed setup: dirty exactly kDirtyRowsPerPublication rows, so the
-    // timed Publish below carries exactly that overlay (the refresh-cycle
-    // steady state, where each refit folds the overlay into a new base).
-    for (int d = 0; d < kDirtyRowsPerPublication; ++d) {
+    const double t0 = WallSeconds();
+    for (int d = 0; d < kObservationsPerPublication; ++d) {
       engine.Observe(static_cast<int>(rng.NextUint64Below(n)),
                      1 + static_cast<int>(rng.NextUint64Below(k - 1)),
                      rng.Uniform(0.05, 10.0));
     }
-    const double t0 = WallSeconds();
+    const double t1 = WallSeconds();
     engine.Publish();
-    timed += WallSeconds() - t0;
-    if (delta) {
-      // Untimed: rebuild the base (as the refit would) so the next rep's
-      // overlay starts empty instead of accumulating across reps.
-      engine.ResetMatrix(engine.matrix());
-    }
+    const double t2 = WallSeconds();
+    fold_s += t1 - t0;
+    publish_s += t2 - t1;
   }
-  return timed / reps * 1e9;
+  *fold_ns_out = fold_s / (static_cast<double>(reps) *
+                           kObservationsPerPublication) * 1e9;
+  return publish_s / reps * 1e9;
 }
 
 /// Checkpoint write cost vs matrix rows: one MakeCheckpoint +
@@ -474,7 +471,7 @@ int Main(int argc, char** argv) {
       JsonPathFromArgs(argc, argv, "BENCH_serving.json");
   PrintBanner("bench_serving",
               "lock-free serving plane: servings/sec vs serving threads, "
-              "snapshot staleness, publication cost full vs delta",
+              "snapshot staleness, steady-state publication and fold cost",
               "200-query synthetic world, warm-started ALS train plane");
 
   scenarios::ScenarioSpec spec;
@@ -584,21 +581,23 @@ int Main(int argc, char** argv) {
     std::printf("    (checksum %ld)\n", checksum);
   }
 
-  // Publication cost vs n (k fixed at 16): the ROADMAP's 10^5-query-scale
-  // blocker. Delta publication pays O(dirty rows * k) per publication plus
-  // the shared-base pointer; the full rebuild pays O(n*k). The "threads"
-  // slot of the record carries log10(n) so the sweep is self-describing in
-  // the JSON.
-  std::printf("\n  publication cost (32 dirty rows per publication, k=16):\n");
+  // Publication cost vs n (k fixed at 16): a publication copies the
+  // chunk-pointer vector (n / 256 entries); the fold keeps each touched
+  // row current in O(1), paying a chunk copy on the first write to a chunk
+  // after a publication. The "threads" slot of the record carries
+  // log10(n) so the sweep is self-describing in the JSON.
+  std::printf("\n  publication cost (%d observations per publication, "
+              "k=16):\n",
+              kObservationsPerPublication);
   for (int n : {1000, 10000, 100000}) {
-    const double full_ns = MeasurePublication(n, 16, /*delta=*/false);
-    const double delta_ns = MeasurePublication(n, 16, /*delta=*/true);
+    double fold_ns = 0.0;
+    const double publish_ns = MeasurePublication(n, 16, &fold_ns);
     const int log10n = n >= 100000 ? 5 : (n >= 10000 ? 4 : 3);
-    reporter.Report("publish_full_ns", full_ns, 1, log10n);
-    reporter.Report("publish_delta_ns", delta_ns, 1, log10n);
-    std::printf("    n=%6d: full %10.0f ns/publish, delta %8.0f ns/publish "
-                "(%.1fx)\n",
-                n, full_ns, delta_ns, full_ns / delta_ns);
+    reporter.Report("publish_ns", publish_ns, 1, log10n);
+    reporter.Report("fold_ns_per_observation", fold_ns,
+                    kObservationsPerPublication, log10n);
+    std::printf("    n=%6d: %8.0f ns/publish, %6.1f ns/observation fold\n",
+                n, publish_ns, fold_ns);
   }
 
   // Checkpoint write cost vs n (k=16): the train loop's per-cadence price

@@ -95,6 +95,8 @@ class CAPABILITY("mutex") Mutex {
 
   /// Acquires the mutex (annotated; prefer MutexLock for scoped use).
   void Lock() ACQUIRE() { raw_.lock(); }
+  /// Acquires the mutex if it is free; returns whether it did.
+  bool TryLock() TRY_ACQUIRE(true) { return raw_.try_lock(); }
   /// Releases the mutex.
   void Unlock() RELEASE() { raw_.unlock(); }
 

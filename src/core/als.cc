@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -356,8 +355,8 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
 
   // Set-up is done: from here on the fit reads only the cell list, the
   // biases and the factors, never `w` — the yield contract of
-  // RefitYieldPoint (completer.h). Every yield below sits on the calling
-  // thread between passes, outside any ParallelFor body.
+  // RefitYieldPoint (completer.h). The train plane releases its drain lock
+  // here, so the caller may write to `w` while the sweeps run.
   RefitYieldPoint();
 
   // The alternating sweeps (Algorithm 2 lines 2-12) without the dense
@@ -476,13 +475,11 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
     if (!q_st.ok()) return q_st;
     std::swap(q_, q_next);
     if (non_negative) q_.ClampMin(0.0);
-    RefitYieldPoint();
 
     Status h_st = update_h();
     if (!h_st.ok()) return h_st;
     std::swap(h_, h_next);
     if (non_negative) h_.ClampMin(0.0);
-    RefitYieldPoint();
 
     if (!held_out.empty()) {
       const double val_rmse = validation_rmse();
@@ -537,15 +534,14 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   // predict below a known lower bound). A row's predictions q_i H^T are
   // built with the rank loop outside, so the inner loop runs over all k
   // hints and vectorizes; h_next, free once the sweeps end, holds H^T.
-  // Rows are independent, so the pass runs in blocks with a yield point
-  // between them; the blocking changes no bit of the result.
   linalg::Matrix result(n, k);
   linalg::Matrix& h_t = h_next;
   h_t.ResizeUninitialized(r, k);
   for (size_t j = 0; j < k; ++j) {
     for (size_t c = 0; c < r; ++c) h_t(c, j) = h_(j, c);
   }
-  const std::function<void(size_t, size_t)> output_rows =
+  ParallelFor(
+      0, n,
       [&](size_t row_begin, size_t row_end) {
         for (size_t i = row_begin; i < row_end; ++i) {
           const double* q_i = q_.data() + i * r;
@@ -572,14 +568,8 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
             out[j] = x;
           }
         }
-      };
-  const size_t output_grain = GrainForCost(k * (r + 20));
-  constexpr size_t kOutputBlockRows = 2048;
-  for (size_t block = 0; block < n; block += kOutputBlockRows) {
-    if (block > 0) RefitYieldPoint();
-    ParallelFor(block, std::min(n, block + kOutputBlockRows), output_rows,
-                output_grain);
-  }
+      },
+      GrainForCost(k * (r + 20)));
   return result;
 }
 

@@ -5,26 +5,28 @@
 namespace limeqo::core {
 namespace {
 
-// Callback of this thread's innermost ScopedRefitYield (null = none open).
-thread_local const std::function<void()>* t_refit_yield = nullptr;
+// This thread's open ScopedRefitYield (null = none).
+thread_local ScopedRefitYield* t_refit_yield = nullptr;
 
 }  // namespace
 
 ScopedRefitYield::ScopedRefitYield(std::function<void()> yield)
-    : yield_(std::move(yield)), previous_(t_refit_yield) {
-  t_refit_yield = &yield_;
+    : yield_(std::move(yield)) {
+  LIMEQO_CHECK(t_refit_yield == nullptr);
+  LIMEQO_CHECK(yield_ != nullptr);
+  t_refit_yield = this;
 }
 
-ScopedRefitYield::~ScopedRefitYield() { t_refit_yield = previous_; }
+ScopedRefitYield::~ScopedRefitYield() { t_refit_yield = nullptr; }
 
 void RefitYieldPoint() {
-  const std::function<void()>* yield = t_refit_yield;
-  if (yield == nullptr) return;
-  // Closed while the callback runs, so a callback that reaches a yield
-  // point (directly or through a nested completion) cannot recurse.
-  t_refit_yield = nullptr;
-  (*yield)();
-  t_refit_yield = yield;
+  ScopedRefitYield* scope = t_refit_yield;
+  if (scope == nullptr || scope->yielded()) return;
+  // Emptied before it runs, so the callback fires once even when it
+  // reaches a yield point itself.
+  const std::function<void()> yield = std::move(scope->yield_);
+  scope->yield_ = nullptr;
+  yield();
 }
 
 }  // namespace limeqo::core

@@ -116,15 +116,15 @@ struct CompletionArena {
   linalg::RidgeWorkspace ridge;
 };
 
-/// RAII scope that lends the calling thread back to its owner while a
-/// completion runs: every RefitYieldPoint() this thread reaches while the
-/// scope is alive runs `yield`. The train plane opens one around each
-/// refit so it can keep draining and publishing through a long fit. The
+/// RAII scope that lets a completion hand its input matrix back before it
+/// finishes: the first RefitYieldPoint() this thread reaches while the
+/// scope is alive runs `yield`; later yield points are no-ops. The train
+/// plane opens one around each refit and releases its drain lock from the
+/// callback, so producers drain into the matrix while the model fits. The
 /// scope is thread-local like ScopedParallelBudget: pool workers never see
 /// it, and it needs no Completer virtual, so it reaches through any
-/// decorator that forwards Complete/CompleteFrom. Scopes nest (the inner
-/// one wins until it exits). While `yield` runs, yield points on this
-/// thread are no-ops, so a callback can never re-enter itself.
+/// decorator that forwards Complete/CompleteFrom. A thread holds at most
+/// one scope at a time.
 class ScopedRefitYield {
  public:
   explicit ScopedRefitYield(std::function<void()> yield);
@@ -133,25 +133,31 @@ class ScopedRefitYield {
   ScopedRefitYield(const ScopedRefitYield&) = delete;
   ScopedRefitYield& operator=(const ScopedRefitYield&) = delete;
 
+  /// True once a yield point ran the callback.
+  bool yielded() const { return yield_ == nullptr; }
+
  private:
+  friend void RefitYieldPoint();
   std::function<void()> yield_;
-  const std::function<void()>* previous_;
 };
 
-/// Runs the innermost open ScopedRefitYield's callback on this thread; a
-/// no-op when no scope is open. Completers call it at pass boundaries on
-/// the calling thread, never inside a ParallelFor body. The contract that
-/// makes a yield safe: once a completion reaches its first yield point it
-/// never reads its input WorkloadMatrix again, because the callback may
-/// mutate that matrix (the train plane drains observations into it).
+/// Runs the open ScopedRefitYield's callback on this thread, the first time
+/// only; a no-op when no scope is open. A completion calls it on the
+/// calling thread, outside any ParallelFor body, at its set-up-done point.
+/// The contract that makes this safe: once a completion reaches a yield
+/// point it never reads its input WorkloadMatrix again, because the caller
+/// may mutate that matrix from then on (the train plane drains
+/// observations into it).
 void RefitYieldPoint();
 
 /// A matrix-completion algorithm: estimates the full workload matrix W-hat
 /// from the partial observations in a WorkloadMatrix. Implementations:
 /// AlsCompleter (the paper's Algorithm 2), SvtCompleter and
 /// NuclearNormCompleter (the Sec. 5.5.5 comparison baselines). Only
-/// AlsCompleter calls RefitYieldPoint(), and it reads `w` only before its
-/// first yield; the others never yield, so they may read `w` throughout.
+/// AlsCompleter calls RefitYieldPoint(), once, when its set-up is done,
+/// and it reads `w` only before that; the others never yield, so they may
+/// read `w` throughout (the train plane then keeps its drain lock for the
+/// whole fit).
 class Completer {
  public:
   virtual ~Completer() = default;

@@ -15,7 +15,7 @@
 /// The kernel is a function template parameterized by three accessors
 /// (gate draw, hint-row scan, fallback pick) rather than virtuals or
 /// std::function: the snapshot path inlines per-serving-index RNG streams
-/// and publication-time precomputed row scans, the synchronous path inlines
+/// and the drain-time precomputed row scans, the synchronous path inlines
 /// its stateful forked streams and a live-matrix scan, and both compile to
 /// straight-line code with no indirect calls on the hot path.
 
@@ -49,16 +49,16 @@ struct OnlineExplorationOptions {
   double regret_budget_seconds = 60.0;
   /// Prediction refresh cadence: the completion model is re-run after this
   /// many matrix updates (predictions go stale as cells fill in). A
-  /// successful refit also rebuilds the snapshot base (see
-  /// EngineOptions::delta_publication), so this is the compaction cadence
-  /// of the delta-publication protocol.
+  /// successful refit also rebuilds every snapshot chunk against the new
+  /// predictions.
   int refresh_every = 32;
   /// Snapshot publication cadence, decoupled from (and typically more
   /// frequent than) the refit cadence: the free-running train loop
   /// republishes after this many drained observations, and the
   /// epoch-synchronized simulation driver uses it as the epoch length.
-  /// Publications between refits are deltas (cheap), so republishing often
-  /// keeps serving decisions fresh without paying O(n*k) per publication.
+  /// Publications between refits share the chunks kept current at drain
+  /// time (a pointer copy per chunk), so republishing often keeps serving
+  /// decisions fresh without paying O(n*k) per publication.
   int publish_every = 8;
   /// Per-serving risk gate: only explore a query whose verified-plan
   /// latency is at most this fraction of the *remaining* regret budget. A
@@ -90,10 +90,10 @@ struct OnlineExplorationOptions {
 /// Result of scanning one hint row for the kernel's model and fallback
 /// steps: the predicted-best unobserved hint (the Eq. 6 candidate) and the
 /// row's unobserved-cell count (the fallback's sample space). On the
-/// snapshot path these are precomputed at publication time — the per-row
-/// scan runs once per dirty row per publish instead of once per serving,
-/// which is the strongest form of the running-best early exit: the serve
-/// path never enters the scan at all.
+/// snapshot path these are precomputed and kept current at drain time —
+/// the per-row scan runs only when an observation may have moved the
+/// row's best, never per serving, which is the strongest form of the
+/// running-best early exit: the serve path never enters the scan at all.
 struct HintScan {
   /// True when model predictions back best_unobserved /
   /// best_unobserved_pred; false skips the kernel's model step entirely.
@@ -110,8 +110,8 @@ struct HintScan {
 
 /// The per-row inputs every serving decision needs, resolved to plain
 /// values and a raw pointer into contiguous per-field storage
-/// (struct-of-arrays): the snapshot path fills it from its per-field base /
-/// delta arrays, the synchronous path from the live WorkloadMatrix.
+/// (struct-of-arrays): the snapshot path fills it from its per-field chunk
+/// arrays, the synchronous path from the live WorkloadMatrix.
 struct DecisionInputs {
   /// The verified-best hint (the OnlineOptimizer rule) for the row.
   int verified_best = 0;
@@ -131,9 +131,10 @@ struct DecisionInputs {
 /// unobserved hint and the unobserved count in a single pass.
 /// `predictions` is the row's prediction slice (num_hints entries) or null
 /// when no usable model exists — the count is still computed (the fallback
-/// needs it either way). Runs at publication time on the snapshot path
-/// (once per dirty row) and lazily on the synchronous path (only for
-/// servings that pass the epsilon and risk gates).
+/// needs it either way). Runs at drain time on the snapshot path (only
+/// when an observation may have moved the row's best unobserved hint, and
+/// for every row on a chunk rebuild) and lazily on the synchronous path
+/// (only for servings that pass the epsilon and risk gates).
 HintScan ScanHintRow(const CellState* states, const double* predictions,
                      int num_hints);
 

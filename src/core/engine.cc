@@ -1,12 +1,13 @@
 #include "core/engine.h"
 
-#include "core/online.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
+
+#include "core/completer.h"
+#include "core/online.h"
 
 namespace limeqo::core {
 namespace {
@@ -25,33 +26,29 @@ size_t RoundUpPow2(size_t v) {
 
 ServingSnapshot::RowView ServingSnapshot::Row(int query) const {
   LIMEQO_CHECK(query >= 0 && query < num_queries_);
-  if (!delta_queries_.empty()) {
-    const auto it = std::lower_bound(delta_queries_.begin(),
-                                     delta_queries_.end(), query);
-    if (it != delta_queries_.end() && *it == query) {
-      const size_t slot = static_cast<size_t>(it - delta_queries_.begin());
-      return {delta_verified_best_[slot],
-              delta_verified_latency_[slot],
-              &delta_states_[slot * static_cast<size_t>(num_hints_)],
-              delta_best_unobserved_[slot],
-              delta_best_unobserved_pred_[slot],
-              delta_unobserved_count_[slot]};
-    }
-  }
-  return {base_->verified_best[query],
-          base_->verified_latency[query],
-          &base_->states[static_cast<size_t>(query) * num_hints_],
-          base_->best_unobserved[query],
-          base_->best_unobserved_pred[query],
-          base_->unobserved_count[query]};
-}
-
-int ServingSnapshot::VerifiedHint(int query) const {
-  return Row(query).verified_best;
+  const SnapshotChunk& chunk =
+      *chunks_[static_cast<size_t>(query) >> SnapshotChunk::kRowsLog2];
+  const int r = query & (SnapshotChunk::kRows - 1);
+  return {chunk.verified_best[r],
+          chunk.verified_latency[r],
+          &chunk.states[static_cast<size_t>(r) * num_hints_],
+          chunk.best_unobserved[r],
+          chunk.best_unobserved_pred[r],
+          chunk.unobserved_count[r]};
 }
 
 double ServingSnapshot::VerifiedLatency(int query) const {
   return Row(query).verified_latency;
+}
+
+HintScan ServingSnapshot::RowScan(int query) const {
+  const RowView row = Row(query);
+  HintScan scan;
+  scan.have_predictions = have_predictions_;
+  scan.best_unobserved = row.best_unobserved;
+  scan.best_unobserved_pred = row.best_unobserved_pred;
+  scan.unobserved_count = row.unobserved_count;
+  return scan;
 }
 
 CellState ServingSnapshot::state(int query, int hint) const {
@@ -80,16 +77,9 @@ int ServingSnapshot::ChooseHint(int query, uint64_t serving_index) const {
       [&] {
         return FirstUniform(MixSeed(gate_seed_, serving_index)) < opt.epsilon;
       },
-      // The model scan ran at publication time (ScanHintRow per dirty row);
-      // serving just reads the row precompute.
-      [&] {
-        HintScan scan;
-        scan.have_predictions = have_predictions_;
-        scan.best_unobserved = row.best_unobserved;
-        scan.best_unobserved_pred = row.best_unobserved_pred;
-        scan.unobserved_count = row.unobserved_count;
-        return scan;
-      },
+      // The model scan is the row precompute kept current at drain time;
+      // serving just reads it.
+      [&] { return RowScan(query); },
       // The pick may need several draws (rejection sampling), so it pays
       // for a full per-index generator — but only on fallback servings.
       [&](uint64_t n) {
@@ -106,43 +96,22 @@ void ServingSnapshot::ChooseHints(std::span<const int> queries,
   const OnlineExplorationOptions& opt = options_;
   const bool frozen =
       opt.epsilon <= 0.0 || frozen_regret_spent_ >= opt.regret_budget_seconds;
-  const bool flat = delta_queries_.empty();
-  if (frozen && flat) {
-    // Exploration is off snapshot-wide and there is no overlay: the batch
-    // is a pure gather from the base verified-best array.
-    const int* verified = base_->verified_best.data();
-    for (size_t i = 0; i < count; ++i) {
-      LIMEQO_CHECK(queries[i] >= 0 && queries[i] < num_queries_);
-      out[i] = verified[queries[i]];
-    }
-    return;
-  }
   for (size_t i = 0; i < count; ++i) {
     const uint64_t s = first_seq + i;
-    const int query = queries[i];
-    if (frozen) {
-      out[i] = Row(query).verified_best;
-      continue;
-    }
     // Gate first: on the (1 - epsilon) fast path the decision needs only
-    // the verified-best field, and with an empty overlay that is one array
-    // read — no row resolution, no full DecisionInputs. The gate draw is
-    // the same per-index stream the scalar path uses, so batched and
-    // scalar decisions are identical for every (query, index) pair.
-    if (!(FirstUniform(MixSeed(gate_seed_, s)) < opt.epsilon)) {
-      if (flat) {
-        LIMEQO_CHECK(query >= 0 && query < num_queries_);
-        out[i] = base_->verified_best[query];
-      } else {
-        out[i] = Row(query).verified_best;
-      }
+    // the verified-best field — one chunk read, no full DecisionInputs.
+    // The gate draw is the same per-index stream the scalar path uses, so
+    // batched and scalar decisions are identical for every (query, index)
+    // pair.
+    if (frozen || !(FirstUniform(MixSeed(gate_seed_, s)) < opt.epsilon)) {
+      out[i] = VerifiedHint(queries[i]);
       continue;
     }
     // Exploration-eligible serving: run the full kernel. Re-drawing the
     // gate inside ChooseHint returns the same value (the stream is a pure
     // function of (seed, s)), so this stays decision-identical to the
     // scalar path at a cost paid only on the epsilon fraction of servings.
-    out[i] = ChooseHint(query, s);
+    out[i] = ChooseHint(queries[i], s);
   }
 }
 
@@ -169,12 +138,90 @@ ServingObservation ServingSnapshot::MakeObservation(uint64_t seq, int query,
 // ExplorationEngine
 // ---------------------------------------------------------------------------
 
+/// Free list of chunk buffers. Every chunk the engine hands to a snapshot
+/// carries a deleter that returns its buffer here once the last holder —
+/// the engine or any snapshot on any serving thread — drops it, so
+/// steady-state publication reuses a bounded working set instead of
+/// allocating a fresh buffer for every copied chunk.
+class ExplorationEngine::ChunkPool {
+ public:
+  /// A buffer from `pool` whose states hold kRows * num_hints cells
+  /// (contents unspecified: the caller overwrites every field it reads).
+  /// Its deleter holds `pool`, so a snapshot may outlive the engine.
+  static std::shared_ptr<SnapshotChunk> Acquire(
+      const std::shared_ptr<ChunkPool>& pool, int num_hints) {
+    std::unique_ptr<SnapshotChunk> chunk = pool->TakeFree();
+    if (chunk == nullptr) {
+      chunk = std::make_unique<SnapshotChunk>();
+      pool->allocated_.fetch_add(1, std::memory_order_relaxed);
+    }
+    chunk->states.resize(static_cast<size_t>(SnapshotChunk::kRows) *
+                         static_cast<size_t>(num_hints));
+    return std::shared_ptr<SnapshotChunk>(
+        chunk.release(), [pool](SnapshotChunk* c) { pool->Release(c); });
+  }
+
+  /// Keeps at most `chunks` free buffers (one full set of the engine's
+  /// chunks): enough for a publication cycle to run on recycled storage,
+  /// without holding on to a burst's worth after it passes.
+  void SetMaxFree(size_t chunks) {
+    MutexLock lock(mu_);
+    max_free_ = chunks;
+  }
+
+  uint64_t allocated() const {
+    return allocated_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::unique_ptr<SnapshotChunk> TakeFree() {
+    MutexLock lock(mu_);
+    if (free_.empty()) return nullptr;
+    std::unique_ptr<SnapshotChunk> chunk = std::move(free_.back());
+    free_.pop_back();
+    return chunk;
+  }
+
+  void Release(SnapshotChunk* chunk) {
+    std::unique_ptr<SnapshotChunk> owned(chunk);
+    MutexLock lock(mu_);
+    if (free_.size() < max_free_) free_.push_back(std::move(owned));
+  }
+
+  Mutex mu_;
+  std::vector<std::unique_ptr<SnapshotChunk>> free_ GUARDED_BY(mu_);
+  size_t max_free_ GUARDED_BY(mu_) = 0;
+  std::atomic<uint64_t> allocated_{0};
+};
+
+/// The train plane's hold on the drain lock: raises train_waiting_ while
+/// it blocks, so producers stop trying the lock and the train plane gets
+/// it after at most the lap a combiner is already draining.
+class SCOPED_CAPABILITY ExplorationEngine::TrainPlaneLock {
+ public:
+  explicit TrainPlaneLock(const ExplorationEngine* engine)
+      ACQUIRE(engine->drain_mu_)
+      : engine_(engine) {
+    engine_->train_waiting_.store(true, std::memory_order_relaxed);
+    engine_->drain_mu_.Lock();
+    engine_->train_waiting_.store(false, std::memory_order_relaxed);
+  }
+  ~TrainPlaneLock() RELEASE() { engine_->drain_mu_.Unlock(); }
+
+  TrainPlaneLock(const TrainPlaneLock&) = delete;
+  TrainPlaneLock& operator=(const TrainPlaneLock&) = delete;
+
+ private:
+  const ExplorationEngine* engine_;
+};
+
 ExplorationEngine::ExplorationEngine(WorkloadMatrix matrix,
                                      Predictor* predictor,
                                      const EngineOptions& options)
     : options_(options),
-      matrix_(std::move(matrix)),
       predictor_(predictor),
+      matrix_(std::move(matrix)),
+      chunk_pool_(std::make_shared<ChunkPool>()),
       row_regret_(static_cast<size_t>(matrix_.num_queries()), 0.0),
       row_explorations_(static_cast<size_t>(matrix_.num_queries()), 0),
       row_servings_(static_cast<size_t>(matrix_.num_queries()), 0),
@@ -193,25 +240,64 @@ ExplorationEngine::~ExplorationEngine() {
   if (training_) StopTraining();
 }
 
+uint64_t ExplorationEngine::snapshot_chunks_allocated() const {
+  return chunk_pool_->allocated();
+}
+
 void ExplorationEngine::ConfigureServing(
     const OnlineExplorationOptions& online) {
   LIMEQO_CHECK(online.refresh_every > 0);
   LIMEQO_CHECK(online.publish_every > 0);
+  TrainPlaneLock lock(this);
   options_.online = online;
+}
+
+void ExplorationEngine::SetPredictor(Predictor* predictor) {
+  TrainPlaneLock lock(this);
+  if (predictor == predictor_) return;
+  predictor_ = predictor;
+  factors_.clear();
+  predictions_.reset();
+  updates_since_refresh_ = 0;
 }
 
 void ExplorationEngine::Report(const ServingObservation& obs) {
   Slot& slot = slots_[obs.seq & queue_mask_];
   // Wait for the drain to free the slot from the previous lap; only
-  // possible when producers run a full queue length ahead.
+  // possible when producers run a full queue length ahead. A lapped
+  // producer drains the lap itself when it can (the combining drain).
   while (slot.turn.load(std::memory_order_acquire) != obs.seq) {
-    std::this_thread::yield();
+    if (!TryCombine()) std::this_thread::yield();
   }
   slot.obs = obs;
   slot.turn.store(obs.seq + 1, std::memory_order_release);
 }
 
+bool ExplorationEngine::TryCombine() {
+  if (!combining_.load(std::memory_order_relaxed) ||
+      train_waiting_.load(std::memory_order_relaxed)) {
+    return false;
+  }
+  if (!drain_mu_.TryLock()) return false;
+  // The same publish / drain-one-lap / publish order as a train step, so
+  // the publication lag stays below queue_capacity() + publish_every at
+  // every drain and the free-running staleness bound holds whoever drains.
+  PublishIfDue(/*force=*/false);
+  const size_t drained = DrainLocked(slots_.size());
+  if (drained > 0) step_.has_complete = true;
+  PublishIfDue(/*force=*/false);
+  drain_mu_.Unlock();
+  if (drained == 0) return false;
+  combined_drains_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
 size_t ExplorationEngine::Drain(size_t max_observations) {
+  TrainPlaneLock lock(this);
+  return DrainLocked(max_observations);
+}
+
+size_t ExplorationEngine::DrainLocked(size_t max_observations) {
   uint64_t head = drained_seq_.load(std::memory_order_relaxed);
   size_t applied = 0;
   while (applied < max_observations) {
@@ -223,30 +309,17 @@ size_t ExplorationEngine::Drain(size_t max_observations) {
     ++applied;
   }
   drained_seq_.store(head, std::memory_order_relaxed);
+  CountUnpublished(applied);
   return applied;
 }
 
-void ExplorationEngine::MarkRowDirty(int query) {
-  // Irrelevant while a full rebuild is pending: the rebuild resets the
-  // tracking wholesale.
-  if (snapshot_base_stale_) return;
-  if (dirty_flags_[query]) return;
-  dirty_flags_[query] = 1;
-  dirty_rows_.push_back(query);
-}
-
-void ExplorationEngine::InvalidateSnapshotBase() {
-  snapshot_base_stale_ = true;
-  for (const int q : dirty_rows_) dirty_flags_[q] = 0;
-  dirty_rows_.clear();
-}
-
 void ExplorationEngine::ApplyObservation(const ServingObservation& obs) {
+  const CellState before = matrix_.state(obs.query, obs.hint);
   matrix_.Observe(obs.query, obs.hint, obs.latency);
-  MarkRowDirty(obs.query);
+  FoldCell(obs.query, obs.hint, before);
   ++updates_since_refresh_;
-  // Serving traffic per row, counted on the drain path (train plane), is
-  // the load signal RebalanceHotShards weighs rows by.
+  // Serving traffic per row, counted on the drain path, is the load
+  // signal RebalanceHotShards weighs rows by.
   row_servings_[obs.query] += 1;
   if (obs.exploratory) {
     explorations_.store(explorations_.load(std::memory_order_relaxed) + 1,
@@ -261,38 +334,180 @@ void ExplorationEngine::ApplyObservation(const ServingObservation& obs) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Snapshot chunks
+// ---------------------------------------------------------------------------
+
+SnapshotChunk& ExplorationEngine::WritableChunk(int query) {
+  const size_t c = static_cast<size_t>(query) >> SnapshotChunk::kRowsLog2;
+  if (chunk_shared_[c]) {
+    // Copy-on-write: a published snapshot holds this chunk, so the write
+    // goes to a recycled buffer and the snapshot keeps the old one.
+    std::shared_ptr<SnapshotChunk> copy =
+        ChunkPool::Acquire(chunk_pool_, matrix_.num_hints());
+    *copy = *chunks_[c];
+    chunks_[c] = std::move(copy);
+    chunk_shared_[c] = 0;
+  }
+  return *chunks_[c];
+}
+
+void ExplorationEngine::ScanVerified(SnapshotChunk& chunk, int row,
+                                     int query) const {
+  // The OnlineOptimizer rule, delegated to the one implementation so the
+  // snapshot path and the synchronous path can never drift apart.
+  const int best = OnlineOptimizer(&matrix_).ChooseHint(query);
+  chunk.verified_best[row] = best;
+  chunk.verified_latency[row] =
+      matrix_.row_states(query)[best] == CellState::kComplete
+          ? matrix_.row_values(query)[best]
+          : std::numeric_limits<double>::infinity();
+}
+
+void ExplorationEngine::ScanModel(SnapshotChunk& chunk, int row,
+                                  int query) const {
+  const int k = matrix_.num_hints();
+  const HintScan scan = ScanHintRow(
+      &chunk.states[static_cast<size_t>(row) * k],
+      chunk_preds_ != nullptr
+          ? chunk_preds_->data() + static_cast<size_t>(query) * k
+          : nullptr,
+      k);
+  chunk.best_unobserved[row] = scan.best_unobserved;
+  chunk.best_unobserved_pred[row] = scan.best_unobserved_pred;
+  chunk.unobserved_count[row] = scan.unobserved_count;
+}
+
+void ExplorationEngine::RebuildChunks(
+    std::shared_ptr<const linalg::Matrix> preds) {
+  const int n = matrix_.num_queries();
+  const int k = matrix_.num_hints();
+  const size_t count = (static_cast<size_t>(n) + SnapshotChunk::kRows - 1) >>
+                       SnapshotChunk::kRowsLog2;
+  chunk_preds_ = std::move(preds);
+  // Drop the old set first: chunks no snapshot holds go straight back to
+  // the pool and are reused by this very rebuild.
+  chunks_.clear();
+  chunk_pool_->SetMaxFree(count);
+  chunks_.reserve(count);
+  for (size_t c = 0; c < count; ++c) {
+    std::shared_ptr<SnapshotChunk> chunk = ChunkPool::Acquire(chunk_pool_, k);
+    const int first = static_cast<int>(c << SnapshotChunk::kRowsLog2);
+    const int rows = std::min(SnapshotChunk::kRows, n - first);
+    for (int r = 0; r < rows; ++r) {
+      const CellState* states = matrix_.row_states(first + r);
+      std::copy(states, states + k,
+                &chunk->states[static_cast<size_t>(r) * k]);
+      ScanVerified(*chunk, r, first + r);
+      ScanModel(*chunk, r, first + r);
+    }
+    chunks_.push_back(std::move(chunk));
+  }
+  chunk_shared_.assign(count, 0);
+  chunks_stale_ = false;
+}
+
+void ExplorationEngine::FoldCell(int query, int hint, CellState before) {
+  // A pending rebuild recomputes every row anyway (and the chunk geometry
+  // may no longer match the matrix).
+  if (chunks_stale_) return;
+  SnapshotChunk& chunk = WritableChunk(query);
+  const int r = query & (SnapshotChunk::kRows - 1);
+  const int k = matrix_.num_hints();
+  const CellState* states = matrix_.row_states(query);
+  const CellState after = states[hint];
+  chunk.states[static_cast<size_t>(r) * k + hint] = after;
+
+  // Model precompute. Observing a cell only removes it from the
+  // unobserved set: the predicted-best unobserved hint survives unless it
+  // was that cell. A cell turning unobserved (Clear) may beat it.
+  if (before == CellState::kUnobserved && after != CellState::kUnobserved) {
+    --chunk.unobserved_count[r];
+    if (hint == chunk.best_unobserved[r]) ScanModel(chunk, r, query);
+  } else if (before != CellState::kUnobserved &&
+             after == CellState::kUnobserved) {
+    ScanModel(chunk, r, query);
+  }
+
+  // Verified best: the lowest-index argmin over complete cells, served
+  // only against a complete default (OnlineOptimizer::ChooseHint).
+  if (hint == 0 && (before == CellState::kComplete) !=
+                       (after == CellState::kComplete)) {
+    ScanVerified(chunk, r, query);  // the default became (in)complete
+    return;
+  }
+  if (states[0] != CellState::kComplete) return;  // best stays 0 at +inf
+  int& best = chunk.verified_best[r];
+  double& best_latency = chunk.verified_latency[r];
+  if (after != CellState::kComplete) {
+    if (hint == best) ScanVerified(chunk, r, query);
+    return;
+  }
+  const double latency = matrix_.row_values(query)[hint];
+  if (hint == best) {
+    // The best got slower: another cell may now win. Equal or faster, it
+    // is still the lowest-index argmin.
+    if (latency > best_latency) {
+      ScanVerified(chunk, r, query);
+    } else {
+      best_latency = latency;
+    }
+  } else if (latency < best_latency ||
+             (latency == best_latency && hint < best)) {
+    best = hint;
+    best_latency = latency;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Refits and publication
+// ---------------------------------------------------------------------------
+
+StatusOr<linalg::Matrix> ExplorationEngine::FitReleasingDrainLock(
+    uint64_t* fit_ns) {
+  // The completion's set-up-done point: from there on it never reads
+  // matrix_ again (the Completer yield contract), so producers may drain
+  // into the matrix while the model fits.
+  ScopedRefitYield set_up_done(
+      [this]() NO_THREAD_SAFETY_ANALYSIS { drain_mu_.Unlock(); });
+  const auto start = std::chrono::steady_clock::now();
+  StatusOr<linalg::Matrix> prediction = predictor_->PredictFrom(
+      matrix_, options_.warm_start ? &factors_ : nullptr);
+  *fit_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  if (set_up_done.yielded()) {
+    train_waiting_.store(true, std::memory_order_relaxed);
+    drain_mu_.Lock();
+    train_waiting_.store(false, std::memory_order_relaxed);
+  }
+  return prediction;
+}
+
 bool ExplorationEngine::TryRefit() {
   if (predictor_ == nullptr) return false;
   const int updates_before = updates_since_refresh_;
-  const uint64_t yield_before =
-      refit_yield_nanos_.load(std::memory_order_relaxed);
-  const auto refit_start = std::chrono::steady_clock::now();
-  StatusOr<linalg::Matrix> prediction = predictor_->PredictFrom(
-      matrix_, options_.warm_start ? &factors_ : nullptr);
-  const auto elapsed = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - refit_start)
-          .count());
-  // Fitting time only: what the train plane spent inside refit yields
-  // (TrainStep's drain and publish) is counted in refit_yield_nanos.
-  refit_nanos_.fetch_add(
-      elapsed - (refit_yield_nanos_.load(std::memory_order_relaxed) -
-                 yield_before),
-      std::memory_order_relaxed);
+  uint64_t fit_ns = 0;
+  StatusOr<linalg::Matrix> prediction = FitReleasingDrainLock(&fit_ns);
+  refit_nanos_.fetch_add(fit_ns, std::memory_order_relaxed);
   if (!prediction.ok()) return false;
   refits_completed_.fetch_add(1, std::memory_order_relaxed);
   predictions_ = std::make_shared<const linalg::Matrix>(
       std::move(prediction).value());
-  // The fit saw the matrix as of its start; observations drained by its
-  // yields are updates it has not absorbed yet.
+  // The fit saw the matrix as of its set-up; observations drained while it
+  // ran are updates it has not absorbed yet. (The next Publish sees new
+  // predictions and rebuilds every chunk against them.)
   updates_since_refresh_ -= updates_before;
-  // Refits happen on the compaction cadence (refresh_every), so they are
-  // the natural point to fold the delta overlay back into a fresh base.
-  InvalidateSnapshotBase();
   return true;
 }
 
 bool ExplorationEngine::RefreshPredictions(bool force) {
+  TrainPlaneLock lock(this);
+  return RefreshLocked(force);
+}
+
+bool ExplorationEngine::RefreshLocked(bool force) {
   const size_t n = static_cast<size_t>(matrix_.num_queries());
   const size_t k = static_cast<size_t>(matrix_.num_hints());
   // Shape staleness covers both dimensions: a stale prediction matrix with
@@ -309,109 +524,43 @@ bool ExplorationEngine::RefreshPredictions(bool force) {
 }
 
 void ExplorationEngine::Publish() {
+  TrainPlaneLock lock(this);
+  PublishLocked();
+}
+
+void ExplorationEngine::PublishLocked() {
   const int n = matrix_.num_queries();
   const int k = matrix_.num_hints();
-  // Whether this publication serves predictions — and therefore whether
-  // the per-row precompute below is scanned against them. Predictions only
-  // change on a successful refit or a checkpoint restore, and both
-  // invalidate the base, so rows already in the base were scanned against
-  // exactly these predictions (the precompute invariant in engine.h).
+  // Whether this publication serves predictions — and therefore what the
+  // per-row model scans must have been computed against.
   const bool serve_predictions =
       predictions_ != nullptr &&
       predictions_->rows() == static_cast<size_t>(n) &&
       predictions_->cols() == static_cast<size_t>(k);
-  const double* pred_rows = serve_predictions ? predictions_->data() : nullptr;
-  // The verified-best table is the OnlineOptimizer rule, precomputed per
-  // row — delegated to the one implementation so the snapshot path and
-  // the synchronous path can never drift apart. The model-scan precompute
-  // (ScanHintRow) rides along: one pass per dirty row at publication makes
-  // the serve-time model and fallback steps O(1).
-  const OnlineOptimizer rule(&matrix_);
-  const auto fill_row = [&](int q, int* verified_best,
-                            double* verified_latency, CellState* states,
-                            int* best_unobserved, double* best_unobserved_pred,
-                            int* unobserved_count) {
-    const int best = rule.ChooseHint(q);
-    const CellState* row_states = matrix_.row_states(q);
-    *verified_best = best;
-    *verified_latency = row_states[best] == CellState::kComplete
-                            ? matrix_.row_values(q)[best]
-                            : std::numeric_limits<double>::infinity();
-    std::copy(row_states, row_states + k, states);
-    const HintScan scan = ScanHintRow(
-        states,
-        pred_rows != nullptr ? pred_rows + static_cast<size_t>(q) * k
-                             : nullptr,
-        k);
-    *best_unobserved = scan.best_unobserved;
-    *best_unobserved_pred = scan.best_unobserved_pred;
-    *unobserved_count = scan.unobserved_count;
-  };
+  std::shared_ptr<const linalg::Matrix> preds =
+      serve_predictions ? predictions_ : nullptr;
+  if (chunks_stale_ || chunk_preds_ != preds) RebuildChunks(preds);
 
   auto snap = std::shared_ptr<ServingSnapshot>(new ServingSnapshot());
-  // Delta publication only pays for the rows that changed; a stale base, a
-  // disabled feature, or an overlay past a quarter of the rows forces the
-  // full O(n*k) rebuild (which empties the overlay again).
-  const bool full = !options_.delta_publication || snapshot_base_stale_ ||
-                    base_tables_ == nullptr ||
-                    dirty_rows_.size() * 4 >= static_cast<size_t>(n);
-  if (full) {
-    auto base = std::make_shared<ServingSnapshot::BaseTables>();
-    base->verified_best.resize(n);
-    base->verified_latency.resize(n);
-    base->states.resize(static_cast<size_t>(n) * k);
-    base->best_unobserved.resize(n);
-    base->best_unobserved_pred.resize(n);
-    base->unobserved_count.resize(n);
-    for (int q = 0; q < n; ++q) {
-      fill_row(q, &base->verified_best[q], &base->verified_latency[q],
-               &base->states[static_cast<size_t>(q) * k],
-               &base->best_unobserved[q], &base->best_unobserved_pred[q],
-               &base->unobserved_count[q]);
-    }
-    base_tables_ = std::move(base);
-    dirty_flags_.assign(static_cast<size_t>(n), 0);
-    dirty_rows_.clear();
-    snapshot_base_stale_ = false;
-  } else {
-    LIMEQO_CHECK(base_tables_->verified_best.size() ==
-                 static_cast<size_t>(n));
-    snap->delta_queries_.assign(dirty_rows_.begin(), dirty_rows_.end());
-    std::sort(snap->delta_queries_.begin(), snap->delta_queries_.end());
-    const size_t rows = snap->delta_queries_.size();
-    snap->delta_verified_best_.resize(rows);
-    snap->delta_verified_latency_.resize(rows);
-    snap->delta_states_.resize(rows * static_cast<size_t>(k));
-    snap->delta_best_unobserved_.resize(rows);
-    snap->delta_best_unobserved_pred_.resize(rows);
-    snap->delta_unobserved_count_.resize(rows);
-    for (size_t i = 0; i < rows; ++i) {
-      fill_row(snap->delta_queries_[i], &snap->delta_verified_best_[i],
-               &snap->delta_verified_latency_[i],
-               &snap->delta_states_[i * static_cast<size_t>(k)],
-               &snap->delta_best_unobserved_[i],
-               &snap->delta_best_unobserved_pred_[i],
-               &snap->delta_unobserved_count_[i]);
-    }
-  }
-  snap->base_ = base_tables_;
+  snap->chunks_.assign(chunks_.begin(), chunks_.end());
+  // Every chunk is now held by a snapshot: the next write to any of them
+  // copies first.
+  std::fill(chunk_shared_.begin(), chunk_shared_.end(), uint8_t{1});
   snap->published_seq_ = drained_seq_.load(std::memory_order_relaxed);
   snap->num_queries_ = n;
   snap->num_hints_ = k;
   snap->have_predictions_ = serve_predictions;
-  if (snap->have_predictions_) snap->predictions_ = predictions_;
   snap->frozen_regret_spent_ = regret_spent_.load(std::memory_order_relaxed);
   snap->options_ = options_.online;
   snap->gate_seed_ = MixSeed(options_.online.seed, kGateStreamTag);
   snap->pick_seed_ = MixSeed(options_.online.seed, kPickStreamTag);
+  unpublished_updates_.store(0, std::memory_order_relaxed);
   {
     MutexLock lock(snapshot_mu_);
     // Version stamp and published counter come from one fetch_add, so the
-    // value inside the snapshot can never drift from the counter (the old
-    // split read-stamp-swap-bump let a reader observe a snapshot whose
-    // version was ahead of snapshot_version()). A reader probing the new
-    // version before the swap lands serializes behind snapshot_mu_ in
-    // snapshot() and gets the new pointer.
+    // value inside the snapshot can never drift from the counter. A reader
+    // probing the new version before the swap lands serializes behind
+    // snapshot_mu_ in snapshot() and gets the new pointer.
     snap->version_ =
         snapshot_version_.fetch_add(1, std::memory_order_release) + 1;
     snapshot_ = std::shared_ptr<const ServingSnapshot>(std::move(snap));
@@ -419,9 +568,10 @@ void ExplorationEngine::Publish() {
 }
 
 size_t ExplorationEngine::SyncEpoch() {
-  const size_t drained = Drain();
-  RefreshPredictions();
-  Publish();
+  TrainPlaneLock lock(this);
+  const size_t drained = DrainLocked(kDrainAll);
+  RefreshLocked(/*force=*/false);
+  PublishLocked();
   return drained;
 }
 
@@ -440,7 +590,12 @@ void ExplorationEngine::StopTraining() {
   FinishTrainSteps();
 }
 
+// ---------------------------------------------------------------------------
+// Checkpoints
+// ---------------------------------------------------------------------------
+
 EngineCheckpoint ExplorationEngine::MakeCheckpoint() const {
+  TrainPlaneLock lock(this);
   EngineCheckpoint c;
   c.matrix = matrix_;
   c.factors = factors_;
@@ -463,6 +618,7 @@ EngineCheckpoint ExplorationEngine::MakeCheckpoint() const {
 
 void ExplorationEngine::RestoreFromCheckpoint(EngineCheckpoint c) {
   LIMEQO_CHECK(!training_);
+  TrainPlaneLock lock(this);
   matrix_ = std::move(c.matrix);
   factors_ = std::move(c.factors);
   if (c.have_predictions) {
@@ -506,8 +662,8 @@ void ExplorationEngine::RestoreFromCheckpoint(EngineCheckpoint c) {
       snapshot_version_.load(std::memory_order_relaxed)) {
     snapshot_version_.store(c.snapshot_version, std::memory_order_relaxed);
   }
-  InvalidateSnapshotBase();
-  Publish();
+  chunks_stale_ = true;
+  PublishLocked();
 }
 
 Status ExplorationEngine::SaveCheckpoint() {
@@ -521,7 +677,12 @@ Status ExplorationEngine::SaveCheckpoint() {
   return st;
 }
 
+// ---------------------------------------------------------------------------
+// Train stepping
+// ---------------------------------------------------------------------------
+
 void ExplorationEngine::BeginTrainSteps() {
+  TrainPlaneLock lock(this);
   step_ = TrainStepState{};
   step_.published_seen = drained_seq_.load(std::memory_order_relaxed);
   step_.checkpointed_seen = drained_seq_.load(std::memory_order_relaxed);
@@ -529,89 +690,86 @@ void ExplorationEngine::BeginTrainSteps() {
   // drained observation is itself a complete observation, so the flag only
   // ever flips to true.
   step_.has_complete = matrix_.NumComplete() > 0;
+  combining_.store(true, std::memory_order_relaxed);
 }
 
 bool ExplorationEngine::TrainStep() {
-  // Drain batches are capped at one queue lap: under light load the step
-  // publishes every publish_every drained observations (fresh snapshots),
-  // and under saturation it amortizes one publication per capacity-sized
-  // batch instead of thrashing the serving threads with publication work.
-  // Either way the publication lag behind the drain front stays below
-  // queue_capacity() + publish_every, which (with the queue's
-  // back-pressure and serving threads claiming indices in batches) gives
-  // free-running serving a hard staleness bound of
-  // 2 * queue_capacity() + threads * batch + publish_every, where batch
-  // is the per-thread claim size (16 in the driver's free-running loops):
-  // a thread may decide a whole claimed batch against the snapshot it
-  // probed at the batch start, and the other threads'
-  // claimed-but-unreported batches sit between that snapshot and the
-  // newest index (tests/engine_test.cc pins the bound at the
-  // publication-boundary wrap case).
-  const size_t drained = Drain(slots_.size());
-  if (drained > 0) step_.has_complete = true;
-  const uint64_t seen = drained_seq_.load(std::memory_order_relaxed);
-  // The refit_after_seq mark: the next refit may not start before the
-  // drain front passes it — everything in flight when the previous refit
-  // finished must land first. Under light load the mark is always behind
-  // the front (refits run on the refresh_every cadence); under saturation
-  // it amortizes one refit per queue-capacity's worth of servings. A slow
-  // model cannot starve the drain-and-publish path either way: the refit
-  // runs inside a ScopedRefitYield, and at each of the completer's yield
-  // points the step keeps draining and publishing (RefitYield), so the
-  // serving plane keeps its throughput while the model refreshes as fast
-  // as it can — the Bao-style advisor-loop behaviour.
-  const bool due =
-      predictor_ != nullptr && seen >= step_.refit_after_seq &&
-      (updates_since_refresh_ >= options_.online.refresh_every ||
-       (predictions_ == nullptr && step_.has_complete));
-  bool refreshed = false;
-  // A failing refit (no predictor, no usable observations, a plan-less
-  // backend) must not retrigger until new observations arrive: without
-  // the attempt marker the loop degenerates into a refit-and-publish
-  // storm that pins a core and forces every serving thread through the
-  // snapshot handoff on every serving.
-  if (due && seen != step_.drained_at_last_attempt) {
-    step_.drained_at_last_attempt = seen;
-    {
-      ScopedRefitYield yield([this] { RefitYield(); });
+  bool progress = false;
+  bool checkpoint_due = false;
+  {
+    TrainPlaneLock lock(this);
+    // Drain batches are capped at one queue lap: under light load the
+    // step publishes every publish_every drained observations (fresh
+    // snapshots), and under saturation it amortizes one publication per
+    // capacity-sized batch. Either way the publication lag behind the
+    // drain front stays below queue_capacity() + publish_every — a
+    // combining producer keeps the same publish / drain / publish order —
+    // which (with the queue's back-pressure and serving threads claiming
+    // indices in batches) gives free-running serving a hard staleness
+    // bound of 2 * queue_capacity() + threads * batch + publish_every,
+    // where batch is the per-thread claim size (16 in the free-running
+    // loops): a thread may decide a whole claimed batch against the
+    // snapshot it probed at the batch start, and the other threads'
+    // claimed-but-unreported batches sit between that snapshot and the
+    // newest index (tests/engine_test.cc pins the bound).
+    const size_t drained = DrainLocked(slots_.size());
+    if (drained > 0) step_.has_complete = true;
+    const uint64_t seen = drained_seq_.load(std::memory_order_relaxed);
+    // The refit_after_seq mark: the next refit may not start before the
+    // drain front passes it — everything in flight when the previous
+    // refit finished must land first. Under light load the mark is always
+    // behind the front (refits run on the refresh_every cadence); under
+    // saturation it amortizes one refit per backlog's worth of servings.
+    // A slow model cannot stall serving either way: the drain lock is
+    // released while the model fits, and lapped producers drain and
+    // publish meanwhile.
+    const bool due =
+        predictor_ != nullptr && seen >= step_.refit_after_seq &&
+        (updates_since_refresh_ >= options_.online.refresh_every ||
+         (predictions_ == nullptr && step_.has_complete));
+    bool refreshed = false;
+    // A failing refit (no predictor, no usable observations, a plan-less
+    // backend) must not retrigger until new observations arrive: without
+    // the attempt marker the loop degenerates into a refit-and-publish
+    // storm that pins a core and forces every serving thread through the
+    // snapshot handoff on every serving.
+    if (due && seen != step_.drained_at_last_attempt) {
+      step_.drained_at_last_attempt = seen;
       refreshed = TryRefit();
+      // Only a *completed* refit defers the next one behind the in-flight
+      // backlog; a failed attempt may retry as soon as new observations
+      // drain (drained_at_last_attempt already prevents failure storms).
+      if (refreshed) {
+        step_.refit_after_seq = next_seq_.load(std::memory_order_relaxed);
+      }
     }
-    // Only a *completed* refit defers the next one behind the in-flight
-    // backlog; a failed attempt may retry as soon as new observations
-    // drain (drained_at_last_attempt already prevents failure storms).
-    if (refreshed) {
-      step_.refit_after_seq = next_seq_.load(std::memory_order_relaxed);
+    // Publication is cadence-granular (publish_every drained observations
+    // or a successful refit), not per-drain: a snapshot is an allocation
+    // plus a version bump that pushes every serving thread through the
+    // pointer handoff. The cadence reads the current drain front:
+    // producers may have moved it past `seen` while the model fitted.
+    const bool published = PublishIfDue(/*force=*/refreshed);
+    // Checkpoints ride the same drain-front cadence as publications; the
+    // state is captured under the lock below and written outside it.
+    const uint64_t front = drained_seq_.load(std::memory_order_relaxed);
+    const auto checkpoint_cadence =
+        static_cast<uint64_t>(options_.checkpoint_every);
+    if (checkpoint_cadence > 0 && !options_.checkpoint_path.empty() &&
+        front - step_.checkpointed_seen >= checkpoint_cadence) {
+      step_.checkpointed_seen = front;
+      checkpoint_due = true;
     }
+    progress = drained > 0 || refreshed || published || checkpoint_due;
   }
-  // Publication is cadence-granular (publish_every drained observations
-  // or a successful refit), not per-drain: even a delta snapshot is an
-  // allocation plus a version bump that pushes every serving thread
-  // through the pointer handoff, so publishing after every single
-  // observation would defeat the cached-snapshot fast path. Between
-  // refits these publications are deltas — O(changed rows), not O(n*k).
-  // The cadence reads the current drain front: the refit's yields may
-  // have moved it past `seen`.
-  const bool published = PublishIfDue(/*force=*/refreshed);
-  // Checkpoints ride the same drain-front cadence as publications. The
-  // write happens on the stepping thread (serialize + fsync + rename)
-  // while the serving plane keeps running against the current snapshot;
-  // the only coupling is back-pressure — producers more than a queue lap
-  // ahead wait for the next drain — which the free-running staleness
-  // bound already accounts for.
-  bool checkpointed = false;
-  const uint64_t front = drained_seq_.load(std::memory_order_relaxed);
-  const auto checkpoint_cadence =
-      static_cast<uint64_t>(options_.checkpoint_every);
-  if (checkpoint_cadence > 0 && !options_.checkpoint_path.empty() &&
-      front - step_.checkpointed_seen >= checkpoint_cadence) {
+  if (checkpoint_due) {
     // A failed write (disk gone, path unwritable) is not fatal to the
     // loop: serving continues and checkpoints_written() stops advancing,
-    // which is the observable signal operators alert on.
+    // which is the observable signal operators alert on. The capture
+    // retakes the lock, so it is the drain front of this moment — still
+    // a consistent drained prefix.
     (void)SaveCheckpoint();
-    step_.checkpointed_seen = front;
-    checkpointed = true;
   }
-  return drained > 0 || refreshed || published || checkpointed;
+  return progress;
 }
 
 bool ExplorationEngine::PublishIfDue(bool force) {
@@ -620,31 +778,15 @@ bool ExplorationEngine::PublishIfDue(bool force) {
                     static_cast<uint64_t>(options_.online.publish_every)) {
     return false;
   }
-  Publish();
+  PublishLocked();
   step_.published_seen = front;
   return true;
 }
 
-void ExplorationEngine::RefitYield() {
-  const auto start = std::chrono::steady_clock::now();
-  // Publish before draining: the step's own drain may have left the
-  // published snapshot up to a lap plus publish_every behind the front, and
-  // draining another lap on top of that would let producers run two laps
-  // past the snapshot that decides them. Publishing first keeps the
-  // publication lag below queue_capacity() + publish_every at every drain,
-  // so the free-running staleness bound holds straight through a refit.
-  PublishIfDue();
-  if (Drain(slots_.size()) > 0) step_.has_complete = true;
-  PublishIfDue();
-  refit_yield_nanos_.fetch_add(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count()),
-      std::memory_order_relaxed);
-}
-
 void ExplorationEngine::FinishTrainSteps() {
+  // No producer combines from here on: the shutdown drain below and every
+  // later train-plane call run on the caller's thread alone.
+  combining_.store(false, std::memory_order_relaxed);
   // Flush whatever the steps had not picked up and leave a current
   // snapshot.
   SyncEpoch();
@@ -669,31 +811,46 @@ void ExplorationEngine::TrainLoop() {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Direct train-plane entry points
+// ---------------------------------------------------------------------------
+
 void ExplorationEngine::Observe(int query, int hint, double latency) {
+  TrainPlaneLock lock(this);
+  const CellState before = matrix_.state(query, hint);
   matrix_.Observe(query, hint, latency);
-  MarkRowDirty(query);
+  FoldCell(query, hint, before);
   ++updates_since_refresh_;
+  CountUnpublished(1);
 }
 
 void ExplorationEngine::ObserveCensored(int query, int hint, double timeout) {
+  TrainPlaneLock lock(this);
+  const CellState before = matrix_.state(query, hint);
   matrix_.ObserveCensored(query, hint, timeout);
-  MarkRowDirty(query);
+  FoldCell(query, hint, before);
   ++updates_since_refresh_;
+  CountUnpublished(1);
 }
 
 void ExplorationEngine::Clear(int query, int hint) {
+  TrainPlaneLock lock(this);
+  const CellState before = matrix_.state(query, hint);
   matrix_.Clear(query, hint);
-  MarkRowDirty(query);
+  FoldCell(query, hint, before);
   ++updates_since_refresh_;
+  CountUnpublished(1);
 }
 
 int ExplorationEngine::AppendQueries(int count) {
+  TrainPlaneLock lock(this);
   const int first = matrix_.AppendQueries(count);
   row_regret_.resize(static_cast<size_t>(matrix_.num_queries()), 0.0);
   row_explorations_.resize(static_cast<size_t>(matrix_.num_queries()), 0);
   row_servings_.resize(static_cast<size_t>(matrix_.num_queries()), 0);
-  InvalidateSnapshotBase();
+  chunks_stale_ = true;
   ++updates_since_refresh_;
+  CountUnpublished(1);
   return first;
 }
 
@@ -705,21 +862,25 @@ void ExplorationEngine::ObserveServing(int query, int hint, double latency,
   obs.latency = latency;
   obs.exploratory = exploratory;
   obs.regret_delta = regret_delta;
+  TrainPlaneLock lock(this);
   ApplyObservation(obs);
+  CountUnpublished(1);
 }
 
 void ExplorationEngine::ResetMatrix(WorkloadMatrix matrix) {
+  TrainPlaneLock lock(this);
   matrix_ = std::move(matrix);
   row_regret_.assign(static_cast<size_t>(matrix_.num_queries()), 0.0);
   row_explorations_.assign(static_cast<size_t>(matrix_.num_queries()), 0);
   row_servings_.assign(static_cast<size_t>(matrix_.num_queries()), 0);
-  InvalidateSnapshotBase();
-  InvalidateModel();
-  Publish();
+  chunks_stale_ = true;
+  InvalidateModelLocked();
+  PublishLocked();
 }
 
 MigratedRow ExplorationEngine::ExtractRow(int query) const {
   LIMEQO_CHECK(!training_);
+  TrainPlaneLock lock(this);
   LIMEQO_CHECK(query >= 0 && query < matrix_.num_queries());
   const int k = matrix_.num_hints();
   const CellState* states = matrix_.row_states(query);
@@ -735,6 +896,7 @@ MigratedRow ExplorationEngine::ExtractRow(int query) const {
 
 void ExplorationEngine::RemoveRow(int query) {
   LIMEQO_CHECK(!training_);
+  TrainPlaneLock lock(this);
   LIMEQO_CHECK(query >= 0 && query < matrix_.num_queries());
   regret_spent_.store(
       regret_spent_.load(std::memory_order_relaxed) - row_regret_[query],
@@ -747,13 +909,14 @@ void ExplorationEngine::RemoveRow(int query) {
   row_explorations_.erase(row_explorations_.begin() + query);
   row_servings_.erase(row_servings_.begin() + query);
   matrix_.RemoveQuery(query);
-  InvalidateSnapshotBase();
-  InvalidateModel();
-  Publish();
+  chunks_stale_ = true;
+  InvalidateModelLocked();
+  PublishLocked();
 }
 
 int ExplorationEngine::AdoptRow(const MigratedRow& row) {
   LIMEQO_CHECK(!training_);
+  TrainPlaneLock lock(this);
   LIMEQO_CHECK(static_cast<int>(row.states.size()) == matrix_.num_hints());
   const int local = matrix_.AppendQueries(1);
   for (int j = 0; j < matrix_.num_hints(); ++j) {
@@ -777,9 +940,9 @@ int ExplorationEngine::AdoptRow(const MigratedRow& row) {
   explorations_.store(
       explorations_.load(std::memory_order_relaxed) + row.explorations,
       std::memory_order_relaxed);
-  InvalidateSnapshotBase();
-  InvalidateModel();
-  Publish();
+  chunks_stale_ = true;
+  InvalidateModelLocked();
+  PublishLocked();
   return local;
 }
 
@@ -787,6 +950,7 @@ void ExplorationEngine::RestoreRowLedgerSlice(int query, double regret,
                                               int explorations,
                                               uint64_t servings) {
   LIMEQO_CHECK(!training_);
+  TrainPlaneLock lock(this);
   LIMEQO_CHECK(query >= 0 && query < matrix_.num_queries());
   row_regret_[query] = regret;
   row_explorations_[query] = explorations;
@@ -794,6 +958,11 @@ void ExplorationEngine::RestoreRowLedgerSlice(int query, double regret,
 }
 
 void ExplorationEngine::InvalidateModel() {
+  TrainPlaneLock lock(this);
+  InvalidateModelLocked();
+}
+
+void ExplorationEngine::InvalidateModelLocked() {
   factors_.clear();
   predictions_.reset();
   updates_since_refresh_ = 0;

@@ -72,20 +72,54 @@ struct ServedOutcome {
   bool degraded = false;
 };
 
-/// An immutable, shareable picture of everything the serving plane needs:
-/// the verified-best table, the cell states, the latest predictions, and
-/// the frozen regret ledger. Built by ExplorationEngine::Publish; read by
-/// any number of serving threads with no synchronization beyond the
-/// shared_ptr that delivered it.
+/// One fixed-size block of snapshot rows (kRows of them; the last chunk of
+/// a matrix may be partly unused). Laid out as struct-of-arrays — one
+/// contiguous array per field — so the serving hot path touches only the
+/// cache lines of the fields it reads (the non-exploring fast path needs
+/// just verified_best). The last three arrays are the model-scan
+/// precompute (ScanHintRow per row): the predicted-best unobserved hint,
+/// its prediction, and the row's unobserved count, making the serve-time
+/// model and fallback steps O(1).
 ///
-/// Representation: a snapshot is a *base* (full per-row tables, shared
-/// across consecutive snapshots by shared_ptr) plus a small sorted *delta
-/// overlay* of rows changed since the base was built. Row lookups check the
-/// overlay first (binary search over at most a few dozen entries), so reads
-/// stay lock-free and cheap while publication cost drops from O(n*k) to
-/// O(changed rows * k). The base is rebuilt — and the overlay emptied — on
-/// refit, ResetMatrix, AppendQueries, or overlay compaction (see
-/// EngineOptions::delta_publication).
+/// A chunk is immutable once a snapshot holds it. The engine keeps its own
+/// chunks current at drain time (ExplorationEngine::ApplyObservation folds
+/// each observation into its row) and copies a chunk on its first write
+/// after a publication, so a publication only shares the current chunk
+/// pointers. Precompute invariant: every row of every chunk a snapshot
+/// carries was scanned against exactly the predictions that snapshot
+/// serves (none when has_predictions() is false).
+struct SnapshotChunk {
+  /// log2 of the rows per chunk.
+  static constexpr int kRowsLog2 = 8;
+  /// Rows per chunk.
+  static constexpr int kRows = 1 << kRowsLog2;
+
+  /// The verified-best hint per row (the OnlineOptimizer rule).
+  int verified_best[kRows];
+  /// Observed latency of verified_best; +infinity without a complete
+  /// default observation.
+  double verified_latency[kRows];
+  /// Predicted-best unobserved hint per row; -1 when none.
+  int best_unobserved[kRows];
+  /// Prediction of best_unobserved (+infinity when none).
+  double best_unobserved_pred[kRows];
+  /// Unobserved cells per row.
+  int unobserved_count[kRows];
+  /// Cell states, row-major kRows * num_hints.
+  std::vector<CellState> states;
+};
+
+/// An immutable, shareable picture of everything the serving plane needs:
+/// the verified-best table, the cell states, the per-row model scans of
+/// the latest predictions, and the frozen regret ledger. Built by
+/// ExplorationEngine::Publish; read by any number of serving threads with
+/// no synchronization beyond the shared_ptr that delivered it.
+///
+/// Representation: the rows live in fixed-size SnapshotChunk blocks shared
+/// by shared_ptr with the engine and with every other snapshot that
+/// published the same chunk. A row lookup is one chunk index and one
+/// in-chunk offset — O(1), no search — and a publication copies only the
+/// chunk-pointer vector.
 class ServingSnapshot {
  public:
   /// Monotonic publication counter (compare with
@@ -102,10 +136,18 @@ class ServingSnapshot {
 
   /// The verified-best hint for `query` (the OnlineOptimizer rule at
   /// publication time): the fastest complete observation, else 0.
-  int VerifiedHint(int query) const;
+  int VerifiedHint(int query) const {
+    LIMEQO_CHECK(query >= 0 && query < num_queries_);
+    return chunks_[static_cast<size_t>(query) >> SnapshotChunk::kRowsLog2]
+        ->verified_best[query & (SnapshotChunk::kRows - 1)];
+  }
   /// Observed latency of the verified-best hint; +infinity when the row
   /// has no complete default observation (serving falls back to hint 0).
   double VerifiedLatency(int query) const;
+  /// The row's model-scan precompute: ScanHintRow over the row's states
+  /// and this snapshot's predictions (have_predictions mirrors
+  /// has_predictions()).
+  HintScan RowScan(int query) const;
 
   /// Regret ledger as frozen at publication. Serving decisions in the
   /// epoch after this snapshot gate on this value; regret charged inside
@@ -123,9 +165,6 @@ class ServingSnapshot {
   const OnlineExplorationOptions& options() const { return options_; }
   /// Observation state of (query, hint) at publication time.
   CellState state(int query, int hint) const;
-  /// Rows this snapshot carries in its delta overlay; 0 means the snapshot
-  /// is served entirely from its (possibly freshly rebuilt) base.
-  int delta_rows() const { return static_cast<int>(delta_queries_.size()); }
 
   /// The serving decision: usually the verified best, sometimes (bounded
   /// by the options) the model's predicted-best unverified hint. A pure
@@ -133,18 +172,18 @@ class ServingSnapshot {
   /// and the random-fallback pick for index s are drawn from streams
   /// seeded by MixSeed(seed, s), so the decision is independent of call
   /// order and thread placement. Lock-free and const. An adapter over
-  /// DecideServingHint (decision_kernel.h): the model step reads the
-  /// publication-time row precompute, so the decision is O(1) — no per-hint
-  /// scan on the serving path.
+  /// DecideServingHint (decision_kernel.h): the model step reads the row
+  /// precompute, so the decision is O(1) — no per-hint scan on the
+  /// serving path.
   int ChooseHint(int query, uint64_t serving_index) const;
 
   /// Batched ChooseHint: decides queries[i] at serving index first_seq + i,
   /// writing the chosen hint to out[i]. Decision-for-decision identical to
   /// the scalar calls (each index keeps its own gate/pick stream), but
-  /// amortizes the row resolution setup and the snapshot-wide gate checks
-  /// (exhausted budget, empty overlay) across the batch — the free-running
-  /// serving loops and the bench use it to shave per-serving overhead.
-  /// Requires out.size() >= queries.size(). Lock-free and const.
+  /// skips the full kernel for every serving whose gate says "serve the
+  /// verified best" — the free-running serving loops and the bench use it
+  /// to shave per-serving overhead. Requires out.size() >= queries.size().
+  /// Lock-free and const.
   void ChooseHints(std::span<const int> queries, uint64_t first_seq,
                    std::span<int> out) const;
 
@@ -159,29 +198,7 @@ class ServingSnapshot {
   friend class ExplorationEngine;
   ServingSnapshot() = default;
 
-  /// The full per-row tables, shared across every snapshot published since
-  /// the last base rebuild. Never mutated after construction. Laid out as
-  /// struct-of-arrays — one contiguous array per field — so the serving
-  /// hot path touches only the cache lines of the fields it reads (the
-  /// non-exploring fast path needs just verified_best) instead of striding
-  /// over interleaved row structs. The last three arrays are the
-  /// publication-time model-scan precompute (ScanHintRow per row): the
-  /// predicted-best unobserved hint, its prediction, and the row's
-  /// unobserved count, making the serve-time model and fallback steps O(1).
-  /// Precompute invariant: whenever the snapshot's have_predictions_ is
-  /// true, every row (base and delta) was scanned against exactly the
-  /// predictions_ the snapshot carries — predictions only change on a
-  /// successful refit or a checkpoint restore, and both invalidate the base.
-  struct BaseTables {
-    std::vector<int> verified_best;
-    std::vector<double> verified_latency;
-    std::vector<CellState> states;  // row-major n*k
-    std::vector<int> best_unobserved;
-    std::vector<double> best_unobserved_pred;
-    std::vector<int> unobserved_count;
-  };
-  /// One resolved row: either the overlay's copy or the base's, with the
-  /// publication-time scan precompute alongside.
+  /// One resolved row, with the scan precompute alongside.
   struct RowView {
     int verified_best;
     double verified_latency;
@@ -190,27 +207,17 @@ class ServingSnapshot {
     double best_unobserved_pred;
     int unobserved_count;
   };
-  /// Resolves `query` against the delta overlay, falling back to the base.
   RowView Row(int query) const;
 
   uint64_t version_ = 0;
   uint64_t published_seq_ = 0;
   int num_queries_ = 0;
   int num_hints_ = 0;
-  std::shared_ptr<const BaseTables> base_;
-  /// Delta overlay: rows changed since the base was built, sorted by query
-  /// index, with their tables stored row-major alongside.
-  std::vector<int> delta_queries_;
-  std::vector<int> delta_verified_best_;
-  std::vector<double> delta_verified_latency_;
-  std::vector<CellState> delta_states_;  // delta_queries_.size() * num_hints_
-  std::vector<int> delta_best_unobserved_;
-  std::vector<double> delta_best_unobserved_pred_;
-  std::vector<int> delta_unobserved_count_;
-  /// Shared with the engine and other snapshots: predictions only change
-  /// on a successful refit, so publication shares the pointer instead of
-  /// copying n*k doubles per epoch.
-  std::shared_ptr<const linalg::Matrix> predictions_;
+  /// ceil(num_queries_ / kRows) chunks, in row order.
+  std::vector<std::shared_ptr<const SnapshotChunk>> chunks_;
+  /// Whether the chunks' model scans ran against predictions. The
+  /// predictions themselves stay with the engine: serving reads only the
+  /// per-row scan results.
   bool have_predictions_ = false;
   double frozen_regret_spent_ = 0.0;
   OnlineExplorationOptions options_;
@@ -256,15 +263,6 @@ struct EngineOptions {
   /// the servings in flight between drains; producers spin when the queue
   /// is a full lap ahead of the train plane (back-pressure, not loss).
   size_t queue_capacity = 4096;
-  /// Publish snapshots incrementally: each Publish ships the persistent
-  /// base plus a delta overlay of the rows changed since the base was
-  /// built (O(changed rows * k) instead of O(n*k) per publication). The
-  /// base is fully rebuilt on a successful refit, on ResetMatrix /
-  /// AppendQueries, and when the overlay grows past a quarter of the rows
-  /// (compaction). Delta snapshots are bitwise-equivalent to full rebuilds
-  /// at every publication point (tests/engine_delta_test.cc); disable only
-  /// for the equivalence tests and the publication-cost bench.
-  bool delta_publication = true;
   /// When non-empty, the free-running train loop writes crash-consistent
   /// checkpoints (SaveEngineCheckpointToFile: temp file + fsync + rename)
   /// to this path on the checkpoint_every cadence, and StopTraining writes
@@ -278,12 +276,24 @@ struct EngineOptions {
   int checkpoint_every = 0;
 };
 
-/// The engine joining the two planes. All train-plane methods (Drain,
-/// RefreshPredictions, Publish, the Observe family) must be called from
-/// one thread at a time — either the owner's thread or the background
-/// train thread started with StartTraining, never both. Serving-plane
-/// methods (snapshot, AcquireServingIndex, Report) are safe from any
-/// number of threads concurrently with the train plane.
+/// The engine joining the two planes. The train-plane state (the matrix,
+/// predictions, ledgers, snapshot chunks and stepping marks) is guarded by
+/// one drain lock, so the train-plane methods (Drain, RefreshPredictions,
+/// Publish, the Observe family, ...) are safe from any thread; callers
+/// still sequence them as one logical train plane — either the owner's
+/// thread or the background train thread started with StartTraining, not
+/// both. Serving-plane methods (snapshot, AcquireServingIndex, Report) are
+/// safe from any number of threads concurrently with the train plane.
+///
+/// Combining drain: between BeginTrainSteps and FinishTrainSteps, a
+/// producer whose queue slot is still a lap behind does not just wait for
+/// the train plane — it try-locks the drain lock and, when it gets it,
+/// publishes if due, drains one queue lap and publishes if due again. The
+/// fitter holds the lock for a refit's set-up and for the prediction swap
+/// only (the completion's set-up-done point releases it, see
+/// ScopedRefitYield), so serving never waits for a model fit. While the
+/// train plane waits for the lock, producers stop trying it, so a steady
+/// stream of combiners cannot starve the fitter.
 class ExplorationEngine {
  public:
   /// Takes ownership of the matrix. `predictor` (not owned, may be null
@@ -303,7 +313,8 @@ class ExplorationEngine {
   // --- Train-plane configuration -----------------------------------------
   /// Replaces the serving options (and the gate/pick seed derivation).
   /// Call before serving traffic starts; takes effect at the next Publish.
-  void ConfigureServing(const OnlineExplorationOptions& online);
+  void ConfigureServing(const OnlineExplorationOptions& online)
+      EXCLUDES(drain_mu_);
   /// The serving options currently in force (frozen into snapshots at
   /// each Publish).
   const OnlineExplorationOptions& online_options() const {
@@ -314,13 +325,7 @@ class ExplorationEngine {
   /// exploratory candidates. Replacing the predictor drops the previous
   /// model's predictions and warm-start factors — they describe a
   /// different model and must neither be served nor seed the new one.
-  void SetPredictor(Predictor* predictor) {
-    if (predictor == predictor_) return;
-    predictor_ = predictor;
-    factors_.clear();
-    predictions_.reset();
-    updates_since_refresh_ = 0;
-  }
+  void SetPredictor(Predictor* predictor) EXCLUDES(drain_mu_);
 
   // --- Serving plane (any thread) ----------------------------------------
   /// Publication counter; a relaxed atomic load. Serving threads cache the
@@ -358,8 +363,10 @@ class ExplorationEngine {
     return next_seq_.fetch_add(count, std::memory_order_relaxed);
   }
   /// Queues one observation. Wait-free unless the queue is a full lap
-  /// ahead of the drain (then spins for back-pressure). Thread-safe.
-  void Report(const ServingObservation& obs);
+  /// ahead of the drain; then the producer combines (drains a lap itself,
+  /// see the class comment) when train stepping is on and the drain lock
+  /// is free, and otherwise spins for back-pressure. Thread-safe.
+  void Report(const ServingObservation& obs) EXCLUDES(drain_mu_);
   /// Observation-queue capacity actually in force (the rounded-up power of
   /// two). A producer of serving s blocks in Report until the drain has
   /// passed s - queue_capacity(), which is what bounds snapshot staleness
@@ -370,31 +377,28 @@ class ExplorationEngine {
   /// No cap for Drain: consume the whole contiguous published prefix.
   static constexpr size_t kDrainAll = ~size_t{0};
   /// Applies contiguously published observations, in sequence order:
-  /// matrix updates, regret ledger, exploration counters. Stops after
-  /// `max_observations` (the free-running train loop caps each batch at
-  /// one queue lap so publications can never lag the drain front by more
-  /// than queue_capacity() + publish_every). Returns how many observations
-  /// were applied.
-  size_t Drain(size_t max_observations = kDrainAll);
+  /// matrix updates, snapshot-row folds, regret ledger, exploration
+  /// counters. Stops after `max_observations`. Returns how many
+  /// observations were applied.
+  size_t Drain(size_t max_observations = kDrainAll) EXCLUDES(drain_mu_);
   /// Re-runs the completion model when predictions are stale (never ran,
   /// refresh_every matrix updates ago, or the matrix grew). Warm-starts
   /// from the previous factors when enabled. Returns true when usable
   /// predictions are available afterwards. `force` refits regardless of
   /// staleness.
-  bool RefreshPredictions(bool force = false);
-  /// Builds a ServingSnapshot from the train-plane state — a delta overlay
-  /// over the persistent base when possible, a full base rebuild on refit /
-  /// ResetMatrix / AppendQueries / compaction — and publishes it with one
-  /// pointer swap. The version stamped into the snapshot and the published
-  /// counter come from a single fetch_add, so they can never drift apart.
-  /// Readers holding the previous snapshot keep it alive through their
-  /// own shared_ptr; there is no reclamation to coordinate. The EXCLUDES
-  /// makes a re-entrant publication (calling Publish while already inside
-  /// the critical section) a compile error under the Clang lane.
-  void Publish() EXCLUDES(snapshot_mu_);
+  bool RefreshPredictions(bool force = false) EXCLUDES(drain_mu_);
+  /// Publishes the current snapshot chunks with one pointer swap: O(n /
+  /// SnapshotChunk::kRows) pointer copies, because the chunks were kept
+  /// current at drain time. A refit, a checkpoint restore, or a shape
+  /// change (ResetMatrix, AppendQueries, RemoveRow, AdoptRow) makes the
+  /// next publication rebuild every chunk instead. The version stamped
+  /// into the snapshot and the published counter come from a single
+  /// fetch_add, so they can never drift apart. Readers holding the
+  /// previous snapshot keep it alive through their own shared_ptr.
+  void Publish() EXCLUDES(drain_mu_, snapshot_mu_);
   /// The epoch boundary: Drain + RefreshPredictions + Publish. Returns the
   /// number of observations drained.
-  size_t SyncEpoch();
+  size_t SyncEpoch() EXCLUDES(drain_mu_);
 
   /// Starts the free-running train plane: a background thread that drains,
   /// refits on cadence, and republishes until StopTraining. While it runs,
@@ -409,35 +413,34 @@ class ExplorationEngine {
   /// The free-running train loop, decomposed so an external scheduler (the
   /// shared cross-shard TrainExecutor) can drive many engines' train
   /// planes from one thread pool: BeginTrainSteps initializes the stepping
-  /// state, then each TrainStep call runs exactly one iteration of the
-  /// loop body — drain (capped at one queue lap), refit when due, publish
-  /// on cadence, checkpoint on cadence — with no sleeping. The in-house
-  /// StartTraining thread is literally BeginTrainSteps + TrainStep in a
-  /// loop, so the two drivers execute identical per-step behaviour.
-  /// Train-plane method: steps for one engine must be serialized, though
-  /// consecutive steps may run on different threads (the scheduler's
-  /// claim/release handoff provides the ordering).
-  void BeginTrainSteps();
+  /// state and turns the combining drain on, then each TrainStep call runs
+  /// exactly one iteration of the loop body — drain (capped at one queue
+  /// lap), refit when due, publish on cadence, checkpoint on cadence —
+  /// with no sleeping. The in-house StartTraining thread is literally
+  /// BeginTrainSteps + TrainStep in a loop, so the two drivers execute
+  /// identical per-step behaviour. Steps for one engine must be
+  /// serialized, though consecutive steps may run on different threads
+  /// (the scheduler's claim/release handoff provides the ordering).
+  void BeginTrainSteps() EXCLUDES(drain_mu_);
   /// One train-loop iteration (see BeginTrainSteps). Returns true when the
   /// step made progress — drained observations, refitted, published, or
   /// wrote a checkpoint — and false when the engine was idle, so a
   /// scheduler can park idle engines instead of spinning on them.
   ///
-  /// A refit does not stop the drain: the step runs it inside a
-  /// ScopedRefitYield (completer.h) whose callback publishes if due,
-  /// drains at most one queue lap and publishes if due again, which keeps
-  /// the free-running staleness bound through the refit. The refit fits
-  /// the matrix as of its start, so updates_since_refresh() afterwards
-  /// counts what its yields drained. The epoch path (SyncEpoch,
-  /// RefreshPredictions) never yields, so its traces stay a pure function
-  /// of the schedule.
-  bool TrainStep();
-  /// The shutdown tail of the train plane: drains everything left,
-  /// refreshes, publishes a final snapshot, and (when configured) writes a
-  /// final checkpoint — exactly what StopTraining does after joining its
-  /// thread. External drivers call this once per engine when tearing the
-  /// shared train plane down.
-  void FinishTrainSteps();
+  /// A refit does not stop the drain: the step releases the drain lock at
+  /// the completion's set-up-done point (ScopedRefitYield, completer.h),
+  /// and lapped producers drain and publish while the model fits. The
+  /// refit fits the matrix as of its set-up, so what was drained while it
+  /// ran counts toward the next refit's refresh_every. The epoch path
+  /// (SyncEpoch, RefreshPredictions) has no concurrent drainer, so its
+  /// traces stay a pure function of the schedule.
+  bool TrainStep() EXCLUDES(drain_mu_);
+  /// The shutdown tail of the train plane: turns the combining drain off,
+  /// drains everything left, refreshes, publishes a final snapshot, and
+  /// (when configured) writes a final checkpoint — exactly what
+  /// StopTraining does after joining its thread. External drivers call
+  /// this once per engine when tearing the shared train plane down.
+  void FinishTrainSteps() EXCLUDES(drain_mu_);
   /// Installs a borrowed completion-scratch arena into the predictor (per
   /// Predictor::SetCompletionArena; no-op without a predictor). The shared
   /// train executor points this at the claiming worker's arena before each
@@ -449,12 +452,12 @@ class ExplorationEngine {
   // --- Crash-consistent checkpoints (train plane) --------------------------
   /// Captures the train-plane state as of the current drain front: the
   /// workload matrix, warm-start factors, published predictions, the
-  /// frozen regret ledger, and the serving / refresh counters. Train-plane
-  /// method; serving threads may keep running (they never touch the state
-  /// being copied). The captured `serving_seq` is the drained prefix —
-  /// every observation at or past it is deliberately excluded, because
-  /// only the drained prefix is consistent with the matrix and ledgers.
-  EngineCheckpoint MakeCheckpoint() const;
+  /// frozen regret ledger, and the serving / refresh counters. Serving
+  /// threads may keep running (they never touch the state being copied).
+  /// The captured `serving_seq` is the drained prefix — every observation
+  /// at or past it is deliberately excluded, because only the drained
+  /// prefix is consistent with the matrix and ledgers.
+  EngineCheckpoint MakeCheckpoint() const EXCLUDES(drain_mu_);
 
   /// Warm-restarts this engine from a checkpoint taken by an engine with
   /// the same construction options: replaces the matrix, factors,
@@ -464,84 +467,114 @@ class ExplorationEngine {
   /// the factors seed the next refit via CompleteFrom, an engine restored
   /// at an op boundary (drain / refit / publish / append) replays the
   /// remaining schedule bitwise-identically to an engine that never died
-  /// (tests/engine_checkpoint_test.cc). Train-plane method; must not be
-  /// called while serving traffic or the background train thread runs.
-  void RestoreFromCheckpoint(EngineCheckpoint c);
+  /// (tests/engine_checkpoint_test.cc). Must not be called while serving
+  /// traffic or the background train thread runs.
+  void RestoreFromCheckpoint(EngineCheckpoint c) EXCLUDES(drain_mu_);
 
   /// Writes MakeCheckpoint() crash-atomically to
   /// EngineOptions::checkpoint_path. Returns FailedPrecondition when no
-  /// path was configured. Train-plane method (the train loop calls it on
-  /// the checkpoint_every cadence; callers may also invoke it manually at
-  /// an op boundary).
-  Status SaveCheckpoint();
+  /// path was configured. The train loop calls it on the checkpoint_every
+  /// cadence; callers may also invoke it manually at an op boundary. The
+  /// file write runs outside the drain lock.
+  Status SaveCheckpoint() EXCLUDES(drain_mu_);
 
   // --- Train-plane observation entry points (offline loop, adapters) -----
   /// Records a completed execution directly (no queue, no regret): the
   /// offline exploration path.
-  void Observe(int query, int hint, double latency);
+  void Observe(int query, int hint, double latency) EXCLUDES(drain_mu_);
   /// Records a censored execution directly.
-  void ObserveCensored(int query, int hint, double timeout);
+  void ObserveCensored(int query, int hint, double timeout)
+      EXCLUDES(drain_mu_);
   /// Forgets an observation (data-shift invalidation).
-  void Clear(int query, int hint);
+  void Clear(int query, int hint) EXCLUDES(drain_mu_);
   /// Appends new all-unobserved query rows; returns the first new index.
-  int AppendQueries(int count);
+  int AppendQueries(int count) EXCLUDES(drain_mu_);
   /// Records a serving observed synchronously on the train plane (the
   /// single-threaded OnlineExplorationOptimizer path): applies the matrix
   /// update and charges the ledgers immediately, bypassing the queue.
   void ObserveServing(int query, int hint, double latency, bool exploratory,
-                      double regret_delta);
+                      double regret_delta) EXCLUDES(drain_mu_);
   /// Replaces the matrix wholesale (resume-from-disk) and invalidates the
   /// model state.
-  void ResetMatrix(WorkloadMatrix matrix);
+  void ResetMatrix(WorkloadMatrix matrix) EXCLUDES(drain_mu_);
 
   // --- Row migration (shard rebalancing, train plane) ----------------------
   /// Packages row `query` for migration: the cell payload copied bitwise
-  /// from the live matrix plus the row's ledger slice. Train-plane method;
-  /// call at an op boundary (queue drained) so the payload is consistent
-  /// with the ledgers.
-  MigratedRow ExtractRow(int query) const;
+  /// from the live matrix plus the row's ledger slice. Call at an op
+  /// boundary (queue drained) so the payload is consistent with the
+  /// ledgers.
+  MigratedRow ExtractRow(int query) const EXCLUDES(drain_mu_);
   /// Removes row `query` from the matrix and subtracts its ledger slice
   /// from the engine totals; rows above it shift down by one. Invalidates
   /// the model (factor rows no longer line up with the shrunk matrix) and
-  /// publishes a fresh snapshot. Train-plane method at an op boundary: no
-  /// in-flight serving may still target the old row indices, because every
-  /// row above the removed one is renumbered.
-  void RemoveRow(int query);
+  /// publishes a fresh snapshot. Op boundary only: no in-flight serving
+  /// may still target the old row indices, because every row above the
+  /// removed one is renumbered.
+  void RemoveRow(int query) EXCLUDES(drain_mu_);
   /// Appends the migrated row to this engine's matrix, replays its cell
   /// payload bitwise, adds its ledger slice to the engine totals,
   /// invalidates the model, and publishes. Returns the new local row
   /// index (always the last row). Same op-boundary contract as RemoveRow.
-  int AdoptRow(const MigratedRow& row);
+  int AdoptRow(const MigratedRow& row) EXCLUDES(drain_mu_);
   /// Overwrites one row's ledger slice — regret, explorations, and the
   /// serving-traffic weight — without touching the engine totals: the tier
   /// restore path, where EngineCheckpoint carries only the engine totals
   /// and the tier manifest carries the per-row split.
   void RestoreRowLedgerSlice(int query, double regret, int explorations,
-                             uint64_t servings = 0);
+                             uint64_t servings = 0) EXCLUDES(drain_mu_);
   /// Drops predictions, warm-start factors, and any state the predictor
   /// retains: after a data shift nothing fitted on the old data may leak
   /// into the new fit (the warm-start no-leak contract).
-  void InvalidateModel();
+  void InvalidateModel() EXCLUDES(drain_mu_);
 
   // --- Train-plane views ---------------------------------------------------
-  /// The live workload matrix. Train plane only: serving threads must read
-  /// the snapshot instead.
-  const WorkloadMatrix& matrix() const { return matrix_; }
-  /// Latest predictions (train-plane view; empty until a refit succeeds,
-  /// possibly stale afterwards).
-  const linalg::Matrix& predictions() const {
+  // Unlocked reads of drain-lock state: call them only at an op boundary —
+  // no train step, combining producer or other train-plane call in flight
+  // (for example after StopTraining, or between epochs). The references
+  // stay valid until the next train-plane call.
+
+  /// The live workload matrix. Serving threads must read the snapshot
+  /// instead.
+  const WorkloadMatrix& matrix() const NO_THREAD_SAFETY_ANALYSIS {
+    return matrix_;
+  }
+  /// Matrix updates the current predictions have not absorbed: what was
+  /// applied since the last refit's set-up, including what producers
+  /// drained while that refit ran. A refit is due once this reaches
+  /// refresh_every.
+  int updates_since_refresh() const NO_THREAD_SAFETY_ANALYSIS {
+    return updates_since_refresh_;
+  }
+  /// Latest predictions (empty until a refit succeeds, possibly stale
+  /// afterwards).
+  const linalg::Matrix& predictions() const NO_THREAD_SAFETY_ANALYSIS {
     static const linalg::Matrix kEmpty;
     return predictions_ != nullptr ? *predictions_ : kEmpty;
   }
   /// True once a refit has succeeded (predictions() is meaningful).
-  bool have_predictions() const { return predictions_ != nullptr; }
-  /// Matrix updates the last successful refit has not absorbed: those
-  /// since it finished plus those its own yields drained while it ran.
-  int updates_since_refresh() const { return updates_since_refresh_; }
+  bool have_predictions() const NO_THREAD_SAFETY_ANALYSIS {
+    return predictions_ != nullptr;
+  }
   /// Warm-start factor state (empty when cold or disabled).
   const CompletionFactors& warm_factors() const { return factors_; }
+  /// Regret charged by exploratory servings of `query` alone (the
+  /// per-row split of regret_spent; travels with the row on migration).
+  /// Updated at drain time, in serving order.
+  double row_regret(int query) const NO_THREAD_SAFETY_ANALYSIS {
+    return row_regret_[query];
+  }
+  /// Exploratory servings of `query` alone (the per-row split of
+  /// explorations).
+  int row_explorations(int query) const NO_THREAD_SAFETY_ANALYSIS {
+    return row_explorations_[query];
+  }
+  /// Servings applied to `query` so far (the per-row traffic weight;
+  /// travels with the row on migration).
+  uint64_t row_servings(int query) const NO_THREAD_SAFETY_ANALYSIS {
+    return row_servings_[query];
+  }
 
-  // --- Ledgers (atomic; readable from any thread) --------------------------
+  // --- Ledgers and counters (atomic; readable from any thread) -------------
   /// Cumulative regret charged by exploratory servings, in seconds.
   double regret_spent() const {
     return regret_spent_.load(std::memory_order_relaxed);
@@ -550,13 +583,6 @@ class ExplorationEngine {
   int explorations() const {
     return explorations_.load(std::memory_order_relaxed);
   }
-  /// Regret charged by exploratory servings of `query` alone (the
-  /// per-row split of regret_spent; travels with the row on migration).
-  /// Train-plane view: updated at drain time, in serving order.
-  double row_regret(int query) const { return row_regret_[query]; }
-  /// Exploratory servings of `query` alone (the per-row split of
-  /// explorations). Train-plane view.
-  int row_explorations(int query) const { return row_explorations_[query]; }
   /// True once the regret budget is exhausted (exploration freezes at the
   /// next publication).
   bool budget_exhausted() const {
@@ -586,28 +612,33 @@ class ExplorationEngine {
     const uint64_t drained = drained_servings();
     return claimed > drained ? claimed - drained : 0;
   }
-  /// Rows changed since the snapshot base was built and not yet folded
-  /// into a publication (the scheduler's dirty-work signal). Train-plane
-  /// view: read it only when no train step for this engine is in flight.
-  size_t pending_dirty_rows() const { return dirty_rows_.size(); }
-  /// Train-plane servings applied to `query` so far (the per-row traffic
-  /// weight; travels with the row on migration). Train-plane view.
-  uint64_t row_servings(int query) const { return row_servings_[query]; }
+  /// Matrix updates applied since the last publication (drained servings
+  /// plus direct Observe-family calls): the scheduler's publication-work
+  /// signal.
+  uint64_t unpublished_updates() const {
+    return unpublished_updates_.load(std::memory_order_relaxed);
+  }
+  /// Queue laps drained by producers through the combining path (see the
+  /// class comment); 0 whenever no producer ever found its slot lapped
+  /// while train stepping was on.
+  uint64_t combined_drains() const {
+    return combined_drains_.load(std::memory_order_relaxed);
+  }
+  /// Snapshot-chunk buffers allocated from the heap so far. Chunks whose
+  /// last holder released them are recycled through a free list, so under
+  /// steady-state publication this stops growing.
+  uint64_t snapshot_chunks_allocated() const;
   /// Successful refits completed so far (TryRefit with a usable fit).
   uint64_t refits_completed() const {
     return refits_completed_.load(std::memory_order_relaxed);
   }
   /// Wall-clock nanoseconds spent fitting inside refit attempts (successful
-  /// or not), excluding the time TrainStep's refit yields spent draining
-  /// and publishing (refit_yield_nanos). refit_nanos() / refits_completed()
-  /// is the per-refit latency the serving bench reports per shard.
+  /// or not): from the start of the fit to the completion's return, while
+  /// the drain lock is released for most of it. refit_nanos() /
+  /// refits_completed() is the per-refit latency the serving bench reports
+  /// per shard.
   uint64_t refit_nanos() const {
     return refit_nanos_.load(std::memory_order_relaxed);
-  }
-  /// Wall-clock nanoseconds TrainStep spent inside refit yields: the
-  /// draining and publishing it did while a refit was in flight.
-  uint64_t refit_yield_nanos() const {
-    return refit_yield_nanos_.load(std::memory_order_relaxed);
   }
   /// Checkpoints successfully written by SaveCheckpoint (including the
   /// train loop's cadence-driven writes and StopTraining's final one).
@@ -622,75 +653,113 @@ class ExplorationEngine {
     std::atomic<uint64_t> turn{0};
     ServingObservation obs;
   };
+  /// Recycles snapshot-chunk storage (defined in engine.cc).
+  class ChunkPool;
+  class SCOPED_CAPABILITY TrainPlaneLock;
 
-  void ApplyObservation(const ServingObservation& obs);
-  void TrainLoop();
+  size_t DrainLocked(size_t max_observations) REQUIRES(drain_mu_);
+  bool RefreshLocked(bool force) REQUIRES(drain_mu_);
+  void PublishLocked() REQUIRES(drain_mu_) EXCLUDES(snapshot_mu_);
+  void InvalidateModelLocked() REQUIRES(drain_mu_);
+  void ApplyObservation(const ServingObservation& obs) REQUIRES(drain_mu_);
   /// Refits unconditionally; true when the fit succeeded (predictions_
   /// replaced, updates_since_refresh_ reduced to the observations drained
-  /// by the refit's own yields). A successful refit schedules a full
-  /// snapshot-base rebuild for the next Publish.
-  bool TryRefit();
+  /// while it fitted). A successful refit makes the next Publish rebuild
+  /// every snapshot chunk against the new predictions.
+  bool TryRefit() REQUIRES(drain_mu_);
+  /// Runs the predictor. The drain lock is held at entry and at exit, but
+  /// released from the completion's set-up-done point (RefitYieldPoint)
+  /// until it returns; *fit_ns receives the fitting time. Outside the
+  /// capability analysis because the release happens in a thread-local
+  /// callback it cannot follow.
+  StatusOr<linalg::Matrix> FitReleasingDrainLock(uint64_t* fit_ns)
+      REQUIRES(drain_mu_) NO_THREAD_SAFETY_ANALYSIS;
   /// Publishes when publish_every observations have drained since the last
   /// stepping publication (or unconditionally with `force`) and moves the
   /// cadence mark to the current drain front. Returns whether it published.
-  bool PublishIfDue(bool force = false);
-  /// TrainStep's refit yield (the ScopedRefitYield callback): publish if
-  /// due, drain at most one queue lap, publish if due.
-  void RefitYield();
-  /// Marks one row changed since the snapshot base was built; the next
-  /// Publish ships it in the delta overlay.
-  void MarkRowDirty(int query);
-  /// Invalidates the snapshot base entirely (shape change, refit,
-  /// wholesale matrix replacement): the next Publish rebuilds it.
-  void InvalidateSnapshotBase();
+  bool PublishIfDue(bool force) REQUIRES(drain_mu_);
+  /// The combining drain (see the class comment): when stepping is on, the
+  /// train plane is not waiting and the drain lock is free, publishes if
+  /// due, drains one lap and publishes if due. True when it drained.
+  bool TryCombine() EXCLUDES(drain_mu_);
+  /// Folds the matrix's new (query, hint) cell into the row's snapshot
+  /// chunk: O(1) unless the verified best or the predicted-best unobserved
+  /// hint may have moved away from the cell, in which case that half of
+  /// the row is rescanned. `before` is the cell's state before the update.
+  void FoldCell(int query, int hint, CellState before) REQUIRES(drain_mu_);
+  /// The row's chunk, copied first when a published snapshot shares it.
+  SnapshotChunk& WritableChunk(int query) REQUIRES(drain_mu_);
+  /// Recomputes every chunk from the live matrix against `preds` (null:
+  /// no predictions served).
+  void RebuildChunks(std::shared_ptr<const linalg::Matrix> preds)
+      REQUIRES(drain_mu_);
+  void ScanVerified(SnapshotChunk& chunk, int row, int query) const
+      REQUIRES(drain_mu_);
+  void ScanModel(SnapshotChunk& chunk, int row, int query) const
+      REQUIRES(drain_mu_);
+  /// Records `count` matrix updates applied but not yet published. Only
+  /// the drain-lock holder writes the counter, so a plain load + store
+  /// suffices (no read-modify-write on the drain path).
+  void CountUnpublished(uint64_t count) REQUIRES(drain_mu_) {
+    unpublished_updates_.store(
+        unpublished_updates_.load(std::memory_order_relaxed) + count,
+        std::memory_order_relaxed);
+  }
+  void TrainLoop();
 
   EngineOptions options_;
-  WorkloadMatrix matrix_;
   Predictor* predictor_;
 
-  // Delta-publication state: the persistent base shared into snapshots,
-  // the rows changed since it was built (flag array + insertion list — the
-  // drain hot path marks a row dirty in O(1) with no allocation; Publish
-  // sorts the short list), and the rebuild flag.
-  std::shared_ptr<const ServingSnapshot::BaseTables> base_tables_;
-  std::vector<uint8_t> dirty_flags_;  // sized to the matrix rows
-  std::vector<int> dirty_rows_;       // unsorted insertion order
-  bool snapshot_base_stale_ = true;
+  // One lock for the train-plane state. Producers take it only through
+  // TryCombine; the train plane takes it through TrainPlaneLock, which
+  // raises train_waiting_ first so combiners back off.
+  mutable Mutex drain_mu_;
+  mutable std::atomic<bool> train_waiting_{false};
+  std::atomic<bool> combining_{false};
+  std::atomic<uint64_t> combined_drains_{0};
 
-  // Model state (train plane). predictions_ is shared into snapshots and
-  // replaced (never mutated) on refit.
-  std::shared_ptr<const linalg::Matrix> predictions_;
-  int updates_since_refresh_ = 0;
+  WorkloadMatrix matrix_ GUARDED_BY(drain_mu_);
+
+  // Snapshot chunks, kept current at drain time. chunk_shared_[c] is set
+  // once a published snapshot holds chunks_[c]; the next write to that
+  // chunk copies it first. chunk_preds_ is what the chunks' model scans
+  // were computed against; chunks_stale_ forces a rebuild at the next
+  // Publish (refit, restore, shape change).
+  std::shared_ptr<ChunkPool> chunk_pool_;
+  std::vector<std::shared_ptr<SnapshotChunk>> chunks_ GUARDED_BY(drain_mu_);
+  std::vector<uint8_t> chunk_shared_ GUARDED_BY(drain_mu_);
+  std::shared_ptr<const linalg::Matrix> chunk_preds_ GUARDED_BY(drain_mu_);
+  bool chunks_stale_ GUARDED_BY(drain_mu_) = true;
+  std::atomic<uint64_t> unpublished_updates_{0};
+
+  // Model state. predictions_ is shared into snapshots and replaced (never
+  // mutated) on refit. factors_ belongs to the thread running the refit:
+  // the completion writes it back after the drain lock was released, and
+  // nothing on the combining path reads it.
+  std::shared_ptr<const linalg::Matrix> predictions_ GUARDED_BY(drain_mu_);
+  int updates_since_refresh_ GUARDED_BY(drain_mu_) = 0;
   CompletionFactors factors_;
 
-  // Ledgers: written by the train plane, read anywhere.
+  // Ledgers: written under the drain lock, read anywhere.
   std::atomic<double> regret_spent_{0.0};
   std::atomic<int> explorations_{0};
   std::atomic<uint64_t> checkpoints_written_{0};
   std::atomic<uint64_t> refits_completed_{0};
   std::atomic<uint64_t> refit_nanos_{0};
-  std::atomic<uint64_t> refit_yield_nanos_{0};
 
-  // Per-row ledger split (train plane only, updated in drain order): the
-  // regret / exploration slice each row contributed, so a migrating row
-  // can carry its charges to the destination shard. row_servings_ is the
-  // per-row traffic weight load-aware rebalancing scores on. Always sized
-  // to the matrix rows.
-  std::vector<double> row_regret_;
-  std::vector<int> row_explorations_;
-  std::vector<uint64_t> row_servings_;
+  // Per-row ledger split (updated in drain order): the regret /
+  // exploration slice each row contributed, so a migrating row can carry
+  // its charges to the destination shard. row_servings_ is the per-row
+  // traffic weight load-aware rebalancing scores on. Always sized to the
+  // matrix rows.
+  std::vector<double> row_regret_ GUARDED_BY(drain_mu_);
+  std::vector<int> row_explorations_ GUARDED_BY(drain_mu_);
+  std::vector<uint64_t> row_servings_ GUARDED_BY(drain_mu_);
 
   // Snapshot publication: the pointer is guarded by snapshot_mu_ (held
-  // only for the copy/swap, the publication-only critical section); the
-  // version counter is the lock-free probe. GUARDED_BY makes any lock-free
-  // touch of the pointer a compile error under the Clang thread-safety
-  // lane. The surrounding train-plane state (matrix_, predictions_, the
-  // dirty-row tracking, the step_ marks) is deliberately *not* guarded by
-  // any capability: it is single-writer by the class contract and read
-  // only on the train plane, so there is no lock whose discipline the
-  // analysis could check — the TSan jobs and the bitwise twin tests cover
-  // that contract instead. The observation queue and the ledgers are
-  // atomic publication protocols (explicit memory orders, enforced by
+  // only for the copy/swap); the version counter is the lock-free probe.
+  // The observation queue and the ledgers are atomic publication
+  // protocols (explicit memory orders, enforced by
   // tools/lint_determinism.py) rather than capabilities.
   mutable Mutex snapshot_mu_;
   std::shared_ptr<const ServingSnapshot> snapshot_ GUARDED_BY(snapshot_mu_);
@@ -700,11 +769,10 @@ class ExplorationEngine {
   std::vector<Slot> slots_;
   size_t queue_mask_ = 0;
   std::atomic<uint64_t> next_seq_{0};
-  std::atomic<uint64_t> drained_seq_{0};  // == head; train plane advances
+  std::atomic<uint64_t> drained_seq_{0};  // == head; the lock holder advances
 
-  // Train stepping state (BeginTrainSteps / TrainStep): the cadence marks
-  // and refit gates the free-running loop used to keep in locals, hoisted
-  // so an external scheduler can drive one iteration at a time.
+  // Train stepping state (BeginTrainSteps / TrainStep / the combining
+  // drain): the cadence marks and refit gates of the free-running loop.
   struct TrainStepState {
     /// Drain front at the last refit attempt; blocks failure storms.
     uint64_t drained_at_last_attempt = ~uint64_t{0};
@@ -714,7 +782,7 @@ class ExplorationEngine {
     /// the claim front when the previous refit finished, so everything in
     /// flight then lands first. Under saturation this spaces refits at
     /// least a backlog apart; the drain itself never waits on a refit
-    /// (TrainStep's refit yields keep it running).
+    /// (producers combine while the model fits).
     uint64_t refit_after_seq = 0;
     /// Drain front at the last checkpoint (checkpoint_every cadence mark).
     uint64_t checkpointed_seen = 0;
@@ -722,7 +790,7 @@ class ExplorationEngine {
     /// remembered: every drained observation is complete).
     bool has_complete = false;
   };
-  TrainStepState step_;
+  TrainStepState step_ GUARDED_BY(drain_mu_);
 
   // Background train plane.
   std::thread train_thread_;

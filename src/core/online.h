@@ -22,8 +22,9 @@ class OnlineOptimizer {
   }
 
   /// Hint to execute `query` with: the best verified hint, else 0 (default).
-  /// One pass over the row's state and value slices: snapshot publication
-  /// runs this for every row of a base rebuild.
+  /// One pass over the row's state and value slices: the engine runs this
+  /// for every row of a snapshot-chunk rebuild, and whenever a drained
+  /// observation may have moved a row's verified best.
   int ChooseHint(int query) const {
     const WorkloadMatrix& w = *matrix_;
     LIMEQO_CHECK(query >= 0 && query < w.num_queries());

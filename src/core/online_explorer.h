@@ -43,10 +43,10 @@ namespace limeqo::core {
 /// concurrent path again (it did twice while the two copies were
 /// hand-maintained — see the kernel header). The adapter's verified-best
 /// rule is the same OnlineOptimizer the engine's snapshot builder
-/// delegates to, so the adapter and the delta snapshot path (full or
-/// incremental publication alike) can never disagree about which plan is
-/// verified-best for a given matrix state — tests/engine_delta_test.cc
-/// pins this equivalence.
+/// delegates to (on a chunk rebuild, and as the reference its drain-time
+/// fold must reproduce), so the adapter and the snapshot path can never
+/// disagree about which plan is verified-best for a given matrix state —
+/// tests/engine_delta_test.cc pins this equivalence.
 /// The gate and fallback-pick streams are forked sequentially from
 /// options.seed exactly as before the refactor, keeping the gate sequence
 /// a pure function of (seed, serving index). Model refreshes go through

@@ -77,8 +77,8 @@ struct ShardedTierOptions {
   /// by every shard — decisions are keyed by global serving index, so
   /// shards can never consume each other's gate draws.
   OnlineExplorationOptions online;
-  /// Per-shard engine template (queue capacity, delta publication,
-  /// warm start). The `online` member inside is ignored — the split fleet
+  /// Per-shard engine template (queue capacity, warm start,
+  /// checkpointing). The `online` member inside is ignored — the split fleet
   /// options above are installed instead.
   EngineOptions engine;
   /// RebalanceHotShards migrates rows away from any shard whose serving

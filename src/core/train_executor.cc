@@ -88,9 +88,8 @@ ExplorationEngine* TrainExecutor::ClaimHottest(int* idx,
     // later scan, even if it raced the step itself.
     const uint64_t claimed_now = slot.engine->claimed_servings();
     if (claimed_now == slot.parked_at) continue;
-    const uint64_t score =
-        slot.engine->queue_backlog() +
-        options_.dirty_row_weight * slot.engine->pending_dirty_rows() + 1;
+    const uint64_t score = slot.engine->queue_backlog() +
+                           slot.engine->unpublished_updates() + 1;
     // Strict > keeps the lowest index on ties, so the scan order (and the
     // schedule) is deterministic given the counter values.
     if (score > best_score) {
@@ -147,8 +146,8 @@ void TrainExecutor::SyncEpochAll(
   std::iota(order.begin(), order.end(), size_t{0});
   std::vector<uint64_t> score(engines.size());
   for (size_t i = 0; i < engines.size(); ++i) {
-    score[i] = engines[i]->queue_backlog() +
-               options_.dirty_row_weight * engines[i]->pending_dirty_rows();
+    score[i] =
+        engines[i]->queue_backlog() + engines[i]->unpublished_updates();
   }
   std::stable_sort(order.begin(), order.end(), [&score](size_t a, size_t b) {
     return score[a] > score[b];

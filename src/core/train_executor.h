@@ -29,10 +29,6 @@ struct TrainExecutorOptions {
   /// Sleep between scheduling scans when no shard is runnable, in
   /// microseconds. Mirrors the per-engine train loop's idle sleep.
   int idle_sleep_us = 50;
-  /// Weight of one pending dirty row in the scheduling score, relative to
-  /// one queued (undrained) observation. Dirty rows measure imminent
-  /// refit/publication work; backlog measures drain work.
-  uint64_t dirty_row_weight = 1;
 };
 
 /// One train plane for a whole fleet: a fixed pool of workers drives every
@@ -41,8 +37,8 @@ struct TrainExecutorOptions {
 /// cores exactly when load concentrates on few shards).
 ///
 /// Scheduling: each worker repeatedly claims the hottest unclaimed shard —
-/// score = queue_backlog() + dirty_row_weight * pending_dirty_rows() + 1,
-/// lowest index on ties — and runs exactly one ExplorationEngine::TrainStep
+/// score = queue_backlog() + unpublished_updates() + 1 (drain work plus
+/// publication work, both atomic engine counters), lowest index on ties — and runs exactly one ExplorationEngine::TrainStep
 /// on it. At most one job per shard is ever in flight, so each shard's
 /// steps stay serialized (the engine's stepping contract); which worker
 /// runs a given step is immaterial. A step that makes no progress parks the

@@ -1,6 +1,7 @@
 #ifndef LIMEQO_CORE_WORKLOAD_MATRIX_H_
 #define LIMEQO_CORE_WORKLOAD_MATRIX_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
@@ -8,8 +9,9 @@
 
 namespace limeqo::core {
 
-/// Observation state of one cell of the workload matrix.
-enum class CellState {
+/// Observation state of one cell of the workload matrix. One byte: the
+/// matrix and every snapshot chunk store one per (query, hint) cell.
+enum class CellState : uint8_t {
   /// Never executed: latency unknown.
   kUnobserved = 0,
   /// Executed to completion: exact latency known.

@@ -472,7 +472,6 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
   options.seed = MixSeed(spec_.seed, 0x4558u);
   options.initial_queries =
       total_arrivals > 0 ? spec_.num_queries - total_arrivals : -1;
-  options.engine.delta_publication = !config.full_snapshot_rebuild;
   core::OfflineExplorer explorer(backend.get(), exploration_policy.get(),
                                  options);
 
@@ -660,7 +659,6 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
       core::ShardedTierOptions tier_options;
       tier_options.num_shards = config.shards;
       tier_options.online = online;
-      tier_options.engine.delta_publication = !config.full_snapshot_rebuild;
       // A queue much smaller than the serving phase makes the free-running
       // staleness bound meaningful (2 * capacity + threads * batch +
       // publish_every must undercut the total servings): producers more
@@ -1062,8 +1060,6 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
     const core::WorkloadMatrix& final_matrix =
         merged ? *merged : explorer.matrix();
     CheckMatrixConsistency(final_matrix, &result);
-    CheckNoRegression(final_matrix, final_matrix.BestObservedHints(), "online",
-                      &result);
     CheckNoRegression(final_matrix, OnlineServedHints(final_matrix),
                       "online-serving", &result);
   } else {

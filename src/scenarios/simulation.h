@@ -119,11 +119,6 @@ struct RunConfig {
   /// in-flight slack, ledger consistency, the binomial epsilon cap, and
   /// freeze-after-exhaustion.
   bool free_running = false;
-  /// Forces every snapshot publication to a full O(n*k) rebuild instead of
-  /// the default base+delta protocol. Exists for the delta/full
-  /// equivalence tests and the publication-cost bench; results must be
-  /// bitwise identical either way.
-  bool full_snapshot_rebuild = false;
   /// Offline policies (Greedy, ModelGuided) may re-probe censored cells
   /// whose bound/prediction still undercuts the row's current best.
   bool revisit_censored = false;

@@ -13,8 +13,8 @@
 //     counts;
 //   * the output is bitwise equal at 1/2/4 threads and with or without a
 //     borrowed arena;
-//   * mutating the input matrix at every RefitYieldPoint changes no bit of
-//     the completion (the yield contract of completer.h);
+//   * mutating the input matrix at its set-up-done RefitYieldPoint changes
+//     no bit of the completion (the yield contract of completer.h);
 // and that a warmed arena leaves the result matrix as the only
 // allocation of a completion that scales with the problem.
 
@@ -671,33 +671,33 @@ TEST(AlsSparseResidualTest, RefitYieldPointWithoutAScopeIsANoOp) {
   int calls = 0;
   RefitYieldPoint();  // nothing open: returns without effect
   {
-    ScopedRefitYield outer([&] { ++calls; });
-    RefitYieldPoint();
-    {
-      // The inner scope wins until it exits; a yield point reached from
-      // inside a callback is a no-op, so callbacks never recurse.
-      ScopedRefitYield inner([&] {
-        calls += 10;
-        RefitYieldPoint();
-      });
+    // The callback fires at the first yield point only — also when it
+    // reaches a yield point itself.
+    ScopedRefitYield scope([&] {
+      ++calls;
       RefitYieldPoint();
-    }
+    });
+    EXPECT_FALSE(scope.yielded());
+    RefitYieldPoint();
+    EXPECT_TRUE(scope.yielded());
     RefitYieldPoint();
   }
   RefitYieldPoint();
-  EXPECT_EQ(calls, 12);
+  EXPECT_EQ(calls, 1);
   // The scope is thread-local: another thread sees no open scope.
   ScopedRefitYield scope([&] { ++calls; });
   std::thread other([] { RefitYieldPoint(); });
   other.join();
-  EXPECT_EQ(calls, 12);
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(scope.yielded());
 }
 
 TEST(AlsSparseResidualTest, CompletionNeverReadsTheMatrixAfterItsFirstYield) {
-  // The train plane drains observations into the live matrix at every
-  // yield point of a refit. The fit must not see them: a completion whose
-  // input is mutated at every yield is bitwise equal to one on an
-  // untouched copy — output, factors and sweep count.
+  // The train plane releases its drain lock at a refit's set-up-done
+  // yield point, and producers drain observations into the live matrix
+  // from then on. The fit must not see them: a completion whose input is
+  // mutated at its yield is bitwise equal to one on an untouched copy —
+  // output, factors and sweep count.
   const WorkloadMatrix original = RandomCensoredMatrix(2400, 32, 0.08, 606);
   for (CensoredMode mode : {CensoredMode::kCensored,
                             CensoredMode::kNaiveObserved,
@@ -726,7 +726,7 @@ TEST(AlsSparseResidualTest, CompletionNeverReadsTheMatrixAfterItsFirstYield) {
           ScopedRefitYield yield([&] {
             ++fit.yields;
             if (!mutate) return;
-            for (int c = 0; c < 6; ++c) {
+            for (int c = 0; c < 400; ++c) {
               const int i = static_cast<int>(rng.NextUint64Below(2400));
               const int j = static_cast<int>(rng.NextUint64Below(32));
               switch (w.state(i, j)) {
@@ -758,8 +758,8 @@ TEST(AlsSparseResidualTest, CompletionNeverReadsTheMatrixAfterItsFirstYield) {
           return fit;
         };
         const Fit reference = run(1, /*mutate=*/false);
-        // Set-up, every half-sweep, and between the two output blocks.
-        EXPECT_EQ(reference.yields, 1 + 2 * reference.iterations + 1);
+        // Exactly one yield: the set-up-done point.
+        EXPECT_EQ(reference.yields, 1);
         for (int threads : {1, 2, 4}) {
           const Fit got = run(threads, /*mutate=*/true);
           EXPECT_EQ(got.yields, reference.yields) << threads << " threads";

@@ -136,7 +136,7 @@ TEST(RngFastPath, FirstDrawMatchesFullGenerator) {
 // The PR 6 ServingSnapshot::ChooseHint, reimplemented verbatim against the
 // snapshot's *public* row accessors (per-hint state lookups, no precompute)
 // and the published gate/pick stream contract. Any drift between the
-// shared kernel (or the publication-time precompute behind it) and this
+// shared kernel (or the drain-time row precompute behind it) and this
 // reference is a decision change.
 int LegacyChooseHint(const ServingSnapshot& snap,
                      const linalg::Matrix* predictions, int query,
@@ -273,13 +273,13 @@ TEST(DecisionKernelDifferential, RandomSnapshotsMatchLegacyRule) {
     CheckSnapshotDifferential(engine, "base snapshot",
                               &snapshots_with_predictions);
 
-    // Dirty a few rows and republish: the next snapshot resolves them
-    // through the delta overlay (n >= 8 keeps the overlay under the
-    // compaction threshold), which is the other row-resolution path.
+    // Touch a few rows and republish: the next snapshot serves them from
+    // chunks folded at drain time rather than rebuilt, which is the other
+    // row-maintenance path.
     engine.Observe(1 % n, 1 % k, 0.42);
     engine.Observe(n - 1, k - 1, 0.17);
     engine.Publish();
-    CheckSnapshotDifferential(engine, "delta snapshot",
+    CheckSnapshotDifferential(engine, "folded snapshot",
                               &snapshots_with_predictions);
   }
   // The sweep must cover the model step, not just the fallback: a

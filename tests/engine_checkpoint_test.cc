@@ -197,7 +197,6 @@ TEST(KillRestoreTest, RestoredTwinReplaysBitwiseAtEveryThreadCount) {
         opts.online.publish_every = static_cast<int>(p.Int(4, 12));
         opts.online.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
         opts.engine.warm_start = p.Bool(0.7);
-        opts.engine.delta_publication = p.Bool(0.8);
 
         core::AlsOptions als;
         als.rank = static_cast<int>(p.Int(1, 3));

@@ -1,28 +1,31 @@
-// Delta snapshot publication must be bitwise-equivalent to full rebuilds
-// at every publication point. Twin engines — one publishing base+delta
-// overlays, one forced to full O(n*k) rebuilds — run identical operation
-// sequences (observations, censoring, clears, queue reports, refits,
-// appends, matrix resets) and their snapshots are compared field by field
-// and decision by decision after every Publish. On top of the unit
-// property, whole scenario-grid runs through the epoch-synchronized
-// concurrent driver must produce bitwise-identical serving traces with
-// delta publication on and off.
+// Drain-time snapshot maintenance must be bitwise-equivalent to a full
+// recompute at every publication point. The engine folds each observation
+// into its row's snapshot chunk in O(1) (rescanning only when the row's
+// verified best or predicted-best unobserved hint may have moved), copies a
+// chunk on its first write after a publication, and rebuilds every chunk
+// only on refit, restore or a shape change. The twin property below drives
+// random operation sequences through that machinery and, after every
+// Publish, compares each row of the snapshot with a test-only full-rebuild
+// reference computed from the live matrix: the OnlineOptimizer rule for the
+// verified best and ScanHintRow for the model precompute. Two smaller
+// tests pin the copy-on-write contract (an unpublished write never changes
+// a published snapshot) and chunk recycling (steady-state publication runs
+// on recycled storage).
 
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/als.h"
+#include "core/decision_kernel.h"
 #include "core/engine.h"
 #include "core/online.h"
 #include "proptest.h"
-#include "scenarios/scenario.h"
-#include "scenarios/simulation.h"
 
 namespace limeqo::core {
 namespace {
@@ -31,7 +34,9 @@ WorkloadMatrix RandomMatrix(int n, int k, double fill, uint64_t seed) {
   WorkloadMatrix w(n, k);
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
-    w.Observe(i, 0, rng.Uniform(0.1, 10.0));
+    // Most rows start with a complete default; some do not, so the
+    // "default becomes complete" transition is reachable.
+    if (rng.Bernoulli(0.85)) w.Observe(i, 0, rng.Uniform(0.1, 10.0));
     for (int j = 1; j < k; ++j) {
       if (rng.Bernoulli(fill)) w.Observe(i, j, rng.Uniform(0.01, 10.0));
     }
@@ -39,183 +44,210 @@ WorkloadMatrix RandomMatrix(int n, int k, double fill, uint64_t seed) {
   return w;
 }
 
-/// Field-by-field and decision-by-decision snapshot comparison. Returns
-/// false (with a diagnostic on stderr) at the first divergence.
-bool SnapshotsEquivalent(const ServingSnapshot& delta,
-                         const ServingSnapshot& full) {
-  if (delta.num_queries() != full.num_queries() ||
-      delta.num_hints() != full.num_hints() ||
-      delta.published_seq() != full.published_seq() ||
-      delta.regret_spent() != full.regret_spent() ||
-      delta.budget_exhausted() != full.budget_exhausted() ||
-      delta.has_predictions() != full.has_predictions()) {
-    std::cerr << "snapshot headers diverge: n " << delta.num_queries() << "/"
-              << full.num_queries() << " k " << delta.num_hints() << "/"
-              << full.num_hints() << " seq " << delta.published_seq() << "/"
-              << full.published_seq() << " regret " << delta.regret_spent()
-              << "/" << full.regret_spent() << " preds "
-              << delta.has_predictions() << "/" << full.has_predictions()
-              << "\n";
+bool SameDouble(double a, double b) {
+  return a == b || (std::isinf(a) && std::isinf(b) && (a > 0) == (b > 0));
+}
+
+/// The full-rebuild reference: every row of `snap` must equal what a
+/// from-scratch scan of the live matrix computes. Returns false (with a
+/// diagnostic on stderr) at the first divergence.
+bool MatchesFullRebuild(const ExplorationEngine& engine,
+                        const ServingSnapshot& snap) {
+  const WorkloadMatrix& m = engine.matrix();
+  const int n = m.num_queries();
+  const int k = m.num_hints();
+  if (snap.num_queries() != n || snap.num_hints() != k) {
+    std::cerr << "snapshot shape " << snap.num_queries() << "x"
+              << snap.num_hints() << " vs matrix " << n << "x" << k << "\n";
     return false;
   }
-  const int n = delta.num_queries();
-  const int k = delta.num_hints();
+  const bool serve_predictions =
+      engine.have_predictions() &&
+      engine.predictions().rows() == static_cast<size_t>(n) &&
+      engine.predictions().cols() == static_cast<size_t>(k);
+  if (snap.has_predictions() != serve_predictions) {
+    std::cerr << "has_predictions " << snap.has_predictions() << " vs "
+              << serve_predictions << "\n";
+    return false;
+  }
+  if (snap.published_seq() != engine.drained_servings() ||
+      snap.regret_spent() != engine.regret_spent()) {
+    std::cerr << "snapshot header diverges from the engine\n";
+    return false;
+  }
+  const OnlineOptimizer rule(&m);
   for (int q = 0; q < n; ++q) {
-    if (delta.VerifiedHint(q) != full.VerifiedHint(q)) {
-      std::cerr << "verified hint diverges at query " << q << ": "
-                << delta.VerifiedHint(q) << " vs " << full.VerifiedHint(q)
-                << "\n";
-      return false;
-    }
-    // Bitwise: both +infinity and finite latencies must match exactly.
-    const double dl = delta.VerifiedLatency(q);
-    const double fl = full.VerifiedLatency(q);
-    if (!(dl == fl || (std::isinf(dl) && std::isinf(fl)))) {
-      std::cerr << "verified latency diverges at query " << q << ": " << dl
-                << " vs " << fl << "\n";
+    const CellState* states = m.row_states(q);
+    const int best = rule.ChooseHint(q);
+    const double best_latency = states[best] == CellState::kComplete
+                                    ? m.row_values(q)[best]
+                                    : std::numeric_limits<double>::infinity();
+    if (snap.VerifiedHint(q) != best ||
+        !SameDouble(snap.VerifiedLatency(q), best_latency)) {
+      std::cerr << "verified best of row " << q << ": snapshot "
+                << snap.VerifiedHint(q) << " @ " << snap.VerifiedLatency(q)
+                << ", reference " << best << " @ " << best_latency << "\n";
       return false;
     }
     for (int j = 0; j < k; ++j) {
-      if (delta.state(q, j) != full.state(q, j)) {
+      if (snap.state(q, j) != states[j]) {
         std::cerr << "cell state diverges at (" << q << "," << j << ")\n";
         return false;
       }
     }
-  }
-  // Behavioral equivalence: the serving decision for any (query, index)
-  // pair must coincide — this exercises the epsilon gate, the frozen
-  // ledger, the prediction scan, and the fallback pick together.
-  for (uint64_t s = 0; s < 64; ++s) {
-    const int q = static_cast<int>(s % static_cast<uint64_t>(n));
-    if (delta.ChooseHint(q, s) != full.ChooseHint(q, s)) {
-      std::cerr << "ChooseHint diverges at (query " << q << ", serving " << s
-                << ")\n";
+    const HintScan want = ScanHintRow(
+        states,
+        serve_predictions
+            ? engine.predictions().data() + static_cast<size_t>(q) * k
+            : nullptr,
+        k);
+    const HintScan got = snap.RowScan(q);
+    if (got.have_predictions != want.have_predictions ||
+        got.best_unobserved != want.best_unobserved ||
+        !SameDouble(got.best_unobserved_pred, want.best_unobserved_pred) ||
+        got.unobserved_count != want.unobserved_count) {
+      std::cerr << "model scan of row " << q << ": snapshot "
+                << got.best_unobserved << " @ " << got.best_unobserved_pred
+                << " (" << got.unobserved_count << " unobserved), reference "
+                << want.best_unobserved << " @ " << want.best_unobserved_pred
+                << " (" << want.unobserved_count << ")\n";
       return false;
     }
   }
   return true;
 }
 
-/// The twin-engine operation-sequence property: after every Publish, the
-/// delta engine's snapshot must be indistinguishable from the full
-/// engine's, and both must agree with the OnlineOptimizer rule recomputed
-/// from the live matrix.
-bool DeltaMatchesFullOverRandomOps(proptest::Params& p) {
-  const int n = static_cast<int>(p.Int(3, 24));
+/// Random operation sequences against one engine; after every publication
+/// the snapshot must equal the full-rebuild reference. The targeted ops
+/// aim at each branch of the drain-time fold: re-observing the verified
+/// best slower, equal and faster; an equal-latency tie at a lower hint
+/// index; a default turning complete (and incomplete again); exploring the
+/// predicted-best unobserved hint; censoring; clearing; appends, row
+/// migration, checkpoint restore and refits. Observations reach the
+/// engine either directly (Observe) or through the queue (Report + Drain),
+/// so both fold entry points are covered.
+bool FoldMatchesFullRebuildOverRandomOps(proptest::Params& p) {
+  // Every third case spans several chunks with a partial last one, so the
+  // fold, the copy-on-write and the shape changes also run past a chunk
+  // boundary.
+  const bool multi_chunk = p.Bool(1.0 / 3.0);
+  const int n = static_cast<int>(multi_chunk ? p.Int(SnapshotChunk::kRows + 1,
+                                                     600)
+                                             : p.Int(3, 40));
   const int k = static_cast<int>(p.Int(2, 8));
   const double fill = p.Double(0.05, 0.5);
 
-  EngineOptions delta_opt;
-  delta_opt.online.epsilon = 0.5;
-  delta_opt.online.min_predicted_ratio = 0.0;
-  delta_opt.online.regret_budget_seconds = 50.0;
-  delta_opt.online.seed = p.case_seed() ^ 0x5EEDu;
-  delta_opt.delta_publication = true;
-  EngineOptions full_opt = delta_opt;
-  full_opt.delta_publication = false;
-
+  EngineOptions options;
+  options.online.epsilon = 0.5;
+  options.online.min_predicted_ratio = 0.0;
+  options.online.regret_budget_seconds = 50.0;
+  options.online.seed = p.case_seed() ^ 0x5EEDu;
   AlsOptions als;
   als.seed = p.case_seed() ^ 0xA15u;
   als.convergence_tol = 1e-3;
-  CompleterPredictor delta_predictor(std::make_unique<AlsCompleter>(als));
-  CompleterPredictor full_predictor(std::make_unique<AlsCompleter>(als));
-
-  WorkloadMatrix seed_matrix = RandomMatrix(n, k, fill, p.case_seed());
-  ExplorationEngine delta_engine(seed_matrix, &delta_predictor, delta_opt);
-  ExplorationEngine full_engine(std::move(seed_matrix), &full_predictor,
-                                full_opt);
+  CompleterPredictor predictor(std::make_unique<AlsCompleter>(als));
+  ExplorationEngine engine(RandomMatrix(n, k, fill, p.case_seed()),
+                           &predictor, options);
 
   Rng ops(p.case_seed() ^ 0x09Au);
   uint64_t seq = 0;
-  int rows = n;
-  for (int step = 0; step < 50; ++step) {
-    const int q = static_cast<int>(ops.NextUint64Below(rows));
+  EngineCheckpoint saved;
+  bool have_saved = false;
+  // One observation of (q, j), through the queue or directly.
+  const auto observe = [&](int q, int j, double latency) {
+    const std::shared_ptr<const ServingSnapshot> snap = engine.snapshot();
+    // Rows appended since the last publication are not in the snapshot
+    // yet, so they can only be observed directly.
+    if (q < snap->num_queries() && ops.Bernoulli(0.5)) {
+      engine.Report(snap->MakeObservation(seq++, q, j, latency));
+      engine.Drain();
+    } else {
+      engine.Observe(q, j, latency);
+    }
+  };
+  for (int step = 0; step < 80; ++step) {
+    const int rows = engine.matrix().num_queries();
+    // Half the ops of a multi-chunk case aim at the last (partial) chunk.
+    const int last_chunk = (rows - 1) & ~(SnapshotChunk::kRows - 1);
+    const int q =
+        multi_chunk && ops.Bernoulli(0.5)
+            ? last_chunk + static_cast<int>(
+                               ops.NextUint64Below(rows - last_chunk))
+            : static_cast<int>(ops.NextUint64Below(rows));
     const int j = static_cast<int>(ops.NextUint64Below(k));
-    switch (ops.NextUint64Below(9)) {
+    const WorkloadMatrix& m = engine.matrix();
+    const int best = OnlineOptimizer(&m).ChooseHint(q);
+    const bool default_complete = m.IsComplete(q, 0);
+    const double best_latency = default_complete ? m.observed(q, best) : 1.0;
+    switch (ops.NextUint64Below(16)) {
       case 0:
-      case 1: {  // direct train-plane observation
-        const double latency = ops.Uniform(0.01, 10.0);
-        delta_engine.Observe(q, j, latency);
-        full_engine.Observe(q, j, latency);
+      case 1:
+        observe(q, j, ops.Uniform(0.01, 10.0));
         break;
-      }
-      case 2: {  // censored observation
-        const double timeout = ops.Uniform(0.01, 5.0);
-        delta_engine.ObserveCensored(q, j, timeout);
-        full_engine.ObserveCensored(q, j, timeout);
+      case 2:  // the verified best gets slower: a rescan must find the new one
+        observe(q, best, best_latency * ops.Uniform(1.01, 3.0));
         break;
-      }
-      case 3:  // forget (data-shift invalidation)
-        delta_engine.Clear(q, j);
-        full_engine.Clear(q, j);
+      case 3:  // ... stays equal
+        observe(q, best, best_latency);
         break;
-      case 4: {  // a batch of queue reports, drained in order
-        const int batch = 1 + static_cast<int>(ops.NextUint64Below(6));
-        for (int b = 0; b < batch; ++b) {
-          const int bq = static_cast<int>(ops.NextUint64Below(rows));
-          const int bj = static_cast<int>(ops.NextUint64Below(k));
-          const double latency = ops.Uniform(0.01, 10.0);
-          const ServingObservation da =
-              delta_engine.snapshot()->MakeObservation(seq, bq, bj, latency);
-          const ServingObservation fa =
-              full_engine.snapshot()->MakeObservation(seq, bq, bj, latency);
-          if (da.exploratory != fa.exploratory ||
-              da.regret_delta != fa.regret_delta) {
-            std::cerr << "MakeObservation diverges at seq " << seq << "\n";
-            return false;
-          }
-          delta_engine.Report(da);
-          full_engine.Report(fa);
-          ++seq;
+      case 4:  // ... gets faster
+        observe(q, best, best_latency * ops.Uniform(0.2, 0.99));
+        break;
+      case 5:  // equal-latency tie at a lower hint index wins
+        if (default_complete && best > 0) {
+          observe(q, static_cast<int>(ops.NextUint64Below(best)),
+                  best_latency);
         }
-        delta_engine.Drain();
-        full_engine.Drain();
         break;
-      }
-      case 5: {  // refit (the delta engine's full-rebuild trigger)
-        const bool da = delta_engine.RefreshPredictions(/*force=*/true);
-        const bool fa = full_engine.RefreshPredictions(/*force=*/true);
-        if (da != fa) {
-          std::cerr << "RefreshPredictions diverges: " << da << " vs " << fa
-                    << "\n";
-          return false;
+      case 6:  // the default turns incomplete, then complete again
+        if (ops.Bernoulli(0.5)) {
+          engine.Clear(q, 0);
+        } else {
+          observe(q, 0, ops.Uniform(0.1, 10.0));
+        }
+        break;
+      case 7: {  // explore the predicted-best unobserved hint
+        const int target = engine.snapshot()->RowScan(q).best_unobserved;
+        if (target >= 0 && engine.snapshot()->num_queries() == rows) {
+          observe(q, target, ops.Uniform(0.01, 10.0));
         }
         break;
       }
-      case 6: {  // workload shift: new rows join
-        const int count = 1 + static_cast<int>(ops.NextUint64Below(2));
-        delta_engine.AppendQueries(count);
-        full_engine.AppendQueries(count);
-        rows += count;
+      case 8:
+        engine.ObserveCensored(q, j, ops.Uniform(0.01, 5.0));
         break;
-      }
-      case 7: {  // wholesale replacement (resume-from-disk)
-        WorkloadMatrix fresh =
-            RandomMatrix(rows, k, fill, p.case_seed() ^ (0xF00Du + step));
-        delta_engine.ResetMatrix(fresh);
-        full_engine.ResetMatrix(std::move(fresh));
+      case 9:
+        engine.Clear(q, j);
         break;
-      }
+      case 10:
+        engine.RefreshPredictions(/*force=*/true);
+        break;
+      case 11:
+        engine.AppendQueries(1 + static_cast<int>(ops.NextUint64Below(2)));
+        break;
+      case 12:  // migrate a row out and back in (it lands last)
+        if (rows > 1) {
+          const MigratedRow row = engine.ExtractRow(q);
+          engine.RemoveRow(q);
+          engine.AdoptRow(row);
+        }
+        break;
+      case 13:
+        if (have_saved && ops.Bernoulli(0.5)) {
+          engine.RestoreFromCheckpoint(saved);
+          seq = saved.serving_seq;
+        } else {
+          saved = engine.MakeCheckpoint();
+          have_saved = true;
+        }
+        break;
       default:
-        break;  // publish-only step
+        break;  // several folds may accumulate before one publication
     }
-    delta_engine.Publish();
-    full_engine.Publish();
-    std::shared_ptr<const ServingSnapshot> ds = delta_engine.snapshot();
-    std::shared_ptr<const ServingSnapshot> fs = full_engine.snapshot();
-    if (!SnapshotsEquivalent(*ds, *fs)) {
-      std::cerr << "divergence after step " << step << " (rows " << rows
-                << ", k " << k << ")\n";
-      return false;
-    }
-    // Both must match the rule recomputed from the live matrix — the
-    // "identical verified-best semantics" contract shared with the
-    // synchronous OnlineExplorationOptimizer adapter.
-    const OnlineOptimizer rule(&delta_engine.matrix());
-    for (int query = 0; query < rows; ++query) {
-      if (ds->VerifiedHint(query) != rule.ChooseHint(query)) {
-        std::cerr << "snapshot verified hint diverges from the live rule at "
-                  << "query " << query << " (step " << step << ")\n";
+    if (ops.Bernoulli(0.6)) {
+      engine.Publish();
+      if (!MatchesFullRebuild(engine, *engine.snapshot())) {
+        std::cerr << "divergence after step " << step << "\n";
         return false;
       }
     }
@@ -223,109 +255,120 @@ bool DeltaMatchesFullOverRandomOps(proptest::Params& p) {
   return true;
 }
 
-TEST(EngineDeltaTest, DeltaPublicationIsBitwiseEquivalentToFullRebuild) {
+TEST(EngineDeltaTest, DrainTimeFoldMatchesAFullRebuildAtEveryPublication) {
   proptest::Config config;
-  config.runs = 12;
-  proptest::Check("delta snapshots match full rebuilds over random ops",
-                  DeltaMatchesFullOverRandomOps, config);
+  config.runs = 24;
+  proptest::Check("snapshot chunks match a full rebuild over random ops",
+                  FoldMatchesFullRebuildOverRandomOps, config);
 }
 
-TEST(EngineDeltaTest, DeltaSnapshotsShareTheBaseAndStayImmutable) {
-  // Defaults-only fill: every non-default cell starts unobserved.
-  ExplorationEngine engine(RandomMatrix(16, 6, 0.0, 41));
-  std::shared_ptr<const ServingSnapshot> base_snap = engine.snapshot();
-  EXPECT_EQ(base_snap->delta_rows(), 0);  // construction publishes a base
+/// Everything a serving decision can read from one snapshot row.
+struct RowCopy {
+  int verified_best;
+  double verified_latency;
+  HintScan scan;
+  std::vector<CellState> states;
 
-  engine.Observe(3, 2, 0.123);
-  engine.Publish();
-  std::shared_ptr<const ServingSnapshot> first = engine.snapshot();
-  EXPECT_EQ(first->delta_rows(), 1);  // only the touched row rides the delta
-  EXPECT_EQ(first->state(3, 2), CellState::kComplete);
-  // The retained earlier snapshots are untouched by later publications.
-  EXPECT_EQ(base_snap->state(3, 2), CellState::kUnobserved);
+  bool operator==(const RowCopy& o) const {
+    return verified_best == o.verified_best &&
+           SameDouble(verified_latency, o.verified_latency) &&
+           scan.best_unobserved == o.scan.best_unobserved &&
+           SameDouble(scan.best_unobserved_pred, o.scan.best_unobserved_pred) &&
+           scan.unobserved_count == o.scan.unobserved_count &&
+           states == o.states;
+  }
+};
 
-  engine.Observe(7, 1, 0.456);
-  engine.Publish();
-  std::shared_ptr<const ServingSnapshot> second = engine.snapshot();
-  EXPECT_EQ(second->delta_rows(), 2);  // overlay accumulates until rebuild
-  EXPECT_EQ(first->state(7, 1), CellState::kUnobserved);
-  EXPECT_EQ(second->state(7, 1), CellState::kComplete);
-
-  // AppendQueries forces the next publication back to a full base.
-  engine.AppendQueries(2);
-  engine.Publish();
-  std::shared_ptr<const ServingSnapshot> rebuilt = engine.snapshot();
-  EXPECT_EQ(rebuilt->delta_rows(), 0);
-  EXPECT_EQ(rebuilt->num_queries(), 18);
-  EXPECT_EQ(rebuilt->state(7, 1), CellState::kComplete);
-  // Older snapshots keep their pre-append shape.
-  EXPECT_EQ(second->num_queries(), 16);
+std::vector<RowCopy> CopyRows(const ServingSnapshot& snap) {
+  std::vector<RowCopy> rows;
+  for (int q = 0; q < snap.num_queries(); ++q) {
+    RowCopy row{snap.VerifiedHint(q), snap.VerifiedLatency(q),
+                snap.RowScan(q), {}};
+    for (int j = 0; j < snap.num_hints(); ++j) {
+      row.states.push_back(snap.state(q, j));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
-TEST(EngineDeltaTest, OverlayCompactionBoundsTheDeltaSize) {
-  // Touching more than a quarter of the rows without a refit must fold the
-  // overlay back into a fresh base instead of growing it without bound.
-  ExplorationEngine engine(RandomMatrix(16, 4, 0.0, 42));
-  for (int q = 0; q < 12; ++q) {
-    engine.Observe(q, 1, 1.0 + q);
+TEST(EngineDeltaTest, UnpublishedWritesNeverChangeAPublishedSnapshot) {
+  // 600 rows: three chunks, the last one partial.
+  ExplorationEngine engine(RandomMatrix(600, 6, 0.2, 41));
+  const std::shared_ptr<const ServingSnapshot> published = engine.snapshot();
+  const std::vector<RowCopy> before = CopyRows(*published);
+
+  Rng rng(7);
+  uint64_t seq = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const int q = static_cast<int>(rng.NextUint64Below(600));
+    const int j = static_cast<int>(rng.NextUint64Below(6));
+    switch (rng.NextUint64Below(4)) {
+      case 0:
+        engine.Observe(q, j, rng.Uniform(0.01, 10.0));
+        break;
+      case 1:
+        engine.ObserveCensored(q, j, rng.Uniform(0.01, 10.0));
+        break;
+      case 2:
+        engine.Clear(q, j);
+        break;
+      default:
+        engine.Report(published->MakeObservation(seq++, q, j,
+                                                 rng.Uniform(0.01, 10.0)));
+        engine.Drain();
+        break;
+    }
   }
+  // Nothing was published: the engine still serves the same snapshot, and
+  // its rows are exactly as they were.
+  EXPECT_EQ(engine.snapshot(), published);
+  EXPECT_EQ(engine.snapshot_version(), published->version());
+  EXPECT_TRUE(CopyRows(*published) == before);
+  EXPECT_EQ(engine.unpublished_updates(), 2000u);
+
   engine.Publish();
-  std::shared_ptr<const ServingSnapshot> snap = engine.snapshot();
-  EXPECT_EQ(snap->delta_rows(), 0) << "12 dirty rows of 16 must compact";
-  for (int q = 0; q < 12; ++q) {
-    EXPECT_EQ(snap->state(q, 1), CellState::kComplete);
-  }
+  const std::shared_ptr<const ServingSnapshot> next = engine.snapshot();
+  EXPECT_NE(next, published);
+  EXPECT_EQ(engine.unpublished_updates(), 0u);
+  EXPECT_TRUE(MatchesFullRebuild(engine, *next));
+  // The old snapshot still reads the pre-write rows.
+  EXPECT_TRUE(CopyRows(*published) == before);
+  EXPECT_FALSE(CopyRows(*next) == before);
+}
+
+TEST(EngineDeltaTest, SteadyStatePublicationReusesRecycledChunkStorage) {
+  // 2048 rows = 8 chunks. Each cycle writes to every chunk, so every
+  // chunk is copied once per publication; the copies must come from
+  // buffers the previous snapshots released.
+  constexpr int kRows = 2048;
+  ExplorationEngine engine(RandomMatrix(kRows, 8, 0.1, 42));
+  Rng rng(11);
+  const auto cycle = [&] {
+    for (int c = 0; c < kRows / SnapshotChunk::kRows; ++c) {
+      const int q = c * SnapshotChunk::kRows +
+                    static_cast<int>(rng.NextUint64Below(SnapshotChunk::kRows));
+      engine.Observe(q, 1 + static_cast<int>(rng.NextUint64Below(7)),
+                     rng.Uniform(0.01, 10.0));
+    }
+    engine.Publish();
+  };
+  for (int i = 0; i < 4; ++i) cycle();  // warm the free list
+  const uint64_t warm = engine.snapshot_chunks_allocated();
+  for (int i = 0; i < 200; ++i) cycle();
+  EXPECT_EQ(engine.snapshot_chunks_allocated(), warm)
+      << "steady-state publications allocated new chunk storage";
+  // Two chunk sets at most: the published one and the one being written.
+  EXPECT_LE(warm, 2u * kRows / SnapshotChunk::kRows + 8u);
+  EXPECT_TRUE(MatchesFullRebuild(engine, *engine.snapshot()));
+
+  // A reader holding a snapshot pins its chunks: the engine must allocate
+  // around them rather than reuse them, and they stay intact.
+  const std::shared_ptr<const ServingSnapshot> held = engine.snapshot();
+  const std::vector<RowCopy> held_rows = CopyRows(*held);
+  for (int i = 0; i < 20; ++i) cycle();
+  EXPECT_TRUE(CopyRows(*held) == held_rows);
 }
 
 }  // namespace
 }  // namespace limeqo::core
-
-namespace limeqo::scenarios {
-namespace {
-
-ScenarioSpec GridWorld(const std::string& name) {
-  for (const ScenarioSpec& s : ScenarioGrid()) {
-    if (s.name == name) return s;
-  }
-  ADD_FAILURE() << "no grid world named " << name;
-  return ScenarioSpec{};
-}
-
-// The end-to-end form of the equivalence: every publication point of a
-// whole epoch-synchronized concurrent run drives real serving decisions,
-// so bitwise-equal traces with delta publication on and off prove the
-// protocol equivalent at each of those points.
-TEST(EngineDeltaTest, GridTracesIdenticalWithAndWithoutDeltaPublication) {
-  for (const std::string& name :
-       {std::string("baseline"), std::string("heavy-tail-extreme"),
-        std::string("online-tight-budget")}) {
-    const ScenarioSpec spec = GridWorld(name);
-    RunConfig delta_config;
-    delta_config.serve_threads = 2;
-    RunConfig full_config = delta_config;
-    full_config.full_snapshot_rebuild = true;
-
-    const SimulationResult delta_run = SimulationDriver(spec).Run(delta_config);
-    const SimulationResult full_run = SimulationDriver(spec).Run(full_config);
-    ASSERT_TRUE(delta_run.ok()) << delta_run.Summary();
-    ASSERT_TRUE(full_run.ok()) << full_run.Summary();
-    ASSERT_EQ(delta_run.serving_trace.size(), full_run.serving_trace.size())
-        << name;
-    for (size_t s = 0; s < delta_run.serving_trace.size(); ++s) {
-      ASSERT_TRUE(delta_run.serving_trace[s] == full_run.serving_trace[s])
-          << name << " serving " << s << " diverges: ("
-          << delta_run.serving_trace[s].query << ","
-          << delta_run.serving_trace[s].hint << ","
-          << delta_run.serving_trace[s].latency << ") vs ("
-          << full_run.serving_trace[s].query << ","
-          << full_run.serving_trace[s].hint << ","
-          << full_run.serving_trace[s].latency << ")";
-    }
-    EXPECT_EQ(delta_run.final_latency, full_run.final_latency) << name;
-    EXPECT_EQ(delta_run.regret_spent, full_run.regret_spent) << name;
-    EXPECT_EQ(delta_run.explorations, full_run.explorations) << name;
-  }
-}
-
-}  // namespace
-}  // namespace limeqo::scenarios

@@ -20,6 +20,7 @@
 #include "core/engine.h"
 #include "core/explorer.h"
 #include "core/online.h"
+#include "core/shard_router.h"
 #include "proptest.h"
 #include "scenarios/scenario.h"
 #include "scenarios/synthetic_backend.h"
@@ -463,50 +464,48 @@ TEST(EngineTest, ConcurrentServingDrainsEveryObservationExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Draining during a refit: TrainStep opens a ScopedRefitYield around the
-// refit, and every RefitYieldPoint the completer reaches publishes if due,
-// drains up to one queue lap, and publishes if due again.
+// The combining drain: between BeginTrainSteps and FinishTrainSteps a
+// producer whose slot is a lap behind drains the lap itself when the drain
+// lock is free, and the fitter holds that lock only for a refit's set-up
+// and its prediction swap.
 // ---------------------------------------------------------------------------
 
-/// Stands in for a long refit: reads the matrix shape once, then calls
-/// RefitYieldPoint() until `done` says stop (or `max_yields` is reached),
-/// sleeping `pause` before each yield, and returns a flat prediction.
-/// Hooks run at entry and exit on the refitting thread. The pause sleeps
-/// rather than spins so the producers get CPU time during the refit even
-/// on a host with fewer free cores than threads.
-class YieldingCompleter : public Completer {
+/// Stands in for a long refit: reads the matrix shape, reaches its
+/// set-up-done point (RefitYieldPoint, where the train plane releases the
+/// drain lock), then sleeps in `pause` steps until `done` says stop (or
+/// `max_pauses` is reached) and returns a flat prediction. Hooks run at
+/// entry, right after the set-up point, and at exit, on the refitting
+/// thread. Sleeping rather than spinning leaves the producers CPU time
+/// even on a host with fewer free cores than threads.
+class SlowCompleter : public Completer {
  public:
   std::function<void()> on_start;
+  std::function<void()> after_set_up;
   std::function<bool()> done;
   std::function<void()> on_end;
-  int max_yields = 200;
+  int max_pauses = 200;
   std::chrono::microseconds pause{20};
-  /// Wall time the completer spent inside RefitYieldPoint() calls.
-  uint64_t yield_ns = 0;
 
   StatusOr<linalg::Matrix> Complete(const WorkloadMatrix& w) override {
     const size_t n = static_cast<size_t>(w.num_queries());
     const size_t k = static_cast<size_t>(w.num_hints());
     if (on_start) on_start();
-    for (int i = 0; i < max_yields && !(done && done()); ++i) {
+    RefitYieldPoint();
+    if (after_set_up) after_set_up();
+    for (int i = 0; i < max_pauses && !(done && done()); ++i) {
       std::this_thread::sleep_for(pause);
-      const auto t0 = std::chrono::steady_clock::now();
-      RefitYieldPoint();
-      yield_ns += static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
     }
     if (on_end) on_end();
     return linalg::Matrix(n, k, 1.0);
   }
-  std::string name() const override { return "yielding"; }
+  std::string name() const override { return "slow"; }
 };
 
-/// `threads` producers serve `total` servings through the real
-/// free-running protocol (batched claims of kClaim, one version probe per
-/// batch, ChooseHint, Report), recording the largest staleness any
-/// decision saw.
+/// `threads` producers serve through the real free-running protocol
+/// (batched claims of kClaim, one version probe per batch, ChooseHint,
+/// Report) until `total` servings are claimed, or — with total == 0 —
+/// until Stop(). Records the largest staleness any decision saw and the
+/// exploratory servings reported.
 class Producers {
  public:
   static constexpr uint64_t kClaim = 16;
@@ -517,12 +516,16 @@ class Producers {
       threads_.emplace_back([this, total] { Serve(total); });
     }
   }
+  void Stop() { stop_.store(true, std::memory_order_relaxed); }
   void Join() {
     for (std::thread& t : threads_) t.join();
     threads_.clear();
   }
   uint64_t max_staleness() const {
     return max_staleness_.load(std::memory_order_relaxed);
+  }
+  uint64_t exploratory() const {
+    return exploratory_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -531,6 +534,7 @@ class Producers {
     std::shared_ptr<const ServingSnapshot> snap = engine_->snapshot();
     uint64_t version = snap->version();
     uint64_t worst = 0;
+    uint64_t explored = 0;
     for (;;) {
       const uint64_t first = engine_->AcquireServingIndices(kClaim);
       if (engine_->snapshot_version() != version) {
@@ -543,11 +547,17 @@ class Producers {
         const int q = static_cast<int>(seq % static_cast<uint64_t>(n));
         const int hint = snap->ChooseHint(q, seq);
         worst = std::max(worst, seq - snap->published_seq());
-        engine_->Report(snap->MakeObservation(
-            seq, q, hint, 1.0 + static_cast<double>(seq % 7)));
+        const ServingObservation obs = snap->MakeObservation(
+            seq, q, hint, 1.0 + static_cast<double>(seq % 7));
+        if (obs.exploratory) ++explored;
+        engine_->Report(obs);
       }
-      if (first + kClaim >= total) break;
+      if (total > 0 ? first + kClaim >= total
+                    : stop_.load(std::memory_order_relaxed)) {
+        break;
+      }
     }
+    exploratory_.fetch_add(explored, std::memory_order_relaxed);
     uint64_t seen = max_staleness_.load(std::memory_order_relaxed);
     while (worst > seen && !max_staleness_.compare_exchange_weak(
                                seen, worst, std::memory_order_relaxed)) {
@@ -556,101 +566,114 @@ class Producers {
 
   ExplorationEngine* engine_;
   std::vector<std::thread> threads_;
+  std::atomic<bool> stop_{false};
   std::atomic<uint64_t> max_staleness_{0};
+  std::atomic<uint64_t> exploratory_{0};
 };
 
-TEST(EngineRefitYieldTest, DrainRunsMoreThanTwoLapsInsideOneRefit) {
+TEST(EngineCombiningDrainTest, ProducersDrainLapsWhileASlowRefitRuns) {
   EngineOptions options;
   options.queue_capacity = 64;
-  auto owned = std::make_unique<YieldingCompleter>();
-  YieldingCompleter* completer = owned.get();
+  auto owned = std::make_unique<SlowCompleter>();
+  SlowCompleter* completer = owned.get();
   CompleterPredictor predictor(std::move(owned));
   ExplorationEngine engine(MakeMatrix(32, 4, 0.0, 41), &predictor, options);
   const uint64_t lap = engine.queue_capacity();
   uint64_t start = 0, end = 0;
-  completer->max_yields = 1 << 30;
-  completer->on_start = [&] { start = engine.drained_servings(); };
+  completer->max_pauses = 1 << 30;
+  completer->after_set_up = [&] { start = engine.drained_servings(); };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   completer->done = [&] {
-    return engine.drained_servings() > start + 2 * lap ||
+    return engine.drained_servings() > start + 4 * lap ||
            std::chrono::steady_clock::now() > deadline;
   };
   completer->on_end = [&] { end = engine.drained_servings(); };
 
-  const uint64_t total = 16 * lap;
+  const uint64_t total = 32 * lap;
   Producers producers(&engine, 2, total);
   engine.BeginTrainSteps();
   // No predictions yet and complete defaults: the first step refits.
   ASSERT_TRUE(engine.TrainStep());
   ASSERT_EQ(engine.refits_completed(), 1u);
-  // The drain front kept moving while the model was fitting: producers
-  // that would have parked a lap ahead of a stalled drain kept serving.
-  EXPECT_GT(end - start, 2 * lap);
-  EXPECT_GT(engine.refit_yield_nanos(), 0u);
-  // The engine times the drain and publish inside each yield; the
-  // completer's clock around the same calls encloses them.
-  EXPECT_LE(engine.refit_yield_nanos(), completer->yield_ns);
-
+  // The drain front kept moving while the model was fitting, with no
+  // train-plane thread draining: producers drained the laps themselves.
+  EXPECT_GT(end - start, 4 * lap);
+  EXPECT_GE(engine.combined_drains(), 4u);
   completer->done = nullptr;
-  completer->max_yields = 0;
+  completer->max_pauses = 0;
   while (engine.drained_servings() < total) engine.TrainStep();
   producers.Join();
   engine.FinishTrainSteps();
   EXPECT_EQ(engine.drained_servings(), engine.claimed_servings());
 }
 
-TEST(EngineRefitYieldTest, UpdatesSinceRefreshCountsWhatTheRefitMissed) {
+TEST(EngineCombiningDrainTest, UpdatesSinceRefreshCountsWhatTheRefitMissed) {
+  // A refit fits the matrix as of its set-up. Whatever producers drain
+  // while it runs is not in the fresh model and must count toward the next
+  // refit's refresh_every. Each refit here starts producers at its set-up
+  // point and joins them before it returns, so every lap of the round is
+  // drained by combining producers during the fit, and nothing drains
+  // between the refit and the check.
   EngineOptions options;
   options.queue_capacity = 64;
-  auto owned = std::make_unique<YieldingCompleter>();
-  YieldingCompleter* completer = owned.get();
+  auto owned = std::make_unique<SlowCompleter>();
+  SlowCompleter* completer = owned.get();
   CompleterPredictor predictor(std::move(owned));
   ExplorationEngine engine(MakeMatrix(32, 4, 0.0, 42), &predictor, options);
+  const uint64_t round = 8 * engine.queue_capacity();
+  std::unique_ptr<Producers> producers;
   uint64_t start = 0, end = 0;
-  completer->max_yields = 50;
-  completer->on_start = [&] { start = engine.drained_servings(); };
-  completer->on_end = [&] { end = engine.drained_servings(); };
-
-  const uint64_t total = 64 * engine.queue_capacity();
-  Producers producers(&engine, 2, total);
+  completer->max_pauses = 0;
+  completer->after_set_up = [&] {
+    start = engine.drained_servings();
+    producers = std::make_unique<Producers>(
+        &engine, 2, engine.claimed_servings() + round);
+  };
+  completer->on_end = [&] {
+    producers->Join();
+    end = engine.drained_servings();
+  };
   engine.BeginTrainSteps();
-  uint64_t refits = 0;
-  while (engine.drained_servings() < total) {
-    engine.TrainStep();
-    if (engine.refits_completed() == refits) continue;
-    refits = engine.refits_completed();
-    // Right after a successful refit the step has published but not
-    // drained again: the only updates the fresh model has not absorbed
-    // are the ones its own yields drained.
+  for (uint64_t refits = 1; refits <= 4; ++refits) {
+    for (int steps = 0; engine.refits_completed() < refits; ++steps) {
+      ASSERT_LT(steps, 100) << "refit " << refits << " never came due";
+      engine.TrainStep();
+    }
+    // More than a lap landed during the fit, so it was producers that
+    // drained it.
+    ASSERT_GT(end - start, engine.queue_capacity()) << "refit " << refits;
     EXPECT_EQ(static_cast<uint64_t>(engine.updates_since_refresh()),
               end - start)
         << "refit " << refits;
   }
-  producers.Join();
+  // The shutdown refit runs with combining off: no producers there.
+  completer->after_set_up = nullptr;
+  completer->on_end = nullptr;
   engine.FinishTrainSteps();
-  EXPECT_GT(refits, 1u);
+  EXPECT_EQ(engine.drained_servings(), engine.claimed_servings());
+  EXPECT_GT(engine.combined_drains(), 0u);
 }
 
-TEST(EngineRefitYieldTest, StalenessBoundHoldsWhileRefitsYield) {
+TEST(EngineCombiningDrainTest, EveryServingDrainsOnceAndStalenessStaysBounded) {
   // The free-running bound 2 * capacity + threads * 16 + publish_every
-  // must hold straight through refits that drain and publish at their
-  // yield points: each yield publishes before it drains, so the
-  // publication lag stays below capacity + publish_every at every drain.
+  // must hold whoever drains: a combining producer publishes if due before
+  // and after its lap, exactly like a train step, so the publication lag
+  // stays below capacity + publish_every at every drain.
   constexpr int kThreads = 3;
   EngineOptions options;
   options.queue_capacity = 64;
   options.online.epsilon = 0.2;
   options.online.min_predicted_ratio = 0.0;
   options.online.regret_budget_seconds = 1e9;
-  auto owned = std::make_unique<YieldingCompleter>();
-  YieldingCompleter* completer = owned.get();
-  completer->max_yields = 100;
+  auto owned = std::make_unique<SlowCompleter>();
+  SlowCompleter* completer = owned.get();
+  completer->max_pauses = 100;
   uint64_t start = 0;
   uint64_t most_drained_in_a_refit = 0;
   CompleterPredictor predictor(std::move(owned));
   ExplorationEngine engine(MakeMatrix(48, 6, 0.1, 43), &predictor, options);
-  completer->on_start = [&] { start = engine.drained_servings(); };
+  completer->after_set_up = [&] { start = engine.drained_servings(); };
   completer->on_end = [&] {
     most_drained_in_a_refit =
         std::max(most_drained_in_a_refit, engine.drained_servings() - start);
@@ -665,9 +688,96 @@ TEST(EngineRefitYieldTest, StalenessBoundHoldsWhileRefitsYield) {
                          kThreads * Producers::kClaim +
                          static_cast<uint64_t>(options.online.publish_every);
   EXPECT_LE(producers.max_staleness(), bound);
-  // Not vacuous: refits ran, and their yields drained observations.
+  // Exactly once: every claimed serving drained, each one counted once in
+  // the per-row traffic split and in the exploration ledger.
+  EXPECT_EQ(engine.drained_servings(), engine.claimed_servings());
+  uint64_t per_row = 0;
+  for (int q = 0; q < engine.matrix().num_queries(); ++q) {
+    per_row += engine.row_servings(q);
+  }
+  EXPECT_EQ(per_row, engine.claimed_servings());
+  EXPECT_EQ(static_cast<uint64_t>(engine.explorations()),
+            producers.exploratory());
+  // Not vacuous: refits ran, producers drained while they did, and the
+  // combining path was taken.
   EXPECT_GT(engine.refits_completed(), 1u);
   EXPECT_GT(most_drained_in_a_refit, 0u);
+  EXPECT_GT(engine.combined_drains(), 0u);
+}
+
+TEST(EngineCombiningDrainTest, RefitsKeepCompletingWhileProducersCombine) {
+  // Producers that always find the lock free would starve the fitter of
+  // the lock it needs to swap predictions in: the lock is not fair, and a
+  // lapped producer retries it the moment the previous combiner lets go.
+  // The train plane raises a flag while it waits and producers back off,
+  // so the fitter gets the lock within about one more lap. The check is
+  // per drained lap rather than per second, so it holds at any drain
+  // speed. With 2 ms fits and refits spaced at least a backlog apart, a
+  // fitter that gets its turn refits about every 8 laps on a 4-vCPU VM;
+  // without the hand-off, at this serving-sized world, it refitted once
+  // per 116 to 1,270 laps.
+  EngineOptions options;
+  options.queue_capacity = 4096;
+  options.online.refresh_every = 64;
+  auto owned = std::make_unique<SlowCompleter>();
+  SlowCompleter* completer = owned.get();
+  completer->max_pauses = 1;
+  completer->pause = std::chrono::microseconds(2000);
+  CompleterPredictor predictor(std::move(owned));
+  ExplorationEngine engine(MakeMatrix(20000, 49, 0.1, 44), &predictor,
+                           options);
+  engine.StartTraining();
+  Producers producers(&engine, 2, /*total=*/0);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const uint64_t refits = engine.refits_completed();
+  const uint64_t laps = engine.drained_servings() / engine.queue_capacity();
+  const uint64_t combined = engine.combined_drains();
+  producers.Stop();
+  producers.Join();
+  engine.StopTraining();
+  EXPECT_GE(refits, 2u);
+  EXPECT_LE(laps, 40 * refits) << refits << " refits in " << laps << " laps";
+  EXPECT_GT(combined, 0u);
+  EXPECT_EQ(engine.drained_servings(), engine.claimed_servings());
+}
+
+TEST(EngineCombiningDrainTest, ServeScheduleNeverCombines) {
+  // The epoch path keeps its determinism by draining only at its own
+  // barriers: ServeSchedule chunks its range to the queue and runs with
+  // train stepping off, so no producer ever combines — not even on a tier
+  // whose train plane ran (and stopped) before.
+  WorkloadMatrix m = MakeMatrix(40, 4, 0.1, 45);
+  ShardedTierOptions options;
+  options.num_shards = 2;
+  options.online.epsilon = 0.2;
+  options.online.min_predicted_ratio = 0.0;
+  options.online.regret_budget_seconds = 1e9;
+  options.engine.queue_capacity = 64;
+  std::vector<std::unique_ptr<CompleterPredictor>> predictors;
+  std::vector<Predictor*> ptrs;
+  for (int i = 0; i < options.num_shards; ++i) {
+    predictors.push_back(std::make_unique<CompleterPredictor>(
+        std::make_unique<AlsCompleter>(AlsOptions{})));
+    ptrs.push_back(predictors.back().get());
+  }
+  ShardedServingTier tier(m, ptrs, options);
+  tier.StartTraining();
+  tier.StopTraining();
+  const uint64_t servings = 40 * tier.shard_engine(0).queue_capacity();
+  tier.ServeSchedule(0, servings, /*threads=*/4,
+                     [](int query, int hint, uint64_t seq) {
+                       ServedOutcome out;
+                       out.hint = hint;
+                       out.latency = 1.0 + static_cast<double>(
+                                               (seq + query) % 5);
+                       return out;
+                     });
+  uint64_t drained = 0;
+  for (int i = 0; i < tier.num_shards(); ++i) {
+    EXPECT_EQ(tier.shard_engine(i).combined_drains(), 0u) << "shard " << i;
+    drained += tier.shard_engine(i).drained_servings();
+  }
+  EXPECT_EQ(drained, servings);
 }
 
 // ---------------------------------------------------------------------------

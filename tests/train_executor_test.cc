@@ -64,7 +64,6 @@ core::ShardedTierOptions TierOptions(int shards, bool shared,
   options.online.publish_every = static_cast<int>(p.Int(3, 8));
   options.online.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
   options.engine.warm_start = p.Bool(0.5);
-  options.engine.delta_publication = p.Bool(0.7);
   options.shared_train_plane = shared;
   options.executor.workers = 2;
   return options;
