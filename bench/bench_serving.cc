@@ -4,7 +4,9 @@
 // threads run the real lock-free protocol — version probe, cached
 // snapshot, ChooseHint, ServeLatency, Report — while the background train
 // plane drains the observation queue, refits the (warm-started) completion
-// model, and republishes snapshots.
+// model, and republishes snapshots. The sharded sweeps serve through the
+// tier's own loop (ShardedServingTier::ServeFreeRunning); the bare-engine
+// sweep keeps its loop written out as the router-free reference.
 //
 // Results are written as machine-readable JSON (default BENCH_serving.json,
 // override with --json=<path>) and uploaded by CI next to the other bench
@@ -89,12 +91,13 @@ struct WarmServingWorld {
 };
 
 /// One throughput measurement: `threads` serving threads push
-/// kServingsPerConfig servings through a fresh engine while the train
-/// plane free-runs. The loop is the production batched protocol (claim 16
-/// indices per atomic RMW, one version probe and one ChooseHints call per
-/// batch, execute + report per serving). Returns ns/serving;
-/// *staleness_out receives the mean snapshot age (in servings) at
-/// decision time.
+/// kServingsPerConfig servings through a fresh bare engine while the train
+/// plane free-runs. The loop is the batched protocol written out against
+/// one engine (claim 16 indices per atomic RMW, one version probe and one
+/// ChooseHints call per batch, execute + report per serving): the
+/// router-free reference the tier's ServeFreeRunning is measured against.
+/// Returns ns/serving; *staleness_out receives the mean snapshot age (in
+/// servings) at decision time.
 double MeasureServing(const scenarios::ScenarioSpec& spec, int threads,
                       double* staleness_out) {
   WarmServingWorld world(spec);
@@ -170,14 +173,15 @@ double MeasureServing(const scenarios::ScenarioSpec& spec, int threads,
   return elapsed / kServingsPerConfig * 1e9;
 }
 
-/// Sharded tier throughput: one serving thread runs the free-running
-/// routed protocol (claim a global batch, route each index to its shard,
-/// probe that shard's snapshot, decide, report under a shard-local index)
-/// against `shards` engines whose train plane refits with `refit_threads`
-/// linalg threads. With `shared_train` the fleet trains through one
-/// TrainExecutor (2 workers sharing the linalg budget) instead of a
-/// thread per shard. At shards == 1 this measures the pure router tax
-/// over the bare MeasureServing loop — the <1.3x guard in
+/// Sharded tier throughput: one serving thread runs the production
+/// free-running loop, ShardedServingTier::ServeFreeRunning (claim a global
+/// batch, route it, claim its shard-local indices, then per serving probe
+/// the shard's snapshot, decide, execute, report), against `shards`
+/// engines whose train plane refits with `refit_threads` linalg threads.
+/// With `shared_train` the fleet trains through one TrainExecutor (2
+/// workers sharing the linalg budget) instead of a thread per shard. At
+/// shards == 1 this measures the pure router tax over the bare
+/// MeasureServing loop — the <1.3x guard in
 /// tools/check_bench_regression.py; shared_train_s4 vs sharded s4r4 is
 /// the executor's win over the oversubscribed thread-per-shard plane.
 /// *refit_ns_out receives the fleet-mean fitting time per completed refit
@@ -211,38 +215,15 @@ double MeasureShardedServing(const scenarios::ScenarioSpec& spec, int shards,
   tier.RefreshAll(/*force=*/true);
   tier.PublishAll();
 
-  scenarios::SyntheticBackend& backend = seed_world.backend;
-  const int n = backend.num_queries();
+  const scenarios::SyntheticBackend& backend = seed_world.backend;
   SetNumThreads(refit_threads);
   tier.StartTraining();
   const double t0 = WallSeconds();
-  {
-    std::vector<std::shared_ptr<const core::ServingSnapshot>> snaps(shards);
-    std::vector<uint64_t> versions(shards, ~uint64_t{0});
-    constexpr uint64_t kBatch = 16;
-    while (true) {
-      const uint64_t first = tier.AcquireServingIndices(kBatch);
-      if (first >= static_cast<uint64_t>(kServingsPerConfig)) break;
-      const uint64_t cnt = std::min<uint64_t>(
-          kBatch, static_cast<uint64_t>(kServingsPerConfig) - first);
-      for (uint64_t i = 0; i < cnt; ++i) {
-        const uint64_t seq = first + i;
-        const int q = static_cast<int>(seq % n);
-        const int shard = tier.ShardOfRow(q);
-        core::ExplorationEngine& eng = tier.shard_engine(shard);
-        if (snaps[shard] == nullptr ||
-            eng.snapshot_version() != versions[shard]) {
-          snaps[shard] = eng.snapshot();
-          versions[shard] = snaps[shard]->version();
-        }
-        const int local = tier.LocalRowOf(q);
-        const int hint = snaps[shard]->ChooseHint(local, seq);
-        const double latency = backend.ServeLatency(q, hint, seq);
-        eng.Report(snaps[shard]->MakeObservation(eng.AcquireServingIndex(),
-                                                 local, hint, latency));
-      }
-    }
-  }
+  tier.ServeFreeRunning(kServingsPerConfig, /*threads=*/1,
+                        [&backend](int q, int hint, uint64_t seq) {
+                          return core::ServedOutcome{
+                              hint, backend.ServeLatency(q, hint, seq)};
+                        });
   const double elapsed = WallSeconds() - t0;
   tier.StopTraining();
   SetNumThreads(1);
@@ -499,10 +480,10 @@ int Main(int argc, char** argv) {
   }
 
   // Sharded tier sweep: shard count x train-refit linalg threads, one
-  // serving thread running the routed free-running protocol. The s1r1
-  // point is the router tax over the bare 1-thread loop above (guarded
-  // <1.3x by tools/check_bench_regression.py); the "threads" slot of the
-  // record carries the shard count.
+  // serving thread running ServeFreeRunning. The s1r1 point is the router
+  // tax over the bare 1-thread loop above (guarded <1.3x by
+  // tools/check_bench_regression.py); the "threads" slot of the record
+  // carries the shard count.
   std::printf("\n  sharded tier (1 serving thread, routed protocol):\n");
   for (int shards : {1, 2, 4}) {
     for (int refit_threads : {1, 4}) {

@@ -472,7 +472,7 @@ StatusOr<linalg::Matrix> ExplorationEngine::FitReleasingDrainLock(
       [this]() NO_THREAD_SAFETY_ANALYSIS { drain_mu_.Unlock(); });
   const auto start = std::chrono::steady_clock::now();
   StatusOr<linalg::Matrix> prediction = predictor_->PredictFrom(
-      matrix_, options_.warm_start ? &factors_ : nullptr);
+      matrix_, &factors_);
   *fit_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)

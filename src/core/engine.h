@@ -255,10 +255,6 @@ struct EngineOptions {
   /// Serving-plane behaviour (epsilon gate, regret budget, refresh
   /// cadence). Can be replaced later with ConfigureServing.
   OnlineExplorationOptions online;
-  /// Seed model refits from the previous factors (CompleteFrom) instead of
-  /// cold-starting each refresh. Factors are dropped on any event that
-  /// invalidates past observations (data shift, matrix replacement).
-  bool warm_start = true;
   /// Observation-queue capacity, rounded up to a power of two. Must cover
   /// the servings in flight between drains; producers spin when the queue
   /// is a full lap ahead of the train plane (back-pressure, not loss).
@@ -383,7 +379,7 @@ class ExplorationEngine {
   size_t Drain(size_t max_observations = kDrainAll) EXCLUDES(drain_mu_);
   /// Re-runs the completion model when predictions are stale (never ran,
   /// refresh_every matrix updates ago, or the matrix grew). Warm-starts
-  /// from the previous factors when enabled. Returns true when usable
+  /// from the previous factors when there are any. Returns true when usable
   /// predictions are available afterwards. `force` refits regardless of
   /// staleness.
   bool RefreshPredictions(bool force = false) EXCLUDES(drain_mu_);
@@ -555,7 +551,8 @@ class ExplorationEngine {
   bool have_predictions() const NO_THREAD_SAFETY_ANALYSIS {
     return predictions_ != nullptr;
   }
-  /// Warm-start factor state (empty when cold or disabled).
+  /// Warm-start factor state (empty before the first fit and after an
+  /// invalidation).
   const CompletionFactors& warm_factors() const { return factors_; }
   /// Regret charged by exploratory servings of `query` alone (the
   /// per-row split of regret_spent; travels with the row on migration).

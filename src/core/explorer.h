@@ -38,7 +38,7 @@ struct ExplorerOptions {
   /// Seed for policy tie-breaking / random fallback.
   uint64_t seed = 99;
   /// Options for the ExplorationEngine the explorer owns (observation-queue
-  /// capacity, warm start, checkpointing). The serving plane attaches
+  /// capacity, checkpointing). The serving plane attaches
   /// to that engine later, so callers that care about serving behaviour —
   /// e.g. the free-running simulation mode, which sizes the queue to make
   /// its staleness bound meaningful — configure it here.

@@ -1,6 +1,7 @@
 #include "core/shard_router.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -54,6 +55,19 @@ void ReplayRow(const WorkloadMatrix& src, int src_row, WorkloadMatrix* dst,
         break;
     }
   }
+}
+
+/// Runs body(t) for every t in [0, threads): on the calling thread when
+/// threads == 1, else on `threads` new threads joined before returning.
+void RunOnThreads(int threads, const std::function<void(int)>& body) {
+  if (threads == 1) {
+    body(0);
+    return;
+  }
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) workers.emplace_back(body, t);
+  for (std::thread& w : workers) w.join();
 }
 
 }  // namespace
@@ -210,12 +224,29 @@ uint64_t ShardedServingTier::scheduled_servings() const {
   return total;
 }
 
-void ShardedServingTier::ServeSchedule(
-    uint64_t begin, uint64_t end, int threads,
-    const std::function<ServedOutcome(int query, int chosen_hint,
-                                      uint64_t seq)>& resolve,
-    const std::function<void(uint64_t seq, int query, int hint,
-                             double latency)>& record) {
+void ShardedServingTier::ServeOne(const ServingSnapshot& snap, uint64_t seq,
+                                  int query, int shard, int local_row,
+                                  uint64_t local_seq, const Resolver& resolve,
+                                  const Recorder& record) {
+  const int chosen = snap.ChooseHint(local_row, seq);
+  const ServedOutcome out = resolve(query, chosen, seq);
+  TierServing served{
+      seq, query, shard,
+      snap.MakeObservation(local_seq, local_row, out.hint, out.latency),
+      snap.published_seq()};
+  if (out.degraded) {
+    // A degraded fallback is fault cost, not an exploration decision: it
+    // must neither charge the ledger nor look like a budgeted probe.
+    served.observation.exploratory = false;
+    served.observation.regret_delta = 0.0;
+  }
+  if (record) record(served);
+  engines_[shard]->Report(served.observation);
+}
+
+void ShardedServingTier::ServeSchedule(uint64_t begin, uint64_t end,
+                                       int threads, const Resolver& resolve,
+                                       const Recorder& record) {
   {
     MutexLock lock(train_mu_);
     LIMEQO_CHECK(!training_);
@@ -266,36 +297,76 @@ void ShardedServingTier::ServeSchedule(
     const auto serve_one = [&](uint64_t seq) {
       const size_t i = static_cast<size_t>(seq - chunk);
       const int s = shard_of[i];
-      const int q = static_cast<int>(seq % n);
-      const int chosen = snaps[s]->ChooseHint(local_row[i], seq);
-      const ServedOutcome out = resolve(q, chosen, seq);
-      ServingObservation obs = snaps[s]->MakeObservation(
-          local_seq[i], local_row[i], out.hint, out.latency);
-      if (out.degraded) {
-        obs.exploratory = false;
-        obs.regret_delta = 0.0;
-      }
-      if (record) record(seq, q, out.hint, out.latency);
-      engines_[s]->Report(obs);
+      ServeOne(*snaps[s], seq, static_cast<int>(seq % n), s, local_row[i],
+               local_seq[i], resolve, record);
     };
-    if (threads == 1) {
-      for (uint64_t seq = chunk; seq < chunk_end; ++seq) serve_one(seq);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(static_cast<size_t>(threads));
-      for (int t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-          for (uint64_t seq = chunk + static_cast<uint64_t>(t);
-               seq < chunk_end; seq += static_cast<uint64_t>(threads)) {
-            serve_one(seq);
-          }
-        });
+    RunOnThreads(threads, [&](int t) {
+      for (uint64_t seq = chunk + static_cast<uint64_t>(t); seq < chunk_end;
+           seq += static_cast<uint64_t>(threads)) {
+        serve_one(seq);
       }
-      for (std::thread& w : workers) w.join();
-    }
+    });
     if (chunk_end < end) DrainAll();
   }
   SyncEpochAll();
+}
+
+void ShardedServingTier::ServeFreeRunning(uint64_t end, int threads,
+                                          const Resolver& resolve,
+                                          const Recorder& record) {
+  {
+    MutexLock lock(train_mu_);
+    LIMEQO_CHECK(training_);
+  }
+  LIMEQO_CHECK(threads >= 1);
+  const uint64_t n = static_cast<uint64_t>(num_queries());
+  if (end == 0 || n == 0) return;
+  const int shards = num_shards();
+  RunOnThreads(threads, [&](int) {
+    // Per-thread snapshot cache: one relaxed version probe per serving,
+    // the snapshot handoff only when that shard published (no version is
+    // ever ~0, so the first probe of each shard loads its snapshot).
+    std::vector<std::shared_ptr<const ServingSnapshot>> snaps(shards);
+    std::vector<uint64_t> versions(shards, ~uint64_t{0});
+    // The batch's routing, and per shard its serving count, then the next
+    // local index to hand out there.
+    std::array<int, kFreeRunningBatch> query_of;
+    std::array<int, kFreeRunningBatch> shard_of;
+    std::vector<uint64_t> routed(shards, 0);
+    std::vector<uint64_t> next_local(shards, 0);
+    for (;;) {
+      const uint64_t first = AcquireServingIndices(kFreeRunningBatch);
+      if (first >= end) break;
+      const size_t len =
+          static_cast<size_t>(std::min(end - first, kFreeRunningBatch));
+      for (size_t i = 0; i < len; ++i) {
+        query_of[i] = static_cast<int>((first + i) % n);
+        shard_of[i] = shard_of_row_[query_of[i]];
+        ++routed[shard_of[i]];
+      }
+      // Claim the batch's shard-local indices, one fetch_add per shard it
+      // touches, *before* probing any snapshot: the drain cannot pass an
+      // acquired-but-unreported index, so a thread descheduled between
+      // claim and probe cannot fall behind the per-shard staleness bound.
+      for (size_t i = 0; i < len; ++i) {
+        const int s = shard_of[i];
+        if (routed[s] == 0) continue;
+        next_local[s] = engines_[s]->AcquireServingIndices(routed[s]);
+        routed[s] = 0;
+      }
+      for (size_t i = 0; i < len; ++i) {
+        const int s = shard_of[i];
+        const ExplorationEngine& engine = *engines_[s];
+        if (engine.snapshot_version() != versions[s]) {
+          snaps[s] = engine.snapshot();
+          versions[s] = snaps[s]->version();
+        }
+        const int q = query_of[i];
+        ServeOne(*snaps[s], first + i, q, s, local_of_row_[q],
+                 next_local[s]++, resolve, record);
+      }
+    }
+  });
 }
 
 int ShardedServingTier::AppendQueries(int count) {

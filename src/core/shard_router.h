@@ -34,7 +34,7 @@
 ///    the per-shard allowances.
 ///  * staleness: each shard obeys the single-engine local bound L =
 ///    2 * capacity + threads * batch + publish_every, which stays hard
-///    because a free-running serving thread claims its shard-local index
+///    because a ServeFreeRunning thread claims its shard-local index
 ///    *before* probing the shard snapshot (the drain cannot pass a claimed,
 ///    unreported index). Fleet-wide, the earlier global servings on a
 ///    serving's shard that its deciding snapshot had not drained number at
@@ -77,9 +77,9 @@ struct ShardedTierOptions {
   /// by every shard — decisions are keyed by global serving index, so
   /// shards can never consume each other's gate draws.
   OnlineExplorationOptions online;
-  /// Per-shard engine template (queue capacity, warm start,
-  /// checkpointing). The `online` member inside is ignored — the split fleet
-  /// options above are installed instead.
+  /// Per-shard engine template (queue capacity, checkpointing). The
+  /// `online` member inside is ignored — the split fleet options above are
+  /// installed instead.
   EngineOptions engine;
   /// RebalanceHotShards migrates rows away from any shard whose serving
   /// load (traffic-weighted row count) exceeds rebalance_factor * (fleet
@@ -95,14 +95,42 @@ struct ShardedTierOptions {
   TrainExecutorOptions executor;
 };
 
+/// One tier serving as ServeSchedule and ServeFreeRunning report it to
+/// their `record` callback, after the observation is built and before it is
+/// queued on the shard.
+struct TierServing {
+  /// Global serving index.
+  uint64_t seq = 0;
+  /// Global query row served (seq % num_queries()).
+  int query = 0;
+  /// Shard the serving was routed to and reported on.
+  int shard = 0;
+  /// The observation reported to the shard: its `seq` is the shard-local
+  /// index, `query` the shard-local row, `hint` the served hint.
+  ServingObservation observation;
+  /// published_seq() of the shard snapshot the decision was made on.
+  uint64_t snapshot_seq = 0;
+};
+
 /// N ExplorationEngine shards behind a deterministic router. Train-plane
 /// methods (ServeSchedule, AppendQueries, MigrateRow, checkpoints) must be
 /// called from one thread at a time with no background train threads
-/// running, except where noted; serving-plane reads (shard_engine(i)
+/// running, except where noted; ServeFreeRunning is their mirror and needs
+/// the train plane running. Serving-plane reads (shard_engine(i)
 /// snapshots, AcquireServingIndices, routing lookups) are safe from any
 /// number of threads.
 class ShardedServingTier {
  public:
+  /// Resolves one serving: `resolve(query, chosen_hint, seq)` returns the
+  /// hint actually served and its latency (see ServeSchedule).
+  using Resolver =
+      std::function<ServedOutcome(int query, int chosen_hint, uint64_t seq)>;
+  /// Receives every reported serving (see TierServing).
+  using Recorder = std::function<void(const TierServing& serving)>;
+
+  /// Global indices a free-running serving thread claims per atomic RMW.
+  static constexpr uint64_t kFreeRunningBatch = 16;
+
   /// Builds the tier over a copy of `matrix`: rows are partitioned by the
   /// seed-pure hash and replayed bitwise into per-shard matrices.
   /// `predictors[i]` (not owned, may be empty => no predictors) supplies
@@ -199,16 +227,11 @@ class ShardedServingTier {
   /// thread-safe and a pure function of its arguments (fault schedules are
   /// seed-pure per serving index), which is what keeps the trace
   /// independent of `threads`. `record`, when set, is invoked once per
-  /// serving from the serving threads with the resolved hint (each global
-  /// index exactly once, so writes to seq-indexed storage need no
-  /// locking).
-  void ServeSchedule(
-      uint64_t begin, uint64_t end, int threads,
-      const std::function<ServedOutcome(int query, int chosen_hint,
-                                        uint64_t seq)>& resolve,
-      const std::function<void(uint64_t seq, int query, int hint,
-                               double latency)>& record = nullptr)
-      EXCLUDES(train_mu_);
+  /// serving from the serving threads (each global index exactly once, so
+  /// writes to seq-indexed storage need no locking).
+  void ServeSchedule(uint64_t begin, uint64_t end, int threads,
+                     const Resolver& resolve,
+                     const Recorder& record = nullptr) EXCLUDES(train_mu_);
 
   /// Global servings scheduled so far via ServeSchedule (the sum of the
   /// per-shard schedule counters; after StopTraining, the sum of the
@@ -216,12 +239,30 @@ class ShardedServingTier {
   uint64_t scheduled_servings() const EXCLUDES(train_mu_);
 
   // --- Free-running serving (any thread) -----------------------------------
+  /// Serves global indices [claimed_servings(), end) while the train plane
+  /// runs (between StartTraining and StopTraining); serving s maps to
+  /// global query s % num_queries(), as in ServeSchedule. Each of
+  /// `threads` serving threads (the caller's own when threads == 1) claims
+  /// kFreeRunningBatch global indices at a time with AcquireServingIndices
+  /// and stops at the first claim at or past `end`; indices claimed there
+  /// are never served or reported. It routes the claimed indices below
+  /// `end`, claims their shard-local indices (one
+  /// ExplorationEngine::AcquireServingIndices per shard the batch
+  /// touches), and only then probes each serving's shard snapshot (cached
+  /// per thread, re-read when the shard's version moves) — the
+  /// claim-then-probe order the per-shard staleness bound rests on (see
+  /// the file comment). Decide, `resolve`, observe, `record` and Report
+  /// then run exactly as in ServeSchedule. Which snapshot a serving sees
+  /// depends on timing, so the trace is not deterministic;
+  /// TierServing::snapshot_seq records it. `resolve` and `record` must be
+  /// thread-safe; each global index below `end` is recorded exactly once.
+  /// An empty tier or `end == 0` serves nothing.
+  void ServeFreeRunning(uint64_t end, int threads, const Resolver& resolve,
+                        const Recorder& record = nullptr) EXCLUDES(train_mu_);
+
   /// Hands out `count` consecutive *global* serving indices (the tier-wide
-  /// analogue of ExplorationEngine::AcquireServingIndices). A free-running
-  /// serving thread claims a global batch, routes each index's query with
-  /// ShardOfRow/LocalRowOf, acquires a *local* index from that shard's
-  /// engine, then probes that shard's snapshot, decides, and reports
-  /// there. Global indices never enter any shard's
+  /// analogue of ExplorationEngine::AcquireServingIndices) — the claim step
+  /// of ServeFreeRunning's protocol. Global indices never enter any shard's
   /// queue, so indices claimed past the end of traffic are simply never
   /// reported — no hole, no stall.
   uint64_t AcquireServingIndices(uint64_t count) {
@@ -305,6 +346,15 @@ class ShardedServingTier {
   /// EXCLUDES/REQUIRES pair makes re-acquiring the non-recursive mutex a
   /// compile error instead of a deadlock).
   void MigrateRowLocked(int row, int to_shard) REQUIRES(train_mu_);
+
+  /// The per-serving body both serving loops share: decide global serving
+  /// `seq` (query `query`, routed to `shard`'s local row `local_row` under
+  /// local index `local_seq`) on `snap`, resolve it, build the observation
+  /// for the served hint (a degraded serving is non-exploratory with zero
+  /// regret), record it, and report it to the shard.
+  void ServeOne(const ServingSnapshot& snap, uint64_t seq, int query,
+                int shard, int local_row, uint64_t local_seq,
+                const Resolver& resolve, const Recorder& record);
 
   ShardedTierOptions options_;
   int num_hints_ = 0;

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/rng.h"
@@ -673,98 +672,31 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
 
       const int total = spec_.online_servings;
       const int threads = config.serve_threads;
-      const int n = spec_.num_queries;
       const int shards = tier.num_shards();
       // How each serving's faults resolved, written once per global index
       // by the serving thread that owns it (no locking required).
       std::vector<ResolvedServing> resolved(total);
       const auto resolve = [&](int q, int chosen, uint64_t seq) {
-        resolved[seq] = ResolveServingFaults(
+        const ResolvedServing& r = resolved[seq] = ResolveServingFaults(
             *backend, config.faults, config.max_retries,
             config.retry_backoff_seconds, q, chosen, seq);
-        return resolved[seq];
+        return core::ServedOutcome{
+            r.hint, backend->ServeLatency(q, r.hint, seq), r.degraded};
       };
 
       if (config.free_running) {
-        // -- Free-running plane: every shard runs its own train thread;
-        // serving threads claim *global* index batches, route each
-        // serving to its shard, and report under shard-local sequence
+        // -- Free-running plane: the shards' train planes run while
+        // ServeFreeRunning's threads claim *global* index batches, route
+        // each serving to its shard, and report under shard-local sequence
         // numbers. Which snapshot a serving sees depends on timing, so
         // the invariants below are statistical: the single-engine set
         // applied per shard, plus the fleet-wide compositions.
-        constexpr uint64_t kDecisionBatch = 16;
-        struct FreeRecord {
-          int query = 0;
-          int hint = 0;
-          double latency = 0.0;
-          bool exploratory = false;
-          double regret_delta = 0.0;
-          int shard = 0;
-          uint64_t local_seq = 0;
-          uint64_t snapshot_seq = 0;  // shard-local published_seq
-        };
-        std::vector<FreeRecord> records(total);
-
+        std::vector<core::TierServing> records(total);
         tier.StartTraining();
-        std::vector<std::thread> servers;
-        servers.reserve(threads);
-        for (int t = 0; t < threads; ++t) {
-          servers.emplace_back([&] {
-            std::vector<std::shared_ptr<const core::ServingSnapshot>> snaps(
-                shards);
-            std::vector<uint64_t> versions(shards, ~uint64_t{0});
-            for (;;) {
-              // Global indices claimed at or past `total` are simply never
-              // reported: they never enter any shard's queue.
-              const uint64_t first =
-                  tier.AcquireServingIndices(kDecisionBatch);
-              if (first >= static_cast<uint64_t>(total)) break;
-              const uint64_t cnt = std::min<uint64_t>(
-                  kDecisionBatch, static_cast<uint64_t>(total) - first);
-              for (uint64_t i = 0; i < cnt; ++i) {
-                const uint64_t seq = first + i;
-                const int q = static_cast<int>(seq % n);
-                const int shard = tier.ShardOfRow(q);
-                const int local_row = tier.LocalRowOf(q);
-                core::ExplorationEngine& eng = tier.shard_engine(shard);
-                // Claim the shard-local index *before* probing the
-                // snapshot, the engine's own claim-then-probe order: the
-                // drain cannot pass an acquired-but-unreported index, so
-                // a thread descheduled between the two cannot fall behind
-                // the per-shard staleness bound.
-                const uint64_t local_seq = eng.AcquireServingIndex();
-                if (snaps[shard] == nullptr ||
-                    eng.snapshot_version() != versions[shard]) {
-                  snaps[shard] = eng.snapshot();
-                  versions[shard] = snaps[shard]->version();
-                }
-                const ResolvedServing served = resolve(
-                    q, snaps[shard]->ChooseHint(local_row, seq), seq);
-                const double latency =
-                    backend->ServeLatency(q, served.hint, seq);
-                core::ServingObservation obs = snaps[shard]->MakeObservation(
-                    local_seq, local_row, served.hint, latency);
-                if (served.degraded) {
-                  // A degraded fallback is fault cost, not an exploration
-                  // decision: it must neither charge the ledger nor look
-                  // like a budgeted probe to the gate/freeze invariants.
-                  obs.exploratory = false;
-                  obs.regret_delta = 0.0;
-                }
-                records[seq] = {q,
-                                served.hint,
-                                latency,
-                                obs.exploratory,
-                                obs.regret_delta,
-                                shard,
-                                local_seq,
-                                snaps[shard]->published_seq()};
-                eng.Report(obs);
-              }
-            }
-          });
-        }
-        for (std::thread& t : servers) t.join();
+        tier.ServeFreeRunning(total, threads, resolve,
+                              [&records](const core::TierServing& served) {
+                                records[served.seq] = served;
+                              });
         tier.StopTraining();  // final drain + publish on every shard
 
         // ---- No serving lost or double-counted: each shard's local
@@ -783,18 +715,19 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
         }
         bool seq_ok = true;
         for (int s = 0; s < total; ++s) {
-          const FreeRecord& r = records[s];
-          if (r.local_seq >= local_to_global[r.shard].size() ||
-              local_to_global[r.shard][r.local_seq] != -1) {
+          const core::TierServing& r = records[s];
+          const uint64_t local_seq = r.observation.seq;
+          if (local_seq >= local_to_global[r.shard].size() ||
+              local_to_global[r.shard][local_seq] != -1) {
             std::ostringstream os;
             os << "serving " << s << " drained at shard " << r.shard
-               << " local seq " << r.local_seq
+               << " local seq " << local_seq
                << " (out of range or double-counted)";
             Violate(&result, "shard-seq-accounting", os.str());
             seq_ok = false;
             continue;
           }
-          local_to_global[r.shard][r.local_seq] = s;
+          local_to_global[r.shard][local_seq] = s;
         }
         for (int i = 0; i < shards; ++i) {
           if (tier.shard_engine(i).drained_servings() != routed[i]) {
@@ -823,7 +756,8 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
             // with the same additions.
             std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
             for (uint64_t l = 0; l < count; ++l) {
-              prefix[l + 1] = prefix[l] + records[order[l]].regret_delta;
+              prefix[l + 1] =
+                  prefix[l] + records[order[l]].observation.regret_delta;
             }
             const double shard_spent = tier.shard_engine(i).regret_spent();
             if (std::abs(prefix[count] - shard_spent) > 1e-9) {
@@ -838,9 +772,11 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
             // blocks until the drain passes l - capacity, publications lag
             // the drain front by < capacity + publish_every, and each
             // thread holds at most one claimed batch.
+            constexpr uint64_t kBatch =
+                core::ShardedServingTier::kFreeRunningBatch;
             const uint64_t local_bound =
                 2 * tier.shard_engine(i).queue_capacity() +
-                static_cast<uint64_t>(threads) * kDecisionBatch +
+                static_cast<uint64_t>(threads) * kBatch +
                 static_cast<uint64_t>(online.publish_every);
             // Global staleness of the serving at local position l, global
             // index s, decided on snapshot p: the earlier global servings
@@ -851,12 +787,12 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
             // claimed batch per other serving thread.
             const uint64_t global_bound =
                 local_bound +
-                static_cast<uint64_t>(threads - 1) * kDecisionBatch;
+                static_cast<uint64_t>(threads - 1) * kBatch;
             double max_inflight = 0.0;
             std::vector<std::pair<uint64_t, uint64_t>> by_snapshot;  // (p, l)
             by_snapshot.reserve(static_cast<size_t>(count));
             for (uint64_t l = 0; l < count; ++l) {
-              const FreeRecord& r = records[order[l]];
+              const core::TierServing& r = records[order[l]];
               const uint64_t p = r.snapshot_seq;
               if (p > l) {
                 std::ostringstream os;
@@ -866,12 +802,12 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
                 Violate(&result, "free-gate", os.str());
                 continue;
               }
-              if (r.exploratory) {
+              if (r.observation.exploratory) {
                 if (prefix[p] >= slice) {
                   std::ostringstream os;
                   os << "shard " << i << " serving " << order[l]
-                     << " (query " << r.query << ", hint " << r.hint << ", "
-                     << r.latency
+                     << " (query " << r.query << ", hint "
+                     << r.observation.hint << ", " << r.observation.latency
                      << "s) explored on a snapshot whose ledger ("
                      << prefix[p] << "s) already exhausted the slice ("
                      << slice << "s)";
@@ -943,17 +879,11 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
             regret_before[i] = tier.shard_engine(i).regret_spent();
           }
           tier.ServeSchedule(
-              epoch, end, threads,
-              [&](int q, int chosen, uint64_t seq) {
-                const ResolvedServing served = resolve(q, chosen, seq);
-                core::ServedOutcome out;
-                out.hint = served.hint;
-                out.degraded = served.degraded;
-                out.latency = backend->ServeLatency(q, served.hint, seq);
-                return out;
-              },
-              [&](uint64_t seq, int q, int hint, double latency) {
-                result.serving_trace[seq] = ServingRecord{q, hint, latency};
+              epoch, end, threads, resolve,
+              [&](const core::TierServing& served) {
+                result.serving_trace[served.seq] =
+                    ServingRecord{served.query, served.observation.hint,
+                                  served.observation.latency};
               });
           for (int i = 0; i < shards; ++i) {
             shard_epoch_regret[i] = std::max(

@@ -101,16 +101,18 @@ struct RunConfig {
   /// free-running (below).
   int serve_threads = 0;
   /// Concurrent serving mode (requires serve_threads >= 1). False
-  /// (default) is epoch-synchronized: the threads decide hints on the
-  /// shard snapshots over the deterministic schedule in epochs of
-  /// publish_every servings, and each epoch ends in the tier's barrier
-  /// (drain, refit on cadence, republish). The merged serving trace is
+  /// (default) is epoch-synchronized (ShardedServingTier::ServeSchedule):
+  /// the threads decide hints on the shard snapshots over the
+  /// deterministic schedule in epochs of publish_every servings, and each
+  /// epoch ends in the tier's barrier (drain, refit on cadence,
+  /// republish). The merged serving trace is
   /// bitwise identical at every serve_threads. True is the deployment
-  /// shape: each shard's background train plane drains, refits, and
-  /// republishes while the serving threads free-run against whatever
-  /// snapshot is current, claiming global indices in batches of 16.
-  /// Timing decides which snapshot each serving sees, so the bitwise
-  /// trace contract does not apply; the driver instead checks
+  /// shape: the tier's train plane drains, refits, and republishes while
+  /// ShardedServingTier::ServeFreeRunning's serve_threads threads serve
+  /// against whatever snapshot is current, claiming global indices in
+  /// batches of 16. Timing decides which snapshot each serving sees, so
+  /// the bitwise trace contract does not apply; SimulationDriver instead
+  /// replays the recorded TierServing of every serving and checks
   /// *statistical* invariants per shard and fleet-wide: a hard per-shard
   /// staleness bound L = 2 * queue capacity + serve_threads * 16 +
   /// publish_every, a global staleness bound L + (serve_threads - 1) * 16,

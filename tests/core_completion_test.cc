@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/als.h"
 #include "core/nuclear_norm.h"

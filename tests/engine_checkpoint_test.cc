@@ -11,6 +11,7 @@
 // exposes a torn file to a concurrent reader.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -119,8 +120,9 @@ void ApplyOp(core::ShardedServingTier& tier, const SyntheticBackend& backend,
       const uint64_t begin = *next_seq;
       const uint64_t end = begin + static_cast<uint64_t>(op.arg);
       tier.ServeSchedule(begin, end, threads, ServeFrom(backend),
-                         [trace](uint64_t s, int q, int h, double latency) {
-                           (*trace)[s] = {q, h, latency, true};
+                         [trace](const core::TierServing& s) {
+                           (*trace)[s.seq] = {s.query, s.observation.hint,
+                                              s.observation.latency, true};
                          });
       *next_seq = end;
       break;
@@ -196,7 +198,6 @@ TEST(KillRestoreTest, RestoredTwinReplaysBitwiseAtEveryThreadCount) {
         opts.online.refresh_every = static_cast<int>(p.Int(6, 24));
         opts.online.publish_every = static_cast<int>(p.Int(4, 12));
         opts.online.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
-        opts.engine.warm_start = p.Bool(0.7);
 
         core::AlsOptions als;
         als.rank = static_cast<int>(p.Int(1, 3));
@@ -589,6 +590,13 @@ TEST(CheckpointCadenceTest, FreeRunningTrainLoopWritesConsistentCheckpoints) {
     }
   });
 
+  // Combining producers can drain the whole run before the train thread
+  // takes a single step, and only train steps write cadence checkpoints.
+  // So the serving thread that claims index kTotal / 2 holds it unreported
+  // until the train plane has written one: the drain front cannot pass the
+  // hole, and the run cannot finish without a step. The wait is bounded so
+  // a train plane that never checkpoints fails the test instead of hanging.
+  std::atomic<bool> cadence_checkpoint{false};
   std::vector<std::thread> servers;
   for (int t = 0; t < 2; ++t) {
     servers.emplace_back([&] {
@@ -597,6 +605,15 @@ TEST(CheckpointCadenceTest, FreeRunningTrainLoopWritesConsistentCheckpoints) {
       while (true) {
         const uint64_t s = engine.AcquireServingIndex();
         if (s >= kTotal) break;
+        if (s == kTotal / 2) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(60);
+          while (engine.checkpoints_written() == 0 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          cadence_checkpoint.store(engine.checkpoints_written() > 0);
+        }
         if (engine.snapshot_version() != version) {
           snap = engine.snapshot();
           version = snap->version();
@@ -613,6 +630,8 @@ TEST(CheckpointCadenceTest, FreeRunningTrainLoopWritesConsistentCheckpoints) {
   done.store(true);
   reader.join();
 
+  EXPECT_TRUE(cadence_checkpoint.load())
+      << "no cadence checkpoint within 60 s of the train plane running";
   EXPECT_GE(engine.checkpoints_written(), 2u)
       << "the cadence plus the final StopTraining write";
   EXPECT_EQ(torn_reads.load(), 0);

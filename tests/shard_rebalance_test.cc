@@ -173,7 +173,6 @@ TEST(ShardRebalanceTest, MigrationMovesRowsBitwiseAndLosesNothing) {
         options.online.refresh_every = static_cast<int>(p.Int(6, 16));
         options.online.publish_every = static_cast<int>(p.Int(3, 8));
         options.online.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
-        options.engine.warm_start = p.Bool(0.5);
 
         std::vector<std::unique_ptr<core::Predictor>> preds;
         std::vector<core::Predictor*> pred_ptrs;

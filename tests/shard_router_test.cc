@@ -9,6 +9,7 @@
 // fleet that never died. Part of the CI ThreadSanitizer target
 // (`ctest -R "...|shard_router_test"`).
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
@@ -328,8 +329,9 @@ struct TierFixture {
 
   // `backend_rows` sizes the synthetic world (>= rows when the test will
   // append queries later); the tier starts from the first `rows` of it.
+  // `queue_capacity` > 0 overrides the shard queues' default capacity.
   TierFixture(int rows, int hints, int shards, uint64_t seed,
-              int backend_rows = -1) {
+              int backend_rows = -1, size_t queue_capacity = 0) {
     spec.name = "tier-fixture";
     spec.num_queries = backend_rows < 0 ? rows : backend_rows;
     spec.num_hints = hints;
@@ -349,6 +351,7 @@ struct TierFixture {
     options.online.refresh_every = 8;
     options.online.publish_every = 4;
     options.online.seed = seed ^ 0x5EEDu;
+    if (queue_capacity > 0) options.engine.queue_capacity = queue_capacity;
     tier = std::make_unique<core::ShardedServingTier>(matrix, predictor_ptrs,
                                                       options);
     tier->RefreshAll(/*force=*/true);
@@ -383,8 +386,9 @@ struct TierFixture {
           out.latency = backend->ServeLatency(q, chosen, seq);
           return out;
         },
-        [base, trace](uint64_t seq, int q, int hint, double latency) {
-          (*trace)[seq - base] = ServingRecord{q, hint, latency};
+        [base, trace](const core::TierServing& s) {
+          (*trace)[s.seq - base] = ServingRecord{
+              s.query, s.observation.hint, s.observation.latency};
         });
   }
 };
@@ -567,6 +571,145 @@ TEST(ServeScheduleTest, HandlesRangesWiderThanTheQueue) {
   EXPECT_EQ(tier.shard_engine(0).drained_servings() +
                 tier.shard_engine(1).drained_servings(),
             kServings);
+}
+
+// ---------------------------------------------------------------------------
+// ServeFreeRunning: the free-running loop against live train planes. The
+// decisions depend on timing; the accounting does not.
+// ---------------------------------------------------------------------------
+
+// Serves [0, end) free-running on `fx`'s tier and returns the records,
+// indexed by global seq. `resolve` defaults to serving the chosen hint.
+// Every index below `end` must be recorded exactly once and none past it.
+std::vector<core::TierServing> ServeFree(
+    TierFixture& fx, uint64_t end, int threads,
+    core::ShardedServingTier::Resolver resolve = nullptr) {
+  if (!resolve) {
+    resolve = [&fx](int q, int chosen, uint64_t seq) {
+      return core::ServedOutcome{chosen,
+                                 fx.backend->ServeLatency(q, chosen, seq)};
+    };
+  }
+  std::vector<core::TierServing> records(end);
+  std::vector<std::atomic<int>> hits(end);
+  std::atomic<int> beyond{0};
+  fx.tier->StartTraining();
+  fx.tier->ServeFreeRunning(end, threads, resolve,
+                            [&](const core::TierServing& served) {
+                              if (served.seq >= end) {
+                                beyond.fetch_add(1);
+                                return;
+                              }
+                              hits[served.seq].fetch_add(1);
+                              records[served.seq] = served;
+                            });
+  fx.tier->StopTraining();
+  EXPECT_EQ(beyond.load(), 0) << "servings recorded at or past end";
+  for (uint64_t seq = 0; seq < end; ++seq) {
+    EXPECT_EQ(hits[seq].load(), 1) << "global index " << seq;
+  }
+  EXPECT_GE(fx.tier->claimed_servings(), end);
+  return records;
+}
+
+TEST(ServeFreeRunningTest, ServesEachIndexOnceUnderContiguousLocalSeqs) {
+  constexpr uint64_t kEnd = 701;  // a partial final batch
+  for (int shards = 1; shards <= 4; ++shards) {
+    for (int threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE(::testing::Message()
+                   << shards << " shards, " << threads << " threads");
+      // A 64-slot queue: producers lap the drain, so back-pressure and
+      // combining producers are on the path.
+      TierFixture fx(/*rows=*/13, /*hints=*/4, shards,
+                     /*seed=*/static_cast<uint64_t>(40 + shards),
+                     /*backend_rows=*/-1, /*queue_capacity=*/64);
+      const core::ShardedServingTier& tier = *fx.tier;
+      const std::vector<core::TierServing> records =
+          ServeFree(fx, kEnd, threads);
+      std::vector<std::vector<uint64_t>> local_seqs(shards);
+      for (uint64_t seq = 0; seq < kEnd; ++seq) {
+        const core::TierServing& r = records[seq];
+        const int q = static_cast<int>(seq % 13);
+        EXPECT_EQ(r.query, q);
+        ASSERT_EQ(r.shard, tier.ShardOfRow(q));
+        EXPECT_EQ(r.observation.query, tier.LocalRowOf(q));
+        // Claim-then-probe: the deciding snapshot never drained past the
+        // serving's own (claimed, unreported) local index.
+        EXPECT_LE(r.snapshot_seq, r.observation.seq);
+        local_seqs[r.shard].push_back(r.observation.seq);
+      }
+      for (int i = 0; i < shards; ++i) {
+        std::sort(local_seqs[i].begin(), local_seqs[i].end());
+        for (size_t l = 0; l < local_seqs[i].size(); ++l) {
+          ASSERT_EQ(local_seqs[i][l], l) << "shard " << i;
+        }
+        EXPECT_EQ(tier.shard_engine(i).drained_servings(),
+                  local_seqs[i].size())
+            << "shard " << i;
+      }
+    }
+  }
+}
+
+TEST(ServeFreeRunningTest, DegradedServingsChargeNoRegretAndNoExploration) {
+  constexpr uint64_t kEnd = 600;
+  constexpr uint64_t kDegradeEvery = 3;
+  // The fallback is a plan no row has verified yet, so the snapshot would
+  // classify a degraded serving as exploratory: only the degraded flag
+  // keeps it off the ledger and out of the exploration count.
+  constexpr int kHints = 5;
+  constexpr int kFallback = kHints - 1;
+  TierFixture fx(/*rows=*/11, kHints, /*shards=*/3, /*seed=*/77);
+  const std::vector<core::TierServing> records = ServeFree(
+      fx, kEnd, /*threads=*/3, [&fx](int q, int chosen, uint64_t seq) {
+        if (seq % kDegradeEvery == 0) {
+          return core::ServedOutcome{
+              kFallback, fx.backend->ServeLatency(q, kFallback, seq),
+              /*degraded=*/true};
+        }
+        return core::ServedOutcome{chosen,
+                                   fx.backend->ServeLatency(q, chosen, seq)};
+      });
+  int explorations = 0;
+  double regret = 0.0;
+  for (uint64_t seq = 0; seq < kEnd; ++seq) {
+    const core::ServingObservation& obs = records[seq].observation;
+    if (seq % kDegradeEvery == 0) {
+      EXPECT_EQ(obs.hint, kFallback) << "serving " << seq;
+      EXPECT_FALSE(obs.exploratory) << "serving " << seq;
+      EXPECT_EQ(obs.regret_delta, 0.0) << "serving " << seq;
+    }
+    explorations += obs.exploratory ? 1 : 0;
+    regret += obs.regret_delta;
+  }
+  // The other servings still explore, and the fleet ledgers are exactly
+  // what was recorded.
+  EXPECT_GT(explorations, 0);
+  EXPECT_EQ(fx.tier->explorations(), explorations);
+  EXPECT_NEAR(fx.tier->regret_spent(), regret, 1e-9);
+}
+
+TEST(ServeFreeRunningTest, EmptyRangeOrTierServesNothing) {
+  const auto never = [](int, int, uint64_t) -> core::ServedOutcome {
+    ADD_FAILURE() << "nothing should be served";
+    return {};
+  };
+  TierFixture fx(/*rows=*/5, /*hints=*/3, /*shards=*/2, /*seed=*/21);
+  fx.tier->StartTraining();
+  fx.tier->ServeFreeRunning(0, 3, never);
+  fx.tier->StopTraining();
+  EXPECT_EQ(fx.tier->claimed_servings(), 0u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(fx.tier->shard_engine(i).drained_servings(), 0u);
+  }
+
+  core::ShardedServingTier empty(core::WorkloadMatrix(0, 4), {},
+                                 core::ShardedTierOptions{});
+  empty.StartTraining();
+  empty.ServeFreeRunning(64, 2, never);
+  empty.StopTraining();
+  EXPECT_EQ(empty.claimed_servings(), 0u);
+  EXPECT_EQ(empty.shard_engine(0).drained_servings(), 0u);
 }
 
 // ---------------------------------------------------------------------------

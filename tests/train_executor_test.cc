@@ -63,7 +63,6 @@ core::ShardedTierOptions TierOptions(int shards, bool shared,
   options.online.refresh_every = static_cast<int>(p.Int(6, 16));
   options.online.publish_every = static_cast<int>(p.Int(3, 8));
   options.online.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
-  options.engine.warm_start = p.Bool(0.5);
   options.shared_train_plane = shared;
   options.executor.workers = 2;
   return options;
@@ -99,12 +98,11 @@ std::vector<TraceEntry> RunSchedule(
     out.latency = backend.ServeLatency(q, chosen, seq);
     return out;
   };
-  const auto record = [&trace](uint64_t seq, int q, int hint,
-                               double latency) {
-    TraceEntry& e = trace[static_cast<size_t>(seq)];
-    e.query = q;
-    e.hint = hint;
-    e.latency = latency;
+  const auto record = [&trace](const core::TierServing& s) {
+    TraceEntry& e = trace[static_cast<size_t>(s.seq)];
+    e.query = s.query;
+    e.hint = s.observation.hint;
+    e.latency = s.observation.latency;
   };
 
   uint64_t served = 0;
