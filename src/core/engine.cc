@@ -222,8 +222,6 @@ ExplorationEngine::ExplorationEngine(WorkloadMatrix matrix,
       predictor_(predictor),
       matrix_(std::move(matrix)),
       chunk_pool_(std::make_shared<ChunkPool>()),
-      row_regret_(static_cast<size_t>(matrix_.num_queries()), 0.0),
-      row_explorations_(static_cast<size_t>(matrix_.num_queries()), 0),
       row_servings_(static_cast<size_t>(matrix_.num_queries()), 0),
       slots_(RoundUpPow2(options.queue_capacity)) {
   queue_mask_ = slots_.size() - 1;
@@ -318,19 +316,15 @@ void ExplorationEngine::ApplyObservation(const ServingObservation& obs) {
   matrix_.Observe(obs.query, obs.hint, obs.latency);
   FoldCell(obs.query, obs.hint, before);
   ++updates_since_refresh_;
-  // Serving traffic per row, counted on the drain path, is the load
-  // signal RebalanceHotShards weighs rows by.
   row_servings_[obs.query] += 1;
   if (obs.exploratory) {
     explorations_.store(explorations_.load(std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
-    row_explorations_[obs.query] += 1;
   }
   if (obs.regret_delta > 0.0) {
     regret_spent_.store(
         regret_spent_.load(std::memory_order_relaxed) + obs.regret_delta,
         std::memory_order_relaxed);
-    row_regret_[obs.query] += obs.regret_delta;
   }
 }
 
@@ -630,11 +624,9 @@ void ExplorationEngine::RestoreFromCheckpoint(EngineCheckpoint c) {
   updates_since_refresh_ = c.updates_since_refresh;
   regret_spent_.store(c.regret_spent, std::memory_order_relaxed);
   explorations_.store(c.explorations, std::memory_order_relaxed);
-  // The checkpoint carries only the engine-total ledgers; the per-row
-  // split is a tier-level concern (the tier manifest stores it and
-  // replays it via RestoreRowLedgerSlice after this returns).
-  row_regret_.assign(static_cast<size_t>(matrix_.num_queries()), 0.0);
-  row_explorations_.assign(static_cast<size_t>(matrix_.num_queries()), 0);
+  // The checkpoint carries only the engine-total ledgers; per-row servings
+  // are a tier-level concern (the tier manifest stores them and replays
+  // them via RestoreRowServings after this returns).
   row_servings_.assign(static_cast<size_t>(matrix_.num_queries()), 0);
   // Rewind the serving plane to the checkpointed sequence: both counters
   // restart at the durable prefix, and the ring's turn stamps are rebuilt
@@ -806,7 +798,7 @@ void ExplorationEngine::TrainLoop() {
       // lint:allow(sleep): idle train-plane backoff only — never on the
       // serving path, and trace-neutral: no serving decision depends on
       // when the train thread wakes.
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::this_thread::sleep_for(kTrainIdleSleep);
     }
   }
 }
@@ -845,8 +837,6 @@ void ExplorationEngine::Clear(int query, int hint) {
 int ExplorationEngine::AppendQueries(int count) {
   TrainPlaneLock lock(this);
   const int first = matrix_.AppendQueries(count);
-  row_regret_.resize(static_cast<size_t>(matrix_.num_queries()), 0.0);
-  row_explorations_.resize(static_cast<size_t>(matrix_.num_queries()), 0);
   row_servings_.resize(static_cast<size_t>(matrix_.num_queries()), 0);
   chunks_stale_ = true;
   ++updates_since_refresh_;
@@ -870,90 +860,16 @@ void ExplorationEngine::ObserveServing(int query, int hint, double latency,
 void ExplorationEngine::ResetMatrix(WorkloadMatrix matrix) {
   TrainPlaneLock lock(this);
   matrix_ = std::move(matrix);
-  row_regret_.assign(static_cast<size_t>(matrix_.num_queries()), 0.0);
-  row_explorations_.assign(static_cast<size_t>(matrix_.num_queries()), 0);
   row_servings_.assign(static_cast<size_t>(matrix_.num_queries()), 0);
   chunks_stale_ = true;
   InvalidateModelLocked();
   PublishLocked();
 }
 
-MigratedRow ExplorationEngine::ExtractRow(int query) const {
+void ExplorationEngine::RestoreRowServings(int query, uint64_t servings) {
   LIMEQO_CHECK(!training_);
   TrainPlaneLock lock(this);
   LIMEQO_CHECK(query >= 0 && query < matrix_.num_queries());
-  const int k = matrix_.num_hints();
-  const CellState* states = matrix_.row_states(query);
-  const double* values = matrix_.row_values(query);
-  MigratedRow row;
-  row.states.assign(states, states + k);
-  row.values.assign(values, values + k);
-  row.regret_spent = row_regret_[query];
-  row.explorations = row_explorations_[query];
-  row.servings = row_servings_[query];
-  return row;
-}
-
-void ExplorationEngine::RemoveRow(int query) {
-  LIMEQO_CHECK(!training_);
-  TrainPlaneLock lock(this);
-  LIMEQO_CHECK(query >= 0 && query < matrix_.num_queries());
-  regret_spent_.store(
-      regret_spent_.load(std::memory_order_relaxed) - row_regret_[query],
-      std::memory_order_relaxed);
-  explorations_.store(
-      explorations_.load(std::memory_order_relaxed) -
-          row_explorations_[query],
-      std::memory_order_relaxed);
-  row_regret_.erase(row_regret_.begin() + query);
-  row_explorations_.erase(row_explorations_.begin() + query);
-  row_servings_.erase(row_servings_.begin() + query);
-  matrix_.RemoveQuery(query);
-  chunks_stale_ = true;
-  InvalidateModelLocked();
-  PublishLocked();
-}
-
-int ExplorationEngine::AdoptRow(const MigratedRow& row) {
-  LIMEQO_CHECK(!training_);
-  TrainPlaneLock lock(this);
-  LIMEQO_CHECK(static_cast<int>(row.states.size()) == matrix_.num_hints());
-  const int local = matrix_.AppendQueries(1);
-  for (int j = 0; j < matrix_.num_hints(); ++j) {
-    switch (row.states[j]) {
-      case CellState::kComplete:
-        matrix_.Observe(local, j, row.values[j]);
-        break;
-      case CellState::kCensored:
-        matrix_.ObserveCensored(local, j, row.values[j]);
-        break;
-      case CellState::kUnobserved:
-        break;
-    }
-  }
-  row_regret_.push_back(row.regret_spent);
-  row_explorations_.push_back(row.explorations);
-  row_servings_.push_back(row.servings);
-  regret_spent_.store(
-      regret_spent_.load(std::memory_order_relaxed) + row.regret_spent,
-      std::memory_order_relaxed);
-  explorations_.store(
-      explorations_.load(std::memory_order_relaxed) + row.explorations,
-      std::memory_order_relaxed);
-  chunks_stale_ = true;
-  InvalidateModelLocked();
-  PublishLocked();
-  return local;
-}
-
-void ExplorationEngine::RestoreRowLedgerSlice(int query, double regret,
-                                              int explorations,
-                                              uint64_t servings) {
-  LIMEQO_CHECK(!training_);
-  TrainPlaneLock lock(this);
-  LIMEQO_CHECK(query >= 0 && query < matrix_.num_queries());
-  row_regret_[query] = regret;
-  row_explorations_[query] = explorations;
   row_servings_[query] = servings;
 }
 

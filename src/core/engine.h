@@ -14,6 +14,7 @@
 /// deterministic schedule is bitwise identical at every thread count.
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -225,30 +226,10 @@ class ServingSnapshot {
   uint64_t pick_seed_ = 0;
 };
 
-/// One query row packaged for migration between engines (shard
-/// rebalancing, see src/core/shard_router.h): the row's cell payload —
-/// per-hint observation states and values, copied bitwise from the source
-/// matrix — plus the row's slice of the regret and exploration ledgers.
-/// Produced by ExplorationEngine::ExtractRow, consumed by
-/// ExplorationEngine::AdoptRow on the destination engine; replaying the
-/// payload there reconstructs the row cell-for-cell, so a migrated row is
-/// indistinguishable from one that was always observed on the
-/// destination.
-struct MigratedRow {
-  /// Per-hint observation states (num_hints entries).
-  std::vector<CellState> states;
-  /// Per-hint observed values: exact latency for complete cells, the
-  /// censoring threshold for censored cells, 0 for unobserved cells.
-  std::vector<double> values;
-  /// Regret charged by exploratory servings of this row, in seconds.
-  double regret_spent = 0.0;
-  /// Exploratory servings of this row.
-  int explorations = 0;
-  /// Servings of this row applied on the train plane (the traffic weight
-  /// used by load-aware rebalancing; travels with the row like the ledger
-  /// slice).
-  uint64_t servings = 0;
-};
+/// How long an idle train loop — an engine's own train thread, or a
+/// TrainExecutor worker that found no runnable shard — sleeps before it
+/// looks again, so an unloaded train plane costs no CPU.
+inline constexpr std::chrono::microseconds kTrainIdleSleep{50};
 
 /// Construction options for the engine.
 struct EngineOptions {
@@ -386,10 +367,10 @@ class ExplorationEngine {
   /// Publishes the current snapshot chunks with one pointer swap: O(n /
   /// SnapshotChunk::kRows) pointer copies, because the chunks were kept
   /// current at drain time. A refit, a checkpoint restore, or a shape
-  /// change (ResetMatrix, AppendQueries, RemoveRow, AdoptRow) makes the
-  /// next publication rebuild every chunk instead. The version stamped
-  /// into the snapshot and the published counter come from a single
-  /// fetch_add, so they can never drift apart. Readers holding the
+  /// change (ResetMatrix, AppendQueries) makes the next publication
+  /// rebuild every chunk instead. The version stamped into the snapshot
+  /// and the published counter come from a single fetch_add, so they can
+  /// never drift apart. Readers holding the
   /// previous snapshot keep it alive through their own shared_ptr.
   void Publish() EXCLUDES(drain_mu_, snapshot_mu_);
   /// The epoch boundary: Drain + RefreshPredictions + Publish. Returns the
@@ -494,30 +475,10 @@ class ExplorationEngine {
   /// model state.
   void ResetMatrix(WorkloadMatrix matrix) EXCLUDES(drain_mu_);
 
-  // --- Row migration (shard rebalancing, train plane) ----------------------
-  /// Packages row `query` for migration: the cell payload copied bitwise
-  /// from the live matrix plus the row's ledger slice. Call at an op
-  /// boundary (queue drained) so the payload is consistent with the
-  /// ledgers.
-  MigratedRow ExtractRow(int query) const EXCLUDES(drain_mu_);
-  /// Removes row `query` from the matrix and subtracts its ledger slice
-  /// from the engine totals; rows above it shift down by one. Invalidates
-  /// the model (factor rows no longer line up with the shrunk matrix) and
-  /// publishes a fresh snapshot. Op boundary only: no in-flight serving
-  /// may still target the old row indices, because every row above the
-  /// removed one is renumbered.
-  void RemoveRow(int query) EXCLUDES(drain_mu_);
-  /// Appends the migrated row to this engine's matrix, replays its cell
-  /// payload bitwise, adds its ledger slice to the engine totals,
-  /// invalidates the model, and publishes. Returns the new local row
-  /// index (always the last row). Same op-boundary contract as RemoveRow.
-  int AdoptRow(const MigratedRow& row) EXCLUDES(drain_mu_);
-  /// Overwrites one row's ledger slice — regret, explorations, and the
-  /// serving-traffic weight — without touching the engine totals: the tier
-  /// restore path, where EngineCheckpoint carries only the engine totals
-  /// and the tier manifest carries the per-row split.
-  void RestoreRowLedgerSlice(int query, double regret, int explorations,
-                             uint64_t servings = 0) EXCLUDES(drain_mu_);
+  /// Overwrites one row's serving count without touching the engine
+  /// totals: the tier restore path, where EngineCheckpoint carries only the
+  /// engine totals and the tier manifest carries the per-row counts.
+  void RestoreRowServings(int query, uint64_t servings) EXCLUDES(drain_mu_);
   /// Drops predictions, warm-start factors, and any state the predictor
   /// retains: after a data shift nothing fitted on the old data may leak
   /// into the new fit (the warm-start no-leak contract).
@@ -554,19 +515,8 @@ class ExplorationEngine {
   /// Warm-start factor state (empty before the first fit and after an
   /// invalidation).
   const CompletionFactors& warm_factors() const { return factors_; }
-  /// Regret charged by exploratory servings of `query` alone (the
-  /// per-row split of regret_spent; travels with the row on migration).
-  /// Updated at drain time, in serving order.
-  double row_regret(int query) const NO_THREAD_SAFETY_ANALYSIS {
-    return row_regret_[query];
-  }
-  /// Exploratory servings of `query` alone (the per-row split of
-  /// explorations).
-  int row_explorations(int query) const NO_THREAD_SAFETY_ANALYSIS {
-    return row_explorations_[query];
-  }
-  /// Servings applied to `query` so far (the per-row traffic weight;
-  /// travels with the row on migration).
+  /// Servings of `query` applied so far (drained from the queue or recorded
+  /// by ObserveServing). Reset by ResetMatrix and RestoreFromCheckpoint.
   uint64_t row_servings(int query) const NO_THREAD_SAFETY_ANALYSIS {
     return row_servings_[query];
   }
@@ -744,13 +694,8 @@ class ExplorationEngine {
   std::atomic<uint64_t> refits_completed_{0};
   std::atomic<uint64_t> refit_nanos_{0};
 
-  // Per-row ledger split (updated in drain order): the regret /
-  // exploration slice each row contributed, so a migrating row can carry
-  // its charges to the destination shard. row_servings_ is the per-row
-  // traffic weight load-aware rebalancing scores on. Always sized to the
+  // Drained servings per row (updated in drain order). Always sized to the
   // matrix rows.
-  std::vector<double> row_regret_ GUARDED_BY(drain_mu_);
-  std::vector<int> row_explorations_ GUARDED_BY(drain_mu_);
   std::vector<uint64_t> row_servings_ GUARDED_BY(drain_mu_);
 
   // Snapshot publication: the pointer is guarded by snapshot_mu_ (held

@@ -44,7 +44,7 @@ OfflineExplorer::OfflineExplorer(WorkloadBackend* backend,
                                  ? options.initial_queries
                                  : backend->num_queries(),
                              backend->num_hints()),
-              /*predictor=*/nullptr, options.engine),
+              /*predictor=*/nullptr),
       rng_(options.seed) {
   LIMEQO_CHECK(backend != nullptr && policy != nullptr);
   LIMEQO_CHECK(options.batch_size > 0);

@@ -37,12 +37,6 @@ struct ExplorerOptions {
   int initial_queries = -1;
   /// Seed for policy tie-breaking / random fallback.
   uint64_t seed = 99;
-  /// Options for the ExplorationEngine the explorer owns (observation-queue
-  /// capacity, checkpointing). The serving plane attaches
-  /// to that engine later, so callers that care about serving behaviour —
-  /// e.g. the free-running simulation mode, which sizes the queue to make
-  /// its staleness bound meaningful — configure it here.
-  EngineOptions engine;
 };
 
 /// One point of the exploration trajectory, recorded after every batch.

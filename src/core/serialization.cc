@@ -24,12 +24,6 @@ constexpr char kMatrixVersion[] = "v2";
 constexpr char kCheckpointMagic[] = "limeqo-engine-checkpoint";
 constexpr char kCheckpointVersion[] = "v1";
 
-std::string CrcHex(uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return buf;
-}
-
 /// Parses `C i j v` / `X i j v` records until `is` is exhausted, applying
 /// them to `w`. Shared between the legacy v1 loader (records run to EOF)
 /// and the v2 loader (records live in a bounded, CRC-verified payload).
@@ -56,34 +50,6 @@ Status ParseCellRecords(std::istream& is, int n, int k, WorkloadMatrix* w) {
     }
   }
   return Status::Ok();
-}
-
-/// Reads exactly `bytes` payload bytes from `is` and verifies the CRC from
-/// the header. Short reads mean truncation; CRC mismatches mean bit rot or
-/// a torn write — both are rejected loudly rather than parsed.
-StatusOr<std::string> ReadCheckedPayload(std::istream& is, long long bytes,
-                                         uint32_t expected_crc,
-                                         const char* what) {
-  if (bytes < 0) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": negative payload size");
-  }
-  std::string payload(static_cast<size_t>(bytes), '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(bytes));
-  if (is.gcount() != static_cast<std::streamsize>(bytes)) {
-    return Status::InvalidArgument(
-        std::string(what) + ": truncated payload (expected " +
-        std::to_string(bytes) + " bytes, got " +
-        std::to_string(is.gcount()) + ")");
-  }
-  const uint32_t actual = Crc32(payload);
-  if (actual != expected_crc) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": CRC mismatch (file corrupt): expected " +
-                                   CrcHex(expected_crc) + ", computed " +
-                                   CrcHex(actual));
-  }
-  return payload;
 }
 
 void SaveDenseMatrix(const linalg::Matrix& m, std::ostream& os) {
@@ -117,6 +83,37 @@ StatusOr<linalg::Matrix> LoadDenseMatrix(std::istream& is, long long rows,
 }
 
 }  // namespace
+
+std::string CrcHex(uint32_t crc) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08x", crc);
+  return buf;
+}
+
+StatusOr<std::string> ReadCheckedPayload(std::istream& is, long long bytes,
+                                         uint32_t expected_crc,
+                                         const char* what) {
+  if (bytes < 0) {
+    return Status::InvalidArgument(std::string(what) +
+                                   ": negative payload size");
+  }
+  std::string payload(static_cast<size_t>(bytes), '\0');
+  is.read(payload.data(), static_cast<std::streamsize>(bytes));
+  if (is.gcount() != static_cast<std::streamsize>(bytes)) {
+    return Status::InvalidArgument(
+        std::string(what) + ": truncated payload (expected " +
+        std::to_string(bytes) + " bytes, got " +
+        std::to_string(is.gcount()) + ")");
+  }
+  const uint32_t actual = Crc32(payload);
+  if (actual != expected_crc) {
+    return Status::InvalidArgument(std::string(what) +
+                                   ": CRC mismatch (file corrupt): expected " +
+                                   CrcHex(expected_crc) + ", computed " +
+                                   CrcHex(actual));
+  }
+  return payload;
+}
 
 uint32_t Crc32(std::string_view data) {
   static const std::array<uint32_t, 256> table = [] {

@@ -39,6 +39,18 @@ namespace limeqo::core {
 /// serialization layers can reuse the same integrity check.
 uint32_t Crc32(std::string_view data);
 
+/// `crc` as the 8 lowercase hex digits the file headers carry.
+std::string CrcHex(uint32_t crc);
+
+/// Reads exactly `bytes` payload bytes from `is` and verifies them against
+/// `expected_crc` from the header. Short reads mean truncation; CRC
+/// mismatches mean bit rot or a torn write — both are rejected loudly
+/// (errors name `what`) rather than parsed. Shared by every length-prefixed
+/// format: the workload matrix, the engine checkpoint, the tier manifest.
+StatusOr<std::string> ReadCheckedPayload(std::istream& is, long long bytes,
+                                         uint32_t expected_crc,
+                                         const char* what);
+
 /// Writes `contents` to `path` crash-atomically: the bytes go to
 /// `path + ".tmp"`, are fsync'd, and the temp file is then renamed over
 /// `path`. A reader (or a post-crash restart) sees either the old complete

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -18,16 +17,9 @@ namespace limeqo::core {
 namespace {
 
 constexpr char kManifestMagic[] = "limeqo-tier-manifest";
-// v2 added the per-row servings count to the row-ledger lines (the traffic
-// weight RebalanceHotShards migrates by survives restarts with the rest of
-// the ledger).
-constexpr char kManifestVersion[] = "v2";
-
-std::string TierCrcHex(uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return buf;
-}
+// v3 dropped the per-shard row lists (placement is PartitionShard of the
+// seed) and the per-row regret and exploration columns.
+constexpr char kManifestVersion[] = "v3";
 
 std::string ShardCheckpointPath(const std::string& dir, int shard) {
   return dir + "/shard-" + std::to_string(shard) + ".ckpt";
@@ -389,96 +381,6 @@ int ShardedServingTier::AppendQueries(int count) {
   return first;
 }
 
-void ShardedServingTier::MigrateRow(int row, int to_shard) {
-  MutexLock lock(train_mu_);
-  LIMEQO_CHECK(!training_);
-  MigrateRowLocked(row, to_shard);
-}
-
-void ShardedServingTier::MigrateRowLocked(int row, int to_shard) {
-  LIMEQO_CHECK(row >= 0 && row < num_queries());
-  LIMEQO_CHECK(to_shard >= 0 && to_shard < num_shards());
-  const int from = shard_of_row_[row];
-  if (from == to_shard) return;
-  const int local = local_of_row_[row];
-  const MigratedRow payload = engines_[from]->ExtractRow(local);
-  engines_[from]->RemoveRow(local);
-  std::vector<int>& from_rows = shard_rows_[from];
-  from_rows.erase(from_rows.begin() + local);
-  for (size_t i = static_cast<size_t>(local); i < from_rows.size(); ++i) {
-    local_of_row_[from_rows[i]] = static_cast<int>(i);
-  }
-  const int adopted = engines_[to_shard]->AdoptRow(payload);
-  LIMEQO_CHECK(adopted == static_cast<int>(shard_rows_[to_shard].size()));
-  shard_of_row_[row] = to_shard;
-  local_of_row_[row] = adopted;
-  shard_rows_[to_shard].push_back(row);
-  // Row counts shifted on both shards, so every slice changes; republish
-  // so the next decisions gate on the new slices.
-  ApplyBudgetSplit();
-  PublishAll();
-}
-
-int ShardedServingTier::RebalanceHotShards() {
-  MutexLock lock(train_mu_);
-  LIMEQO_CHECK(!training_);
-  const int shards = num_shards();
-  if (shards <= 1) return 0;
-  int migrated = 0;
-  for (;;) {
-    // A shard's load is its traffic-weighted row count: each row weighs
-    // 1 + servings, so placement follows where traffic concentrates, not
-    // just where rows landed. With no traffic every weight is 1 and the
-    // pass reduces bitwise to the original row-count rule.
-    std::vector<uint64_t> load(static_cast<size_t>(shards), 0);
-    uint64_t fleet_load = 0;
-    for (int i = 0; i < shards; ++i) {
-      const int count = static_cast<int>(shard_rows_[i].size());
-      for (int l = 0; l < count; ++l) {
-        load[i] += 1 + engines_[i]->row_servings(l);
-      }
-      fleet_load += load[i];
-    }
-    int hot = 0;
-    int cold = 0;
-    for (int i = 1; i < shards; ++i) {
-      if (load[i] > load[hot]) hot = i;
-      if (load[i] < load[cold]) cold = i;
-    }
-    const double ideal =
-        static_cast<double>(fleet_load) / static_cast<double>(shards);
-    if (static_cast<double>(load[hot]) <=
-        options_.rebalance_factor * ideal) {
-      break;
-    }
-    const uint64_t gap = load[hot] - load[cold];
-    if (gap < 2) break;
-    // The heaviest hot row whose weight still shrinks the spread moves
-    // (w <= gap - 1 keeps the destination strictly below the source's old
-    // load, so the load spread strictly decreases and the pass
-    // terminates); ties break toward the highest global index. A pure
-    // function of the assignment and ledgers, so two tiers that took the
-    // same migration history make the same next move.
-    int best_row = -1;
-    uint64_t best_weight = 0;
-    const int hot_count = static_cast<int>(shard_rows_[hot].size());
-    for (int l = 0; l < hot_count; ++l) {
-      const uint64_t weight = 1 + engines_[hot]->row_servings(l);
-      if (weight > gap - 1) continue;
-      const int row = shard_rows_[hot][static_cast<size_t>(l)];
-      if (weight > best_weight ||
-          (weight == best_weight && row > best_row)) {
-        best_weight = weight;
-        best_row = row;
-      }
-    }
-    if (best_row < 0) break;
-    MigrateRowLocked(best_row, cold);
-    ++migrated;
-  }
-  return migrated;
-}
-
 WorkloadMatrix ShardedServingTier::MergedMatrix() const {
   WorkloadMatrix merged(num_queries(), num_hints_);
   for (int row = 0; row < num_queries(); ++row) {
@@ -503,22 +405,15 @@ Status ShardedServingTier::SaveCheckpoints(const std::string& dir) const {
   payload << "tier " << num_shards() << ' ' << num_queries() << ' '
           << num_hints_ << ' ' << options_.online.regret_budget_seconds
           << ' ' << options_.partition_seed << '\n';
-  for (int i = 0; i < num_shards(); ++i) {
-    payload << "shard " << i << ' ' << shard_rows_[i].size();
-    for (const int row : shard_rows_[i]) payload << ' ' << row;
-    payload << '\n';
-  }
   for (int row = 0; row < num_queries(); ++row) {
-    const ExplorationEngine& e = *engines_[shard_of_row_[row]];
-    const int local = local_of_row_[row];
-    payload << "row " << row << ' ' << e.row_regret(local) << ' '
-            << e.row_explorations(local) << ' ' << e.row_servings(local)
+    payload << "row " << row << ' '
+            << engines_[shard_of_row_[row]]->row_servings(local_of_row_[row])
             << '\n';
   }
   const std::string body = payload.str();
   std::ostringstream os;
   os << kManifestMagic << ' ' << kManifestVersion << ' ' << body.size()
-     << ' ' << TierCrcHex(Crc32(body)) << '\n'
+     << ' ' << CrcHex(Crc32(body)) << '\n'
      << body;
   // The manifest goes last: once it is durable, every shard file it names
   // already is.
@@ -533,27 +428,22 @@ ShardedServingTier::RestoreFromDirectory(const std::string& dir,
   if (!is) {
     return Status::Internal("cannot open for read: " + ManifestPath(dir));
   }
+  std::string header;
+  std::getline(is, header);
+  std::istringstream hs(header);
   std::string magic, version, crc_hex;
   long long bytes = 0;
-  if (!(is >> magic >> version >> bytes >> crc_hex) ||
+  if (!(hs >> magic >> version >> bytes >> crc_hex) ||
       magic != kManifestMagic || version != kManifestVersion) {
     return Status::InvalidArgument("tier manifest: bad magic or version");
   }
-  is.get();  // the newline ending the header line
-  if (bytes < 0) {
-    return Status::InvalidArgument("tier manifest: negative payload size");
-  }
-  std::string body(static_cast<size_t>(bytes), '\0');
-  is.read(body.data(), static_cast<std::streamsize>(bytes));
-  if (is.gcount() != static_cast<std::streamsize>(bytes)) {
-    return Status::InvalidArgument("tier manifest: truncated payload");
-  }
-  if (TierCrcHex(Crc32(body)) != crc_hex) {
-    return Status::InvalidArgument(
-        "tier manifest: CRC mismatch (file corrupt)");
-  }
+  StatusOr<std::string> body = ReadCheckedPayload(
+      is, bytes,
+      static_cast<uint32_t>(std::strtoul(crc_hex.c_str(), nullptr, 16)),
+      "tier manifest");
+  if (!body.ok()) return body.status();
 
-  std::istringstream ls(body);
+  std::istringstream ls(*body);
   std::string word;
   int shards = 0, rows = 0, hints = 0;
   double budget = 0.0;
@@ -585,52 +475,19 @@ ShardedServingTier::RestoreFromDirectory(const std::string& dir,
     MutexLock lock(tier->train_mu_);
     tier->next_local_seq_.assign(static_cast<size_t>(shards), 0);
   }
-  tier->shard_of_row_.assign(static_cast<size_t>(rows), -1);
-  tier->local_of_row_.assign(static_cast<size_t>(rows), -1);
-  for (int i = 0; i < shards; ++i) {
-    int index = 0, count = 0;
-    if (!(ls >> word >> index >> count) || word != "shard" || index != i ||
-        count < 0 || count > rows) {
-      return Status::InvalidArgument(
-          "tier manifest: malformed shard section " + std::to_string(i));
-    }
-    tier->shard_rows_[i].resize(static_cast<size_t>(count));
-    for (int l = 0; l < count; ++l) {
-      int row = -1;
-      if (!(ls >> row) || row < 0 || row >= rows ||
-          tier->shard_of_row_[row] != -1) {
-        return Status::InvalidArgument(
-            "tier manifest: bad or duplicate row assignment in shard " +
-            std::to_string(i));
-      }
-      tier->shard_rows_[i][l] = row;
-      tier->shard_of_row_[row] = i;
-      tier->local_of_row_[row] = l;
-    }
-  }
+  // Placement is a pure function of the partition seed, so the assignment
+  // is rebuilt rather than stored.
   for (int row = 0; row < rows; ++row) {
-    if (tier->shard_of_row_[row] == -1) {
-      return Status::InvalidArgument("tier manifest: row " +
-                                     std::to_string(row) + " unassigned");
-    }
+    tier->AttachRow(row, PartitionShard(partition_seed, row, shards));
   }
-  std::vector<double> row_regret(static_cast<size_t>(rows), 0.0);
-  std::vector<int> row_explorations(static_cast<size_t>(rows), 0);
   std::vector<uint64_t> row_servings(static_cast<size_t>(rows), 0);
   for (int r = 0; r < rows; ++r) {
     int row = -1;
-    double regret = 0.0;
-    int explorations = 0;
-    uint64_t servings = 0;
-    if (!(ls >> word >> row >> regret >> explorations >> servings) ||
-        word != "row" || row != r || !std::isfinite(regret) ||
-        explorations < 0) {
+    if (!(ls >> word >> row >> row_servings[r]) || word != "row" ||
+        row != r) {
       return Status::InvalidArgument(
-          "tier manifest: malformed row-ledger section");
+          "tier manifest: malformed row-servings section");
     }
-    row_regret[r] = regret;
-    row_explorations[r] = explorations;
-    row_servings[r] = servings;
   }
 
   tier->engines_.reserve(static_cast<size_t>(shards));
@@ -656,10 +513,8 @@ ShardedServingTier::RestoreFromDirectory(const std::string& dir,
       tier->next_local_seq_[i] = engine->drained_servings();
     }
     for (size_t l = 0; l < tier->shard_rows_[i].size(); ++l) {
-      const int row = tier->shard_rows_[i][l];
-      engine->RestoreRowLedgerSlice(static_cast<int>(l), row_regret[row],
-                                    row_explorations[row],
-                                    row_servings[row]);
+      engine->RestoreRowServings(static_cast<int>(l),
+                                 row_servings[tier->shard_rows_[i][l]]);
     }
     tier->engines_.push_back(std::move(engine));
   }

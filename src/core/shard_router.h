@@ -10,12 +10,12 @@
 /// MixSeed(partition_seed, q) % num_shards — stable (a row's shard never
 /// depends on arrival order), seed-pure (two tiers with the same
 /// partition_seed agree on every placement), and uniform in expectation.
-/// Within a shard, rows are ordered by adoption: construction adopts rows
-/// in ascending global order, so at num_shards == 1 the local order is the
-/// identity and the tier degenerates to a bare engine, decision for
-/// decision (tests/shard_router_test.cc pins it against frozen bare-engine
-/// trace hashes over the full scenario grid). It is the driver's only
-/// concurrent serving path, at any shard count.
+/// Within a shard, rows are in ascending global order (construction and
+/// AppendQueries both attach rows in that order), so at num_shards == 1 the
+/// local order is the identity and the tier degenerates to a bare engine,
+/// decision for decision (tests/shard_router_test.cc pins it against frozen
+/// bare-engine trace hashes over the full scenario grid). It is the
+/// driver's only concurrent serving path, at any shard count.
 ///
 /// Trace-merge determinism: every serving decision is
 /// shard_snapshot->ChooseHint(local_row, global_index) — the *global*
@@ -42,11 +42,11 @@
 ///    are within L, and those behind it were claimed globally earlier but
 ///    took their local index later — at most one claimed batch per other
 ///    serving thread.
-///  * checkpoint/restore: each shard reuses the PR 6 EngineCheckpoint path
+///  * checkpoint/restore: each shard reuses the EngineCheckpoint path
 ///    verbatim; a tier manifest (same CRC'd header convention) records the
-///    row->shard assignment, the per-shard local row order, and the
-///    per-row ledger slices, so RestoreFromDirectory reassembles the fleet
-///    at an op boundary.
+///    tier shape, the partition seed and the per-row serving counts.
+///    Placement is a pure function of the seed, so RestoreFromDirectory
+///    rebuilds the assignment and reassembles the fleet at an op boundary.
 
 #include <atomic>
 #include <cstdint>
@@ -81,10 +81,6 @@ struct ShardedTierOptions {
   /// `online` member inside is ignored — the split fleet options above are
   /// installed instead.
   EngineOptions engine;
-  /// RebalanceHotShards migrates rows away from any shard whose serving
-  /// load (traffic-weighted row count) exceeds rebalance_factor * (fleet
-  /// load / num_shards), toward the least-loaded shard.
-  double rebalance_factor = 1.5;
   /// Routes the fleet's train plane through one shared TrainExecutor
   /// (StartTraining spawns `executor.workers` threads total instead of one
   /// per shard; SyncEpochAll becomes the executor's prioritized barrier).
@@ -113,9 +109,9 @@ struct TierServing {
 };
 
 /// N ExplorationEngine shards behind a deterministic router. Train-plane
-/// methods (ServeSchedule, AppendQueries, MigrateRow, checkpoints) must be
-/// called from one thread at a time with no background train threads
-/// running, except where noted; ServeFreeRunning is their mirror and needs
+/// methods (ServeSchedule, AppendQueries, checkpoints) must be called from
+/// one thread at a time with no background train threads running, except
+/// where noted; ServeFreeRunning is their mirror and needs
 /// the train plane running. Serving-plane reads (shard_engine(i)
 /// snapshots, AcquireServingIndices, routing lookups) are safe from any
 /// number of threads.
@@ -155,8 +151,8 @@ class ShardedServingTier {
   /// The partition function: the shard global row q lives on. Pure.
   static int PartitionShard(uint64_t partition_seed, int row, int num_shards);
 
-  /// Shard currently holding global row `row` (post-migration placement
-  /// may differ from PartitionShard).
+  /// Shard holding global row `row`: PartitionShard of the tier's seed,
+  /// cached.
   int ShardOfRow(int row) const { return shard_of_row_[row]; }
   /// Local row index of global row `row` within its shard's matrix.
   int LocalRowOf(int row) const { return local_of_row_[row]; }
@@ -273,34 +269,12 @@ class ShardedServingTier {
     return next_global_seq_.load(std::memory_order_relaxed);
   }
 
-  // --- Growth and rebalancing (train plane, op boundary) -------------------
+  // --- Growth (train plane, op boundary) ----------------------------------
   /// Appends `count` new global query rows, each placed by the partition
   /// function, and re-splits the fleet regret budget over the new row
   /// counts. Returns the first new global row index. Op-boundary method:
   /// all train threads stopped, no in-flight servings.
   int AppendQueries(int count) EXCLUDES(train_mu_);
-  /// Moves one global row to `to_shard`: the row's observations, censoring
-  /// state, and ledger slice travel bitwise (ExplorationEngine::ExtractRow
-  /// / AdoptRow), source-shard rows above it renumber down, and the budget
-  /// split is recomputed. Serving planes are never paused — other shards'
-  /// snapshots are untouched and the two involved shards publish fresh
-  /// snapshots — but this is an op-boundary method: all train threads
-  /// stopped, and no in-flight serving may target the moving row.
-  void MigrateRow(int row, int to_shard) EXCLUDES(train_mu_);
-  /// Deterministic load-aware rebalance pass. Each row weighs
-  /// 1 + servings(row) — the serving traffic its shard's drain path has
-  /// counted for it — so a shard's load is its traffic-weighted row count
-  /// and with no traffic at all the pass degenerates bitwise to the old
-  /// row-count rule. While the most-loaded shard (lowest index on ties)
-  /// exceeds rebalance_factor * (fleet load / num_shards), migrate its
-  /// heaviest row whose weight w keeps the move strictly shrinking the
-  /// imbalance (w <= gap - 1 against the least-loaded shard; ties broken
-  /// toward the highest global index) to that least-loaded shard; stop
-  /// when no such row exists. Every move strictly decreases the load
-  /// spread, so the pass terminates, and it is a pure function of the
-  /// current assignment and ledgers. Returns the number of rows migrated.
-  /// Same op-boundary contract as MigrateRow.
-  int RebalanceHotShards() EXCLUDES(train_mu_);
 
   // --- Views ---------------------------------------------------------------
   /// Reassembles the global workload matrix from the shard matrices
@@ -308,10 +282,10 @@ class ShardedServingTier {
   WorkloadMatrix MergedMatrix() const;
 
   // --- Checkpoint / restore (train plane, op boundary) ---------------------
-  /// Writes one EngineCheckpoint per shard (`shard-<i>.ckpt`, the PR 6
-  /// crash-atomic path) plus a `tier.manifest` recording the assignment,
-  /// per-shard local row order, fleet budget, and per-row ledger slices
-  /// into directory `dir` (which must exist). Every file is written
+  /// Writes one EngineCheckpoint per shard (`shard-<i>.ckpt`, the
+  /// crash-atomic path) plus a `tier.manifest` recording the tier shape,
+  /// fleet budget, partition seed, and per-row serving counts into
+  /// directory `dir` (which must exist). Every file is written
   /// crash-atomically; the manifest is written last, so a manifest that
   /// parses refers to shard files that were durable before it.
   Status SaveCheckpoints(const std::string& dir) const EXCLUDES(train_mu_);
@@ -321,9 +295,11 @@ class ShardedServingTier {
   /// budget, and the partition seed are overridden by its values (the
   /// remaining options must match the saving tier's, the same contract as
   /// ExplorationEngine::RestoreFromCheckpoint); `predictors` must be empty
-  /// or match the manifest's shard count. Each shard engine warm-restarts through
-  /// ExplorationEngine::RestoreFromCheckpoint, then its per-row ledger
-  /// slices are restored from the manifest and the budget split is
+  /// or match the manifest's shard count. The row assignment is rebuilt
+  /// from the partition seed, and each shard checkpoint's row count must
+  /// match it. Each shard engine warm-restarts through
+  /// ExplorationEngine::RestoreFromCheckpoint, then its per-row serving
+  /// counts are restored from the manifest and the budget split is
   /// re-applied — so a tier restored at an op boundary replays the
   /// remaining schedule bitwise-identically to one that never stopped.
   static StatusOr<std::unique_ptr<ShardedServingTier>> RestoreFromDirectory(
@@ -341,12 +317,6 @@ class ShardedServingTier {
   /// and returns its local index.
   int AttachRow(int row, int shard);
 
-  /// MigrateRow's body, for callers already holding train_mu_
-  /// (RebalanceHotShards runs its whole pass under one acquisition; the
-  /// EXCLUDES/REQUIRES pair makes re-acquiring the non-recursive mutex a
-  /// compile error instead of a deadlock).
-  void MigrateRowLocked(int row, int to_shard) REQUIRES(train_mu_);
-
   /// The per-serving body both serving loops share: decide global serving
   /// `seq` (query `query`, routed to `shard`'s local row `local_row` under
   /// local index `local_seq`) on `snap`, resolve it, build the observation
@@ -360,12 +330,13 @@ class ShardedServingTier {
   int num_hints_ = 0;
   std::vector<Predictor*> predictors_;
   std::vector<std::unique_ptr<ExplorationEngine>> engines_;
-  /// The routing tables below are deliberately *not* guarded: serving
-  /// threads read them lock-free, which is safe under the op-boundary
-  /// contract (growth / migration / restore run with all train threads
-  /// stopped and no in-flight servings targeting the moving rows). The
-  /// capability analysis checks the mutable train-plane bookkeeping that
-  /// *does* have a lock; the op-boundary contract stays on the TSan jobs.
+  /// The routing tables below cache PartitionShard and the local row
+  /// order. They are deliberately *not* guarded: serving threads read them
+  /// lock-free, which is safe under the op-boundary contract (growth and
+  /// restore run with all train threads stopped and no in-flight
+  /// servings). The capability analysis checks the mutable train-plane
+  /// bookkeeping that *does* have a lock; the op-boundary contract stays on
+  /// the TSan jobs.
   std::vector<int> shard_of_row_;              // global row -> shard
   std::vector<int> local_of_row_;              // global row -> local row
   std::vector<std::vector<int>> shard_rows_;   // shard -> global rows

@@ -117,8 +117,7 @@ void TrainExecutor::WorkerLoop(int worker) {
       // lint:allow(sleep): idle scheduler backoff on the train plane; the
       // serving path never blocks on it, and no serving decision depends
       // on when a worker rescans.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.idle_sleep_us));
+      std::this_thread::sleep_for(kTrainIdleSleep);
       continue;
     }
     engine->SetCompletionArena(&arena);

@@ -26,9 +26,6 @@ struct TrainExecutorOptions {
   /// bounded pool instead of each fanning out to LIMEQO_THREADS. 0 means
   /// "use the global pool size" (limeqo::NumThreads()).
   int linalg_threads = 0;
-  /// Sleep between scheduling scans when no shard is runnable, in
-  /// microseconds. Mirrors the per-engine train loop's idle sleep.
-  int idle_sleep_us = 50;
 };
 
 /// One train plane for a whole fleet: a fixed pool of workers drives every

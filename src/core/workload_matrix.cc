@@ -145,23 +145,4 @@ int WorkloadMatrix::AppendQueries(int count) {
   return first;
 }
 
-void WorkloadMatrix::RemoveQuery(int query) {
-  LIMEQO_CHECK(query >= 0 && query < num_queries());
-  const int n = num_queries();
-  const int k = num_hints();
-  linalg::Matrix values(n - 1, k);
-  std::vector<CellState> states(static_cast<size_t>(n - 1) * k,
-                                CellState::kUnobserved);
-  for (int i = 0, dst = 0; i < n; ++i) {
-    if (i == query) continue;
-    for (int j = 0; j < k; ++j) {
-      values(dst, j) = values_(i, j);
-      states[static_cast<size_t>(dst) * k + j] = states_[CellIndex(i, j)];
-    }
-    ++dst;
-  }
-  values_ = std::move(values);
-  states_ = std::move(states);
-}
-
 }  // namespace limeqo::core

@@ -117,12 +117,6 @@ class WorkloadMatrix {
   /// Sec. 5.3). Returns the index of the first new row.
   int AppendQueries(int count);
 
-  /// Removes one query row; rows above it shift down by one. Used by shard
-  /// rebalancing, where a row migrates to another shard's matrix: the cell
-  /// payload travels bitwise (values and states), so removal
-  /// here plus replay there reconstructs the row exactly.
-  void RemoveQuery(int query);
-
  private:
   linalg::Matrix values_;
   std::vector<CellState> states_;  // row-major n*k

@@ -160,12 +160,6 @@ core::BackendResult FaultyBackend::Execute(int query, int hint,
   return failed;
 }
 
-bool FaultyBackend::ServeAttemptFails(int query, int hint,
-                                      uint64_t serving_index,
-                                      int attempt) const {
-  return AttemptFails(spec_, query, hint, serving_index, attempt);
-}
-
 bool FaultyBackend::AttemptFails(const FaultSpec& spec, int query, int hint,
                                  uint64_t serving_index, int attempt) {
   // The default hint is the graceful-degradation fallback; it never fails,
@@ -179,6 +173,29 @@ bool FaultyBackend::AttemptFails(const FaultSpec& spec, int query, int hint,
   limeqo::Rng rng(limeqo::MixSeed(
       limeqo::MixSeed(spec.seed, kServeFailStream), cell, when));
   return rng.NextDouble() < spec.serve_failure_prob;
+}
+
+ResolvedServing ResolveServingFaults(const FaultSpec& spec, int max_retries,
+                                     double backoff_base, int query,
+                                     int chosen, uint64_t seq) {
+  ResolvedServing r;
+  r.hint = chosen;
+  for (int attempt = 0;; ++attempt) {
+    if (!FaultyBackend::AttemptFails(spec, query, r.hint, seq, attempt)) break;
+    ++r.failures;
+    if (attempt >= max_retries) {
+      // Graceful degradation: the chosen plan keeps failing, the serving
+      // must still answer — fall back to the default hint (never fails).
+      r.hint = 0;
+      r.degraded = true;
+      break;
+    }
+    limeqo::Rng jitter(
+        limeqo::MixSeed(spec.seed, seq, static_cast<uint64_t>(attempt)));
+    r.backoff_seconds +=
+        backoff_base * std::ldexp(1.0, attempt) * (0.5 + jitter.NextDouble());
+  }
+  return r;
 }
 
 }  // namespace limeqo::scenarios

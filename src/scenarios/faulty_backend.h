@@ -30,8 +30,8 @@ struct FaultSpec {
   /// after the decorator's internal retries are exhausted).
   double execute_failure_prob = 0.0;
   /// Probability that one serving attempt of a non-default hint fails
-  /// (ServeAttemptFails). The default hint (0) never fails: it is the
-  /// graceful-degradation fallback, so degradation always terminates.
+  /// (FaultyBackend::AttemptFails). The default hint (0) never fails: it is
+  /// the graceful-degradation fallback, so degradation always terminates.
   double serve_failure_prob = 0.0;
   /// Probability that one offline execution stalls: its latency is
   /// multiplied by spike_factor (then re-cut by the caller's timeout).
@@ -76,10 +76,10 @@ StatusOr<FaultSpec> FaultWorldByName(const std::string& name);
 /// offline exploration clock — the no-double-charge invariant. A call that
 /// exhausts every attempt returns BackendResult::failed.
 ///
-/// Serving path: ServeAttemptFails overrides the base contract with
-/// per-attempt failures for non-default hints; ServeLatency itself is
-/// forwarded untouched, so the serving trace stays bitwise comparable
-/// against the fault-free world wherever the same hints get served.
+/// Serving path: ServeLatency is forwarded untouched, so the serving trace
+/// stays bitwise comparable against the fault-free world wherever the same
+/// hints get served. Serving failures are a pure function of the FaultSpec
+/// (AttemptFails, ResolveServingFaults) and need no backend at all.
 ///
 /// Execution accounting (executions(), timeouts_reported(),
 /// max_single_charge()) describes what this decorator *returned*, not what
@@ -116,13 +116,11 @@ class FaultyBackend : public ScenarioBackend {
                       uint64_t serving_index) const override {
     return inner_->ServeLatency(query, hint, serving_index);
   }
-  bool ServeAttemptFails(int query, int hint, uint64_t serving_index,
-                         int attempt) const override;
-  /// The pure per-attempt serving-failure roll of `spec` (what the member
-  /// ServeAttemptFails applies to this backend's own spec). Exposed
-  /// statically so callers that only need the schedule — the limeqo_sim
-  /// serving phase, tests — share the exact driver semantics without
-  /// wrapping a ScenarioBackend.
+  /// The pure per-attempt serving-failure roll of `spec`: whether attempt
+  /// number `attempt` (0-based) of serving (query, hint) as the
+  /// `serving_index`-th serving fails before producing a latency. The
+  /// default hint (0) never fails, and nothing fails when
+  /// serve_failure_prob is 0.
   static bool AttemptFails(const FaultSpec& spec, int query, int hint,
                            uint64_t serving_index, int attempt);
   double TrueLatency(int query, int hint) const override {
@@ -164,8 +162,8 @@ class FaultyBackend : public ScenarioBackend {
   double backoff_base_seconds_;
 
   // Execute is only ever called from the (single-threaded) train plane;
-  // the serving path goes through the const, pure ServeLatency /
-  // ServeAttemptFails, which touch none of this state.
+  // the serving path goes through the const, pure ServeLatency, which
+  // touches none of this state.
   uint64_t attempt_ordinal_ = 0;  ///< global attempt counter (fault stream)
   uint64_t exec_clock_ = 0;       ///< completed executions (storm clock)
   int executions_ = 0;
@@ -178,6 +176,28 @@ class FaultyBackend : public ScenarioBackend {
   int storm_timeouts_ = 0;
   double backoff_seconds_ = 0.0;
 };
+
+/// How one serving's faults resolved (see ResolveServingFaults).
+struct ResolvedServing {
+  /// Hint actually served: the chosen one, or 0 when degraded.
+  int hint = 0;
+  /// Failed attempts.
+  int failures = 0;
+  /// True when every attempt of the chosen hint failed and the serving fell
+  /// back to the default hint.
+  bool degraded = false;
+  /// Seeded exponential backoff accounted across the retries (seconds).
+  double backoff_seconds = 0.0;
+};
+
+/// The serving-fault rule: retry the chosen hint up to `max_retries` extra
+/// attempts (accounting a seeded exponential backoff of base
+/// `backoff_base` seconds per retry), then degrade to the default hint,
+/// which never fails. Pure in (spec, query, chosen, seq), so serving traces
+/// stay bitwise identical at any thread count under faults.
+ResolvedServing ResolveServingFaults(const FaultSpec& spec, int max_retries,
+                                     double backoff_base, int query,
+                                     int chosen, uint64_t seq);
 
 }  // namespace limeqo::scenarios
 

@@ -42,22 +42,6 @@ class ScenarioBackend : public core::WorkloadBackend {
   virtual double ServeLatency(int query, int hint,
                               uint64_t serving_index) const = 0;
 
-  /// Whether attempt number `attempt` (0-based) of serving (query, hint)
-  /// as the `serving_index`-th serving fails before producing a latency.
-  /// Const, thread-safe, and — like ServeLatency — a pure function of
-  /// (world, cell, serving_index, attempt), so retry/degradation decisions
-  /// stay bitwise reproducible at any thread count. The base
-  /// implementation never fails; FaultyBackend overrides it with a
-  /// seed-pure fault schedule.
-  virtual bool ServeAttemptFails(int query, int hint, uint64_t serving_index,
-                                 int attempt) const {
-    (void)query;
-    (void)hint;
-    (void)serving_index;
-    (void)attempt;
-    return false;
-  }
-
   // --- Ground truth (for invariant checking only) --------------------------
   /// Noise-free latency of (query, hint) in the current generation.
   virtual double TrueLatency(int query, int hint) const = 0;

@@ -117,40 +117,6 @@ core::BackendResult ExecuteDefaultFallback(core::WorkloadBackend* backend,
   return core::BackendResult{};
 }
 
-/// Resolves which hint a faulted serving actually serves: retry the chosen
-/// hint up to max_retries extra attempts (accounting seeded exponential
-/// backoff per retry), then degrade to the default hint, which never
-/// fails. Pure in (backend schedule, query, chosen, seq), so serving
-/// traces stay bitwise identical at any thread count under faults.
-struct ResolvedServing {
-  int hint = 0;
-  int failures = 0;
-  bool degraded = false;
-  double backoff_seconds = 0.0;
-};
-ResolvedServing ResolveServingFaults(const ScenarioBackend& backend,
-                                     const FaultSpec& faults, int max_retries,
-                                     double backoff_base, int query,
-                                     int chosen, uint64_t seq) {
-  ResolvedServing r;
-  r.hint = chosen;
-  for (int attempt = 0;; ++attempt) {
-    if (!backend.ServeAttemptFails(query, r.hint, seq, attempt)) break;
-    ++r.failures;
-    if (attempt >= max_retries) {
-      // Graceful degradation: the chosen plan keeps failing, the serving
-      // must still answer — fall back to the default hint (never fails).
-      r.hint = 0;
-      r.degraded = true;
-      break;
-    }
-    Rng jitter(MixSeed(faults.seed, seq, static_cast<uint64_t>(attempt)));
-    r.backoff_seconds +=
-        backoff_base * std::ldexp(1.0, attempt) * (0.5 + jitter.NextDouble());
-  }
-  return r;
-}
-
 /// The serving rule's no-regression guarantee (Algorithm 1 lines 13-15),
 /// checked against the hints the *actual serving component* chose — not
 /// re-derived from the matrix, so a regression in OnlineOptimizer or
@@ -678,8 +644,8 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
       std::vector<ResolvedServing> resolved(total);
       const auto resolve = [&](int q, int chosen, uint64_t seq) {
         const ResolvedServing& r = resolved[seq] = ResolveServingFaults(
-            *backend, config.faults, config.max_retries,
-            config.retry_backoff_seconds, q, chosen, seq);
+            config.faults, config.max_retries, config.retry_backoff_seconds,
+            q, chosen, seq);
         return core::ServedOutcome{
             r.hint, backend->ServeLatency(q, r.hint, seq), r.degraded};
       };

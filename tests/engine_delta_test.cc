@@ -122,8 +122,8 @@ bool MatchesFullRebuild(const ExplorationEngine& engine,
 /// aim at each branch of the drain-time fold: re-observing the verified
 /// best slower, equal and faster; an equal-latency tie at a lower hint
 /// index; a default turning complete (and incomplete again); exploring the
-/// predicted-best unobserved hint; censoring; clearing; appends, row
-/// migration, checkpoint restore and refits. Observations reach the
+/// predicted-best unobserved hint; censoring; clearing; appends, matrix
+/// resets, checkpoint restore and refits. Observations reach the
 /// engine either directly (Observe) or through the queue (Report + Drain),
 /// so both fold entry points are covered.
 bool FoldMatchesFullRebuildOverRandomOps(proptest::Params& p) {
@@ -225,12 +225,8 @@ bool FoldMatchesFullRebuildOverRandomOps(proptest::Params& p) {
       case 11:
         engine.AppendQueries(1 + static_cast<int>(ops.NextUint64Below(2)));
         break;
-      case 12:  // migrate a row out and back in (it lands last)
-        if (rows > 1) {
-          const MigratedRow row = engine.ExtractRow(q);
-          engine.RemoveRow(q);
-          engine.AdoptRow(row);
-        }
+      case 12:  // replace the matrix wholesale: every chunk is rebuilt
+        engine.ResetMatrix(WorkloadMatrix(engine.matrix()));
         break;
       case 13:
         if (have_saved && ops.Bernoulli(0.5)) {

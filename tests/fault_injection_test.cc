@@ -84,18 +84,16 @@ TEST(FaultScheduleTest, ServingFaultsArePurePerAttemptAndSpareTheDefault) {
   ScenarioSpec spec = SmallWorld(302);
   FaultSpec faults;
   faults.serve_failure_prob = 0.3;
-  FaultyBackend backend(std::make_unique<SyntheticBackend>(spec), faults, 3,
-                        0.01);
   int failures = 0;
   for (uint64_t s = 0; s < 400; ++s) {
     const int q = static_cast<int>(s) % spec.num_queries;
     const int h = 1 + static_cast<int>(s) % (spec.num_hints - 1);
-    const bool fails = backend.ServeAttemptFails(q, h, s, 0);
+    const bool fails = FaultyBackend::AttemptFails(faults, q, h, s, 0);
     // Pure: the same (query, hint, seq, attempt) always rolls the same way.
-    EXPECT_EQ(fails, backend.ServeAttemptFails(q, h, s, 0));
+    EXPECT_EQ(fails, FaultyBackend::AttemptFails(faults, q, h, s, 0));
     // Independent attempts may differ, but the default hint never fails —
     // degradation always terminates.
-    EXPECT_FALSE(backend.ServeAttemptFails(q, 0, s, 0));
+    EXPECT_FALSE(FaultyBackend::AttemptFails(faults, q, 0, s, 0));
     failures += fails ? 1 : 0;
   }
   EXPECT_GT(failures, 400 * 0.3 / 2);
@@ -165,7 +163,7 @@ TEST(FaultDriverTest, EveryFaultWorldKeepsEveryInvariantInEveryServingMode) {
       EXPECT_TRUE(result.ok())
           << "world '" << faults.name << "' mode " << mode << "\n"
           << result.Summary();
-      // The per-attempt serving-failure channel (ServeAttemptFails) only
+      // The per-attempt serving-failure channel (AttemptFails) only
       // exists on the concurrent serving plane; the synchronous path
       // degrades through failed executions instead.
       if (mode != 0 && faults.serve_failure_prob > 0.0) {

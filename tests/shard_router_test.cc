@@ -315,8 +315,8 @@ TEST(ShardedFreeRunningTest, TightBudgetFreezesEveryShard) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct-tier tests: checkpoint reassembly and growth/rebalance, against a
-// synthetic backend without the driver in between.
+// Direct-tier tests: checkpoint reassembly, serving loops and growth,
+// against a synthetic backend without the driver in between.
 // ---------------------------------------------------------------------------
 
 struct TierFixture {
@@ -453,15 +453,12 @@ TEST(TierCheckpointTest, RestoredFleetReplaysBitwiseAtEveryThreadCount) {
     EXPECT_TRUE(MatricesIdentical(fx.tier->MergedMatrix(), b.MergedMatrix()));
     EXPECT_EQ(fx.tier->regret_spent(), b.regret_spent());
     EXPECT_EQ(fx.tier->explorations(), b.explorations());
-    // The per-row ledger slices came back through the tier manifest.
+    // The per-row serving counts came back through the tier manifest.
     for (int g = 0; g < b.num_queries(); ++g) {
       const auto& ea = fx.tier->shard_engine(fx.tier->ShardOfRow(g));
       const auto& eb = b.shard_engine(b.ShardOfRow(g));
-      EXPECT_EQ(ea.row_regret(fx.tier->LocalRowOf(g)),
-                eb.row_regret(b.LocalRowOf(g)))
-          << "row " << g;
-      EXPECT_EQ(ea.row_explorations(fx.tier->LocalRowOf(g)),
-                eb.row_explorations(b.LocalRowOf(g)))
+      EXPECT_EQ(ea.row_servings(fx.tier->LocalRowOf(g)),
+                eb.row_servings(b.LocalRowOf(g)))
           << "row " << g;
     }
   }
@@ -474,21 +471,33 @@ TEST(TierCheckpointTest, CorruptManifestIsRejected) {
   fx.Serve(*fx.tier, 0, 32, 1, 0, &trace);
   const std::string dir = UniqueTierDir("corrupt");
   ASSERT_TRUE(fx.tier->SaveCheckpoints(dir).ok());
-  // Flip one byte in the manifest body; the CRC must catch it.
   const std::string path = dir + "/tier.manifest";
+  std::string manifest;
   {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    std::ifstream f(path, std::ios::binary);
     ASSERT_TRUE(f.good());
-    f.seekg(0, std::ios::end);
-    const auto size = f.tellg();
-    f.seekp(static_cast<std::streamoff>(size) - 2);
-    f.put('#');
+    manifest.assign(std::istreambuf_iterator<char>(f),
+                    std::istreambuf_iterator<char>());
   }
-  TierFixture twin(8, 4, 2, 5);
-  StatusOr<std::unique_ptr<core::ShardedServingTier>> restored =
-      core::ShardedServingTier::RestoreFromDirectory(dir, twin.predictor_ptrs,
-                                                     twin.options);
-  EXPECT_FALSE(restored.ok());
+  const size_t version_at = manifest.find(" v3 ");
+  ASSERT_NE(version_at, std::string::npos);
+  // One flipped body byte (the CRC must catch it), and an intact body under
+  // a v2 header (the version check must reject the old layout).
+  std::string flipped = manifest;
+  flipped[flipped.size() - 2] = '#';
+  std::string v2 = manifest;
+  v2.replace(version_at, 4, " v2 ");
+  for (const std::string& bad : {flipped, v2}) {
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f << bad;
+    }
+    TierFixture twin(8, 4, 2, 5);
+    StatusOr<std::unique_ptr<core::ShardedServingTier>> restored =
+        core::ShardedServingTier::RestoreFromDirectory(
+            dir, twin.predictor_ptrs, twin.options);
+    EXPECT_FALSE(restored.ok());
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -643,9 +652,15 @@ TEST(ServeFreeRunningTest, ServesEachIndexOnceUnderContiguousLocalSeqs) {
         for (size_t l = 0; l < local_seqs[i].size(); ++l) {
           ASSERT_EQ(local_seqs[i][l], l) << "shard " << i;
         }
-        EXPECT_EQ(tier.shard_engine(i).drained_servings(),
-                  local_seqs[i].size())
+        const core::ExplorationEngine& engine = tier.shard_engine(i);
+        EXPECT_EQ(engine.drained_servings(), local_seqs[i].size())
             << "shard " << i;
+        // The per-row counts partition the shard's drained servings.
+        uint64_t row_sum = 0;
+        for (int l = 0; l < tier.ShardRowCount(i); ++l) {
+          row_sum += engine.row_servings(l);
+        }
+        EXPECT_EQ(row_sum, engine.drained_servings()) << "shard " << i;
       }
     }
   }
@@ -713,9 +728,8 @@ TEST(ServeFreeRunningTest, EmptyRangeOrTierServesNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Growth and rebalancing smoke: AppendQueries routes new rows by the same
-// hash, RebalanceHotShards converges to the advertised bound, and the
-// fleet ledgers survive migration exactly.
+// Growth smoke: AppendQueries routes new rows by the same hash, serving
+// continues, and the budget split still sums to the fleet budget.
 // ---------------------------------------------------------------------------
 
 TEST(TierGrowthTest, PartitionIsStableAndSeedPure) {
@@ -774,43 +788,6 @@ TEST(TierGrowthTest, AppendRoutesByHashAndServingContinues) {
   double sum = 0.0;
   for (int i = 0; i < 2; ++i) sum += fx.tier->shard_budget(i);
   EXPECT_NEAR(sum, fx.options.online.regret_budget_seconds, 1e-9);
-}
-
-TEST(TierGrowthTest, RebalancePreservesLedgersAndConvergesToBound) {
-  TierFixture fx(12, 4, 3, 23);
-  std::vector<ServingRecord> trace(96);
-  fx.Serve(*fx.tier, 0, 96, 2, 0, &trace);
-
-  // Pile every row of shard 1 and 2 onto shard 0 to manufacture a hot
-  // shard, then let the rebalancer spread it back out.
-  for (int g = 0; g < fx.tier->num_queries(); ++g) {
-    if (fx.tier->ShardOfRow(g) != 0) fx.tier->MigrateRow(g, 0);
-  }
-  ASSERT_EQ(fx.tier->ShardRowCount(0), 12);
-  const double regret_before = fx.tier->regret_spent();
-  const int explorations_before = fx.tier->explorations();
-
-  const int moved = fx.tier->RebalanceHotShards();
-  EXPECT_GT(moved, 0);
-  const double bound =
-      fx.options.rebalance_factor * (12.0 / 3.0);
-  EXPECT_LE(fx.tier->ShardRowCount(0), static_cast<int>(bound) + 1);
-  // Migration moves ledger slices; the fleet totals must not drift beyond
-  // float re-association noise, and exploration counts are integers.
-  EXPECT_NEAR(fx.tier->regret_spent(), regret_before, 1e-9);
-  EXPECT_EQ(fx.tier->explorations(), explorations_before);
-
-  // Router maps stay a bijection and serving continues.
-  for (int g = 0; g < fx.tier->num_queries(); ++g) {
-    const int shard = fx.tier->ShardOfRow(g);
-    ASSERT_EQ(fx.tier->GlobalRowOf(shard, fx.tier->LocalRowOf(g)), g);
-  }
-  std::vector<ServingRecord> more(24);
-  fx.Serve(*fx.tier, 96, 120, 2, 96, &more);
-  for (const ServingRecord& rec : more) {
-    EXPECT_GE(rec.hint, 0);
-    EXPECT_LT(rec.hint, 4);
-  }
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 // property: a sharded tier driven by the shared TrainExecutor produces a
 // merged serving trace, matrices, predictions, and ledgers *bitwise
 // identical* to the thread-per-shard tier over random op schedules
-// (epochs x growth x migration x rebalance) at every shard count x
+// (epochs x growth) at every shard count x
 // serving-thread count — the executor may only change when train steps
 // run and on which thread, never what they compute. Around it: executor
 // scheduling smoke (free-running drains everything, idle shards park),
-// the prioritized SyncEpochAll barrier vs the serial loop, the
-// traffic-weighted rebalancer, and the manifest v2 servings roundtrip.
+// the prioritized SyncEpochAll barrier vs the serial loop, and the
+// manifest's per-row servings roundtrip.
 // Seeded and shrinkable via tests/proptest.h (LIMEQO_PROPTEST_SEED).
 
 #include <atomic>
@@ -47,10 +47,6 @@ struct TraceEntry {
 struct Round {
   uint64_t servings = 0;
   bool grow = false;
-  bool migrate = false;       // targeted MigrateRow ...
-  bool use_rebalancer = false;  // ... or a RebalanceHotShards pass
-  int migrate_pick = 0;       // row = migrate_pick % num_queries()
-  int migrate_dest = 0;       // dest = migrate_dest % num_shards()
 };
 
 core::ShardedTierOptions TierOptions(int shards, bool shared,
@@ -117,14 +113,6 @@ std::vector<TraceEntry> RunSchedule(
       tier->RefreshAll(true);
       tier->PublishAll();
     }
-    if (r.migrate) {
-      if (r.use_rebalancer) {
-        tier->RebalanceHotShards();
-      } else {
-        tier->MigrateRow(r.migrate_pick % tier->num_queries(),
-                         r.migrate_dest % tier->num_shards());
-      }
-    }
   }
   *tier_out = std::move(tier);
   return trace;
@@ -172,10 +160,8 @@ bool TiersMatchBitwise(const core::ShardedServingTier& a,
           return false;
         }
       }
-      if (ea.row_regret(q) != eb.row_regret(q) ||
-          ea.row_explorations(q) != eb.row_explorations(q) ||
-          ea.row_servings(q) != eb.row_servings(q)) {
-        std::fprintf(stderr, "shard %d row %d ledger diverged\n", s, q);
+      if (ea.row_servings(q) != eb.row_servings(q)) {
+        std::fprintf(stderr, "shard %d row %d servings diverged\n", s, q);
         return false;
       }
     }
@@ -249,10 +235,6 @@ TEST(TrainExecutorTest, SharedPlaneIsBitwiseIdenticalToPerShardPlane) {
           r.servings = static_cast<uint64_t>(p.Int(8, 30));
           r.grow = growths < 4 && p.Bool(0.3);
           if (r.grow) ++growths;
-          r.migrate = p.Bool(0.5);
-          r.use_rebalancer = p.Bool(0.3);
-          r.migrate_pick = static_cast<int>(p.Int(0, 1 << 20));
-          r.migrate_dest = static_cast<int>(p.Int(0, 1 << 20));
         }
 
         std::vector<TraceEntry> reference;
@@ -430,59 +412,9 @@ TEST(TrainExecutorTest, SyncEpochAllMatchesSerialLoopBitwise) {
   }
 }
 
-// The rebalancer follows traffic, not just row counts: rows weigh
-// 1 + servings, so a shard whose rows are hammered sheds rows even when
-// the row counts alone look balanced.
-TEST(TrainExecutorTest, RebalanceFollowsServingTraffic) {
-  constexpr int kRows = 12;
-  constexpr int kHints = 4;
-  core::WorkloadMatrix matrix(kRows, kHints);
-  for (int q = 0; q < kRows; ++q) matrix.Observe(q, 0, 1.0 + q);
-
-  core::ShardedTierOptions options;
-  options.num_shards = 2;
-  options.online.regret_budget_seconds = 100.0;
-  options.rebalance_factor = 1.2;
-  core::ShardedServingTier tier(matrix, {}, options);
-
-  // Pick whichever shard holds rows and hammer all of them.
-  const int hot = tier.ShardRowCount(0) > 0 ? 0 : 1;
-  const int cold = 1 - hot;
-  const int hot_rows_before = tier.ShardRowCount(hot);
-  ASSERT_GT(hot_rows_before, 0);
-  constexpr uint64_t kPerRow = 50;
-  uint64_t traffic = 0;
-  for (int l = 0; l < hot_rows_before; ++l) {
-    for (uint64_t r = 0; r < kPerRow; ++r) {
-      tier.shard_engine(hot).ObserveServing(l, 0, 1.0,
-                                            /*exploratory=*/false,
-                                            /*regret_delta=*/0.0);
-      ++traffic;
-    }
-  }
-
-  const int migrated = tier.RebalanceHotShards();
-  EXPECT_GT(migrated, 0);
-  EXPECT_LT(tier.ShardRowCount(hot), hot_rows_before);
-
-  // The traffic weights traveled with the rows and none were lost.
-  uint64_t total_servings = 0;
-  for (int s = 0; s < 2; ++s) {
-    for (int l = 0; l < tier.ShardRowCount(s); ++l) {
-      total_servings += tier.shard_engine(s).row_servings(l);
-    }
-  }
-  EXPECT_EQ(total_servings, traffic);
-  // Router maps stay a bijection.
-  for (int row = 0; row < tier.num_queries(); ++row) {
-    ASSERT_EQ(tier.GlobalRowOf(tier.ShardOfRow(row), tier.LocalRowOf(row)),
-              row);
-  }
-  (void)cold;
-}
-
-// Manifest v2 roundtrip: per-row servings survive SaveCheckpoints /
-// RestoreFromDirectory with the rest of the ledger slice.
+// Manifest roundtrip: per-row servings survive SaveCheckpoints /
+// RestoreFromDirectory, and the fleet ledgers come back through the shard
+// checkpoints.
 TEST(TrainExecutorTest, ManifestRoundTripsRowServings) {
   constexpr int kRows = 9;
   constexpr int kHints = 4;
@@ -521,11 +453,9 @@ TEST(TrainExecutorTest, ManifestRoundTripsRowServings) {
     EXPECT_EQ(ea.row_servings(tier.LocalRowOf(row)),
               eb.row_servings(twin.LocalRowOf(row)))
         << "row " << row;
-    EXPECT_EQ(ea.row_regret(tier.LocalRowOf(row)),
-              eb.row_regret(twin.LocalRowOf(row)));
-    EXPECT_EQ(ea.row_explorations(tier.LocalRowOf(row)),
-              eb.row_explorations(twin.LocalRowOf(row)));
   }
+  EXPECT_EQ(tier.regret_spent(), twin.regret_spent());
+  EXPECT_EQ(tier.explorations(), twin.explorations());
   std::filesystem::remove_all(dir);
 }
 

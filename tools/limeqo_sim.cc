@@ -409,25 +409,14 @@ int Run(const Args& args) {
     std::atomic<long> serve_fallbacks{0};
     const auto resolve = [&](int q, int chosen,
                              uint64_t seq) -> core::ServedOutcome {
-      core::ServedOutcome out;
-      out.hint = chosen;
-      for (int attempt = 0;; ++attempt) {
-        if (!scenarios::FaultyBackend::AttemptFails(fault_spec, q, out.hint,
-                                                    seq, attempt)) {
-          break;
-        }
-        serve_failures.fetch_add(1, std::memory_order_relaxed);
-        if (attempt >= args.max_retries) {
-          out.hint = 0;  // graceful degradation: serve the default plan
-          out.degraded = true;
-          serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
+      const scenarios::ResolvedServing r = scenarios::ResolveServingFaults(
+          fault_spec, args.max_retries, /*backoff_base=*/0.0, q, chosen, seq);
+      serve_failures.fetch_add(r.failures, std::memory_order_relaxed);
+      if (r.degraded) serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
       // The online path always runs to completion; the simulated latency
       // is the database's ground truth.
-      out.latency = db->TrueLatency(q, out.hint);
-      return out;
+      return core::ServedOutcome{r.hint, db->TrueLatency(q, r.hint),
+                                 r.degraded};
     };
     for (uint64_t epoch = base; epoch < base + args.serve;
          epoch += epoch_len) {
