@@ -8,7 +8,8 @@
 // Results are written as machine-readable JSON (default BENCH_micro.json,
 // override with --json=<path>) so the perf trajectory is tracked commit to
 // commit. The rank-10 ALS completion of a 1000x49 matrix at 10% fill is the
-// acceptance workload for the threaded linalg core.
+// acceptance workload for the threaded linalg core; the rank-5 1566x49
+// completion at ~24% stored cells is offline-ceb's per-round model cost.
 
 #include <algorithm>
 #include <cmath>
@@ -83,6 +84,42 @@ void AlsBenches(BenchReporter* reporter) {
     long iters = 0;
     const double ns = TimeNsPerOp([&] { (void)als.Complete(w); }, 1.0, &iters);
     reporter->Report("als_complete_rank10_1000x49", ns, iters, threads);
+  }
+  SetNumThreads(1);
+}
+
+/// offline-ceb's completion shape: the cold fixed-t rank-5 censored ALS
+/// that LimeQO runs inside every SelectBatch round on CEB at half scale
+/// (1566 queries x 49 hints). The default column is observed on every
+/// row; ~20% of the other cells are complete and ~4% censored, so ~24% of
+/// the cells are stored, the average density of offline-ceb's
+/// completions. Timed at 1 and 3 threads (the offline explorer's pool).
+void AlsCebShapeBenches(BenchReporter* reporter) {
+  constexpr int n = 1566;
+  constexpr int k = 49;
+  Rng rng(21);
+  core::WorkloadMatrix w(n, k);
+  for (int i = 0; i < n; ++i) {
+    const double base = rng.LogNormal(0.0, 1.5);
+    w.Observe(i, 0, base);
+    for (int j = 1; j < k; ++j) {
+      const double latency = base * rng.LogNormal(0.0, 0.7);
+      if (rng.Bernoulli(0.2)) {
+        w.Observe(i, j, latency);
+      } else if (rng.Bernoulli(0.05)) {
+        w.ObserveCensored(i, j, 0.5 * latency);
+      }
+    }
+  }
+  core::AlsOptions options;
+  options.rank = 5;
+  options.censored_mode = core::CensoredMode::kCensored;
+  for (int threads : {1, 3}) {
+    SetNumThreads(threads);
+    core::AlsCompleter als(options);
+    long iters = 0;
+    const double ns = TimeNsPerOp([&] { (void)als.Complete(w); }, 1.0, &iters);
+    reporter->Report("als_complete_rank5_1566x49_ceb", ns, iters, threads);
   }
   SetNumThreads(1);
 }
@@ -193,6 +230,7 @@ int Main(int argc, char** argv) {
   BenchReporter reporter;
   LinalgBenches(&reporter);
   AlsBenches(&reporter);
+  AlsCebShapeBenches(&reporter);
   AlsRefreshBenches(&reporter);
   NeuralAndGpBenches(&reporter);
   if (!json_path.empty()) {

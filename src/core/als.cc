@@ -20,9 +20,19 @@ constexpr double kEpsLatency = 1e-6;
 
 double SafeLog(double v) { return std::log(std::max(v, kEpsLatency)); }
 
+// The per-cell and per-row kernels take the rank R as a compile-time
+// constant (R = 0: the runtime rank `r`), so the sweep for each common rank
+// unrolls its r-length loops. Every R runs the same sums in the same order;
+// the build is ISO C++ (no FP contraction), so unrolling changes no bits.
+template <size_t R>
+constexpr size_t RankOf(size_t r) {
+  return R > 0 ? R : r;
+}
+
+template <size_t R>
 double Dot(const double* __restrict a, const double* __restrict b, size_t r) {
   double s = 0.0;
-  for (size_t c = 0; c < r; ++c) s += a[c] * b[c];
+  for (size_t c = 0; c < RankOf<R>(r); ++c) s += a[c] * b[c];
   return s;
 }
 
@@ -36,19 +46,296 @@ double Residual(const FitCell& cell, double pred) {
 
 // out = G x for the symmetric r x r Gram G (the dense half of a
 // right-hand-side row).
+template <size_t R>
 void GramTimes(const double* __restrict g, const double* __restrict x,
                size_t r, double* __restrict out) {
-  std::fill(out, out + r, 0.0);
-  for (size_t p = 0; p < r; ++p) {
+  const size_t m = RankOf<R>(r);
+  std::fill(out, out + m, 0.0);
+  for (size_t p = 0; p < m; ++p) {
     const double xp = x[p];
-    const double* g_row = g + p * r;
-    for (size_t c = 0; c < r; ++c) out[c] += xp * g_row[c];
+    const double* g_row = g + p * m;
+    for (size_t c = 0; c < m; ++c) out[c] += xp * g_row[c];
   }
 }
 
+template <size_t R>
 void AddScaled(double s, const double* __restrict y, size_t r,
                double* __restrict out) {
-  for (size_t c = 0; c < r; ++c) out[c] += s * y[c];
+  for (size_t c = 0; c < RankOf<R>(r); ++c) out[c] += s * y[c];
+}
+
+// Where a sweep builds one factor row: for a fixed rank, a local array the
+// compiler can keep in registers (no store can alias it), copied out once
+// the row is final; for the runtime rank, the output row itself.
+template <size_t R>
+struct RowBuffer {
+  double local[R > 0 ? R : 1];
+  double* For(double* out) { return R > 0 ? local : out; }
+  void Store(const double* row, size_t r, double* out) {
+    if (R > 0) std::copy(row, row + r, out);
+  }
+};
+
+// Splits columns [0, k) into `chunks` contiguous ranges of near-equal cost,
+// column j costing `fixed` plus `per_entry` for each of its col_start
+// entries, and writes the chunks + 1 range bounds to `bounds`. The hint
+// columns are far from equal: hint 0 (the default plan) is stored on every
+// row, so equal column counts would load the first chunk the most.
+void SplitColumnsByCost(const std::vector<size_t>& col_start, size_t fixed,
+                        size_t per_entry, size_t chunks,
+                        std::vector<size_t>* bounds) {
+  const size_t k = col_start.size() - 1;
+  auto prefix_cost = [&](size_t j) {
+    return j * fixed + per_entry * col_start[j];
+  };
+  const size_t total = prefix_cost(k);
+  bounds->resize(chunks + 1);
+  (*bounds)[0] = 0;
+  size_t j = 0;
+  for (size_t t = 1; t < chunks; ++t) {
+    while (j < k && prefix_cost(j) * chunks < t * total) ++j;
+    (*bounds)[t] = j;
+  }
+  (*bounds)[chunks] = k;
+}
+
+// The alternating sweeps (Algorithm 2 lines 2-12) over the fit problem the
+// set-up left in `arena`, from the initial factors in q and h, for rank R
+// (R = 0: any rank). Each sweep is two passes. The Q pass forms
+// H^T H + lambda I and its Cholesky factor once, then per row builds the
+// right-hand side G q_i + sum_j s_ij h_j, solves it in place, clamps it,
+// and computes the H pass's residuals against the new q_i. The H pass
+// does the same per column with S^T Q, in cost-balanced column chunks.
+// Writes the sweep count to *sweeps; q and h end as the returned fit.
+template <size_t R>
+Status AlternateSweeps(const AlsOptions& options, bool non_negative,
+                       CompletionArena& arena, linalg::Matrix& q,
+                       linalg::Matrix& h, int* sweeps) {
+  const size_t n = q.rows(), k = h.rows(), r = RankOf<R>(q.cols());
+  const std::vector<FitCell>& cells = arena.cells;
+  const std::vector<size_t>& row_start = arena.row_start;
+  const std::vector<size_t>& col_start = arena.col_start;
+  const std::vector<FitCellRef>& col_cells = arena.col_cells;
+  const std::vector<FitCellRef>& held_out = arena.held_out;
+  linalg::RidgeWorkspace& ws = arena.ridge;
+  linalg::Matrix& q_next = arena.q_next;
+  linalg::Matrix& h_next = arena.h_next;
+  std::vector<double>& residual = arena.residual;
+  residual.resize(cells.size());
+  q_next.ResizeUninitialized(n, r);
+  h_next.ResizeUninitialized(k, r);
+  // Flops per row or column: a Gram product and a solve (2r^2 each), and
+  // per stored cell a dot product and an axpy (2r each; the Q pass adds
+  // the residual's dot product).
+  const size_t row_cells = cells.size() / std::max<size_t>(n, 1) + 1;
+  const size_t col_entries = col_cells.size() / k + 1;
+  const size_t q_grain = GrainForCost(4 * r * r + 6 * r * row_cells);
+  const size_t h_grain = GrainForCost(4 * r * r + 2 * r * col_entries);
+  const size_t h_chunk_count = std::min<size_t>(
+      static_cast<size_t>(NumThreads()), (k + h_grain - 1) / h_grain);
+  std::vector<size_t>& h_chunks = arena.h_chunks;
+  SplitColumnsByCost(col_start, 4 * r * r, 2 * r, h_chunk_count, &h_chunks);
+
+  // ws.gram <- A^T A, and the ridge system A^T A + lambda I factored.
+  auto factor_gram = [&](const linalg::Matrix& a) {
+    linalg::GramInto<R>(a, &ws.gram);
+    return linalg::RidgeFactorGram(options.lambda, &ws);
+  };
+  // Solves one right-hand-side row against the factored system in place,
+  // then projects it (Algorithm 2 lines 7 and 12).
+  auto solve_row = [&](double* row) {
+    linalg::SolveCholeskyRow<R>(ws.chol.data(), ws.upper.data(),
+                                ws.inv_diag.data(), r, row);
+    if (non_negative) {
+      for (size_t c = 0; c < r; ++c) row[c] = std::max(row[c], 0.0);
+    }
+  };
+  // Q <- W-hat H (H^T H + lambda I)^-1 (lines 3-7), fused with the H
+  // pass's residual pass (its first half, lines 8-10).
+  auto update_q = [&]() -> Status {
+    Status st = factor_gram(h);
+    if (!st.ok()) return st;
+    const double* g = ws.gram.data();
+    const double* q_data = q.data();
+    const double* h_data = h.data();
+    double* out = q_next.data();
+    ParallelFor(
+        0, n,
+        [&](size_t row_begin, size_t row_end) {
+          RowBuffer<R> buffer;
+          for (size_t i = row_begin; i < row_end; ++i) {
+            const double* q_i = q_data + i * r;
+            double* out_i = out + i * r;
+            double* row = buffer.For(out_i);
+            const size_t begin = row_start[i], end = row_start[i + 1];
+            GramTimes<R>(g, q_i, r, row);
+            for (size_t c = begin; c < end; ++c) {
+              const FitCell& cell = cells[c];
+              if (cell.kind == Kind::kHeldOut) continue;
+              const double* h_j = h_data + cell.col * r;
+              const double s = Residual(cell, Dot<R>(q_i, h_j, r));
+              if (s != 0.0) AddScaled<R>(s, h_j, r, row);
+            }
+            solve_row(row);
+            for (size_t c = begin; c < end; ++c) {
+              const FitCell& cell = cells[c];
+              if (cell.kind == Kind::kHeldOut) continue;
+              const double* h_j = h_data + cell.col * r;
+              residual[c] = Residual(cell, Dot<R>(row, h_j, r));
+            }
+            buffer.Store(row, r, out_i);
+          }
+        },
+        q_grain);
+    return Status::Ok();
+  };
+  // H <- W-hat^T Q (Q^T Q + lambda I)^-1 (lines 8-12): each column's
+  // S^T Q accumulated in ascending row order, then solved and clamped.
+  auto update_h = [&]() -> Status {
+    Status st = factor_gram(q);
+    if (!st.ok()) return st;
+    const double* g = ws.gram.data();
+    const double* q_data = q.data();
+    const double* h_data = h.data();
+    double* out = h_next.data();
+    ParallelFor(
+        0, h_chunk_count,
+        [&](size_t chunk_begin, size_t chunk_end) {
+          RowBuffer<R> buffer;
+          for (size_t j = h_chunks[chunk_begin]; j < h_chunks[chunk_end];
+               ++j) {
+            double* out_j = out + j * r;
+            double* row = buffer.For(out_j);
+            GramTimes<R>(g, h_data + j * r, r, row);
+            for (size_t e = col_start[j]; e < col_start[j + 1]; ++e) {
+              const FitCellRef ref = col_cells[e];
+              const double s = residual[ref.cell];
+              if (s != 0.0) AddScaled<R>(s, q_data + ref.row * r, r, row);
+            }
+            solve_row(row);
+            buffer.Store(row, r, out_j);
+          }
+        },
+        1);
+    return Status::Ok();
+  };
+
+  linalg::Matrix& best_q = arena.best_q;
+  linalg::Matrix& best_h = arena.best_h;
+  if (!held_out.empty()) {
+    best_q = q;
+    best_h = h;
+  }
+  double best_val_rmse = std::numeric_limits<double>::infinity();
+  auto validation_rmse = [&]() {
+    double se = 0.0;
+    for (const FitCellRef& ref : held_out) {
+      const FitCell& cell = cells[ref.cell];
+      const double d =
+          Dot<R>(q.data() + ref.row * r, h.data() + cell.col * r, r) -
+          cell.value;
+      se += d * d;
+    }
+    return std::sqrt(se / held_out.size());
+  };
+  // Under the convergence criterion the *initial* factors are the first
+  // candidate fit: a warm start already at the alternating fixed point
+  // then exits after just the patience window. (Skipped when tol == 0 so
+  // the fixed-iteration path runs Algorithm 2's t sweeps.)
+  const bool converging = options.convergence_tol > 0.0;
+  if (converging && !held_out.empty()) best_val_rmse = validation_rmse();
+  int stalled_sweeps = 0;
+  *sweeps = 0;
+  for (int iter = 0; iter < options.iterations; ++iter) {
+    ++*sweeps;
+    Status q_st = update_q();
+    if (!q_st.ok()) return q_st;
+    std::swap(q, q_next);
+
+    Status h_st = update_h();
+    if (!h_st.ok()) return h_st;
+    std::swap(h, h_next);
+
+    if (!held_out.empty()) {
+      const double val_rmse = validation_rmse();
+      const bool improved_enough =
+          val_rmse < best_val_rmse * (1.0 - options.convergence_tol);
+      if (val_rmse < best_val_rmse) {
+        best_val_rmse = val_rmse;
+        best_q = q;
+        best_h = h;
+      }
+      // Validation-stall convergence: once held-out error stops improving
+      // the best factors are frozen anyway (the early-stopping guard), so
+      // further sweeps only burn time.
+      if (converging) {
+        stalled_sweeps = improved_enough ? 0 : stalled_sweeps + 1;
+        if (stalled_sweeps >= options.convergence_patience) break;
+      }
+    } else if (converging) {
+      // No validation split (tiny matrices): fall back to the relative
+      // factor movement per sweep — q_next / h_next hold the pre-sweep
+      // factors (the swaps above), so the delta costs no extra copies.
+      // Serial loops keep the check thread-count-invariant.
+      double delta = 0.0;
+      double norm = 0.0;
+      for (size_t c = 0; c < q.size(); ++c) {
+        const double d = q.data()[c] - q_next.data()[c];
+        delta += d * d;
+        norm += q.data()[c] * q.data()[c];
+      }
+      for (size_t c = 0; c < h.size(); ++c) {
+        const double d = h.data()[c] - h_next.data()[c];
+        delta += d * d;
+        norm += h.data()[c] * h.data()[c];
+      }
+      if (std::sqrt(delta) <=
+          options.convergence_tol * std::sqrt(norm) + 1e-30) {
+        break;
+      }
+    }
+  }
+  if (!held_out.empty()) {
+    std::swap(q, best_q);
+    std::swap(h, best_h);
+  }
+  return Status::Ok();
+}
+
+// One instantiation of AlternateSweeps per common rank; any other rank
+// runs the R = 0 instantiation of the same source.
+Status AlternateSweepsAtRank(const AlsOptions& options, bool non_negative,
+                             CompletionArena& arena, linalg::Matrix& q,
+                             linalg::Matrix& h, int* sweeps) {
+  switch (options.rank) {
+    case 1:
+      return AlternateSweeps<1>(options, non_negative, arena, q, h, sweeps);
+    case 2:
+      return AlternateSweeps<2>(options, non_negative, arena, q, h, sweeps);
+    case 3:
+      return AlternateSweeps<3>(options, non_negative, arena, q, h, sweeps);
+    case 4:
+      return AlternateSweeps<4>(options, non_negative, arena, q, h, sweeps);
+    case 5:
+      return AlternateSweeps<5>(options, non_negative, arena, q, h, sweeps);
+    case 6:
+      return AlternateSweeps<6>(options, non_negative, arena, q, h, sweeps);
+    case 7:
+      return AlternateSweeps<7>(options, non_negative, arena, q, h, sweeps);
+    case 8:
+      return AlternateSweeps<8>(options, non_negative, arena, q, h, sweeps);
+    case 10:
+      return AlternateSweeps<10>(options, non_negative, arena, q, h, sweeps);
+    default:
+      return AlternateSweeps<0>(options, non_negative, arena, q, h, sweeps);
+  }
+}
+
+bool AllFinite(const linalg::Matrix& m) {
+  for (size_t c = 0; c < m.size(); ++c) {
+    if (!std::isfinite(m.data()[c])) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -113,6 +400,13 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
                                                     : Kind::kTimeoutAsObserved;
       } else {
         continue;
+      }
+      // +Inf passes the matrix's non-negativity check; a fit through it
+      // could hide behind the early-stopping guard (the held-out error is
+      // NaN, so the random initial factors stay "best") and still emit
+      // non-finite predictions.
+      if (!std::isfinite(values[j])) {
+        return Status::InvalidArgument("ALS needs finite latencies");
       }
       cell.raw = values[j];
       cell.value = cell.raw;
@@ -367,162 +661,14 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   // r x r product per row plus a sparse pass, and the Gram doubles as the
   // ridge system's matrix.
   const bool non_negative = options_.non_negative && !log_space;
-  linalg::RidgeWorkspace& ws = arena.ridge;
-  linalg::Matrix& q_next = arena.q_next;
-  linalg::Matrix& h_next = arena.h_next;
-  std::vector<double>& residual = arena.residual;
-  residual.resize(cells.size());
-  const size_t row_cells = cells.size() / std::max<size_t>(n, 1) + 1;
-  const size_t col_entries = col_cells.size() / k + 1;
-  const size_t q_grain = GrainForCost(r * r + 2 * r * row_cells);
-  const size_t residual_grain = GrainForCost(r * row_cells);
-  const size_t h_grain = GrainForCost(r * r + r * col_entries);
-  // Q <- W-hat H (H^T H + lambda I)^-1 (lines 3-7).
-  auto update_q = [&]() -> Status {
-    linalg::GramInto(h_, &ws.gram);
-    q_next.ResizeUninitialized(n, r);
-    const double* g = ws.gram.data();
-    const double* q = q_.data();
-    const double* h = h_.data();
-    double* out = q_next.data();
-    ParallelFor(
-        0, n,
-        [&](size_t row_begin, size_t row_end) {
-          for (size_t i = row_begin; i < row_end; ++i) {
-            const double* q_i = q + i * r;
-            double* out_i = out + i * r;
-            GramTimes(g, q_i, r, out_i);
-            for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
-              const FitCell& cell = cells[c];
-              if (cell.kind == Kind::kHeldOut) continue;
-              const double* h_j = h + cell.col * r;
-              const double s = Residual(cell, Dot(q_i, h_j, r));
-              if (s != 0.0) AddScaled(s, h_j, r, out_i);
-            }
-          }
-        },
-        q_grain);
-    return linalg::RidgeSolveGramInPlace(options_.lambda, &ws, &q_next);
-  };
-  // H <- W-hat^T Q (Q^T Q + lambda I)^-1 (lines 8-12): residuals row by
-  // row, then each column's S^T Q accumulated in ascending row order.
-  auto update_h = [&]() -> Status {
-    linalg::GramInto(q_, &ws.gram);
-    const double* g = ws.gram.data();
-    const double* q = q_.data();
-    const double* h = h_.data();
-    ParallelFor(
-        0, n,
-        [&](size_t row_begin, size_t row_end) {
-          for (size_t i = row_begin; i < row_end; ++i) {
-            const double* q_i = q + i * r;
-            for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
-              const FitCell& cell = cells[c];
-              if (cell.kind == Kind::kHeldOut) continue;
-              residual[c] = Residual(cell, Dot(q_i, h + cell.col * r, r));
-            }
-          }
-        },
-        residual_grain);
-    h_next.ResizeUninitialized(k, r);
-    double* out = h_next.data();
-    ParallelFor(
-        0, k,
-        [&](size_t col_begin, size_t col_end) {
-          for (size_t j = col_begin; j < col_end; ++j) {
-            double* out_j = out + j * r;
-            GramTimes(g, h + j * r, r, out_j);
-            for (size_t e = col_start[j]; e < col_start[j + 1]; ++e) {
-              const FitCellRef ref = col_cells[e];
-              const double s = residual[ref.cell];
-              if (s != 0.0) AddScaled(s, q + ref.row * r, r, out_j);
-            }
-          }
-        },
-        h_grain);
-    return linalg::RidgeSolveGramInPlace(options_.lambda, &ws, &h_next);
-  };
-
-  linalg::Matrix& best_q = arena.best_q;
-  linalg::Matrix& best_h = arena.best_h;
-  if (!held_out.empty()) {
-    best_q = q_;
-    best_h = h_;
-  }
-  double best_val_rmse = std::numeric_limits<double>::infinity();
-  auto validation_rmse = [&]() {
-    double se = 0.0;
-    for (const FitCellRef& ref : held_out) {
-      const FitCell& cell = cells[ref.cell];
-      const double d =
-          Dot(q_.data() + ref.row * r, h_.data() + cell.col * r, r) -
-          cell.value;
-      se += d * d;
-    }
-    return std::sqrt(se / held_out.size());
-  };
-  // Under the convergence criterion the *initial* factors are the first
-  // candidate fit: a warm start already at the alternating fixed point
-  // then exits after just the patience window. (Skipped when tol == 0 so
-  // the fixed-iteration path runs Algorithm 2's t sweeps.)
-  const bool converging = options_.convergence_tol > 0.0;
-  if (converging && !held_out.empty()) best_val_rmse = validation_rmse();
-  int stalled_sweeps = 0;
-  last_iterations_ = 0;
-  for (int iter = 0; iter < options_.iterations; ++iter) {
-    ++last_iterations_;
-    Status q_st = update_q();
-    if (!q_st.ok()) return q_st;
-    std::swap(q_, q_next);
-    if (non_negative) q_.ClampMin(0.0);
-
-    Status h_st = update_h();
-    if (!h_st.ok()) return h_st;
-    std::swap(h_, h_next);
-    if (non_negative) h_.ClampMin(0.0);
-
-    if (!held_out.empty()) {
-      const double val_rmse = validation_rmse();
-      const bool improved_enough =
-          val_rmse < best_val_rmse * (1.0 - options_.convergence_tol);
-      if (val_rmse < best_val_rmse) {
-        best_val_rmse = val_rmse;
-        best_q = q_;
-        best_h = h_;
-      }
-      // Validation-stall convergence: once held-out error stops improving
-      // the best factors are frozen anyway (the early-stopping guard), so
-      // further sweeps only burn time.
-      if (converging) {
-        stalled_sweeps = improved_enough ? 0 : stalled_sweeps + 1;
-        if (stalled_sweeps >= options_.convergence_patience) break;
-      }
-    } else if (converging) {
-      // No validation split (tiny matrices): fall back to the relative
-      // factor movement per sweep — q_next / h_next hold the pre-sweep
-      // factors (the swaps above), so the delta costs no extra copies.
-      // Serial loops keep the check thread-count-invariant.
-      double delta = 0.0;
-      double norm = 0.0;
-      for (size_t c = 0; c < q_.size(); ++c) {
-        const double d = q_.data()[c] - q_next.data()[c];
-        delta += d * d;
-        norm += q_.data()[c] * q_.data()[c];
-      }
-      for (size_t c = 0; c < h_.size(); ++c) {
-        const double d = h_.data()[c] - h_next.data()[c];
-        delta += d * d;
-        norm += h_.data()[c] * h_.data()[c];
-      }
-      if (std::sqrt(delta) <=
-          options_.convergence_tol * std::sqrt(norm) + 1e-30) {
-        break;
-      }
-    }
-  }
-  if (!held_out.empty()) {
-    std::swap(q_, best_q);
-    std::swap(h_, best_h);
+  Status sweep_st = AlternateSweepsAtRank(options_, non_negative, arena, q_,
+                                          h_, &last_iterations_);
+  if (!sweep_st.ok()) return sweep_st;
+  // A fit that left the reals (a non-finite latency in the matrix, or an
+  // overflowing solve) must never be published: fail and let the caller
+  // keep its last good predictions.
+  if (!AllFinite(q_) || !AllFinite(h_)) {
+    return Status::Internal("ALS produced non-finite factors");
   }
 
   // Output (Algorithm 2 line 13), one fused pass per row: observed and
@@ -535,7 +681,7 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   // built with the rank loop outside, so the inner loop runs over all k
   // hints and vectorizes; h_next, free once the sweeps end, holds H^T.
   linalg::Matrix result(n, k);
-  linalg::Matrix& h_t = h_next;
+  linalg::Matrix& h_t = arena.h_next;
   h_t.ResizeUninitialized(r, k);
   for (size_t j = 0; j < k; ++j) {
     for (size_t c = 0; c < r; ++c) h_t(c, j) = h_(j, c);
@@ -547,7 +693,7 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
           const double* q_i = q_.data() + i * r;
           double* __restrict out = result.data() + i * k;
           for (size_t t = 0; t < r; ++t) {
-            AddScaled(q_i[t], h_t.data() + t * k, k, out);
+            AddScaled<0>(q_i[t], h_t.data() + t * k, k, out);
           }
           size_t c = row_start[i];
           const size_t end = row_start[i + 1];

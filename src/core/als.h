@@ -110,6 +110,20 @@ struct AlsOptions {
 /// and bounds the difference). Results are bitwise identical for any
 /// thread count: rows accumulate in column order and the H side in
 /// ascending row order per column.
+///
+/// A sweep is two pool passes. The Q pass factors H^T H + lambda I once,
+/// then per row builds the right-hand side, substitutes, clamps, and
+/// computes the H side's residuals against the new row; the H pass builds,
+/// substitutes and clamps each column, in chunks of equal entry count.
+/// The sweep is one template over the rank: a switch on `rank` runs a
+/// compile-time instantiation for ranks 1-8 and 10 (the r-length loops
+/// unroll and row accumulators stay in registers) and the runtime-rank
+/// one otherwise. Every instantiation runs the same operations in the same
+/// order, so the rank dispatch changes no bit of the result.
+///
+/// A completion whose input holds a non-finite latency, or whose factors
+/// leave the reals, fails with a non-OK Status instead of returning
+/// predictions.
 class AlsCompleter : public Completer {
  public:
   explicit AlsCompleter(AlsOptions options = {});

@@ -96,6 +96,8 @@ struct CompletionArena {
   std::vector<size_t> col_start;
   /// Column-index entries (held-out cells excluded).
   std::vector<FitCellRef> col_cells;
+  /// Column bounds of the H half-sweep's cost-balanced chunks.
+  std::vector<size_t> h_chunks;
   /// Held-out validation cells, in row-major order.
   std::vector<FitCellRef> held_out;
   /// Per-cell residual of the fill against the factor product.

@@ -478,29 +478,6 @@ void TransposedMultiplyInto(const Matrix& a, const Matrix& b, Matrix* out) {
               GrainForCost(m * r));
 }
 
-void GramInto(const Matrix& a, Matrix* out) {
-  LIMEQO_CHECK(out != &a);
-  const size_t m = a.rows(), r = a.cols();
-  out->ResizeUninitialized(r, r);
-  double* o_data = out->data();
-  std::fill(o_data, o_data + r * r, 0.0);
-  // Rank-1 accumulation of the upper triangle, mirrored at the end. Serial:
-  // r is the completion rank (<= a few dozen), so this is O(m r^2 / 2) with
-  // a deterministic row order.
-  const double* a_data = a.data();
-  for (size_t i = 0; i < m; ++i) {
-    const double* row = a_data + i * r;
-    for (size_t p = 0; p < r; ++p) {
-      const double av = row[p];
-      double* o_row = o_data + p * r;
-      for (size_t q = p; q < r; ++q) o_row[q] += av * row[q];
-    }
-  }
-  for (size_t p = 0; p < r; ++p) {
-    for (size_t q = 0; q < p; ++q) o_data[p * r + q] = o_data[q * r + p];
-  }
-}
-
 std::string Matrix::ToString(int decimals) const {
   std::ostringstream os;
   os << "[";

@@ -1,6 +1,7 @@
 #ifndef LIMEQO_LINALG_MATRIX_H_
 #define LIMEQO_LINALG_MATRIX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -154,8 +155,38 @@ void MultiplyTransposedInto(const Matrix& a, const Matrix& b, Matrix* out);
 void TransposedMultiplyInto(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a^T * a (the Gram matrix), exploiting symmetry. a is m x r, out is
-/// r x r.
-void GramInto(const Matrix& a, Matrix* out);
+/// r x r. R > 0 fixes r = R at compile time so the accumulation unrolls
+/// (the ALS sweep instantiates it per rank); R = 0 reads r from `a`. Every
+/// R runs the same sums in the same order, so the result is bitwise the
+/// same.
+template <size_t R = 0>
+void GramInto(const Matrix& a, Matrix* out) {
+  LIMEQO_CHECK(out != &a);
+  LIMEQO_CHECK(R == 0 || a.cols() == R);
+  const size_t m = a.rows(), r = R > 0 ? R : a.cols();
+  out->ResizeUninitialized(r, r);
+  // A fixed rank accumulates in a local array the compiler can keep in
+  // registers (it cannot alias `a`); the runtime rank accumulates in place.
+  double local[R > 0 ? R * R : 1];
+  double* o_data = R > 0 ? local : out->data();
+  std::fill(o_data, o_data + r * r, 0.0);
+  // Rank-1 accumulation of the upper triangle, mirrored at the end. Serial:
+  // r is the completion rank (<= a few dozen), so this is O(m r^2 / 2) with
+  // a deterministic row order.
+  const double* a_data = a.data();
+  for (size_t i = 0; i < m; ++i) {
+    const double* row = a_data + i * r;
+    for (size_t p = 0; p < r; ++p) {
+      const double av = row[p];
+      double* o_row = o_data + p * r;
+      for (size_t q = p; q < r; ++q) o_row[q] += av * row[q];
+    }
+  }
+  for (size_t p = 0; p < r; ++p) {
+    for (size_t q = 0; q < p; ++q) o_data[p * r + q] = o_data[q * r + p];
+  }
+  if (R > 0) std::copy(o_data, o_data + r * r, out->data());
+}
 
 }  // namespace limeqo::linalg
 

@@ -44,91 +44,6 @@ StatusOr<Matrix> Cholesky(const Matrix& a) {
   return l;
 }
 
-void SolveCholeskyRowsInPlace(const Matrix& l, Matrix* c) {
-  const size_t n = l.rows();
-  LIMEQO_CHECK(c->cols() == n);
-  const double* ld = l.data();
-  double* cd = c->data();
-  // The diagonal divides dominate the small triangular solves (tens of
-  // cycles each against single-cycle FMAs), and every row divides by the
-  // same diagonal: hoist the reciprocals once for the whole batch.
-  constexpr size_t kStackDiag = 64;
-  double inv_stack[kStackDiag];
-  std::vector<double> inv_heap;
-  double* inv_diag = inv_stack;
-  if (n > kStackDiag) {
-    inv_heap.resize(n);
-    inv_diag = inv_heap.data();
-  }
-  for (size_t i = 0; i < n; ++i) inv_diag[i] = 1.0 / ld[i * n + i];
-  // The upper factor L^T, materialized once so back substitution reads
-  // rows contiguously instead of striding down a column.
-  constexpr size_t kStackFactor = 64 * 64;
-  double ut_stack[kStackFactor];
-  std::vector<double> ut_heap;
-  double* ut = ut_stack;
-  if (n * n > kStackFactor) {
-    ut_heap.resize(n * n);
-    ut = ut_heap.data();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < n; ++k) ut[i * n + k] = ld[k * n + i];
-  }
-  // Each row z of `c` solves L L^T z^T = z_in^T; rows are independent, so
-  // this threads over rows with a deterministic per-row operation order.
-  // Rows are processed two at a time: the substitutions are latency chains
-  // (z[i] depends on every earlier z), and interleaving two independent
-  // chains roughly doubles throughput without touching either row's
-  // operation order.
-  ParallelFor(
-      0, c->rows(),
-      [&](size_t row_begin, size_t row_end) {
-        size_t row = row_begin;
-        for (; row + 2 <= row_end; row += 2) {
-          double* __restrict za = cd + row * n;
-          double* __restrict zb = za + n;
-          for (size_t i = 0; i < n; ++i) {
-            double sa = za[i], sb = zb[i];
-            const double* __restrict li = ld + i * n;
-            for (size_t k = 0; k < i; ++k) {
-              sa -= li[k] * za[k];
-              sb -= li[k] * zb[k];
-            }
-            za[i] = sa * inv_diag[i];
-            zb[i] = sb * inv_diag[i];
-          }
-          for (size_t ii = n; ii > 0; --ii) {
-            const size_t i = ii - 1;
-            double sa = za[i], sb = zb[i];
-            const double* __restrict ui = ut + i * n;
-            for (size_t k = i + 1; k < n; ++k) {
-              sa -= ui[k] * za[k];
-              sb -= ui[k] * zb[k];
-            }
-            za[i] = sa * inv_diag[i];
-            zb[i] = sb * inv_diag[i];
-          }
-        }
-        for (; row < row_end; ++row) {
-          double* __restrict z = cd + row * n;
-          for (size_t i = 0; i < n; ++i) {
-            double s = z[i];
-            const double* __restrict li = ld + i * n;
-            for (size_t k = 0; k < i; ++k) s -= li[k] * z[k];
-            z[i] = s * inv_diag[i];
-          }
-          for (size_t ii = n; ii > 0; --ii) {
-            const size_t i = ii - 1;
-            double s = z[i];
-            const double* __restrict ui = ut + i * n;
-            for (size_t k = i + 1; k < n; ++k) s -= ui[k] * z[k];
-            z[i] = s * inv_diag[i];
-          }
-        }
-      },
-      /*grain=*/std::max<size_t>(1, 4096 / (n * n + 1)));
-}
-
 StatusOr<Matrix> SolveSpd(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows()) {
     return Status::InvalidArgument("SolveSpd: dimension mismatch");
@@ -160,18 +75,50 @@ StatusOr<Matrix> SolveSpd(const Matrix& a, const Matrix& b) {
   return x;
 }
 
-Status RidgeSolveGramInPlace(double lambda, RidgeWorkspace* ws, Matrix* x) {
+Status RidgeFactorGram(double lambda, RidgeWorkspace* ws) {
   if (lambda <= 0.0) {
     return Status::InvalidArgument("RidgeSolve requires lambda > 0");
   }
   const size_t r = ws->gram.rows();
-  if (ws->gram.cols() != r || x->cols() != r) {
+  if (ws->gram.cols() != r) {
     return Status::InvalidArgument("RidgeSolve: dimension mismatch");
   }
-  for (size_t i = 0; i < r; ++i) ws->gram(i, i) += lambda;
-  Status st = CholeskyInto(ws->gram, &ws->chol);
+  // `upper` first holds the shifted Gram, then the transposed factor.
+  Matrix& shifted = ws->upper;
+  shifted = ws->gram;
+  for (size_t i = 0; i < r; ++i) shifted(i, i) += lambda;
+  Status st = CholeskyInto(shifted, &ws->chol);
   if (!st.ok()) return st;
-  SolveCholeskyRowsInPlace(ws->chol, x);
+  // The diagonal divides dominate the small triangular solves (tens of
+  // cycles each against single-cycle multiplies), and every row divides by
+  // the same diagonal: hoist the reciprocals once for all rows.
+  ws->inv_diag.resize(r);
+  for (size_t i = 0; i < r; ++i) {
+    ws->inv_diag[i] = 1.0 / ws->chol(i, i);
+    for (size_t k = 0; k < r; ++k) shifted(i, k) = ws->chol(k, i);
+  }
+  return Status::Ok();
+}
+
+Status RidgeSolveGramInPlace(double lambda, RidgeWorkspace* ws, Matrix* x) {
+  if (x->cols() != ws->gram.rows()) {
+    return Status::InvalidArgument("RidgeSolve: dimension mismatch");
+  }
+  Status st = RidgeFactorGram(lambda, ws);
+  if (!st.ok()) return st;
+  // Each row of `x` is an independent solve with a fixed operation order,
+  // so this threads over rows bitwise-stably.
+  const size_t r = ws->gram.rows();
+  double* xd = x->data();
+  ParallelFor(
+      0, x->rows(),
+      [&](size_t row_begin, size_t row_end) {
+        for (size_t row = row_begin; row < row_end; ++row) {
+          SolveCholeskyRow(ws->chol.data(), ws->upper.data(),
+                           ws->inv_diag.data(), r, xd + row * r);
+        }
+      },
+      /*grain=*/std::max<size_t>(1, 4096 / (r * r + 1)));
   return Status::Ok();
 }
 

@@ -1,6 +1,9 @@
 #ifndef LIMEQO_LINALG_SOLVE_H_
 #define LIMEQO_LINALG_SOLVE_H_
 
+#include <cstddef>
+#include <vector>
+
 #include "common/status.h"
 #include "linalg/matrix.h"
 
@@ -28,8 +31,10 @@ StatusOr<Matrix> RidgeSolve(const Matrix& b, const Matrix& a, double lambda);
 /// constructed workspace grows to the right shapes on first use and then
 /// stays put.
 struct RidgeWorkspace {
-  Matrix gram;  // r x r: A^T A + lambda I
-  Matrix chol;  // r x r: its Cholesky factor
+  Matrix gram;   // r x r: A^T A (the ridge shift is never added in place)
+  Matrix chol;   // r x r: L, the Cholesky factor of A^T A + lambda I
+  Matrix upper;  // r x r: L^T, so back substitution reads rows in order
+  std::vector<double> inv_diag;  // r: 1 / L_ii
 };
 
 /// Workspace form of RidgeSolve: writes X = B A (A^T A + lambda I)^{-1}
@@ -48,18 +53,49 @@ Status RidgeSolveTransposedInto(const Matrix& b, const Matrix& a,
 
 /// The shared tail of the ridge solvers, for callers that already hold the
 /// Gram matrix: given ws->gram = A^T A (r x r) and the rows of `x` (m x r)
-/// holding a right-hand side, adds lambda I to ws->gram in place, factors it
-/// into ws->chol and overwrites `x` with x (A^T A + lambda I)^{-1}. One Gram
-/// then serves both a right-hand side built from it and the solve (the
-/// sparse-residual ALS sweep). lambda must be > 0.
+/// holding a right-hand side, factors A^T A + lambda I (RidgeFactorGram)
+/// and overwrites `x` with x (A^T A + lambda I)^{-1}. lambda must be > 0.
 Status RidgeSolveGramInPlace(double lambda, RidgeWorkspace* ws, Matrix* x);
 
-/// Lower-level pieces of the workspace solvers, exposed for reuse:
-/// Cholesky into a preallocated factor, and an in-place solve of
-/// G X^T = C^T for row-major C (each row of `c` is replaced by the solution
-/// of G z = row^T, i.e. C <- C L^{-T} L^{-1} for SPD G = L L^T).
+/// Factors ws->gram + lambda I into ws->chol and prepares ws->upper and
+/// ws->inv_diag for SolveCholeskyRow, leaving ws->gram itself unchanged:
+/// one Gram then serves both a right-hand side built from it and the
+/// solve, row by row, inside the caller's own pass over the rows (the
+/// sparse-residual ALS sweep). lambda must be > 0.
+Status RidgeFactorGram(double lambda, RidgeWorkspace* ws);
+
+/// Cholesky into a preallocated factor (a lower-level piece of the
+/// workspace solvers, exposed for reuse).
 Status CholeskyInto(const Matrix& a, Matrix* l);
-void SolveCholeskyRowsInPlace(const Matrix& l, Matrix* c);
+
+/// One row of a ridge solve, the only copy of the substitution (used by
+/// RidgeSolveGramInPlace and the ALS sweep): overwrites z (n entries) with
+/// the solution of L L^T x = z, given the row-major lower factor `l`, its
+/// transpose `upper` and the reciprocal diagonal `inv_diag`
+/// (RidgeFactorGram's outputs). Forward then back substitution, each
+/// entry accumulated in ascending index order. R > 0
+/// fixes n = R at compile time so the loops unroll; every R runs the same
+/// operations in the same order, so the result is bitwise the same.
+template <size_t R = 0>
+inline void SolveCholeskyRow(const double* __restrict l,
+                             const double* __restrict upper,
+                             const double* __restrict inv_diag, size_t n,
+                             double* __restrict z) {
+  const size_t r = R > 0 ? R : n;
+  for (size_t i = 0; i < r; ++i) {
+    double s = z[i];
+    const double* li = l + i * r;
+    for (size_t k = 0; k < i; ++k) s -= li[k] * z[k];
+    z[i] = s * inv_diag[i];
+  }
+  for (size_t ii = r; ii > 0; --ii) {
+    const size_t i = ii - 1;
+    double s = z[i];
+    const double* ui = upper + i * r;
+    for (size_t k = i + 1; k < r; ++k) s -= ui[k] * z[k];
+    z[i] = s * inv_diag[i];
+  }
+}
 
 /// General LU solve with partial pivoting: solves A X = B for square A.
 /// Returns InvalidArgument for (numerically) singular A.

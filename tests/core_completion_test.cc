@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -172,6 +173,33 @@ TEST(AlsTest, ErrorsWithoutObservations) {
   WorkloadMatrix w(5, 5);
   AlsCompleter als;
   EXPECT_FALSE(als.Complete(w).ok());
+}
+
+TEST(AlsTest, NonFiniteInputsAndFitsFail) {
+  // +Inf passes WorkloadMatrix's latency >= 0 check; ALS must refuse it
+  // rather than return non-finite predictions.
+  PlantedProblem prob = MakePlanted(30, 8, 2, 0.5, 5);
+  prob.observed.Observe(4, 3, std::numeric_limits<double>::infinity());
+  for (FitSpace space : {FitSpace::kLogRatio, FitSpace::kRaw}) {
+    AlsOptions opt;
+    opt.fit_space = space;
+    AlsCompleter als(opt);
+    EXPECT_FALSE(als.Complete(prob.observed).ok());
+  }
+  // Finite latencies whose raw-space Gram overflows: without the
+  // early-stopping guard (which would keep the finite initial factors) the
+  // swept factors leave the reals, and the completion fails instead of
+  // publishing them.
+  WorkloadMatrix huge(30, 8);
+  for (int i = 0; i < 30; ++i) {
+    for (int j = 0; j < 8; ++j) huge.Observe(i, j, 1e300 * (1 + i + j));
+  }
+  AlsOptions raw;
+  raw.fit_space = FitSpace::kRaw;
+  raw.early_stopping = false;
+  AlsCompleter als(raw);
+  StatusOr<linalg::Matrix> out = als.Complete(huge);
+  EXPECT_FALSE(out.ok());
 }
 
 TEST(AlsTest, CensoredClampRaisesPredictions) {

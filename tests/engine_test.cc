@@ -7,8 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/engine.h"
 #include "core/explorer.h"
 #include "core/online.h"
+#include "core/predictor.h"
 #include "core/shard_router.h"
 #include "proptest.h"
 #include "scenarios/scenario.h"
@@ -179,6 +182,43 @@ TEST(EngineTest, RefreshPredictionsRejectsHintColumnStaleness) {
   EXPECT_FALSE(engine.RefreshPredictions(/*force=*/true));
   engine.Publish();
   EXPECT_FALSE(engine.snapshot()->has_predictions());
+}
+
+TEST(EngineTest, NonFiniteFitKeepsTheLastGoodPredictions) {
+  const WorkloadMatrix w = MakeMatrix(40, 6, 0.3, 31);
+  CompleterPredictor predictor(std::make_unique<AlsCompleter>());
+  ExplorationEngine engine(w, &predictor);
+  ASSERT_TRUE(engine.RefreshPredictions(/*force=*/true));
+  const uint64_t refits = engine.refits_completed();
+  const linalg::Matrix good = engine.predictions();
+
+  // +Inf is not negative, so it passes the matrix's entry check; the fit
+  // it poisons must fail instead of publishing non-finite predictions.
+  const double inf = std::numeric_limits<double>::infinity();
+  WorkloadMatrix poisoned = w;
+  poisoned.Observe(7, 3, inf);
+  AlsCompleter als;
+  EXPECT_FALSE(als.Complete(poisoned).ok());
+
+  engine.Observe(7, 3, inf);
+  engine.Publish();
+  const std::shared_ptr<const ServingSnapshot> before = engine.snapshot();
+  ASSERT_TRUE(before->has_predictions());
+  // The failed refit keeps the last good predictions being served.
+  EXPECT_TRUE(engine.RefreshPredictions(/*force=*/true));
+  EXPECT_EQ(engine.refits_completed(), refits);
+  EXPECT_EQ(std::memcmp(engine.predictions().data(), good.data(),
+                        good.size() * sizeof(double)),
+            0);
+  engine.Publish();
+  const std::shared_ptr<const ServingSnapshot> after = engine.snapshot();
+  ASSERT_TRUE(after->has_predictions());
+  for (int q = 0; q < w.num_queries(); ++q) {
+    EXPECT_EQ(after->VerifiedHint(q), before->VerifiedHint(q)) << q;
+    for (uint64_t s = 0; s < 8; ++s) {
+      EXPECT_EQ(after->ChooseHint(q, s), before->ChooseHint(q, s)) << q;
+    }
+  }
 }
 
 TEST(EngineTest, SnapshotVersionNeverDriftsFromThePublishedCounter) {

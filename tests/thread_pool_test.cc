@@ -7,6 +7,7 @@
 // in CI's per-push sanitizer job.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -48,6 +49,52 @@ TEST(ThreadPoolTest, ConcurrentSubmissionHammer) {
   }
   for (std::thread& t : submitters) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+  SetNumThreads(1);
+}
+
+TEST(ThreadPoolTest, ParallelForAfterWorkersParkWakesThem) {
+  SetNumThreads(4);
+  for (int round = 0; round < 3; ++round) {
+    // Idle far longer than the spin window, so every worker has parked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::atomic<int> started{0};
+    std::atomic<int> met{0};
+    ParallelFor(0, 4, [&](size_t, size_t) {
+      started.fetch_add(1, std::memory_order_acq_rel);
+      // A barrier across the four chunks: it completes only if the call
+      // woke the parked workers. Bounded, so a lost wakeup fails the
+      // expectation instead of spinning forever in the chunk.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (started.load(std::memory_order_acquire) < 4 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (started.load(std::memory_order_acquire) == 4) {
+        met.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    EXPECT_EQ(met.load(std::memory_order_relaxed), 4) << "round " << round;
+  }
+  SetNumThreads(1);
+}
+
+TEST(ThreadPoolTest, SetNumThreadsWhileWorkersSpin) {
+  constexpr size_t kRange = 4096;
+  for (int round = 0; round < 30; ++round) {
+    // Each resize lands right after a ParallelFor, while the workers of
+    // the previous size are still inside their spin window.
+    SetNumThreads(2 + round % 3);
+    std::vector<int64_t> out(kRange, -1);
+    ParallelFor(0, kRange, [&out, round](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        out[i] = static_cast<int64_t>(i) * 3 + round;
+      }
+    });
+    for (size_t i = 0; i < kRange; ++i) {
+      ASSERT_EQ(out[i], static_cast<int64_t>(i) * 3 + round) << i;
+    }
+  }
   SetNumThreads(1);
 }
 
