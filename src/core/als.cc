@@ -141,13 +141,37 @@ Status AlternateSweeps(const AlsOptions& options, bool non_negative,
     linalg::GramInto<R>(a, &ws.gram);
     return linalg::RidgeFactorGram(options.lambda, &ws);
   };
-  // Solves one right-hand-side row against the factored system in place,
-  // then projects it (Algorithm 2 lines 7 and 12).
-  auto solve_row = [&](double* row) {
-    linalg::SolveCholeskyRow<R>(ws.chol.data(), ws.upper.data(),
-                                ws.inv_diag.data(), r, row);
-    if (non_negative) {
-      for (size_t c = 0; c < r; ++c) row[c] = std::max(row[c], 0.0);
+  // Rows [begin, end) of `out` (n x r or k x r): build(i, row) writes row
+  // i's right-hand side, the row is solved against the factored system and
+  // projected (Algorithm 2 lines 7 and 12), and finish(i, row) reads the
+  // final row before it is stored. Rows go two at a time so their
+  // substitution chains interleave.
+  auto solve_rows = [&](size_t begin, size_t end, double* out, auto&& build,
+                        auto&& finish) {
+    RowBuffer<R> buffers[2];
+    for (size_t i = begin; i < end; i += 2) {
+      const size_t count = std::min<size_t>(2, end - i);
+      double* rows[2];
+      for (size_t t = 0; t < count; ++t) {
+        rows[t] = buffers[t].For(out + (i + t) * r);
+        build(i + t, rows[t]);
+      }
+      const double* l = ws.chol.data();
+      const double* u = ws.upper.data();
+      const double* inv_diag = ws.inv_diag.data();
+      if (count == 2) {
+        linalg::SolveCholeskyRows<R, 2>(l, u, inv_diag, r, rows);
+      } else {
+        linalg::SolveCholeskyRows<R, 1>(l, u, inv_diag, r, rows);
+      }
+      for (size_t t = 0; t < count; ++t) {
+        double* row = rows[t];
+        if (non_negative) {
+          for (size_t c = 0; c < r; ++c) row[c] = std::max(row[c], 0.0);
+        }
+        finish(i + t, row);
+        buffers[t].Store(row, r, out + (i + t) * r);
+      }
     }
   };
   // Q <- W-hat H (H^T H + lambda I)^-1 (lines 3-7), fused with the H
@@ -158,33 +182,30 @@ Status AlternateSweeps(const AlsOptions& options, bool non_negative,
     const double* g = ws.gram.data();
     const double* q_data = q.data();
     const double* h_data = h.data();
-    double* out = q_next.data();
+    auto build = [&](size_t i, double* row) {
+      const double* q_i = q_data + i * r;
+      GramTimes<R>(g, q_i, r, row);
+      for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
+        const FitCell& cell = cells[c];
+        if (cell.kind == Kind::kHeldOut) continue;
+        const double* h_j = h_data + cell.col * r;
+        const double s = Residual(cell, Dot<R>(q_i, h_j, r));
+        if (s != 0.0) AddScaled<R>(s, h_j, r, row);
+      }
+    };
+    // The H side's residuals against the new q_i (and the old H).
+    auto finish = [&](size_t i, const double* row) {
+      for (size_t c = row_start[i]; c < row_start[i + 1]; ++c) {
+        const FitCell& cell = cells[c];
+        if (cell.kind == Kind::kHeldOut) continue;
+        const double* h_j = h_data + cell.col * r;
+        residual[c] = Residual(cell, Dot<R>(row, h_j, r));
+      }
+    };
     ParallelFor(
         0, n,
         [&](size_t row_begin, size_t row_end) {
-          RowBuffer<R> buffer;
-          for (size_t i = row_begin; i < row_end; ++i) {
-            const double* q_i = q_data + i * r;
-            double* out_i = out + i * r;
-            double* row = buffer.For(out_i);
-            const size_t begin = row_start[i], end = row_start[i + 1];
-            GramTimes<R>(g, q_i, r, row);
-            for (size_t c = begin; c < end; ++c) {
-              const FitCell& cell = cells[c];
-              if (cell.kind == Kind::kHeldOut) continue;
-              const double* h_j = h_data + cell.col * r;
-              const double s = Residual(cell, Dot<R>(q_i, h_j, r));
-              if (s != 0.0) AddScaled<R>(s, h_j, r, row);
-            }
-            solve_row(row);
-            for (size_t c = begin; c < end; ++c) {
-              const FitCell& cell = cells[c];
-              if (cell.kind == Kind::kHeldOut) continue;
-              const double* h_j = h_data + cell.col * r;
-              residual[c] = Residual(cell, Dot<R>(row, h_j, r));
-            }
-            buffer.Store(row, r, out_i);
-          }
+          solve_rows(row_begin, row_end, q_next.data(), build, finish);
         },
         q_grain);
     return Status::Ok();
@@ -197,24 +218,19 @@ Status AlternateSweeps(const AlsOptions& options, bool non_negative,
     const double* g = ws.gram.data();
     const double* q_data = q.data();
     const double* h_data = h.data();
-    double* out = h_next.data();
+    auto build = [&](size_t j, double* row) {
+      GramTimes<R>(g, h_data + j * r, r, row);
+      for (size_t e = col_start[j]; e < col_start[j + 1]; ++e) {
+        const FitCellRef ref = col_cells[e];
+        const double s = residual[ref.cell];
+        if (s != 0.0) AddScaled<R>(s, q_data + ref.row * r, r, row);
+      }
+    };
     ParallelFor(
         0, h_chunk_count,
         [&](size_t chunk_begin, size_t chunk_end) {
-          RowBuffer<R> buffer;
-          for (size_t j = h_chunks[chunk_begin]; j < h_chunks[chunk_end];
-               ++j) {
-            double* out_j = out + j * r;
-            double* row = buffer.For(out_j);
-            GramTimes<R>(g, h_data + j * r, r, row);
-            for (size_t e = col_start[j]; e < col_start[j + 1]; ++e) {
-              const FitCellRef ref = col_cells[e];
-              const double s = residual[ref.cell];
-              if (s != 0.0) AddScaled<R>(s, q_data + ref.row * r, r, row);
-            }
-            solve_row(row);
-            buffer.Store(row, r, out_j);
-          }
+          solve_rows(h_chunks[chunk_begin], h_chunks[chunk_end],
+                     h_next.data(), build, [](size_t, const double*) {});
         },
         1);
     return Status::Ok();

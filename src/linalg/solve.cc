@@ -113,9 +113,17 @@ Status RidgeSolveGramInPlace(double lambda, RidgeWorkspace* ws, Matrix* x) {
   ParallelFor(
       0, x->rows(),
       [&](size_t row_begin, size_t row_end) {
-        for (size_t row = row_begin; row < row_end; ++row) {
-          SolveCholeskyRow(ws->chol.data(), ws->upper.data(),
-                           ws->inv_diag.data(), r, xd + row * r);
+        const double* l = ws->chol.data();
+        const double* u = ws->upper.data();
+        const double* inv_diag = ws->inv_diag.data();
+        size_t row = row_begin;
+        for (; row + 2 <= row_end; row += 2) {
+          double* const pair[2] = {xd + row * r, xd + (row + 1) * r};
+          SolveCholeskyRows<0, 2>(l, u, inv_diag, r, pair);
+        }
+        if (row < row_end) {
+          double* const single[1] = {xd + row * r};
+          SolveCholeskyRows(l, u, inv_diag, r, single);
         }
       },
       /*grain=*/std::max<size_t>(1, 4096 / (r * r + 1)));

@@ -58,7 +58,7 @@ Status RidgeSolveTransposedInto(const Matrix& b, const Matrix& a,
 Status RidgeSolveGramInPlace(double lambda, RidgeWorkspace* ws, Matrix* x);
 
 /// Factors ws->gram + lambda I into ws->chol and prepares ws->upper and
-/// ws->inv_diag for SolveCholeskyRow, leaving ws->gram itself unchanged:
+/// ws->inv_diag for SolveCholeskyRows, leaving ws->gram itself unchanged:
 /// one Gram then serves both a right-hand side built from it and the
 /// solve, row by row, inside the caller's own pass over the rows (the
 /// sparse-residual ALS sweep). lambda must be > 0.
@@ -68,32 +68,41 @@ Status RidgeFactorGram(double lambda, RidgeWorkspace* ws);
 /// workspace solvers, exposed for reuse).
 Status CholeskyInto(const Matrix& a, Matrix* l);
 
-/// One row of a ridge solve, the only copy of the substitution (used by
-/// RidgeSolveGramInPlace and the ALS sweep): overwrites z (n entries) with
-/// the solution of L L^T x = z, given the row-major lower factor `l`, its
-/// transpose `upper` and the reciprocal diagonal `inv_diag`
-/// (RidgeFactorGram's outputs). Forward then back substitution, each
-/// entry accumulated in ascending index order. R > 0
-/// fixes n = R at compile time so the loops unroll; every R runs the same
-/// operations in the same order, so the result is bitwise the same.
-template <size_t R = 0>
-inline void SolveCholeskyRow(const double* __restrict l,
-                             const double* __restrict upper,
-                             const double* __restrict inv_diag, size_t n,
-                             double* __restrict z) {
+/// The only copy of the ridge solve's substitution (used by
+/// RidgeSolveGramInPlace and the ALS sweep): overwrites each of the kRows
+/// rows z[t] (n entries each) with the solution of L L^T x = z[t], given
+/// the row-major lower factor `l`, its transpose `upper` and the
+/// reciprocal diagonal `inv_diag` (RidgeFactorGram's outputs). Forward then
+/// back substitution, each entry accumulated in ascending index order.
+/// The substitutions are latency chains (each entry waits for the ones
+/// before it), so kRows = 2 interleaves two independent rows to overlap
+/// their chains. R > 0 fixes n = R at compile time so the loops unroll.
+/// Neither parameter changes any row's operations or their order, so the
+/// result is bitwise the same for every R and kRows.
+template <size_t R = 0, size_t kRows = 1>
+inline void SolveCholeskyRows(const double* __restrict l,
+                              const double* __restrict upper,
+                              const double* __restrict inv_diag, size_t n,
+                              double* const* z) {
   const size_t r = R > 0 ? R : n;
   for (size_t i = 0; i < r; ++i) {
-    double s = z[i];
     const double* li = l + i * r;
-    for (size_t k = 0; k < i; ++k) s -= li[k] * z[k];
-    z[i] = s * inv_diag[i];
+    double s[kRows];
+    for (size_t t = 0; t < kRows; ++t) s[t] = z[t][i];
+    for (size_t k = 0; k < i; ++k) {
+      for (size_t t = 0; t < kRows; ++t) s[t] -= li[k] * z[t][k];
+    }
+    for (size_t t = 0; t < kRows; ++t) z[t][i] = s[t] * inv_diag[i];
   }
   for (size_t ii = r; ii > 0; --ii) {
     const size_t i = ii - 1;
-    double s = z[i];
     const double* ui = upper + i * r;
-    for (size_t k = i + 1; k < r; ++k) s -= ui[k] * z[k];
-    z[i] = s * inv_diag[i];
+    double s[kRows];
+    for (size_t t = 0; t < kRows; ++t) s[t] = z[t][i];
+    for (size_t k = i + 1; k < r; ++k) {
+      for (size_t t = 0; t < kRows; ++t) s[t] -= ui[k] * z[t][k];
+    }
+    for (size_t t = 0; t < kRows; ++t) z[t][i] = s[t] * inv_diag[i];
   }
 }
 
