@@ -87,16 +87,18 @@ void ThreadPool::StopWorkers() {
   workers_.clear();
 }
 
+void ThreadPool::PopLocked(Task* task) {
+  *task = queue_.back();
+  queue_.pop_back();
+  queued_.store(queue_.size(), std::memory_order_relaxed);
+}
+
 bool ThreadPool::TryPop(Task* task) {
   // A busy mutex means another thread is queueing or popping right now:
   // keep spinning rather than sleep in the mutex.
   if (!mu_.TryLock()) return false;
   const bool popped = !queue_.empty();
-  if (popped) {
-    *task = queue_.back();
-    queue_.pop_back();
-    queued_.store(queue_.size(), std::memory_order_relaxed);
-  }
+  if (popped) PopLocked(task);
   mu_.Unlock();
   return popped;
 }
@@ -120,9 +122,7 @@ void ThreadPool::WorkerLoop() {
         --parked_;
       }
       if (queue_.empty()) return;  // shutting down
-      task = queue_.back();
-      queue_.pop_back();
-      queued_.store(queue_.size(), std::memory_order_relaxed);
+      PopLocked(&task);
     }
     t_in_parallel_region = true;
     (*task.fn)(task.begin, task.end);

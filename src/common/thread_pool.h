@@ -90,6 +90,8 @@ class ThreadPool {
   };
 
   void WorkerLoop();
+  /// Pops the newest queued chunk into `task`; the queue must not be empty.
+  void PopLocked(Task* task) REQUIRES(mu_);
   /// Pops a queued chunk into `task` if there is one and mu_ is free.
   bool TryPop(Task* task);
   void StartWorkers(int count);

@@ -539,7 +539,8 @@ struct AlsGolden {
 };
 
 // Captured from the three-pass sweep (separate right-hand-side, row-solve
-// and residual passes) before the fused Q half-sweep replaced it. Rank 13
+// and residual passes), before the sweep was fused and specialised per
+// rank: every rewrite of the sweep must reproduce them bit for bit. Rank 13
 // takes the runtime-rank fallback.
 constexpr AlsGolden kAlsGolden[] = {
     {1, FitSpace::kLogRatio, CensoredMode::kCensored,
