@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
