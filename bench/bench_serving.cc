@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +33,7 @@
 #include "core/engine.h"
 #include "core/explorer.h"
 #include "core/policy.h"
+#include "core/predictor.h"
 #include "core/serialization.h"
 #include "core/shard_router.h"
 #include "scenarios/scenario.h"
@@ -336,6 +338,99 @@ double MeasurePublication(int n, int k, double* fold_ns_out) {
   return publish_s / reps * 1e9;
 }
 
+/// A predictor returning one canned prediction matrix: the serve-shaped
+/// fold micro needs refits that swap predictions in without an ALS fit.
+class CannedPredictor : public core::Predictor {
+ public:
+  CannedPredictor(int n, int k, uint64_t seed)
+      : preds_(static_cast<size_t>(n), static_cast<size_t>(k)) {
+    Rng rng(seed);
+    for (size_t i = 0; i < preds_.size(); ++i) {
+      preds_.data()[i] = rng.Uniform(0.05, 10.0);
+    }
+  }
+  StatusOr<linalg::Matrix> Predict(const core::WorkloadMatrix&) override {
+    return preds_;
+  }
+  std::string name() const override { return "Canned"; }
+
+ private:
+  linalg::Matrix preds_;
+};
+
+/// Serve-shaped drain cost at serve-large's shape (defaults plus 5% fill):
+/// 90% of the observations re-observe the row's published verified best
+/// with +-2% noise around its true latency, as steady serving does, and
+/// 10% first-observe the row's predicted-best unobserved cell, as
+/// exploration does. Each block reports kReobserveBlock observations
+/// through the queue, then times the Drain that folds them
+/// (*fold_ns_out, per observation) and publishes. Every eighth block a
+/// refit swaps in new predictions and the publication after it is timed
+/// (*refit_publish_ms_out, per publication). The random-cell fold micro
+/// above almost never re-observes a best, so it misses the path where
+/// noise makes the best "slower" and may force a row rescan.
+constexpr int kReobserveBlock = 4096;
+constexpr int kReobserveBlocks = 64;
+constexpr int kReobserveRefitEvery = 8;
+
+void MeasureReobserve(int n, int k, double* fold_ns_out,
+                      double* refit_publish_ms_out) {
+  Rng rng(2718);
+  std::vector<double> truth(static_cast<size_t>(n) * k);
+  for (double& t : truth) t = rng.Uniform(0.05, 10.0);
+  core::WorkloadMatrix w(n, k);
+  for (int q = 0; q < n; ++q) {
+    for (int j = 0; j < k; ++j) {
+      if (j == 0 || rng.NextDouble() < 0.05) {
+        w.Observe(q, j, truth[static_cast<size_t>(q) * k + j]);
+      }
+    }
+  }
+  CannedPredictor predictor(n, k, 3141);
+  // A whole block is reported before it is drained, so it must fit the
+  // queue: a lapped Report would wait for a drain nobody runs.
+  core::EngineOptions options;
+  options.queue_capacity = kReobserveBlock;
+  core::ExplorationEngine engine(std::move(w), &predictor, options);
+  engine.RefreshPredictions(/*force=*/true);
+  engine.Publish();
+
+  uint64_t seq = 0;
+  double fold_s = 0.0;
+  double refit_publish_s = 0.0;
+  int refit_publishes = 0;
+  for (int block = 0; block < kReobserveBlocks; ++block) {
+    const std::shared_ptr<const core::ServingSnapshot> snap =
+        engine.snapshot();
+    for (int i = 0; i < kReobserveBlock; ++i) {
+      const int q = static_cast<int>(rng.NextUint64Below(n));
+      int hint = snap->VerifiedHint(q);
+      if (rng.NextDouble() < 0.1) {
+        const int unobserved = snap->RowScan(q).best_unobserved;
+        if (unobserved >= 0) hint = unobserved;
+      }
+      const double latency = truth[static_cast<size_t>(q) * k + hint] *
+                             rng.Uniform(0.98, 1.02);
+      engine.Report(snap->MakeObservation(seq++, q, hint, latency));
+    }
+    const double t0 = WallSeconds();
+    engine.Drain();
+    fold_s += WallSeconds() - t0;
+    engine.Publish();
+    if ((block + 1) % kReobserveRefitEvery == 0) {
+      engine.RefreshPredictions(/*force=*/true);
+      const double t1 = WallSeconds();
+      engine.Publish();
+      refit_publish_s += WallSeconds() - t1;
+      ++refit_publishes;
+    }
+  }
+  *fold_ns_out = fold_s /
+                 (static_cast<double>(kReobserveBlocks) * kReobserveBlock) *
+                 1e9;
+  *refit_publish_ms_out = refit_publish_s / refit_publishes * 1e3;
+}
+
 /// Checkpoint write cost vs matrix rows: one MakeCheckpoint +
 /// crash-atomic SaveCheckpoint (serialize, write temp, fsync, rename).
 /// This is what the free-running train loop pays every checkpoint_every
@@ -579,6 +674,22 @@ int Main(int argc, char** argv) {
                     kObservationsPerPublication, log10n);
     std::printf("    n=%6d: %8.0f ns/publish, %6.1f ns/observation fold\n",
                 n, publish_ns, fold_ns);
+  }
+
+  // Serve-shaped drain at serve-large's 20000x49: the fold that re-observes
+  // verified bests under noise, and the publication after a refit.
+  {
+    double fold_ns = 0.0;
+    double refit_publish_ms = 0.0;
+    MeasureReobserve(20000, 49, &fold_ns, &refit_publish_ms);
+    reporter.Report("fold_reobserve_ns", fold_ns,
+                    kReobserveBlocks * kReobserveBlock, 1);
+    reporter.Report("refit_publish_ms", refit_publish_ms,
+                    kReobserveBlocks / kReobserveRefitEvery, 1);
+    std::printf("\n  serve-shaped drain (20000x49, %d observations per "
+                "publication):\n    %6.1f ns/observation fold, %.2f ms "
+                "post-refit publish\n",
+                kReobserveBlock, fold_ns, refit_publish_ms);
   }
 
   // Checkpoint write cost vs n (k=16): the train loop's per-cadence price

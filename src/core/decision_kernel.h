@@ -133,8 +133,9 @@ struct DecisionInputs {
 /// when no usable model exists — the count is still computed (the fallback
 /// needs it either way). Runs at drain time on the snapshot path (only
 /// when an observation may have moved the row's best unobserved hint, and
-/// for every row on a chunk rebuild) and lazily on the synchronous path
-/// (only for servings that pass the epsilon and risk gates).
+/// for every row after a refit or on a chunk rebuild) and lazily on the
+/// synchronous path (only for servings that pass the epsilon and risk
+/// gates).
 HintScan ScanHintRow(const CellState* states, const double* predictions,
                      int num_hints);
 

@@ -347,10 +347,11 @@ SnapshotChunk& ExplorationEngine::WritableChunk(int query) {
 }
 
 void ExplorationEngine::ScanVerified(SnapshotChunk& chunk, int row,
-                                     int query) const {
+                                     int query) {
   // The OnlineOptimizer rule, delegated to the one implementation so the
   // snapshot path and the synchronous path can never drift apart.
-  const int best = OnlineOptimizer(&matrix_).ChooseHint(query);
+  const int best =
+      OnlineOptimizer(&matrix_).ChooseHint(query, &runner_up_[query]);
   chunk.verified_best[row] = best;
   chunk.verified_latency[row] =
       matrix_.row_states(query)[best] == CellState::kComplete
@@ -379,6 +380,7 @@ void ExplorationEngine::RebuildChunks(
   const size_t count = (static_cast<size_t>(n) + SnapshotChunk::kRows - 1) >>
                        SnapshotChunk::kRowsLog2;
   chunk_preds_ = std::move(preds);
+  runner_up_.resize(static_cast<size_t>(n));
   // Drop the old set first: chunks no snapshot holds go straight back to
   // the pool and are reused by this very rebuild.
   chunks_.clear();
@@ -399,6 +401,17 @@ void ExplorationEngine::RebuildChunks(
   }
   chunk_shared_.assign(count, 0);
   chunks_stale_ = false;
+}
+
+void ExplorationEngine::RescanModels(
+    std::shared_ptr<const linalg::Matrix> preds) {
+  const int n = matrix_.num_queries();
+  chunk_preds_ = std::move(preds);
+  for (int first = 0; first < n; first += SnapshotChunk::kRows) {
+    SnapshotChunk& chunk = WritableChunk(first);
+    const int rows = std::min(SnapshotChunk::kRows, n - first);
+    for (int r = 0; r < rows; ++r) ScanModel(chunk, r, first + r);
+  }
 }
 
 void ExplorationEngine::FoldCell(int query, int hint, CellState before) {
@@ -433,23 +446,30 @@ void ExplorationEngine::FoldCell(int query, int hint, CellState before) {
   if (states[0] != CellState::kComplete) return;  // best stays 0 at +inf
   int& best = chunk.verified_best[r];
   double& best_latency = chunk.verified_latency[r];
+  // A lower bound on every other complete cell's latency. A cell leaving
+  // the complete set only raises the true runner-up, so the bound holds.
+  double& runner_up = runner_up_[query];
   if (after != CellState::kComplete) {
     if (hint == best) ScanVerified(chunk, r, query);
     return;
   }
   const double latency = matrix_.row_values(query)[hint];
   if (hint == best) {
-    // The best got slower: another cell may now win. Equal or faster, it
-    // is still the lowest-index argmin.
-    if (latency > best_latency) {
+    // Equal or faster, the best is still the lowest-index argmin. Slower
+    // but strictly under the runner-up bound, it still beats every other
+    // cell; only at or past the bound may another cell win.
+    if (latency > best_latency && !(latency < runner_up)) {
       ScanVerified(chunk, r, query);
     } else {
       best_latency = latency;
     }
   } else if (latency < best_latency ||
              (latency == best_latency && hint < best)) {
+    runner_up = std::min(runner_up, best_latency);
     best = hint;
     best_latency = latency;
+  } else {
+    runner_up = std::min(runner_up, latency);
   }
 }
 
@@ -491,7 +511,7 @@ bool ExplorationEngine::TryRefit() {
       std::move(prediction).value());
   // The fit saw the matrix as of its set-up; observations drained while it
   // ran are updates it has not absorbed yet. (The next Publish sees new
-  // predictions and rebuilds every chunk against them.)
+  // predictions and rescans every row's model half against them.)
   updates_since_refresh_ -= updates_before;
   return true;
 }
@@ -533,7 +553,14 @@ void ExplorationEngine::PublishLocked() {
       predictions_->cols() == static_cast<size_t>(k);
   std::shared_ptr<const linalg::Matrix> preds =
       serve_predictions ? predictions_ : nullptr;
-  if (chunks_stale_ || chunk_preds_ != preds) RebuildChunks(preds);
+  // Between shape changes the fold keeps states, verified bests and the
+  // runner-up bounds current, so new predictions rescan only the model
+  // half of each row.
+  if (chunks_stale_) {
+    RebuildChunks(preds);
+  } else if (chunk_preds_ != preds) {
+    RescanModels(preds);
+  }
 
   auto snap = std::shared_ptr<ServingSnapshot>(new ServingSnapshot());
   snap->chunks_.assign(chunks_.begin(), chunks_.end());

@@ -86,9 +86,12 @@ struct ServedOutcome {
 /// chunks current at drain time (ExplorationEngine::ApplyObservation folds
 /// each observation into its row) and copies a chunk on its first write
 /// after a publication, so a publication only shares the current chunk
-/// pointers. Precompute invariant: every row of every chunk a snapshot
-/// carries was scanned against exactly the predictions that snapshot
-/// serves (none when has_predictions() is false).
+/// pointers. New predictions after a refit rescan only the model-scan
+/// arrays of each row; the states and verified bests are already current.
+/// Only a restore or a shape change rebuilds every chunk from the matrix.
+/// Precompute invariant: every row of every chunk a snapshot carries was
+/// scanned against exactly the predictions that snapshot serves (none when
+/// has_predictions() is false).
 struct SnapshotChunk {
   /// log2 of the rows per chunk.
   static constexpr int kRowsLog2 = 8;
@@ -266,9 +269,10 @@ struct EngineOptions {
 /// producer whose queue slot is still a lap behind does not just wait for
 /// the train plane — it try-locks the drain lock and, when it gets it,
 /// publishes if due, drains one queue lap and publishes if due again. The
-/// fitter holds the lock for a refit's set-up and for the prediction swap
-/// only (the completion's set-up-done point releases it, see
-/// ScopedRefitYield), so serving never waits for a model fit. While the
+/// fitter holds the lock for a refit's set-up, for the prediction swap and
+/// for the publication after it, which rescans every row's model half
+/// (the completion's set-up-done point releases it for the fit itself,
+/// see ScopedRefitYield), so serving never waits for a model fit. While the
 /// train plane waits for the lock, producers stop trying it, so a steady
 /// stream of combiners cannot starve the fitter.
 class ExplorationEngine {
@@ -366,12 +370,14 @@ class ExplorationEngine {
   bool RefreshPredictions(bool force = false) EXCLUDES(drain_mu_);
   /// Publishes the current snapshot chunks with one pointer swap: O(n /
   /// SnapshotChunk::kRows) pointer copies, because the chunks were kept
-  /// current at drain time. A refit, a checkpoint restore, or a shape
-  /// change (ResetMatrix, AppendQueries) makes the next publication
-  /// rebuild every chunk instead. The version stamped into the snapshot
-  /// and the published counter come from a single fetch_add, so they can
-  /// never drift apart. Readers holding the
-  /// previous snapshot keep it alive through their own shared_ptr.
+  /// current at drain time. After a refit the next publication copies
+  /// every chunk and rescans each row's model half against the new
+  /// predictions. A checkpoint restore or a shape change (ResetMatrix,
+  /// AppendQueries) makes it rebuild every chunk from the matrix instead.
+  /// The version stamped into the snapshot and the published counter come
+  /// from a single fetch_add, so they can never drift apart. Readers
+  /// holding the previous snapshot keep it alive through their own
+  /// shared_ptr.
   void Publish() EXCLUDES(drain_mu_, snapshot_mu_);
   /// The epoch boundary: Drain + RefreshPredictions + Publish. Returns the
   /// number of observations drained.
@@ -611,8 +617,9 @@ class ExplorationEngine {
   void ApplyObservation(const ServingObservation& obs) REQUIRES(drain_mu_);
   /// Refits unconditionally; true when the fit succeeded (predictions_
   /// replaced, updates_since_refresh_ reduced to the observations drained
-  /// while it fitted). A successful refit makes the next Publish rebuild
-  /// every snapshot chunk against the new predictions.
+  /// while it fitted). A successful refit makes the next Publish rescan
+  /// the model half of every row (RescanModels) against the new
+  /// predictions; the drain kept the verified half current.
   bool TryRefit() REQUIRES(drain_mu_);
   /// Runs the predictor. The drain lock is held at entry and at exit, but
   /// released from the completion's set-up-done point (RefitYieldPoint)
@@ -632,7 +639,11 @@ class ExplorationEngine {
   /// Folds the matrix's new (query, hint) cell into the row's snapshot
   /// chunk: O(1) unless the verified best or the predicted-best unobserved
   /// hint may have moved away from the cell, in which case that half of
-  /// the row is rescanned. `before` is the cell's state before the update.
+  /// the row is rescanned. The verified half rescans only when the default
+  /// changes completeness, the best leaves the complete set, or the best
+  /// gets slower to at least the row's runner-up bound (runner_up_); a
+  /// slower best still under the bound keeps its place. `before` is the
+  /// cell's state before the update.
   void FoldCell(int query, int hint, CellState before) REQUIRES(drain_mu_);
   /// The row's chunk, copied first when a published snapshot shares it.
   SnapshotChunk& WritableChunk(int query) REQUIRES(drain_mu_);
@@ -640,7 +651,14 @@ class ExplorationEngine {
   /// no predictions served).
   void RebuildChunks(std::shared_ptr<const linalg::Matrix> preds)
       REQUIRES(drain_mu_);
-  void ScanVerified(SnapshotChunk& chunk, int row, int query) const
+  /// Rescans only the model half of every row against `preds`, copying
+  /// each chunk a snapshot shares first. Valid only while the chunks are
+  /// not stale: the fold keeps the states and verified bests current.
+  void RescanModels(std::shared_ptr<const linalg::Matrix> preds)
+      REQUIRES(drain_mu_);
+  /// The row's verified best, its latency and its runner_up_ bound, from
+  /// one OnlineOptimizer pass.
+  void ScanVerified(SnapshotChunk& chunk, int row, int query)
       REQUIRES(drain_mu_);
   void ScanModel(SnapshotChunk& chunk, int row, int query) const
       REQUIRES(drain_mu_);
@@ -670,13 +688,21 @@ class ExplorationEngine {
   // Snapshot chunks, kept current at drain time. chunk_shared_[c] is set
   // once a published snapshot holds chunks_[c]; the next write to that
   // chunk copies it first. chunk_preds_ is what the chunks' model scans
-  // were computed against; chunks_stale_ forces a rebuild at the next
-  // Publish (refit, restore, shape change).
+  // were computed against: when it differs from the predictions to serve,
+  // the next Publish rescans only the model half of every row.
+  // chunks_stale_ forces a full rebuild there instead (restore, shape
+  // change).
   std::shared_ptr<ChunkPool> chunk_pool_;
   std::vector<std::shared_ptr<SnapshotChunk>> chunks_ GUARDED_BY(drain_mu_);
   std::vector<uint8_t> chunk_shared_ GUARDED_BY(drain_mu_);
   std::shared_ptr<const linalg::Matrix> chunk_preds_ GUARDED_BY(drain_mu_);
   bool chunks_stale_ GUARDED_BY(drain_mu_) = true;
+  // Per row, a lower bound on the latency of every complete cell other
+  // than the verified best (+infinity when there is none or the default is
+  // incomplete). ScanVerified sets it exactly; FoldCell keeps it a bound,
+  // so a best that gets slower but stays under it needs no row rescan.
+  // Train-plane only: never published, never copied on write.
+  std::vector<double> runner_up_ GUARDED_BY(drain_mu_);
   std::atomic<uint64_t> unpublished_updates_{0};
 
   // Model state. predictions_ is shared into snapshots and replaced (never

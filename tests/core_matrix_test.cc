@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -150,6 +152,99 @@ TEST(OnlineOptimizerTest, NoRegressionProperty) {
     const int h = online.ChooseHint(i);
     EXPECT_TRUE(w.IsComplete(i, h));
     EXPECT_LE(w.observed(i, h), w.observed(i, 0));
+  }
+}
+
+TEST(OnlineOptimizerTest, RunnerUpIsInfiniteWithoutACompleteDefault) {
+  WorkloadMatrix w(2, 4);
+  w.Observe(0, 1, 2.0);  // complete hints, but no complete default
+  w.Observe(0, 2, 3.0);
+  w.ObserveCensored(1, 0, 5.0);  // a censored default is not complete
+  w.Observe(1, 3, 1.0);
+  OnlineOptimizer online(&w);
+  for (int q = 0; q < 2; ++q) {
+    double runner_up = 0.0;
+    EXPECT_EQ(online.ChooseHint(q, &runner_up), 0);
+    EXPECT_TRUE(std::isinf(runner_up) && runner_up > 0);
+  }
+}
+
+TEST(OnlineOptimizerTest, RunnerUpIsInfiniteWhenOnlyTheDefaultIsComplete) {
+  WorkloadMatrix w(1, 4);
+  w.Observe(0, 0, 4.0);
+  w.ObserveCensored(0, 2, 1.0);
+  OnlineOptimizer online(&w);
+  double runner_up = 0.0;
+  EXPECT_EQ(online.ChooseHint(0, &runner_up), 0);
+  EXPECT_TRUE(std::isinf(runner_up) && runner_up > 0);
+}
+
+TEST(OnlineOptimizerTest, RunnerUpSkipsCensoredCells) {
+  WorkloadMatrix w(1, 5);
+  w.Observe(0, 0, 10.0);
+  w.Observe(0, 1, 3.0);
+  w.ObserveCensored(0, 2, 4.0);  // below the runner-up, but censored
+  w.Observe(0, 3, 6.0);
+  OnlineOptimizer online(&w);
+  double runner_up = 0.0;
+  EXPECT_EQ(online.ChooseHint(0, &runner_up), 1);
+  EXPECT_EQ(runner_up, 6.0);
+}
+
+TEST(OnlineOptimizerTest, RunnerUpOfATieIsTheTiedLatency) {
+  // Equal latencies at two indices: the lower index is the best, and the
+  // other one is the runner-up at the same latency.
+  WorkloadMatrix w(1, 5);
+  w.Observe(0, 0, 10.0);
+  w.Observe(0, 3, 2.0);
+  w.Observe(0, 1, 2.0);
+  w.Observe(0, 4, 7.0);
+  OnlineOptimizer online(&w);
+  double runner_up = 0.0;
+  EXPECT_EQ(online.ChooseHint(0, &runner_up), 1);
+  EXPECT_EQ(runner_up, 2.0);
+}
+
+TEST(OnlineOptimizerTest, RunnerUpMatchesABruteForceScanOnRandomRows) {
+  // Latencies drawn from a few values so ties are common.
+  constexpr int kRows = 500;
+  constexpr int kHints = 7;
+  WorkloadMatrix w(kRows, kHints);
+  Rng rng(17);
+  for (int i = 0; i < kRows; ++i) {
+    for (int j = 0; j < kHints; ++j) {
+      const double latency = 1.0 + static_cast<double>(rng.NextUint64Below(4));
+      const uint64_t kind = rng.NextUint64Below(4);
+      if (kind == 0) {
+        w.ObserveCensored(i, j, latency);
+      } else if (kind != 1) {
+        w.Observe(i, j, latency);
+      }
+    }
+  }
+  OnlineOptimizer online(&w);
+  for (int i = 0; i < kRows; ++i) {
+    double runner_up = 0.0;
+    const int best = online.ChooseHint(i, &runner_up);
+    EXPECT_EQ(best, online.ChooseHint(i)) << "row " << i;
+    // Reference: the lowest-index argmin over complete cells, served only
+    // against a complete default; the runner-up is the minimum of the rest.
+    int want_best = 0;
+    double want_runner_up = std::numeric_limits<double>::infinity();
+    if (w.IsComplete(i, 0)) {
+      for (int j = 1; j < kHints; ++j) {
+        if (w.IsComplete(i, j) && w.observed(i, j) < w.observed(i, want_best)) {
+          want_best = j;
+        }
+      }
+      for (int j = 0; j < kHints; ++j) {
+        if (j != want_best && w.IsComplete(i, j)) {
+          want_runner_up = std::min(want_runner_up, w.observed(i, j));
+        }
+      }
+    }
+    EXPECT_EQ(best, want_best) << "row " << i;
+    EXPECT_EQ(runner_up, want_runner_up) << "row " << i;
   }
 }
 

@@ -1,16 +1,18 @@
 // Drain-time snapshot maintenance must be bitwise-equivalent to a full
 // recompute at every publication point. The engine folds each observation
 // into its row's snapshot chunk in O(1) (rescanning only when the row's
-// verified best or predicted-best unobserved hint may have moved), copies a
-// chunk on its first write after a publication, and rebuilds every chunk
-// only on refit, restore or a shape change. The twin property below drives
-// random operation sequences through that machinery and, after every
-// Publish, compares each row of the snapshot with a test-only full-rebuild
-// reference computed from the live matrix: the OnlineOptimizer rule for the
-// verified best and ScanHintRow for the model precompute. Two smaller
-// tests pin the copy-on-write contract (an unpublished write never changes
-// a published snapshot) and chunk recycling (steady-state publication runs
-// on recycled storage).
+// verified best or predicted-best unobserved hint may have moved; a best
+// that gets slower but stays under the row's runner-up bound keeps its
+// place without a rescan), copies a chunk on its first write after a
+// publication, rescans only each row's model half after a refit, and
+// rebuilds every chunk only on restore or a shape change. The twin
+// property below drives random operation sequences through that machinery
+// and, after every Publish, compares each row of the snapshot with a
+// test-only full-rebuild reference computed from the live matrix: the
+// OnlineOptimizer rule for the verified best and ScanHintRow for the model
+// precompute. Two smaller tests pin the copy-on-write contract (an
+// unpublished write never changes a published snapshot) and chunk
+// recycling (steady-state publication runs on recycled storage).
 
 #include <cmath>
 #include <iostream>
@@ -117,13 +119,30 @@ bool MatchesFullRebuild(const ExplorationEngine& engine,
   return true;
 }
 
+/// The row's runner-up: the lowest-index complete cell other than `best`
+/// with the smallest latency, or -1 when there is none.
+int RunnerUpHint(const WorkloadMatrix& m, int q, int best) {
+  int runner_up = -1;
+  for (int j = 0; j < m.num_hints(); ++j) {
+    if (j == best || !m.IsComplete(q, j)) continue;
+    if (runner_up < 0 || m.observed(q, j) < m.observed(q, runner_up)) {
+      runner_up = j;
+    }
+  }
+  return runner_up;
+}
+
 /// Random operation sequences against one engine; after every publication
 /// the snapshot must equal the full-rebuild reference. The targeted ops
 /// aim at each branch of the drain-time fold: re-observing the verified
-/// best slower, equal and faster; an equal-latency tie at a lower hint
+/// best slower, equal and faster; a slower best inside the runner-up gap
+/// and exactly at the runner-up's latency, with the runner-up at a lower
+/// and at a higher index; the runner-up getting faster, censored or
+/// cleared before the best slows; an equal-latency tie at a lower hint
 /// index; a default turning complete (and incomplete again); exploring the
 /// predicted-best unobserved hint; censoring; clearing; appends, matrix
-/// resets, checkpoint restore and refits. Observations reach the
+/// resets, checkpoint restore, and refits, also published with no shape
+/// change so only the model half is rescanned. Observations reach the
 /// engine either directly (Observe) or through the queue (Report + Drain),
 /// so both fold entry points are covered.
 bool FoldMatchesFullRebuildOverRandomOps(proptest::Params& p) {
@@ -179,7 +198,8 @@ bool FoldMatchesFullRebuildOverRandomOps(proptest::Params& p) {
     const int best = OnlineOptimizer(&m).ChooseHint(q);
     const bool default_complete = m.IsComplete(q, 0);
     const double best_latency = default_complete ? m.observed(q, best) : 1.0;
-    switch (ops.NextUint64Below(16)) {
+    const uint64_t op = ops.NextUint64Below(22);
+    switch (op) {
       case 0:
       case 1:
         observe(q, j, ops.Uniform(0.01, 10.0));
@@ -237,6 +257,62 @@ bool FoldMatchesFullRebuildOverRandomOps(proptest::Params& p) {
           have_saved = true;
         }
         break;
+      case 14:  // the best gets slower, likely within the runner-up gap
+        observe(q, best, best_latency * ops.Uniform(1.0001, 1.02));
+        break;
+      case 15: {  // the best gets slower to exactly the runner-up latency
+        const int runner_up = RunnerUpHint(m, q, best);
+        if (default_complete && runner_up >= 0) {
+          observe(q, best, m.observed(q, runner_up));
+        }
+        break;
+      }
+      case 16:    // a runner-up at a lower index, then a tie with it ...
+      case 17: {  // ... or at a higher index
+        const bool lower = op == 16;
+        if (!default_complete || (lower ? best == 0 : best == k - 1)) break;
+        const int other =
+            lower ? static_cast<int>(ops.NextUint64Below(best))
+                  : best + 1 +
+                        static_cast<int>(ops.NextUint64Below(k - 1 - best));
+        const double tie = best_latency * ops.Uniform(1.001, 1.05);
+        observe(q, other, tie);
+        observe(q, best, tie);
+        break;
+      }
+      case 18: {  // the runner-up gets faster, censored or cleared; then
+                  // the (possibly new) best gets slower
+        const int runner_up = RunnerUpHint(m, q, best);
+        if (!default_complete || runner_up < 0) break;
+        switch (ops.NextUint64Below(3)) {
+          case 0:
+            observe(q, runner_up,
+                    m.observed(q, runner_up) * ops.Uniform(0.5, 0.999));
+            break;
+          case 1:
+            engine.ObserveCensored(q, runner_up, ops.Uniform(0.01, 5.0));
+            break;
+          default:
+            engine.Clear(q, runner_up);
+            break;
+        }
+        const WorkloadMatrix& now = engine.matrix();
+        if (now.IsComplete(q, 0)) {
+          const int next = OnlineOptimizer(&now).ChooseHint(q);
+          observe(q, next, now.observed(q, next) * ops.Uniform(1.01, 3.0));
+        }
+        break;
+      }
+      case 19:  // a refit published with no shape change: the model-half
+                // rescan runs over the folded chunks
+        engine.RefreshPredictions(/*force=*/true);
+        engine.Publish();
+        if (!MatchesFullRebuild(engine, *engine.snapshot())) {
+          std::cerr << "divergence after the refit publication of step "
+                    << step << "\n";
+          return false;
+        }
+        break;
       default:
         break;  // several folds may accumulate before one publication
     }
@@ -253,7 +329,7 @@ bool FoldMatchesFullRebuildOverRandomOps(proptest::Params& p) {
 
 TEST(EngineDeltaTest, DrainTimeFoldMatchesAFullRebuildAtEveryPublication) {
   proptest::Config config;
-  config.runs = 24;
+  config.runs = 64;
   proptest::Check("snapshot chunks match a full rebuild over random ops",
                   FoldMatchesFullRebuildOverRandomOps, config);
 }

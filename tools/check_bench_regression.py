@@ -16,6 +16,11 @@ Watched serving metrics:
     ServingSnapshot::ChooseHint (the sub-100ns acceptance metric).
   * serving_ns_per_op @ 1 thread — end-to-end serving including backend
     execution and observation reporting.
+  * fold_reobserve_ns @ 1 thread — the drain's per-observation fold at
+    serve-large's 20000x49 shape, re-observing verified bests under noise.
+    The row rescan per slower best that the runner-up bound removed cost
+    about 1.5x here, inside the 2x band; the entry guards against larger
+    mistakes on the drain path.
 
 Watched micro metrics (with --micro-baseline/--micro-current):
   * als_complete_rank10_1000x49 @ 1 thread — a cold 50-sweep ALS
@@ -55,6 +60,7 @@ import sys
 WATCHED = [
     ("choose_hint_scalar_ns", 1),
     ("serving_ns_per_op", 1),
+    ("fold_reobserve_ns", 1),
 ]
 
 WATCHED_MICRO = [
