@@ -7,12 +7,13 @@
 //
 //   build/online_exploration
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 
 #include "core/als.h"
-#include "core/engine.h"
-#include "core/online_explorer.h"
+#include "core/shard_router.h"
 #include "workloads/workloads.h"
 
 int main() {
@@ -23,40 +24,51 @@ int main() {
   if (!db.ok()) return 1;
   const int n = db->num_queries();
 
-  // The serving-side state: the exploration engine owning the workload
+  // The serving-side state: a one-shard serving tier over the workload
   // matrix (defaults observed from normal operation) and a linear
   // completion model, warm-started across the periodic refreshes.
   core::WorkloadMatrix matrix(n, db->num_hints());
   for (int q = 0; q < n; ++q) matrix.Observe(q, 0, db->TrueLatency(q, 0));
   core::CompleterPredictor predictor(std::make_unique<core::AlsCompleter>());
-  core::ExplorationEngine engine(std::move(matrix), &predictor);
 
-  core::OnlineExplorationOptions options;
-  options.epsilon = 0.10;               // at most 10% of servings explore
-  options.min_predicted_ratio = 0.10;   // only clearly promising plans
-  options.regret_budget_seconds = 30.0; // hard cap on total extra time
-  core::OnlineExplorationOptimizer optimizer(&engine, options);
+  core::ShardedTierOptions options;
+  options.online.epsilon = 0.10;  // at most 10% of servings explore
+  options.online.min_predicted_ratio = 0.10;  // only clearly promising plans
+  options.online.regret_budget_seconds = 30.0;  // cap on total extra time
+  core::ShardedServingTier tier(matrix, {&predictor}, options);
+  tier.RefreshAll(/*force=*/true);
+  tier.PublishAll();
 
   std::printf("JOB: %d queries, default pass %.0f s, optimal %.0f s\n", n,
               db->DefaultTotal(), db->OptimalTotal());
 
-  // Serve twelve full passes over the workload (a "day" of dashboard
-  // refreshes each) and watch served time fall as exploration verifies
-  // faster plans.
+  // The resolver runs the chosen plan; the recorder sums what was served.
+  double served = 0.0;
+  const auto run_plan = [&](int q, int hint, uint64_t) {
+    return core::ServedOutcome{hint, db->TrueLatency(q, hint)};
+  };
+  const auto add_served = [&](const core::TierServing& s) {
+    served += s.observation.latency;
+  };
+
+  // Serve twelve full round-robin passes over the workload (a "day" of
+  // dashboard refreshes each) and watch served time fall as exploration
+  // verifies faster plans. Each epoch of publish_every servings decides on
+  // one snapshot, then drains, refits on cadence and republishes.
+  const uint64_t epoch = static_cast<uint64_t>(options.online.publish_every);
   for (int pass = 1; pass <= 12; ++pass) {
-    double served = 0.0;
-    for (int q = 0; q < n; ++q) {
-      const int hint = optimizer.ChooseHint(q);
-      const double latency = db->TrueLatency(q, hint);
-      served += latency;
-      optimizer.ReportLatency(q, hint, latency);
+    served = 0.0;
+    const uint64_t end = static_cast<uint64_t>(pass) * n;
+    for (uint64_t s = end - n; s < end; s += epoch) {
+      tier.ServeSchedule(s, std::min(s + epoch, end), /*threads=*/1,
+                         run_plan, add_served);
     }
     if (pass == 1 || pass % 3 == 0) {
       std::printf(
           "pass %2d: served %.0f s   (explorations so far: %d, regret "
           "spent: %.1f / %.0f s)\n",
-          pass, served, optimizer.explorations(), optimizer.regret_spent(),
-          options.regret_budget_seconds);
+          pass, served, tier.explorations(), tier.regret_spent(),
+          options.online.regret_budget_seconds);
     }
   }
   return 0;

@@ -3,20 +3,18 @@
 
 /// \file
 /// The one serving decision rule: Algorithm 1 applied online (Eq. 6), as a
-/// single kernel shared by every serving path. Until PR 7 the
-/// epsilon/risk/ratio/fallback rule existed as two hand-maintained copies —
-/// `ServingSnapshot::ChooseHint` (lock-free snapshot path) and
-/// `OnlineExplorationOptimizer::ChooseHint` (synchronous adapter) — which
-/// drifted in two observable ways (a skipped random-fallback bootstrap when
-/// predictions were unavailable, and an unclamped/differently-gated risk
-/// check). Both paths are now thin adapters over DecideServingHint, so the
-/// rule can only ever change in one place.
+/// single kernel that every serving decision runs through
+/// (ServingSnapshot::ChooseHint and ChooseHints). The
+/// epsilon/risk/ratio/fallback rule once existed as two hand-maintained
+/// copies, which drifted in two observable ways (a skipped random-fallback
+/// bootstrap when predictions were unavailable, and an
+/// unclamped/differently-gated risk check); DecideServingHint is now the
+/// only place the rule can change.
 ///
 /// The kernel is a function template parameterized by three accessors
 /// (gate draw, hint-row scan, fallback pick) rather than virtuals or
-/// std::function: the snapshot path inlines per-serving-index RNG streams
-/// and the drain-time precomputed row scans, the synchronous path inlines
-/// its stateful forked streams and a live-matrix scan, and both compile to
+/// std::function: the snapshot path inlines its per-serving-index RNG
+/// streams and the drain-time precomputed row scans, and compiles to
 /// straight-line code with no indirect calls on the hot path.
 
 #include <algorithm>
@@ -35,8 +33,8 @@ inline constexpr uint64_t kGateStreamTag = 0x47415445u;  // "GATE"
 /// Domain-separation tag for the per-serving fallback-pick streams.
 inline constexpr uint64_t kPickStreamTag = 0x5049434Bu;  // "PICK"
 
-/// Options for bounded online exploration (shared by the engine's serving
-/// plane and the single-threaded OnlineExplorationOptimizer adapter).
+/// Options for bounded online exploration, as the engine's serving plane
+/// (ExplorationEngine, ShardedServingTier) applies them.
 struct OnlineExplorationOptions {
   /// Fraction of servings allowed to explore an unverified plan.
   double epsilon = 0.05;
@@ -78,8 +76,8 @@ struct OnlineExplorationOptions {
   /// instead of silently serving the verified plan.
   bool random_fallback = true;
   /// Master seed. The epsilon-gate and fallback-pick streams are derived
-  /// from it with domain separation, and on the snapshot path each serving
-  /// index gets its own stream (a pure function of seed and index), so the
+  /// from it with domain separation, and each serving index gets its own
+  /// stream (a pure function of seed and index), so the
   /// explore/serve gate sequence cannot be desynchronized by
   /// prediction-dependent branches or by which thread served which index.
   /// Two engines with the same seed over the same serving schedule produce
@@ -111,7 +109,7 @@ struct HintScan {
 /// The per-row inputs every serving decision needs, resolved to plain
 /// values and a raw pointer into contiguous per-field storage
 /// (struct-of-arrays): the snapshot path fills it from its per-field chunk
-/// arrays, the synchronous path from the live WorkloadMatrix.
+/// arrays.
 struct DecisionInputs {
   /// The verified-best hint (the OnlineOptimizer rule) for the row.
   int verified_best = 0;
@@ -122,8 +120,8 @@ struct DecisionInputs {
   const CellState* states = nullptr;
   /// Hint-column count of the row.
   int num_hints = 0;
-  /// The regret ledger the decision gates on: the snapshot's frozen value
-  /// on the lock-free path, the live engine ledger on the synchronous one.
+  /// The regret ledger the decision gates on: the snapshot's value, frozen
+  /// at its publication.
   double regret_spent = 0.0;
 };
 
@@ -133,17 +131,14 @@ struct DecisionInputs {
 /// when no usable model exists — the count is still computed (the fallback
 /// needs it either way). Runs at drain time on the snapshot path (only
 /// when an observation may have moved the row's best unobserved hint, and
-/// for every row after a refit or on a chunk rebuild) and lazily on the
-/// synchronous path (only for servings that pass the epsilon and risk
-/// gates).
+/// for every row after a refit or on a chunk rebuild).
 HintScan ScanHintRow(const CellState* states, const double* predictions,
                      int num_hints);
 
 /// Classification of one served latency against the deciding row: was the
-/// serving exploratory, and how much regret does it charge? One rule for
-/// both planes: ServingSnapshot::MakeObservation classifies against the
-/// frozen snapshot row, OnlineExplorationOptimizer::ReportLatency against
-/// the live matrix row.
+/// serving exploratory, and how much regret does it charge?
+/// ServingSnapshot::MakeObservation classifies against the frozen snapshot
+/// row.
 struct ServingClassification {
   /// True when the serving probed an unverified plan.
   bool exploratory = false;
@@ -169,14 +164,14 @@ inline ServingClassification ClassifyServing(int verified_best,
   return c;
 }
 
-/// The serving decision rule (Algorithm 1 applied online, Eq. 6), shared
-/// verbatim by the lock-free snapshot path and the synchronous adapter:
+/// The serving decision rule (Algorithm 1 applied online, Eq. 6), run by
+/// the lock-free snapshot path:
 ///
 ///  1. epsilon gate — with probability 1 - epsilon (or always, once the
 ///     regret budget is exhausted) serve the verified best;
 ///  2. risk gate — skip exploration when the query's verified baseline
 ///     exceeds max_baseline_budget_fraction of the *remaining* budget
-///     (clamped at zero: the documented one-serving overshoot may push the
+///     (clamped at zero: the documented one-epoch overshoot may push the
 ///     ledger past the budget, and a negative remainder must read as "no
 ///     budget", not flip the comparison);
 ///  3. model step — serve the predicted-best unobserved hint when its
@@ -188,11 +183,10 @@ inline ServingClassification ClassifyServing(int verified_best,
 ///
 /// `draw_gate()` must consume exactly one Bernoulli(epsilon) draw and is
 /// only invoked when epsilon > 0 and the budget is live; `scan()` returns
-/// the row's HintScan (invoked only after both gates pass — the
-/// synchronous path refits lazily inside it); `draw_pick(n)` must consume
-/// one uniform draw in [0, n) and is only invoked when the fallback fires
-/// with n > 0 candidates. Keeping the draw discipline exact is what makes
-/// every adapter's trace a pure function of its seed/stream contract.
+/// the row's HintScan (invoked only after both gates pass); `draw_pick(n)`
+/// must consume one uniform draw in [0, n) and is only invoked when the
+/// fallback fires with n > 0 candidates. Keeping the draw discipline exact
+/// is what makes the trace a pure function of (seed, serving index).
 template <typename GateFn, typename ScanFn, typename PickFn>
 inline int DecideServingHint(const OnlineExplorationOptions& opt,
                              const DecisionInputs& in, GateFn&& draw_gate,

@@ -349,7 +349,8 @@ SnapshotChunk& ExplorationEngine::WritableChunk(int query) {
 void ExplorationEngine::ScanVerified(SnapshotChunk& chunk, int row,
                                      int query) {
   // The OnlineOptimizer rule, delegated to the one implementation so the
-  // snapshot path and the synchronous path can never drift apart.
+  // snapshot path and every other OnlineOptimizer reader (the driver's
+  // no-regression check among them) can never drift apart.
   const int best =
       OnlineOptimizer(&matrix_).ChooseHint(query, &runner_up_[query]);
   chunk.verified_best[row] = best;
@@ -869,19 +870,6 @@ int ExplorationEngine::AppendQueries(int count) {
   ++updates_since_refresh_;
   CountUnpublished(1);
   return first;
-}
-
-void ExplorationEngine::ObserveServing(int query, int hint, double latency,
-                                       bool exploratory, double regret_delta) {
-  ServingObservation obs;
-  obs.query = query;
-  obs.hint = hint;
-  obs.latency = latency;
-  obs.exploratory = exploratory;
-  obs.regret_delta = regret_delta;
-  TrainPlaneLock lock(this);
-  ApplyObservation(obs);
-  CountUnpublished(1);
 }
 
 void ExplorationEngine::ResetMatrix(WorkloadMatrix matrix) {

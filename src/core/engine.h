@@ -461,7 +461,7 @@ class ExplorationEngine {
   /// file write runs outside the drain lock.
   Status SaveCheckpoint() EXCLUDES(drain_mu_);
 
-  // --- Train-plane observation entry points (offline loop, adapters) -----
+  // --- Train-plane observation entry points (offline loop) ---------------
   /// Records a completed execution directly (no queue, no regret): the
   /// offline exploration path.
   void Observe(int query, int hint, double latency) EXCLUDES(drain_mu_);
@@ -472,11 +472,6 @@ class ExplorationEngine {
   void Clear(int query, int hint) EXCLUDES(drain_mu_);
   /// Appends new all-unobserved query rows; returns the first new index.
   int AppendQueries(int count) EXCLUDES(drain_mu_);
-  /// Records a serving observed synchronously on the train plane (the
-  /// single-threaded OnlineExplorationOptimizer path): applies the matrix
-  /// update and charges the ledgers immediately, bypassing the queue.
-  void ObserveServing(int query, int hint, double latency, bool exploratory,
-                      double regret_delta) EXCLUDES(drain_mu_);
   /// Replaces the matrix wholesale (resume-from-disk) and invalidates the
   /// model state.
   void ResetMatrix(WorkloadMatrix matrix) EXCLUDES(drain_mu_);
@@ -521,8 +516,8 @@ class ExplorationEngine {
   /// Warm-start factor state (empty before the first fit and after an
   /// invalidation).
   const CompletionFactors& warm_factors() const { return factors_; }
-  /// Servings of `query` applied so far (drained from the queue or recorded
-  /// by ObserveServing). Reset by ResetMatrix and RestoreFromCheckpoint.
+  /// Servings of `query` drained from the queue so far. Reset by
+  /// ResetMatrix and RestoreFromCheckpoint.
   uint64_t row_servings(int query) const NO_THREAD_SAFETY_ANALYSIS {
     return row_servings_[query];
   }

@@ -138,8 +138,8 @@ struct ScenarioSpec {
   double cost_error_sigma = 0.8;
 
   // --- Online serving phase ----------------------------------------------
-  /// Round-robin servings pushed through OnlineExplorationOptimizer after
-  /// the offline loop; 0 skips the online phase.
+  /// Round-robin servings served through the ShardedServingTier after the
+  /// offline loop; 0 skips the online phase.
   int online_servings = 300;
   /// Fraction of servings allowed to explore an unverified plan.
   double epsilon = 0.1;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -14,7 +13,6 @@
 #include "core/nuclear_norm.h"
 #include "core/online.h"
 #include "core/shard_router.h"
-#include "core/online_explorer.h"
 #include "core/policy.h"
 #include "core/svt.h"
 #include "nn/tcnn_predictor.h"
@@ -98,23 +96,6 @@ std::unique_ptr<core::ExplorationPolicy> MakePolicy(
 void Violate(SimulationResult* result, const std::string& invariant,
              const std::string& detail) {
   result->violations.push_back(invariant + ": " + detail);
-}
-
-/// Executes the default hint until the backend produces a usable result —
-/// the synchronous-mode degradation fallback. The default plan is the
-/// always-available one, and every Execute call rolls fresh fault
-/// decisions, so for any failure probability < 1 this terminates almost
-/// surely; a backend failing this many calls in a row is permanently
-/// broken, not faulty.
-core::BackendResult ExecuteDefaultFallback(core::WorkloadBackend* backend,
-                                           int query) {
-  constexpr int kMaxFallbackAttempts = 10000;
-  for (int i = 0; i < kMaxFallbackAttempts; ++i) {
-    const core::BackendResult r = backend->Execute(query, 0, 0.0);
-    if (!r.failed) return r;
-  }
-  LIMEQO_CHECK(false);  // backend permanently failing the default plan
-  return core::BackendResult{};
 }
 
 /// The serving rule's no-regression guarantee (Algorithm 1 lines 13-15),
@@ -389,9 +370,9 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
   // surface is a configuration error, not a world property.
   LIMEQO_CHECK(config.arm == PredictorArm::kCompleter ||
                config.world == WorldKind::kSimDb);
-  // Concurrent serving always runs through a tier of >= 1 shards.
-  LIMEQO_CHECK(config.serve_threads <= 0 || config.shards >= 1);
-  LIMEQO_CHECK(!config.free_running || config.serve_threads >= 1);
+  // Serving always runs through a tier of >= 1 shards on >= 1 threads.
+  LIMEQO_CHECK(config.serve_threads >= 1);
+  LIMEQO_CHECK(config.shards >= 1);
 
   SimulationResult result;
   result.scenario = spec_.name;
@@ -527,398 +508,332 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
     online.regret_budget_seconds = spec_.online_regret_budget_seconds;
     online.seed = MixSeed(spec_.seed, 0x534Fu);
 
-    // The per-mode regret-overshoot allowance: one serving's latency in
-    // the synchronous mode (the budget check is live, before each
-    // serving); one epoch's exploratory regret per shard in the
-    // epoch-synchronized mode (the gate reads the snapshot's frozen
-    // ledger, so everything charged within an epoch lands after the
-    // decision that allowed it); the largest in-flight regret window per
-    // shard that no single decision could yet see in the free-running
-    // mode.
+    // The per-mode regret-overshoot allowance: one epoch's exploratory
+    // regret per shard in the epoch-synchronized mode (the gate reads the
+    // snapshot's frozen ledger, so everything charged within an epoch lands
+    // after the decision that allowed it); the largest in-flight regret
+    // window per shard that no single decision could yet see in the
+    // free-running mode.
     double regret_allowance = 0.0;
-    const char* allowance_kind = "one serving";
-    // Concurrent runs serve from the tier's per-shard matrices; their
-    // merged reassembly replaces explorer.matrix() for the final checks.
-    std::optional<core::WorkloadMatrix> merged;
+    const char* allowance_kind = config.free_running
+                                     ? "summed per-shard in-flight windows"
+                                     : "one epoch per shard";
 
-    if (config.serve_threads <= 0) {
-      // -- Synchronous path: one thread acting as both planes, on the
-      // offline explorer's engine.
-      std::unique_ptr<core::Predictor> predictor =
-          MakePredictor(config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu));
-      core::ExplorationEngine& engine = explorer.engine();
-      engine.SetPredictor(predictor.get());
-      core::OnlineExplorationOptimizer optimizer(&engine, online);
-      double max_served = 0.0;
-      for (int s = 0; s < spec_.online_servings; ++s) {
-        const int q = s % spec_.num_queries;
-        const int hint = optimizer.ChooseHint(q);
-        const core::BackendResult r =
-            backend->Execute(q, hint, /*timeout_seconds=*/0.0);
-        if (r.failed) {
-          // Graceful degradation, synchronous flavor: the chosen plan's
-          // execution kept failing, so this serving answers with the
-          // default hint instead. The fallback bypasses the optimizer —
-          // it is an infrastructure fault, not an exploration decision —
-          // and is reported non-exploratory with zero regret, so the
-          // ledger and the gate/freeze invariants never see fault cost.
-          const core::BackendResult fb =
-              ExecuteDefaultFallback(backend.get(), q);
-          ++result.fault_serve_fallbacks;
-          max_served = std::max(max_served, fb.observed_latency);
-          engine.ObserveServing(q, 0, fb.observed_latency,
-                                /*exploratory=*/false, /*regret_delta=*/0.0);
+    // -- serve_threads threads over a tier of config.shards engines behind
+    // the deterministic router (src/core/shard_router.h). Rows partition
+    // by the seed-pure hash; the fleet regret budget splits into
+    // row-count-proportional slices; decisions stay keyed by *global*
+    // serving index, so the fleet consumes exactly one epsilon-gate draw
+    // per serving like a single engine would. At one shard local rows are
+    // global rows, so every predictor arm serves; more shards need a
+    // per-shard completion model.
+    LIMEQO_CHECK(config.shards == 1 ||
+                 config.arm == PredictorArm::kCompleter);
+    std::vector<std::unique_ptr<core::Predictor>> shard_predictors;
+    std::vector<core::Predictor*> shard_predictor_ptrs;
+    shard_predictors.reserve(config.shards);
+    for (int i = 0; i < config.shards; ++i) {
+      // Per-shard instances of the same predictor configuration (same
+      // derived seed): refits are per-shard-matrix pure functions.
+      shard_predictors.push_back(MakePredictor(
+          config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu)));
+      shard_predictor_ptrs.push_back(shard_predictors.back().get());
+    }
+    core::ShardedTierOptions tier_options;
+    tier_options.num_shards = config.shards;
+    tier_options.online = online;
+    // A queue much smaller than the serving phase makes the free-running
+    // staleness bound meaningful (2 * capacity + threads * batch +
+    // publish_every must undercut the total servings): producers more
+    // than a lap ahead of the drain block, so the bound is a hard
+    // invariant, not a heuristic.
+    if (config.free_running) tier_options.engine.queue_capacity = 64;
+    tier_options.shared_train_plane = config.shared_train_plane;
+    core::ShardedServingTier tier(explorer.matrix(), shard_predictor_ptrs,
+                                  tier_options);
+    tier.RefreshAll(/*force=*/true);
+    tier.PublishAll();
+
+    const int total = spec_.online_servings;
+    const int threads = config.serve_threads;
+    const int shards = tier.num_shards();
+    // How each serving's faults resolved, written once per global index
+    // by the serving thread that owns it (no locking required).
+    std::vector<ResolvedServing> resolved(total);
+    const auto resolve = [&](int q, int chosen, uint64_t seq) {
+      const ResolvedServing& r = resolved[seq] = ResolveServingFaults(
+          config.faults, config.max_retries, config.retry_backoff_seconds,
+          q, chosen, seq);
+      return core::ServedOutcome{
+          r.hint, backend->ServeLatency(q, r.hint, seq), r.degraded};
+    };
+
+    if (config.free_running) {
+      // -- Free-running plane: the shards' train planes run while
+      // ServeFreeRunning's threads claim *global* index batches, route
+      // each serving to its shard, and report under shard-local sequence
+      // numbers. Which snapshot a serving sees depends on timing, so
+      // the invariants below are statistical: the single-engine set
+      // applied per shard, plus the fleet-wide compositions.
+      std::vector<core::TierServing> records(total);
+      tier.StartTraining();
+      tier.ServeFreeRunning(total, threads, resolve,
+                            [&records](const core::TierServing& served) {
+                              records[served.seq] = served;
+                            });
+      tier.StopTraining();  // final drain + publish on every shard
+
+      // ---- No serving lost or double-counted: each shard's local
+      // sequence numbers must be exactly 0..count-1 for the servings
+      // routed to it, and each shard must have drained exactly what was
+      // routed. shard_rank[s] counts the servings routed to s's shard
+      // under a smaller global index.
+      std::vector<uint64_t> routed(shards, 0);
+      std::vector<uint64_t> shard_rank(total);
+      for (int s = 0; s < total; ++s) {
+        shard_rank[s] = routed[records[s].shard]++;
+      }
+      std::vector<std::vector<int>> local_to_global(shards);
+      for (int i = 0; i < shards; ++i) {
+        local_to_global[i].assign(static_cast<size_t>(routed[i]), -1);
+      }
+      bool seq_ok = true;
+      for (int s = 0; s < total; ++s) {
+        const core::TierServing& r = records[s];
+        const uint64_t local_seq = r.observation.seq;
+        if (local_seq >= local_to_global[r.shard].size() ||
+            local_to_global[r.shard][local_seq] != -1) {
+          std::ostringstream os;
+          os << "serving " << s << " drained at shard " << r.shard
+             << " local seq " << local_seq
+             << " (out of range or double-counted)";
+          Violate(&result, "shard-seq-accounting", os.str());
+          seq_ok = false;
           continue;
         }
-        max_served = std::max(max_served, r.observed_latency);
-        optimizer.ReportLatency(q, hint, r.observed_latency);
+        local_to_global[r.shard][local_seq] = s;
       }
-      regret_allowance = max_served;
-
-      // Record the run's metrics before any diagnostic traffic below so
-      // the freeze probes don't contaminate the reported numbers.
-      result.servings = optimizer.servings();
-      result.explorations = optimizer.explorations();
-      result.regret_spent = optimizer.regret_spent();
-      result.final_latency = explorer.matrix().CurrentWorkloadLatency();
-
-      // An exhausted budget must freeze exploration for good.
-      if (optimizer.budget_exhausted()) {
-        const int frozen = optimizer.explorations();
-        for (int s = 0; s < 50; ++s) {
-          const int q = s % spec_.num_queries;
-          const int hint = optimizer.ChooseHint(q);
-          const core::BackendResult r = backend->Execute(q, hint, 0.0);
-          if (r.failed) continue;  // a dropped probe can't unfreeze anything
-          optimizer.ReportLatency(q, hint, r.observed_latency);
-        }
-        if (optimizer.explorations() != frozen) {
+      for (int i = 0; i < shards; ++i) {
+        if (tier.shard_engine(i).drained_servings() != routed[i]) {
           std::ostringstream os;
-          os << optimizer.explorations() - frozen
-             << " explorations after budget exhaustion";
-          Violate(&result, "online-budget-freeze", os.str());
+          os << "shard " << i << " drained "
+             << tier.shard_engine(i).drained_servings() << " servings, "
+             << routed[i] << " were routed to it";
+          Violate(&result, "shard-seq-accounting", os.str());
+          seq_ok = false;
+        }
+      }
+
+      if (seq_ok) {
+        // ---- Per-shard replay in local order: ledger consistency,
+        // slice-gated exploration, the local staleness bound — plus the
+        // fleet compositions (summed in-flight slack, the global
+        // staleness bound).
+        std::vector<uint64_t> global_staleness;
+        global_staleness.reserve(static_cast<size_t>(total));
+        for (int i = 0; i < shards; ++i) {
+          const std::vector<int>& order = local_to_global[i];
+          const uint64_t count = routed[i];
+          // prefix[l] is the regret drained before local serving l —
+          // bitwise the ledger any snapshot published at drain front l
+          // froze, because the drain applies deltas in the same order
+          // with the same additions.
+          std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
+          for (uint64_t l = 0; l < count; ++l) {
+            prefix[l + 1] =
+                prefix[l] + records[order[l]].observation.regret_delta;
+          }
+          const double shard_spent = tier.shard_engine(i).regret_spent();
+          if (std::abs(prefix[count] - shard_spent) > 1e-9) {
+            std::ostringstream os;
+            os << "shard " << i << " drained ledger " << shard_spent
+               << "s != replayed per-serving deltas " << prefix[count]
+               << "s";
+            Violate(&result, "free-ledger-consistency", os.str());
+          }
+          const double slice = tier.shard_budget(i);
+          // The single-engine bound: a producer of local serving l
+          // blocks until the drain passes l - capacity, publications lag
+          // the drain front by < capacity + publish_every, and each
+          // thread holds at most one claimed batch.
+          constexpr uint64_t kBatch =
+              core::ShardedServingTier::kFreeRunningBatch;
+          const uint64_t local_bound =
+              2 * tier.shard_engine(i).queue_capacity() +
+              static_cast<uint64_t>(threads) * kBatch +
+              static_cast<uint64_t>(online.publish_every);
+          // Global staleness of the serving at local position l, global
+          // index s, decided on snapshot p: the earlier global servings
+          // of its shard the snapshot had not drained,
+          // #{m >= p : order[m] < s}. Those at m < l number at most
+          // l - p <= local_bound; those at m > l were claimed globally
+          // before s but took their local index after it — at most one
+          // claimed batch per other serving thread.
+          const uint64_t global_bound =
+              local_bound +
+              static_cast<uint64_t>(threads - 1) * kBatch;
+          double max_inflight = 0.0;
+          std::vector<std::pair<uint64_t, uint64_t>> by_snapshot;  // (p, l)
+          by_snapshot.reserve(static_cast<size_t>(count));
+          for (uint64_t l = 0; l < count; ++l) {
+            const core::TierServing& r = records[order[l]];
+            const uint64_t p = r.snapshot_seq;
+            if (p > l) {
+              std::ostringstream os;
+              os << "shard " << i << " local serving " << l
+                 << " decided on snapshot seq " << p
+                 << " ahead of itself";
+              Violate(&result, "free-gate", os.str());
+              continue;
+            }
+            if (r.observation.exploratory) {
+              if (prefix[p] >= slice) {
+                std::ostringstream os;
+                os << "shard " << i << " serving " << order[l]
+                   << " (query " << r.query << ", hint "
+                   << r.observation.hint << ", " << r.observation.latency
+                   << "s) explored on a snapshot whose ledger ("
+                   << prefix[p] << "s) already exhausted the slice ("
+                   << slice << "s)";
+                Violate(&result, "free-gate", os.str());
+              }
+              max_inflight =
+                  std::max(max_inflight, prefix[l + 1] - prefix[p]);
+            }
+            if (l - p > local_bound) {
+              std::ostringstream os;
+              os << "shard " << i << " local staleness " << l - p
+                 << " exceeds the per-shard bound " << local_bound;
+              Violate(&result, "free-staleness", os.str());
+            }
+            by_snapshot.emplace_back(p, l);
+          }
+          // One sweep over the snapshot fronts in ascending order:
+          // `drained` holds the shard ranks of the local positions below
+          // the front, so the missing count is the serving's own rank
+          // minus the drained servings ranked below it.
+          std::sort(by_snapshot.begin(), by_snapshot.end());
+          CountTree drained(static_cast<size_t>(count));
+          uint64_t front = 0;
+          for (const auto& [p, l] : by_snapshot) {
+            for (; front < p; ++front) {
+              drained.Add(shard_rank[order[front]]);
+            }
+            const uint64_t s = static_cast<uint64_t>(order[l]);
+            const uint64_t gstale =
+                shard_rank[s] - drained.CountBelow(shard_rank[s]);
+            global_staleness.push_back(gstale);
+            if (gstale > global_bound) {
+              std::ostringstream os;
+              os << "serving " << s << " global staleness " << gstale
+                 << " exceeds the tier bound " << global_bound
+                 << " (shard " << i << ", local staleness " << l - p
+                 << ")";
+              Violate(&result, "free-staleness", os.str());
+            }
+          }
+          regret_allowance += max_inflight;
+        }
+        result.regret_slack = std::max(
+            0.0, tier.regret_spent() - online.regret_budget_seconds);
+        std::sort(global_staleness.begin(), global_staleness.end());
+        if (!global_staleness.empty()) {
+          result.staleness_p50 = static_cast<double>(
+              global_staleness[global_staleness.size() / 2]);
+          result.staleness_p95 = static_cast<double>(
+              global_staleness[(95 * (global_staleness.size() - 1)) / 100]);
+          result.staleness_max =
+              static_cast<double>(global_staleness.back());
         }
       }
     } else {
-      // -- Concurrent serving: serve_threads threads over a tier of
-      // config.shards engines behind the deterministic router
-      // (src/core/shard_router.h). Rows partition by the seed-pure hash;
-      // the fleet regret budget splits into row-count-proportional
-      // slices; decisions stay keyed by *global* serving index, so the
-      // fleet consumes exactly one epsilon-gate draw per serving like a
-      // single engine would. At one shard local rows are global rows, so
-      // every predictor arm serves; more shards need a per-shard
-      // completion model.
-      LIMEQO_CHECK(config.shards == 1 ||
-                   config.arm == PredictorArm::kCompleter);
-      std::vector<std::unique_ptr<core::Predictor>> shard_predictors;
-      std::vector<core::Predictor*> shard_predictor_ptrs;
-      shard_predictors.reserve(config.shards);
-      for (int i = 0; i < config.shards; ++i) {
-        // Per-shard instances of the same predictor configuration (same
-        // derived seed): refits are per-shard-matrix pure functions.
-        shard_predictors.push_back(MakePredictor(
-            config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu)));
-        shard_predictor_ptrs.push_back(shard_predictors.back().get());
-      }
-      core::ShardedTierOptions tier_options;
-      tier_options.num_shards = config.shards;
-      tier_options.online = online;
-      // A queue much smaller than the serving phase makes the free-running
-      // staleness bound meaningful (2 * capacity + threads * batch +
-      // publish_every must undercut the total servings): producers more
-      // than a lap ahead of the drain block, so the bound is a hard
-      // invariant, not a heuristic.
-      if (config.free_running) tier_options.engine.queue_capacity = 64;
-      tier_options.shared_train_plane = config.shared_train_plane;
-      core::ShardedServingTier tier(explorer.matrix(), shard_predictor_ptrs,
-                                    tier_options);
-      tier.RefreshAll(/*force=*/true);
-      tier.PublishAll();
-
-      const int total = spec_.online_servings;
-      const int threads = config.serve_threads;
-      const int shards = tier.num_shards();
-      // How each serving's faults resolved, written once per global index
-      // by the serving thread that owns it (no locking required).
-      std::vector<ResolvedServing> resolved(total);
-      const auto resolve = [&](int q, int chosen, uint64_t seq) {
-        const ResolvedServing& r = resolved[seq] = ResolveServingFaults(
-            config.faults, config.max_retries, config.retry_backoff_seconds,
-            q, chosen, seq);
-        return core::ServedOutcome{
-            r.hint, backend->ServeLatency(q, r.hint, seq), r.degraded};
-      };
-
-      if (config.free_running) {
-        // -- Free-running plane: the shards' train planes run while
-        // ServeFreeRunning's threads claim *global* index batches, route
-        // each serving to its shard, and report under shard-local sequence
-        // numbers. Which snapshot a serving sees depends on timing, so
-        // the invariants below are statistical: the single-engine set
-        // applied per shard, plus the fleet-wide compositions.
-        std::vector<core::TierServing> records(total);
-        tier.StartTraining();
-        tier.ServeFreeRunning(total, threads, resolve,
-                              [&records](const core::TierServing& served) {
-                                records[served.seq] = served;
-                              });
-        tier.StopTraining();  // final drain + publish on every shard
-
-        // ---- No serving lost or double-counted: each shard's local
-        // sequence numbers must be exactly 0..count-1 for the servings
-        // routed to it, and each shard must have drained exactly what was
-        // routed. shard_rank[s] counts the servings routed to s's shard
-        // under a smaller global index.
-        std::vector<uint64_t> routed(shards, 0);
-        std::vector<uint64_t> shard_rank(total);
-        for (int s = 0; s < total; ++s) {
-          shard_rank[s] = routed[records[s].shard]++;
-        }
-        std::vector<std::vector<int>> local_to_global(shards);
+      // -- Epoch-synchronized plane: epochs of publish_every servings,
+      // each ending in the tier's SyncEpoch barrier (drain, refit on
+      // the refresh_every cadence, republish). ServeSchedule preassigns
+      // shard-local sequence numbers in global order and decisions are
+      // pure functions of (snapshot, serving index), so the merged trace
+      // is bitwise identical at every thread count.
+      result.serving_trace.resize(total);
+      std::vector<double> shard_epoch_regret(shards, 0.0);
+      std::vector<double> regret_before(shards, 0.0);
+      for (int epoch = 0; epoch < total; epoch += online.publish_every) {
+        const int end = std::min(total, epoch + online.publish_every);
         for (int i = 0; i < shards; ++i) {
-          local_to_global[i].assign(static_cast<size_t>(routed[i]), -1);
+          regret_before[i] = tier.shard_engine(i).regret_spent();
         }
-        bool seq_ok = true;
-        for (int s = 0; s < total; ++s) {
-          const core::TierServing& r = records[s];
-          const uint64_t local_seq = r.observation.seq;
-          if (local_seq >= local_to_global[r.shard].size() ||
-              local_to_global[r.shard][local_seq] != -1) {
-            std::ostringstream os;
-            os << "serving " << s << " drained at shard " << r.shard
-               << " local seq " << local_seq
-               << " (out of range or double-counted)";
-            Violate(&result, "shard-seq-accounting", os.str());
-            seq_ok = false;
-            continue;
-          }
-          local_to_global[r.shard][local_seq] = s;
-        }
+        tier.ServeSchedule(
+            epoch, end, threads, resolve,
+            [&](const core::TierServing& served) {
+              result.serving_trace[served.seq] =
+                  ServingRecord{served.query, served.observation.hint,
+                                served.observation.latency};
+            });
         for (int i = 0; i < shards; ++i) {
-          if (tier.shard_engine(i).drained_servings() != routed[i]) {
-            std::ostringstream os;
-            os << "shard " << i << " drained "
-               << tier.shard_engine(i).drained_servings() << " servings, "
-               << routed[i] << " were routed to it";
-            Violate(&result, "shard-seq-accounting", os.str());
-            seq_ok = false;
-          }
+          shard_epoch_regret[i] = std::max(
+              shard_epoch_regret[i],
+              tier.shard_engine(i).regret_spent() - regret_before[i]);
         }
-
-        if (seq_ok) {
-          // ---- Per-shard replay in local order: ledger consistency,
-          // slice-gated exploration, the local staleness bound — plus the
-          // fleet compositions (summed in-flight slack, the global
-          // staleness bound).
-          std::vector<uint64_t> global_staleness;
-          global_staleness.reserve(static_cast<size_t>(total));
-          for (int i = 0; i < shards; ++i) {
-            const std::vector<int>& order = local_to_global[i];
-            const uint64_t count = routed[i];
-            // prefix[l] is the regret drained before local serving l —
-            // bitwise the ledger any snapshot published at drain front l
-            // froze, because the drain applies deltas in the same order
-            // with the same additions.
-            std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
-            for (uint64_t l = 0; l < count; ++l) {
-              prefix[l + 1] =
-                  prefix[l] + records[order[l]].observation.regret_delta;
-            }
-            const double shard_spent = tier.shard_engine(i).regret_spent();
-            if (std::abs(prefix[count] - shard_spent) > 1e-9) {
-              std::ostringstream os;
-              os << "shard " << i << " drained ledger " << shard_spent
-                 << "s != replayed per-serving deltas " << prefix[count]
-                 << "s";
-              Violate(&result, "free-ledger-consistency", os.str());
-            }
-            const double slice = tier.shard_budget(i);
-            // The single-engine bound: a producer of local serving l
-            // blocks until the drain passes l - capacity, publications lag
-            // the drain front by < capacity + publish_every, and each
-            // thread holds at most one claimed batch.
-            constexpr uint64_t kBatch =
-                core::ShardedServingTier::kFreeRunningBatch;
-            const uint64_t local_bound =
-                2 * tier.shard_engine(i).queue_capacity() +
-                static_cast<uint64_t>(threads) * kBatch +
-                static_cast<uint64_t>(online.publish_every);
-            // Global staleness of the serving at local position l, global
-            // index s, decided on snapshot p: the earlier global servings
-            // of its shard the snapshot had not drained,
-            // #{m >= p : order[m] < s}. Those at m < l number at most
-            // l - p <= local_bound; those at m > l were claimed globally
-            // before s but took their local index after it — at most one
-            // claimed batch per other serving thread.
-            const uint64_t global_bound =
-                local_bound +
-                static_cast<uint64_t>(threads - 1) * kBatch;
-            double max_inflight = 0.0;
-            std::vector<std::pair<uint64_t, uint64_t>> by_snapshot;  // (p, l)
-            by_snapshot.reserve(static_cast<size_t>(count));
-            for (uint64_t l = 0; l < count; ++l) {
-              const core::TierServing& r = records[order[l]];
-              const uint64_t p = r.snapshot_seq;
-              if (p > l) {
-                std::ostringstream os;
-                os << "shard " << i << " local serving " << l
-                   << " decided on snapshot seq " << p
-                   << " ahead of itself";
-                Violate(&result, "free-gate", os.str());
-                continue;
-              }
-              if (r.observation.exploratory) {
-                if (prefix[p] >= slice) {
-                  std::ostringstream os;
-                  os << "shard " << i << " serving " << order[l]
-                     << " (query " << r.query << ", hint "
-                     << r.observation.hint << ", " << r.observation.latency
-                     << "s) explored on a snapshot whose ledger ("
-                     << prefix[p] << "s) already exhausted the slice ("
-                     << slice << "s)";
-                  Violate(&result, "free-gate", os.str());
-                }
-                max_inflight =
-                    std::max(max_inflight, prefix[l + 1] - prefix[p]);
-              }
-              if (l - p > local_bound) {
-                std::ostringstream os;
-                os << "shard " << i << " local staleness " << l - p
-                   << " exceeds the per-shard bound " << local_bound;
-                Violate(&result, "free-staleness", os.str());
-              }
-              by_snapshot.emplace_back(p, l);
-            }
-            // One sweep over the snapshot fronts in ascending order:
-            // `drained` holds the shard ranks of the local positions below
-            // the front, so the missing count is the serving's own rank
-            // minus the drained servings ranked below it.
-            std::sort(by_snapshot.begin(), by_snapshot.end());
-            CountTree drained(static_cast<size_t>(count));
-            uint64_t front = 0;
-            for (const auto& [p, l] : by_snapshot) {
-              for (; front < p; ++front) {
-                drained.Add(shard_rank[order[front]]);
-              }
-              const uint64_t s = static_cast<uint64_t>(order[l]);
-              const uint64_t gstale =
-                  shard_rank[s] - drained.CountBelow(shard_rank[s]);
-              global_staleness.push_back(gstale);
-              if (gstale > global_bound) {
-                std::ostringstream os;
-                os << "serving " << s << " global staleness " << gstale
-                   << " exceeds the tier bound " << global_bound
-                   << " (shard " << i << ", local staleness " << l - p
-                   << ")";
-                Violate(&result, "free-staleness", os.str());
-              }
-            }
-            regret_allowance += max_inflight;
-          }
-          allowance_kind = "summed per-shard in-flight windows";
-          result.regret_slack = std::max(
-              0.0, tier.regret_spent() - online.regret_budget_seconds);
-          std::sort(global_staleness.begin(), global_staleness.end());
-          if (!global_staleness.empty()) {
-            result.staleness_p50 = static_cast<double>(
-                global_staleness[global_staleness.size() / 2]);
-            result.staleness_p95 = static_cast<double>(
-                global_staleness[(95 * (global_staleness.size() - 1)) / 100]);
-            result.staleness_max =
-                static_cast<double>(global_staleness.back());
-          }
-        }
-      } else {
-        // -- Epoch-synchronized plane: epochs of publish_every servings,
-        // each ending in the tier's SyncEpoch barrier (drain, refit on
-        // the refresh_every cadence, republish). ServeSchedule preassigns
-        // shard-local sequence numbers in global order and decisions are
-        // pure functions of (snapshot, serving index), so the merged trace
-        // is bitwise identical at every thread count.
-        result.serving_trace.resize(total);
-        std::vector<double> shard_epoch_regret(shards, 0.0);
-        std::vector<double> regret_before(shards, 0.0);
-        for (int epoch = 0; epoch < total; epoch += online.publish_every) {
-          const int end = std::min(total, epoch + online.publish_every);
-          for (int i = 0; i < shards; ++i) {
-            regret_before[i] = tier.shard_engine(i).regret_spent();
-          }
-          tier.ServeSchedule(
-              epoch, end, threads, resolve,
-              [&](const core::TierServing& served) {
-                result.serving_trace[served.seq] =
-                    ServingRecord{served.query, served.observation.hint,
-                                  served.observation.latency};
-              });
-          for (int i = 0; i < shards; ++i) {
-            shard_epoch_regret[i] = std::max(
-                shard_epoch_regret[i],
-                tier.shard_engine(i).regret_spent() - regret_before[i]);
-          }
-        }
-        // Each shard's slice can be overshot by one epoch of its own
-        // exploratory regret, so the fleet allowance is the sum.
-        for (int i = 0; i < shards; ++i) {
-          regret_allowance += shard_epoch_regret[i];
-        }
-        allowance_kind = "one epoch per shard";
       }
-
-      result.servings = total;
-      result.explorations = tier.explorations();
-      result.regret_spent = tier.regret_spent();
-      // Capture the merged reassembly before the freeze probe below adds
-      // diagnostic traffic.
-      merged = tier.MergedMatrix();
-      result.final_latency = merged->CurrentWorkloadLatency();
-      // Fault accounting in global sequence order: deterministic sums,
-      // even over a timing-dependent free-running run.
-      for (const ResolvedServing& r : resolved) {
-        result.fault_serve_failures += r.failures;
-        if (r.degraded) ++result.fault_serve_fallbacks;
-        result.fault_backoff_seconds += r.backoff_seconds;
-      }
-
-      // ---- Per-shard freeze: a shard whose exhausted slice is published
-      // (the last epoch barrier or StopTraining's final publish) must not
-      // explore again; the other shards may keep exploring their own
-      // slices. Probed past every claimed index with the deterministic
-      // schedule (StopTraining re-synced its counters), in publish_every
-      // epochs so the slice must stay frozen across several barriers,
-      // refits and republished snapshots.
-      std::vector<int> frozen(shards, -1);
-      bool any_exhausted = false;
+      // Each shard's slice can be overshot by one epoch of its own
+      // exploratory regret, so the fleet allowance is the sum.
       for (int i = 0; i < shards; ++i) {
-        if (!tier.shard_engine(i).budget_exhausted()) continue;
-        frozen[i] = tier.shard_engine(i).explorations();
-        any_exhausted = true;
+        regret_allowance += shard_epoch_regret[i];
       }
-      if (any_exhausted) {
-        const uint64_t probe =
-            std::max<uint64_t>(total, tier.claimed_servings());
-        const uint64_t probe_end = probe + 50;
-        for (uint64_t k = probe; k < probe_end; k += online.publish_every) {
-          tier.ServeSchedule(
-              k, std::min<uint64_t>(k + online.publish_every, probe_end), 1,
-              [&](int q, int chosen, uint64_t seq) {
-                core::ServedOutcome out;
-                out.hint = chosen;
-                out.latency = backend->ServeLatency(q, chosen, seq);
-                return out;
-              });
+    }
+
+    result.servings = total;
+    result.explorations = tier.explorations();
+    result.regret_spent = tier.regret_spent();
+    // Capture the merged reassembly before the freeze probe below adds
+    // diagnostic traffic.
+    const core::WorkloadMatrix merged = tier.MergedMatrix();
+    result.final_latency = merged.CurrentWorkloadLatency();
+    // Fault accounting in global sequence order: deterministic sums,
+    // even over a timing-dependent free-running run.
+    for (const ResolvedServing& r : resolved) {
+      result.fault_serve_failures += r.failures;
+      if (r.degraded) ++result.fault_serve_fallbacks;
+      result.fault_backoff_seconds += r.backoff_seconds;
+    }
+
+    // ---- Per-shard freeze: a shard whose exhausted slice is published
+    // (the last epoch barrier or StopTraining's final publish) must not
+    // explore again; the other shards may keep exploring their own
+    // slices. Probed past every claimed index with the deterministic
+    // schedule (StopTraining re-synced its counters), in publish_every
+    // epochs so the slice must stay frozen across several barriers,
+    // refits and republished snapshots.
+    std::vector<int> frozen(shards, -1);
+    bool any_exhausted = false;
+    for (int i = 0; i < shards; ++i) {
+      if (!tier.shard_engine(i).budget_exhausted()) continue;
+      frozen[i] = tier.shard_engine(i).explorations();
+      any_exhausted = true;
+    }
+    if (any_exhausted) {
+      const uint64_t probe =
+          std::max<uint64_t>(total, tier.claimed_servings());
+      const uint64_t probe_end = probe + 50;
+      for (uint64_t k = probe; k < probe_end; k += online.publish_every) {
+        tier.ServeSchedule(
+            k, std::min<uint64_t>(k + online.publish_every, probe_end), 1,
+            [&](int q, int chosen, uint64_t seq) {
+              core::ServedOutcome out;
+              out.hint = chosen;
+              out.latency = backend->ServeLatency(q, chosen, seq);
+              return out;
+            });
+      }
+      for (int i = 0; i < shards; ++i) {
+        if (frozen[i] < 0 ||
+            tier.shard_engine(i).explorations() == frozen[i]) {
+          continue;
         }
-        for (int i = 0; i < shards; ++i) {
-          if (frozen[i] < 0 ||
-              tier.shard_engine(i).explorations() == frozen[i]) {
-            continue;
-          }
-          std::ostringstream os;
-          os << "shard " << i << ": "
-             << tier.shard_engine(i).explorations() - frozen[i]
-             << " explorations after slice exhaustion";
-          Violate(&result, "online-budget-freeze", os.str());
-        }
+        std::ostringstream os;
+        os << "shard " << i << ": "
+           << tier.shard_engine(i).explorations() - frozen[i]
+           << " explorations after slice exhaustion";
+        Violate(&result, "online-budget-freeze", os.str());
       }
     }
 
@@ -951,13 +866,11 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
               "explorations with epsilon = 0");
     }
 
-    // The matrix the serving plane actually observed: the explorer's for
-    // the synchronous path, the tier's merged reassembly otherwise.
-    const core::WorkloadMatrix& final_matrix =
-        merged ? *merged : explorer.matrix();
-    CheckMatrixConsistency(final_matrix, &result);
-    CheckNoRegression(final_matrix, OnlineServedHints(final_matrix),
-                      "online-serving", &result);
+    // The matrix the serving plane actually observed: the tier's merged
+    // reassembly.
+    CheckMatrixConsistency(merged, &result);
+    CheckNoRegression(merged, OnlineServedHints(merged), "online-serving",
+                      &result);
   } else {
     result.final_latency = explorer.matrix().CurrentWorkloadLatency();
   }

@@ -92,20 +92,16 @@ struct RunConfig {
   /// TCNN hyper-parameters for the neural arms (seed is overridden from
   /// the scenario seed per phase).
   nn::TcnnOptions tcnn = ScenarioTcnnOptions();
-  /// Serving threads for the online phase. 0 (default) runs the
-  /// synchronous path: one thread acting as both planes on the offline
-  /// explorer's engine through OnlineExplorationOptimizer, with the live
-  /// (per-serving) regret check. >= 1 runs the concurrent serving plane:
-  /// that many serving threads over a ShardedServingTier of `shards`
-  /// engines (src/core/shard_router.h), epoch-synchronized by default or
-  /// free-running (below).
-  int serve_threads = 0;
-  /// Concurrent serving mode (requires serve_threads >= 1). False
-  /// (default) is epoch-synchronized (ShardedServingTier::ServeSchedule):
-  /// the threads decide hints on the shard snapshots over the
-  /// deterministic schedule in epochs of publish_every servings, and each
-  /// epoch ends in the tier's barrier (drain, refit on cadence,
-  /// republish). The merged serving trace is
+  /// Serving threads for the online phase (>= 1): that many serving
+  /// threads over a ShardedServingTier of `shards` engines
+  /// (src/core/shard_router.h), epoch-synchronized by default or
+  /// free-running (below). Every run serves through the tier.
+  int serve_threads = 1;
+  /// Serving mode. False (default) is epoch-synchronized
+  /// (ShardedServingTier::ServeSchedule): the threads decide hints on the
+  /// shard snapshots over the deterministic schedule in epochs of
+  /// publish_every servings, and each epoch ends in the tier's barrier
+  /// (drain, refit on cadence, republish). The merged serving trace is
   /// bitwise identical at every serve_threads. True is the deployment
   /// shape: the tier's train plane drains, refits, and republishes while
   /// ShardedServingTier::ServeFreeRunning's serve_threads threads serve
@@ -142,31 +138,28 @@ struct RunConfig {
   /// never slept, and never charged to the offline clock or the regret
   /// ledger — the no-double-charge invariant for transient faults.
   double retry_backoff_seconds = 0.05;
-  /// Engine shards of the concurrent serving tier; must be >= 1 whenever
-  /// serve_threads >= 1 (the synchronous path ignores it). Rows route by
-  /// the tier's deterministic row->shard partition and the fleet regret
-  /// budget splits into row-count-proportional per-shard slices. At one
-  /// shard (default) local rows are global rows and the single slice is
-  /// the whole budget, so every predictor arm serves and the trace equals
-  /// the one a bare engine served (tests/shard_router_test.cc pins frozen
-  /// bare-engine goldens); more shards require arm == kCompleter
-  /// (per-shard matrices need a per-shard completion model).
+  /// Engine shards of the serving tier (>= 1). Rows route by the tier's
+  /// deterministic row->shard partition and the fleet regret budget splits
+  /// into row-count-proportional per-shard slices. At one shard (default)
+  /// local rows are global rows and the single slice is the whole budget,
+  /// so every predictor arm serves and the trace equals the one a bare
+  /// engine served (tests/shard_router_test.cc pins frozen bare-engine
+  /// goldens); more shards require arm == kCompleter (per-shard matrices
+  /// need a per-shard completion model).
   int shards = 1;
   /// Drive the sharded tier's train plane through the shared TrainExecutor
   /// (src/core/train_executor.h) instead of one train thread per shard:
   /// free-running mode runs the executor's worker pool, the
-  /// epoch-synchronized mode its prioritized SyncEpochAll barrier. Only
-  /// meaningful when serve_threads >= 1. The merged trace and every
-  /// invariant are
-  /// unchanged — the executor is bitwise-neutral on the epoch path and
-  /// timing-equivalent on the free-running path
-  /// (tests/train_executor_test.cc pins both).
+  /// epoch-synchronized mode its prioritized SyncEpochAll barrier. The
+  /// merged trace and every invariant are unchanged — the executor is
+  /// bitwise-neutral on the epoch path and timing-equivalent on the
+  /// free-running path (tests/train_executor_test.cc pins both).
   bool shared_train_plane = false;
 };
 
-/// One serving of the concurrent serving plane, recorded at its global
-/// serving index. The full trace is the determinism artifact: equal specs
-/// and configs produce equal traces, bitwise, at any serve_threads.
+/// One serving of the online phase, recorded at its global serving index.
+/// The full trace is the determinism artifact: equal specs and configs
+/// produce equal traces, bitwise, at any serve_threads.
 struct ServingRecord {
   /// Query served at this index.
   int query = 0;
@@ -207,10 +200,10 @@ struct SimulationResult {
   int explorations = 0;           ///< exploratory servings
   double regret_spent = 0.0;      ///< cumulative regret charged (seconds)
   /// Per-serving record of the online phase (filled only by the
-  /// epoch-synchronized concurrent mode: serve_threads >= 1, not
-  /// free_running), indexed by global serving sequence number — the
-  /// bitwise determinism artifact. Free-running runs are timing-dependent
-  /// by design and record the statistical fields below instead.
+  /// epoch-synchronized mode, not free_running), indexed by global serving
+  /// sequence number — the bitwise determinism artifact. Free-running runs
+  /// are timing-dependent by design and record the statistical fields
+  /// below instead.
   std::vector<ServingRecord> serving_trace;
 
   // Free-running serving accounting (zeros unless RunConfig::free_running).
@@ -273,11 +266,10 @@ struct SimulationResult {
 ///    observation, and new rows join with exactly the default plan class
 ///    observed (all other cells unobserved);
 ///  * online bounds: cumulative regret <= regret_budget_seconds plus one
-///    serving's overshoot (synchronous mode) or one epoch's exploratory
-///    regret per shard (epoch-synchronized mode, where the gate reads the
-///    snapshot's frozen ledger), exploration count stays under its
-///    binomial epsilon cap, and an exhausted budget (slice, per shard)
-///    freezes exploration;
+///    epoch's exploratory regret per shard (epoch-synchronized mode, where
+///    the gate reads the snapshot's frozen ledger), exploration count
+///    stays under its binomial epsilon cap, and an exhausted budget
+///    (slice, per shard) freezes exploration;
 ///  * serving determinism (epoch-synchronized mode): the merged serving
 ///    trace is a pure function of (spec, config) — bitwise identical at
 ///    every serve_threads — because each decision depends only on the

@@ -13,10 +13,10 @@
 //    an independent reimplementation of the PR 6 legacy rule, and that the
 //    batched ChooseHints equals the scalar calls decision-for-decision.
 //
-//  * the two fixed divergences: the sync adapter bootstraps via the random
-//    fallback when no predictor exists (instead of the old silent
-//    verified-only bailout), and the unified risk gate clamps the
-//    remaining budget at zero on an overshot ledger.
+//  * the two fixed divergences: a tier with no predictor bootstraps via
+//    the random fallback (instead of the old silent verified-only bailout),
+//    and the unified risk gate clamps the remaining budget at zero on an
+//    overshot ledger.
 //
 //  * the FirstDraw RNG fast path is bitwise-equal to the full generator.
 
@@ -37,10 +37,11 @@
 #include "core/decision_kernel.h"
 #include "core/engine.h"
 #include "core/predictor.h"
-#include "core/online_explorer.h"
+#include "core/shard_router.h"
 #include "core/workload_matrix.h"
 #include "scenarios/scenario.h"
 #include "scenarios/simulation.h"
+#include "tier_serving.h"
 #include "trace_hash.h"
 
 namespace limeqo {
@@ -266,8 +267,13 @@ TEST(DecisionKernelDifferential, RandomSnapshotsMatchLegacyRule) {
     // one-epoch overshoot): the frozen snapshot must serve verified-only,
     // identically in legacy, kernel, and batched form.
     if (trial % 4 == 1) {
-      engine.ObserveServing(0, 0, 1.0, /*exploratory=*/true,
-                            /*regret_delta=*/60.0);
+      core::ServingObservation overshoot;
+      overshoot.seq = engine.AcquireServingIndices(1);
+      overshoot.latency = 1.0;
+      overshoot.exploratory = true;
+      overshoot.regret_delta = 60.0;
+      engine.Report(overshoot);
+      engine.Drain();
     }
     engine.Publish();
     CheckSnapshotDifferential(engine, "base snapshot",
@@ -291,69 +297,70 @@ TEST(DecisionKernelDifferential, RandomSnapshotsMatchLegacyRule) {
 // The two fixed divergences
 // ---------------------------------------------------------------------------
 
-// Divergence #1 (fixed): the pre-kernel sync adapter returned the verified
-// hint whenever RefreshPredictions() failed, silently skipping the
-// random-fallback bootstrap the snapshot path takes. With no predictor at
-// all, the old adapter could therefore never explore; the kernelized
-// adapter falls through to the fallback gate and bootstraps.
-TEST(DecisionKernelDivergences, SyncPathBootstrapsWithoutPredictions) {
+// Divergence #1 (fixed): the pre-kernel synchronous serving path returned
+// the verified hint whenever RefreshPredictions() failed, silently skipping
+// the random-fallback bootstrap the snapshot path takes, so with no
+// predictor at all it could never explore. A one-shard tier with no
+// predictor, serving in one-serving epochs, must bootstrap through the
+// fallback.
+TEST(DecisionKernelDivergences, TierBootstrapsWithoutPredictions) {
   WorkloadMatrix w(8, 8);
   for (int q = 0; q < 8; ++q) w.Observe(q, 0, 0.5);  // finite baselines
-  core::EngineOptions eopt;
-  ExplorationEngine engine(std::move(w), /*predictor=*/nullptr, eopt);
-  OnlineExplorationOptions opt;
-  opt.epsilon = 1.0;  // every serving is exploration-eligible
-  opt.min_predicted_ratio = 0.2;
-  opt.regret_budget_seconds = 1e9;
-  opt.max_baseline_budget_fraction = 1.0;
-  opt.random_fallback = true;
-  opt.seed = 99;
-  core::OnlineExplorationOptimizer optimizer(&engine, opt);
+  core::ShardedTierOptions topt;
+  topt.online.epsilon = 1.0;  // every serving is exploration-eligible
+  topt.online.min_predicted_ratio = 0.2;
+  topt.online.regret_budget_seconds = 1e9;
+  topt.online.max_baseline_budget_fraction = 1.0;
+  topt.online.random_fallback = true;
+  topt.online.publish_every = 1;
+  topt.online.seed = 99;
+  core::ShardedServingTier tier(w, /*predictors=*/{}, topt);
+  ASSERT_FALSE(tier.shard_engine(0).snapshot()->has_predictions());
+  linalg::Matrix truth(8, 8);
+  for (size_t i = 0; i < truth.size(); ++i) truth.data()[i] = 0.5;
+  std::vector<int> hints;
+  tests::ServeTruth(tier, truth, 64, /*epoch=*/1, /*threads=*/1, &hints);
   int explored = 0;
-  for (int s = 0; s < 64; ++s) {
-    const int q = s % 8;
-    const int hint = optimizer.ChooseHint(q);
-    if (hint != 0) ++explored;
-    optimizer.ReportLatency(q, hint, 0.5);
-  }
+  for (const int hint : hints) explored += hint != 0;
   // 64 eligible servings over rows with 7 unobserved hints each: the
   // fallback must fire essentially always (a hint-0 pick is impossible
   // once hint 0 is complete — the pick runs over *unobserved* cells).
   EXPECT_GT(explored, 0)
-      << "sync adapter still bails out instead of bootstrapping when no "
-         "predictions exist";
-  EXPECT_GT(optimizer.explorations(), 0);
+      << "the tier bails out instead of bootstrapping when no predictions "
+         "exist";
+  EXPECT_GT(tier.explorations(), 0);
 }
 
 // Divergence #2 (fixed): the risk gate now runs on a remaining budget
 // clamped at zero everywhere. At an overshot ledger (regret past the
-// budget — reachable through the documented one-serving/one-epoch
-// overshoot) the sync path must be frozen outright: no exploration, no
-// gate draws, remaining budget reported as zero, and the snapshot path
-// identical — rather than an unclamped negative remainder flipping the
-// `baseline > fraction * remaining` comparison.
-TEST(DecisionKernelDivergences, OvershotLedgerFreezesBothPaths) {
+// budget — reachable through the documented one-epoch overshoot) the
+// snapshot path must be frozen outright: no exploration, no gate draws,
+// remaining budget reported as zero — rather than an unclamped negative
+// remainder flipping the `baseline > fraction * remaining` comparison.
+TEST(DecisionKernelDivergences, OvershotLedgerFreezesSnapshotAndKernel) {
   WorkloadMatrix w(4, 6);
   for (int q = 0; q < 4; ++q) w.Observe(q, 0, 2.0);
-  core::EngineOptions eopt;
-  ExplorationEngine engine(std::move(w), nullptr, eopt);
   OnlineExplorationOptions opt;
   opt.epsilon = 1.0;
   opt.regret_budget_seconds = 10.0;
   opt.max_baseline_budget_fraction = 0.125;
   opt.random_fallback = true;
   opt.seed = 7;
-  core::OnlineExplorationOptimizer optimizer(&engine, opt);
+  core::EngineOptions eopt;
+  eopt.online = opt;
+  ExplorationEngine engine(std::move(w), nullptr, eopt);
   // Overshoot the ledger in one charge: 13.5s of regret against a 10s
   // budget, as a single slow exploratory serving would.
-  engine.ObserveServing(0, 1, 15.5, /*exploratory=*/true,
-                        /*regret_delta=*/13.5);
+  core::ServingObservation slow;
+  slow.seq = engine.AcquireServingIndices(1);
+  slow.hint = 1;
+  slow.latency = 15.5;
+  slow.exploratory = true;
+  slow.regret_delta = 13.5;
+  engine.Report(slow);
+  engine.Drain();
   ASSERT_GT(engine.regret_spent(), opt.regret_budget_seconds);
-  EXPECT_EQ(optimizer.remaining_regret_budget(), 0.0);
-  for (int s = 0; s < 40; ++s) {
-    EXPECT_EQ(optimizer.ChooseHint(s % 4), 0)
-        << "sync path explored at an overshot ledger";
-  }
+  EXPECT_EQ(engine.remaining_regret_budget(), 0.0);
   engine.Publish();
   std::shared_ptr<const core::ServingSnapshot> snap = engine.snapshot();
   ASSERT_TRUE(snap->budget_exhausted());

@@ -134,8 +134,14 @@ TEST(EngineTest, EpsilonZeroAndExhaustedBudgetServeVerifiedOnly) {
   online.epsilon = 1.0;
   online.regret_budget_seconds = 1.0;
   engine.ConfigureServing(online);
-  engine.ObserveServing(0, verified[0], 100.0, /*exploratory=*/true,
-                        /*regret_delta=*/5.0);
+  ServingObservation charge;
+  charge.seq = engine.AcquireServingIndices(1);
+  charge.hint = verified[0];
+  charge.latency = 100.0;
+  charge.exploratory = true;
+  charge.regret_delta = 5.0;
+  engine.Report(charge);
+  engine.Drain();
   engine.Publish();
   snap = engine.snapshot();
   EXPECT_TRUE(snap->budget_exhausted());

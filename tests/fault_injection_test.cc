@@ -151,22 +151,21 @@ TEST(FaultDriverTest, EpochModeTraceIsBitwiseIdenticalAtEveryThreadCount) {
 
 TEST(FaultDriverTest, EveryFaultWorldKeepsEveryInvariantInEveryServingMode) {
   for (const FaultSpec& faults : FaultWorlds()) {
-    for (const int mode : {0, 1, 2}) {  // sync, epoch, free-running
+    for (const int mode : {0, 1, 2}) {  // epochs at 1 / 3 threads, free
       RunConfig config;
       config.policy = PolicyKind::kModelGuided;
       config.completer = CompleterKind::kAls;
       config.faults = faults;
-      config.serve_threads = mode == 0 ? 0 : 3;
+      config.serve_threads = mode == 0 ? 1 : 3;
       config.free_running = mode == 2;
       const SimulationResult result =
           SimulationDriver(SmallWorld(304 + mode)).Run(config);
       EXPECT_TRUE(result.ok())
           << "world '" << faults.name << "' mode " << mode << "\n"
           << result.Summary();
-      // The per-attempt serving-failure channel (AttemptFails) only
-      // exists on the concurrent serving plane; the synchronous path
-      // degrades through failed executions instead.
-      if (mode != 0 && faults.serve_failure_prob > 0.0) {
+      // Every mode serves through the tier, so every mode rolls the
+      // per-attempt serving-failure channel (AttemptFails).
+      if (faults.serve_failure_prob > 0.0) {
         EXPECT_GT(result.fault_serve_failures, 0) << faults.name;
       }
       if (faults.execute_failure_prob > 0.0) {
@@ -270,7 +269,7 @@ TEST(FaultPropertyTest, RandomFaultWorldsKeepAllInvariants) {
         run.max_retries = static_cast<int>(p.Int(0, 5));
         run.retry_backoff_seconds = p.Double(0.0, 1.0);
         const int mode = static_cast<int>(p.Int(0, 2));
-        run.serve_threads = mode == 0 ? 0 : static_cast<int>(p.Int(1, 4));
+        run.serve_threads = mode == 0 ? 1 : static_cast<int>(p.Int(1, 4));
         run.free_running = mode == 2;
 
         const SimulationResult result = SimulationDriver(spec).Run(run);

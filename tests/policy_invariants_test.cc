@@ -10,10 +10,11 @@
 #include "common/thread_pool.h"
 #include "core/als.h"
 #include "core/engine.h"
-#include "core/online_explorer.h"
+#include "core/shard_router.h"
 #include "proptest.h"
 #include "scenarios/scenario.h"
 #include "scenarios/simulation.h"
+#include "tier_serving.h"
 
 namespace limeqo::scenarios {
 namespace {
@@ -138,10 +139,13 @@ struct OnlineHarness {
   linalg::Matrix truth;
   core::WorkloadMatrix matrix;
   std::unique_ptr<core::CompleterPredictor> predictor;
-  std::unique_ptr<core::ExplorationEngine> engine;
+  std::unique_ptr<core::ShardedServingTier> tier;
   double worst_latency = 0.0;
 
-  OnlineHarness(proptest::Params& p)
+  /// A one-shard tier over a random planted world. The options' epoch is
+  /// one serving (publish_every = 1): every decision's snapshot has drained
+  /// every earlier serving, so the gate reads the live regret ledger.
+  OnlineHarness(proptest::Params& p, core::OnlineExplorationOptions options)
       : num_queries(static_cast<int>(p.Int(2, 30))),
         num_hints(static_cast<int>(p.Int(2, 8))),
         truth(num_queries, num_hints),
@@ -157,17 +161,16 @@ struct OnlineHarness {
     }
     predictor = std::make_unique<core::CompleterPredictor>(
         std::make_unique<core::AlsCompleter>());
-    engine = std::make_unique<core::ExplorationEngine>(std::move(matrix),
-                                                       predictor.get());
+    options.publish_every = 1;
+    core::ShardedTierOptions tier_options;
+    tier_options.online = options;
+    tier = std::make_unique<core::ShardedServingTier>(
+        matrix, std::vector<core::Predictor*>{predictor.get()}, tier_options);
+    tier->RefreshAll(/*force=*/true);
+    tier->PublishAll();
   }
 
-  void Serve(core::OnlineExplorationOptimizer* opt, int count) {
-    for (int s = 0; s < count; ++s) {
-      const int q = s % num_queries;
-      const int hint = opt->ChooseHint(q);
-      opt->ReportLatency(q, hint, truth(q, hint));
-    }
-  }
+  void Serve(int count) { tests::ServeTruth(*tier, truth, count); }
 };
 
 TEST(PolicyInvariantsTest, OnlineRegretNeverExceedsBudgetPlusOneServing) {
@@ -181,13 +184,12 @@ TEST(PolicyInvariantsTest, OnlineRegretNeverExceedsBudgetPlusOneServing) {
         options.max_baseline_budget_fraction = p.Double(0.05, 1e18);
         options.seed = p.case_seed();
         const int servings = static_cast<int>(p.Int(0, 600));
-        OnlineHarness h(p);
-        core::OnlineExplorationOptimizer opt(h.engine.get(), options);
-        h.Serve(&opt, servings);
+        OnlineHarness h(p, options);
+        h.Serve(servings);
         const double bound =
             options.regret_budget_seconds + h.worst_latency + 1e-9;
-        if (opt.regret_spent() > bound) {
-          std::cerr << "regret " << opt.regret_spent() << " > bound "
+        if (h.tier->regret_spent() > bound) {
+          std::cerr << "regret " << h.tier->regret_spent() << " > bound "
                     << bound << "\n";
           return false;
         }
@@ -204,21 +206,26 @@ TEST(PolicyInvariantsTest, OnlineExplorationStaysUnderEpsilonCap) {
         options.regret_budget_seconds = 1e9;
         options.seed = p.case_seed();
         const int servings = static_cast<int>(p.Int(1, 800));
-        OnlineHarness h(p);
-        core::OnlineExplorationOptimizer opt(h.engine.get(), options);
-        h.Serve(&opt, servings);
-        if (opt.servings() != servings) return false;
+        OnlineHarness h(p, options);
+        h.Serve(servings);
+        if (h.tier->scheduled_servings() !=
+            static_cast<uint64_t>(servings)) {
+          return false;
+        }
         const double n = static_cast<double>(servings);
         const double cap =
             n * options.epsilon +
             4.0 * std::sqrt(n * options.epsilon * (1.0 - options.epsilon)) +
             2.0;
-        if (opt.explorations() > cap) {
-          std::cerr << opt.explorations() << " explorations in " << servings
-                    << " servings with epsilon " << options.epsilon << "\n";
+        if (h.tier->explorations() > cap) {
+          std::cerr << h.tier->explorations() << " explorations in "
+                    << servings << " servings with epsilon "
+                    << options.epsilon << "\n";
           return false;
         }
-        if (options.epsilon == 0.0 && opt.explorations() != 0) return false;
+        if (options.epsilon == 0.0 && h.tier->explorations() != 0) {
+          return false;
+        }
         return true;
       });
 }
@@ -233,13 +240,12 @@ TEST(PolicyInvariantsTest, ExhaustedBudgetFreezesExploration) {
         options.regret_budget_seconds = p.Double(0.0, 0.5);
         options.max_baseline_budget_fraction = 1e18;  // gate off: drain fast
         options.seed = p.case_seed();
-        OnlineHarness h(p);
-        core::OnlineExplorationOptimizer opt(h.engine.get(), options);
-        h.Serve(&opt, 800);
-        if (!opt.budget_exhausted()) return true;  // nothing to check
-        const int frozen = opt.explorations();
-        h.Serve(&opt, 200);
-        return opt.explorations() == frozen;
+        OnlineHarness h(p, options);
+        h.Serve(800);
+        if (!h.tier->budget_exhausted()) return true;  // nothing to check
+        const int frozen = h.tier->explorations();
+        h.Serve(200);
+        return h.tier->explorations() == frozen;
       });
 }
 

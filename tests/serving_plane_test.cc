@@ -1,7 +1,7 @@
 // Driver-level tests of the concurrent serving plane: the deterministic
 // schedule mode of SimulationDriver must produce a serving trace that is
 // bitwise identical to the single-threaded trace at every thread count,
-// while preserving every invariant the synchronous path checks. Part of
+// while preserving every invariant the driver checks. Part of
 // the CI ThreadSanitizer target (`ctest -R "engine_test|serving_plane_test"`).
 
 #include <cctype>

@@ -142,10 +142,10 @@ TEST(SimDbBridgeTest, CreateFromPlantedRejectsInconsistentClasses) {
 // neural arms, under the full invariant checks.
 // ---------------------------------------------------------------------------
 
-// How the online phase serves: the synchronous path, or two serving
-// threads through the epoch-synchronized or free-running tier (one shard,
-// so the neural arms' plan features index global rows).
-enum class Serving { kSync, kEpoch, kFreeRunning };
+// How the online phase serves through the one-shard tier (so the neural
+// arms' plan features index global rows): one serving thread in epochs, or
+// two serving threads in epochs or free-running.
+enum class Serving { kOneThread, kEpoch, kFreeRunning };
 
 using BridgeParam = std::tuple<std::string, PredictorArm, Serving>;
 
@@ -157,7 +157,7 @@ TEST_P(BridgeGridTest, NeuralArmInvariantsHold) {
   config.world = WorldKind::kSimDb;
   config.arm = std::get<1>(GetParam());
   const Serving serving = std::get<2>(GetParam());
-  config.serve_threads = serving == Serving::kSync ? 0 : 2;
+  config.serve_threads = serving == Serving::kOneThread ? 1 : 2;
   config.free_running = serving == Serving::kFreeRunning;
   SimulationDriver driver(spec);
   const SimulationResult result = driver.Run(config);
@@ -177,7 +177,7 @@ std::string BridgeParamName(const ::testing::TestParamInfo<BridgeParam>& info) {
   std::string name = std::get<0>(info.param) + "_" +
                      PredictorArmName(std::get<1>(info.param));
   switch (std::get<2>(info.param)) {
-    case Serving::kSync:
+    case Serving::kOneThread:
       break;
     case Serving::kEpoch:
       name += "_epoch";
@@ -202,17 +202,17 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, BridgeGridTest,
     ::testing::Values(
         std::make_tuple(std::string("baseline"), PredictorArm::kLimeQoPlus,
-                        Serving::kSync),
+                        Serving::kOneThread),
         std::make_tuple(std::string("plan-equivalence"),
-                        PredictorArm::kLimeQoPlus, Serving::kSync),
+                        PredictorArm::kLimeQoPlus, Serving::kOneThread),
         std::make_tuple(std::string("arrival-midstream"),
-                        PredictorArm::kLimeQoPlus, Serving::kSync),
+                        PredictorArm::kLimeQoPlus, Serving::kOneThread),
         std::make_tuple(std::string("heavy-tail-mild"), PredictorArm::kTcnn,
-                        Serving::kSync),
+                        Serving::kOneThread),
         std::make_tuple(std::string("tight-timeouts"), PredictorArm::kTcnn,
-                        Serving::kSync),
+                        Serving::kOneThread),
         std::make_tuple(std::string("drift-single"), PredictorArm::kTcnn,
-                        Serving::kSync),
+                        Serving::kOneThread),
         std::make_tuple(std::string("baseline"), PredictorArm::kLimeQoPlus,
                         Serving::kEpoch),
         std::make_tuple(std::string("baseline"), PredictorArm::kLimeQoPlus,

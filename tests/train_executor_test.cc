@@ -429,10 +429,17 @@ TEST(TrainExecutorTest, ManifestRoundTripsRowServings) {
   for (int row = 0; row < kRows; ++row) {
     const int s = tier.ShardOfRow(row);
     const int l = tier.LocalRowOf(row);
+    core::ExplorationEngine& engine = tier.shard_engine(s);
     for (int r = 0; r < 1 + row; ++r) {
-      tier.shard_engine(s).ObserveServing(l, 0, 1.0, /*exploratory=*/true,
-                                          /*regret_delta=*/0.125);
+      core::ServingObservation obs;
+      obs.seq = engine.AcquireServingIndices(1);
+      obs.query = l;
+      obs.latency = 1.0;
+      obs.exploratory = true;
+      obs.regret_delta = 0.125;
+      engine.Report(obs);
     }
+    engine.Drain();
   }
 
   static std::atomic<int> counter{0};
