@@ -179,18 +179,16 @@ double MeasureServing(const scenarios::ScenarioSpec& spec, int threads,
 /// free-running loop, ShardedServingTier::ServeFreeRunning (claim a global
 /// batch, route it, claim its shard-local indices, then per serving probe
 /// the shard's snapshot, decide, execute, report), against `shards`
-/// engines whose train plane refits with `refit_threads` linalg threads.
-/// With `shared_train` the fleet trains through one TrainExecutor (2
-/// workers sharing the linalg budget) instead of a thread per shard. At
-/// shards == 1 this measures the pure router tax over the bare
-/// MeasureServing loop — the <1.3x guard in
-/// tools/check_bench_regression.py; shared_train_s4 vs sharded s4r4 is
-/// the executor's win over the oversubscribed thread-per-shard plane.
+/// engines whose train plane — one TrainExecutor with 2 workers — splits
+/// `refit_threads` linalg threads between its jobs. At shards == 1 this
+/// measures the pure router tax over the bare MeasureServing loop — the
+/// <1.3x guard in tools/check_bench_regression.py; s4r4 against s1r1 is
+/// the fleet tax, the train plane's serving-path cost at full fan-out.
 /// *refit_ns_out receives the fleet-mean fitting time per completed refit
 /// (ExplorationEngine::refit_nanos),
 /// *refits_out the fleet refit count.
 double MeasureShardedServing(const scenarios::ScenarioSpec& spec, int shards,
-                             int refit_threads, bool shared_train,
+                             int refit_threads,
                              double* refit_ns_out, long* refits_out) {
   WarmServingWorld seed_world(spec);
   core::OnlineExplorationOptions online;
@@ -201,7 +199,6 @@ double MeasureShardedServing(const scenarios::ScenarioSpec& spec, int shards,
   core::ShardedTierOptions options;
   options.num_shards = shards;
   options.online = online;
-  options.shared_train_plane = shared_train;
   options.executor.workers = 2;
   options.executor.linalg_threads = refit_threads;
   std::vector<std::unique_ptr<core::CompleterPredictor>> predictors;
@@ -575,18 +572,18 @@ int Main(int argc, char** argv) {
   }
 
   // Sharded tier sweep: shard count x train-refit linalg threads, one
-  // serving thread running ServeFreeRunning. The s1r1 point is the router
-  // tax over the bare 1-thread loop above (guarded <1.3x by
-  // tools/check_bench_regression.py); the "threads" slot of the record
-  // carries the shard count.
+  // serving thread running ServeFreeRunning, the fleet trained by one
+  // 2-worker TrainExecutor. The s1r1 point is the router tax over the bare
+  // 1-thread loop above (guarded <1.3x by tools/check_bench_regression.py),
+  // s4r4 over s1r1 the fleet tax (guarded <1.6x); the "threads" slot of
+  // the record carries the shard count.
   std::printf("\n  sharded tier (1 serving thread, routed protocol):\n");
   for (int shards : {1, 2, 4}) {
     for (int refit_threads : {1, 4}) {
       double refit_ns = 0.0;
       long refits = 0;
-      const double ns =
-          MeasureShardedServing(spec, shards, refit_threads,
-                                /*shared_train=*/false, &refit_ns, &refits);
+      const double ns = MeasureShardedServing(spec, shards, refit_threads,
+                                              &refit_ns, &refits);
       char name[64];
       std::snprintf(name, sizeof(name), "sharded_serving_s%dr%d_ns_per_op",
                     shards, refit_threads);
@@ -599,30 +596,6 @@ int Main(int argc, char** argv) {
           "(%.2fM servings/s), %ld refits @ %.2f ms\n",
           shards, refit_threads, ns, 1e3 / ns, refits, refit_ns / 1e6);
     }
-  }
-
-  // Shared train plane: same routed serving loop, but the whole fleet
-  // trains through one TrainExecutor (2 workers, 4 linalg threads split
-  // between them) instead of one free-running thread per shard. The s4
-  // point against sharded_serving_s4r4 above is the headline: on a small
-  // box the executor keeps the serving thread's core instead of
-  // time-slicing it against 4 train threads x 4-way refit fan-out.
-  std::printf("\n  shared train plane (one executor, 2 workers):\n");
-  for (int shards : {2, 4}) {
-    double refit_ns = 0.0;
-    long refits = 0;
-    const double ns =
-        MeasureShardedServing(spec, shards, /*refit_threads=*/4,
-                              /*shared_train=*/true, &refit_ns, &refits);
-    char name[64];
-    std::snprintf(name, sizeof(name), "shared_train_s%d_ns_per_op", shards);
-    reporter.Report(name, ns, kServingsPerConfig, shards);
-    std::snprintf(name, sizeof(name), "shared_train_s%d_refit_ns", shards);
-    reporter.Report(name, refit_ns, refits, shards);
-    std::printf(
-        "    %d shard(s), shared executor: %.1f ns/serving "
-        "(%.2fM servings/s), %ld refits @ %.2f ms\n",
-        shards, ns, 1e3 / ns, refits, refit_ns / 1e6);
   }
 
   // Pure decision cost: the kernel alone, over a pinned published

@@ -76,7 +76,8 @@ ShardedServingTier::ShardedServingTier(const WorkloadMatrix& matrix,
                                        const ShardedTierOptions& options)
     : options_(options),
       num_hints_(matrix.num_hints()),
-      predictors_(std::move(predictors)) {
+      predictors_(std::move(predictors)),
+      executor_(options_.executor) {
   const int shards = options_.num_shards;
   LIMEQO_CHECK(shards >= 1);
   LIMEQO_CHECK(predictors_.empty() ||
@@ -102,18 +103,11 @@ ShardedServingTier::ShardedServingTier(const WorkloadMatrix& matrix,
   }
   ApplyBudgetSplit();
   PublishAll();
-  if (options_.shared_train_plane) {
-    executor_ = std::make_unique<TrainExecutor>(options_.executor);
-  }
 }
 
 ShardedServingTier::ShardedServingTier(RestoreTag,
                                        const ShardedTierOptions& options)
-    : options_(options) {
-  if (options_.shared_train_plane) {
-    executor_ = std::make_unique<TrainExecutor>(options_.executor);
-  }
-}
+    : options_(options), executor_(options_.executor) {}
 
 int ShardedServingTier::AttachRow(int row, int shard) {
   const int local = static_cast<int>(shard_rows_[shard].size());
@@ -168,39 +162,26 @@ void ShardedServingTier::DrainAll() {
   for (auto& e : engines_) e->Drain();
 }
 
-void ShardedServingTier::SyncEpochAll() {
-  if (executor_ != nullptr) {
-    std::vector<ExplorationEngine*> fleet;
-    fleet.reserve(engines_.size());
-    for (auto& e : engines_) fleet.push_back(e.get());
-    executor_->SyncEpochAll(fleet);
-    return;
-  }
-  for (auto& e : engines_) e->SyncEpoch();
+std::vector<ExplorationEngine*> ShardedServingTier::Fleet() {
+  std::vector<ExplorationEngine*> fleet;
+  fleet.reserve(engines_.size());
+  for (auto& e : engines_) fleet.push_back(e.get());
+  return fleet;
 }
+
+void ShardedServingTier::SyncEpochAll() { executor_.SyncEpochAll(Fleet()); }
 
 void ShardedServingTier::StartTraining() {
   MutexLock lock(train_mu_);
   LIMEQO_CHECK(!training_);
   training_ = true;
-  if (executor_ != nullptr) {
-    std::vector<ExplorationEngine*> fleet;
-    fleet.reserve(engines_.size());
-    for (auto& e : engines_) fleet.push_back(e.get());
-    executor_->Start(std::move(fleet));
-    return;
-  }
-  for (auto& e : engines_) e->StartTraining();
+  executor_.Start(Fleet());
 }
 
 void ShardedServingTier::StopTraining() {
   MutexLock lock(train_mu_);
   LIMEQO_CHECK(training_);
-  if (executor_ != nullptr) {
-    executor_->Stop();
-  } else {
-    for (auto& e : engines_) e->StopTraining();
-  }
+  executor_.Stop();
   training_ = false;
   // Everything reported is now drained, so the deterministic-schedule
   // counters resume exactly where free-running serving stopped.

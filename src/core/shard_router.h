@@ -81,14 +81,15 @@ struct ShardedTierOptions {
   /// `online` member inside is ignored — the split fleet options above are
   /// installed instead.
   EngineOptions engine;
-  /// Routes the fleet's train plane through one shared TrainExecutor
-  /// (StartTraining spawns `executor.workers` threads total instead of one
-  /// per shard; SyncEpochAll becomes the executor's prioritized barrier).
-  /// Off by default: the thread-per-shard plane remains the baseline the
-  /// differential twin test compares against.
-  bool shared_train_plane = false;
-  /// Executor sizing when shared_train_plane is on.
+  /// Sizing of the fleet's train plane: one TrainExecutor drives every
+  /// shard's drain / refit / publish (StartTraining spawns
+  /// `executor.workers` threads for the whole fleet; SyncEpochAll is its
+  /// prioritized barrier).
   TrainExecutorOptions executor;
+  /// Ignored. Every tier trains through the executor above; the field
+  /// remains only because the end-to-end benchmark harness still assigns
+  /// it, and ROADMAP 6(a) deletes that assignment and this field together.
+  bool shared_train_plane = false;
 };
 
 /// One tier serving as ServeSchedule and ServeFreeRunning report it to
@@ -190,13 +191,12 @@ class ShardedServingTier {
   void PublishAll();
   /// Drain on every shard.
   void DrainAll();
-  /// SyncEpoch (drain + refresh + publish) on every shard. Under
-  /// shared_train_plane this is the executor's prioritized parallel
-  /// barrier (hottest shard first, bitwise equal to the serial loop).
+  /// SyncEpoch (drain + refresh + publish) on every shard: the executor's
+  /// prioritized parallel barrier (hottest shard first, bitwise equal to
+  /// a serial per-shard loop).
   void SyncEpochAll();
-  /// Starts the fleet's train plane (free-running mode): one background
-  /// thread per shard, or the shared executor's worker pool when
-  /// shared_train_plane is on.
+  /// Starts the fleet's train plane (free-running mode): the executor's
+  /// worker pool.
   void StartTraining() EXCLUDES(train_mu_);
   /// Stops the train plane, drains, publishes, and re-syncs the
   /// deterministic-schedule counters to the drained fronts (so
@@ -313,6 +313,8 @@ class ShardedServingTier {
   /// Installs the row-count-proportional budget slice into every shard
   /// (ConfigureServing; takes effect at each shard's next Publish).
   void ApplyBudgetSplit();
+  /// The shard engines in shard order, as the executor takes them.
+  std::vector<ExplorationEngine*> Fleet();
   /// Registers global row `row` on `shard` (appending to the local order)
   /// and returns its local index.
   int AttachRow(int row, int shard);
@@ -348,8 +350,8 @@ class ShardedServingTier {
   std::vector<uint64_t> next_local_seq_ GUARDED_BY(train_mu_);
   std::atomic<uint64_t> next_global_seq_{0};   // free-running claims
   bool training_ GUARDED_BY(train_mu_) = false;
-  /// The shared train plane (only when options_.shared_train_plane).
-  std::unique_ptr<TrainExecutor> executor_;
+  /// The fleet's train plane.
+  TrainExecutor executor_;
 };
 
 }  // namespace limeqo::core

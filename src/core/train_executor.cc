@@ -10,10 +10,15 @@
 namespace limeqo::core {
 
 TrainExecutor::TrainExecutor(TrainExecutorOptions options)
-    : options_(options) {}
+    : options_(options),
+      arenas_(static_cast<size_t>(std::max(1, options.workers))) {}
 
 TrainExecutor::~TrainExecutor() {
   if (running_) Stop();
+}
+
+int TrainExecutor::FleetWorkers(size_t fleet_size) const {
+  return std::max(1, std::min(options_.workers, static_cast<int>(fleet_size)));
 }
 
 int TrainExecutor::PerJobBudget(int workers) const {
@@ -40,14 +45,13 @@ void TrainExecutor::Start(std::vector<ExplorationEngine*> engines) {
     MutexLock lock(mu_);
     slots_ = std::move(slots);
   }
-  const int workers =
-      std::max(1, std::min(options_.workers, static_cast<int>(engines.size())));
-  arenas_ = std::vector<CompletionArena>(static_cast<size_t>(workers));
+  const int workers = FleetWorkers(engines.size());
+  const int budget = PerJobBudget(workers);
   stop_.store(false, std::memory_order_relaxed);
   running_ = true;
   workers_.reserve(static_cast<size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this, i, budget] { WorkerLoop(i, budget); });
   }
 }
 
@@ -106,9 +110,8 @@ ExplorationEngine* TrainExecutor::ClaimHottest(int* idx,
   return slots_[static_cast<size_t>(best)].engine;
 }
 
-void TrainExecutor::WorkerLoop(int worker) {
+void TrainExecutor::WorkerLoop(int worker, int budget) {
   CompletionArena& arena = arenas_[static_cast<size_t>(worker)];
-  const int budget = PerJobBudget(static_cast<int>(arenas_.size()));
   while (!stop_.load(std::memory_order_relaxed)) {
     int idx = -1;
     uint64_t pre_step_claimed = 0;
@@ -151,16 +154,16 @@ void TrainExecutor::SyncEpochAll(
   std::stable_sort(order.begin(), order.end(), [&score](size_t a, size_t b) {
     return score[a] > score[b];
   });
-  const int workers =
-      std::max(1, std::min(options_.workers, static_cast<int>(engines.size())));
+  const int workers = FleetWorkers(engines.size());
   std::atomic<size_t> cursor{0};
-  // Transient threads rather than the live workers: the barrier also runs
-  // on a stopped executor (the scenario epoch path never Starts one).
-  // Bitwise-neutral parallelism: shards are disjoint, each sync is a pure
-  // function of its own shard's state, and arena + budget are
-  // bitwise-neutral by contract.
-  const auto run_shards = [this, &engines, &order, &cursor, workers] {
-    CompletionArena arena;
+  // Transient threads rather than the live workers: the barrier runs on a
+  // stopped executor (the epoch-synchronized path never Starts one). Each
+  // thread borrows the arena of the worker slot it stands in for, so refit
+  // scratch stays warm across barriers. Bitwise-neutral parallelism:
+  // shards are disjoint, each sync is a pure function of its own shard's
+  // state, and arena + budget are bitwise-neutral by contract.
+  const auto run_shards = [this, &engines, &order, &cursor, workers](int i) {
+    CompletionArena& arena = arenas_[static_cast<size_t>(i)];
     ScopedParallelBudget parallel_budget(PerJobBudget(workers));
     for (;;) {
       const size_t slot = cursor.fetch_add(1, std::memory_order_relaxed);
@@ -173,8 +176,8 @@ void TrainExecutor::SyncEpochAll(
   };
   std::vector<std::thread> helpers;
   helpers.reserve(static_cast<size_t>(workers - 1));
-  for (int i = 1; i < workers; ++i) helpers.emplace_back(run_shards);
-  run_shards();
+  for (int i = 1; i < workers; ++i) helpers.emplace_back(run_shards, i);
+  run_shards(0);
   for (std::thread& t : helpers) t.join();
 }
 

@@ -13,7 +13,7 @@
 
 namespace limeqo::core {
 
-/// Sizing knobs for the shared cross-shard train plane.
+/// Sizing knobs for a fleet's train plane.
 struct TrainExecutorOptions {
   /// Train-plane worker threads shared by the whole fleet. One worker
   /// serializes all shards onto a single thread (the cheapest correct
@@ -28,16 +28,17 @@ struct TrainExecutorOptions {
   int linalg_threads = 0;
 };
 
-/// One train plane for a whole fleet: a fixed pool of workers drives every
-/// shard's drain / refit / publish loop as prioritized jobs, replacing the
-/// thread-per-shard arrangement (N shards on a small box oversubscribe the
-/// cores exactly when load concentrates on few shards).
+/// One train plane for a whole fleet — the only one ShardedServingTier
+/// uses: a fixed pool of workers drives every shard's drain / refit /
+/// publish loop as prioritized jobs, so N shards on a small box never
+/// oversubscribe the cores with N train threads when load concentrates on
+/// few shards.
 ///
 /// Scheduling: each worker repeatedly claims the hottest unclaimed shard —
 /// score = queue_backlog() + unpublished_updates() + 1 (drain work plus
-/// publication work, both atomic engine counters), lowest index on ties — and runs exactly one ExplorationEngine::TrainStep
-/// on it. At most one job per shard is ever in flight, so each shard's
-/// steps stay serialized (the engine's stepping contract); which worker
+/// publication work, both atomic engine counters), lowest index on ties —
+/// and runs exactly one ExplorationEngine::TrainStep on it. At most one job
+/// per shard is ever in flight, so each shard's steps stay serialized (the engine's stepping contract); which worker
 /// runs a given step is immaterial. A step that makes no progress parks the
 /// shard at the serving sequence it had claimed *before* the step; the
 /// shard is skipped until a new serving claim moves that sequence, so an
@@ -45,18 +46,20 @@ struct TrainExecutorOptions {
 /// during the step is never missed). The +1 base score gives a freshly
 /// unparked shard exactly one probe step even when its counters read zero.
 ///
-/// Refit scratch: every worker owns a CompletionArena installed into the
-/// engine for the duration of its job, so Gram / Cholesky / factor-update
-/// buffers are pooled per worker (live refits), not per shard. Every job
-/// also runs under a ScopedParallelBudget so the fleet's total linalg
-/// fan-out is bounded by TrainExecutorOptions::linalg_threads.
+/// Refit scratch: every worker slot owns a CompletionArena, sized once at
+/// construction and installed into the engine for the duration of each
+/// job, so Gram / Cholesky / factor-update buffers are pooled per worker
+/// slot (live refits and epoch barriers alike), not per shard and not per
+/// call. Every job also runs under a ScopedParallelBudget so the fleet's
+/// total linalg fan-out is bounded by TrainExecutorOptions::linalg_threads.
 ///
 /// Determinism: a shard's refit remains a pure function of its own drained
 /// prefix — the executor changes only *when* steps run and on which thread,
 /// and both the arena and the budget are bitwise-neutral by contract
-/// (Completer::SetArena, ScopedParallelBudget). The differential twin test
-/// (tests/train_executor_test.cc) pins the shared-executor tier against the
-/// thread-per-shard tier bit for bit on the epoch-synchronized path.
+/// (Completer::SetArena, ScopedParallelBudget). On the epoch-synchronized
+/// path, tests/train_executor_test.cc pins the tier bit for bit against a
+/// golden table frozen from the thread-per-shard plane this executor
+/// superseded, at 1, 2 and 4 serving threads.
 ///
 /// Thread safety: Start / Stop / SyncEpochAll are serving-control-plane
 /// calls and must come from one thread at a time, like the engine's
@@ -87,8 +90,9 @@ class TrainExecutor {
 
   /// Epoch barrier for a fleet that is *not* free-running: SyncEpoch on
   /// every engine, hottest first, spread over up to `workers` transient
-  /// threads with the same per-job arena and budget as live jobs. Safe to
-  /// call on a stopped executor (the scenario epoch path does). Bitwise
+  /// threads with the same per-slot arenas and budget as live jobs. Must be
+  /// called on a stopped executor (the epoch-synchronized path never
+  /// Starts one). Bitwise
   /// equal to a serial SyncEpoch loop: shards are disjoint, each shard's
   /// sync is a pure function of its own state, and the kernels are
   /// chunk-count invariant.
@@ -126,7 +130,12 @@ class TrainExecutor {
   ExplorationEngine* ClaimHottest(int* idx, uint64_t* pre_step_claimed)
       EXCLUDES(mu_);
 
-  void WorkerLoop(int worker);
+  /// Worker `worker`'s job loop; every job runs under `budget`.
+  void WorkerLoop(int worker, int budget);
+
+  /// Workers that serve a fleet of `fleet_size` shards: the configured
+  /// count clamped to [1, fleet_size].
+  int FleetWorkers(size_t fleet_size) const;
 
   /// Per-job ParallelFor budget when `workers` jobs may run concurrently.
   int PerJobBudget(int workers) const;
@@ -136,8 +145,10 @@ class TrainExecutor {
   Mutex mu_;
   std::vector<ShardSlot> slots_ GUARDED_BY(mu_);
 
-  /// One refit-scratch arena per worker (pooled across all the shards that
-  /// worker ever steps), plus arenas_[0] reused by Stop's serial finish.
+  /// One refit-scratch arena per configured worker, sized once at
+  /// construction and pooled across every shard that worker slot steps:
+  /// live jobs, the barrier's transient threads, and (arenas_[0]) Stop's
+  /// serial finish all reuse them.
   std::vector<CompletionArena> arenas_;
 
   std::vector<std::thread> workers_;

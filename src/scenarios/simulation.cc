@@ -548,7 +548,6 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
     // than a lap ahead of the drain block, so the bound is a hard
     // invariant, not a heuristic.
     if (config.free_running) tier_options.engine.queue_capacity = 64;
-    tier_options.shared_train_plane = config.shared_train_plane;
     core::ShardedServingTier tier(explorer.matrix(), shard_predictor_ptrs,
                                   tier_options);
     tier.RefreshAll(/*force=*/true);

@@ -145,16 +145,11 @@ struct RunConfig {
   /// so every predictor arm serves and the trace equals the one a bare
   /// engine served (tests/shard_router_test.cc pins frozen bare-engine
   /// goldens); more shards require arm == kCompleter (per-shard matrices
-  /// need a per-shard completion model).
+  /// need a per-shard completion model). The tier trains through one
+  /// TrainExecutor (src/core/train_executor.h) at its default sizing:
+  /// free-running mode runs its worker pool, the epoch-synchronized mode
+  /// its SyncEpochAll barrier.
   int shards = 1;
-  /// Drive the sharded tier's train plane through the shared TrainExecutor
-  /// (src/core/train_executor.h) instead of one train thread per shard:
-  /// free-running mode runs the executor's worker pool, the
-  /// epoch-synchronized mode its prioritized SyncEpochAll barrier. The
-  /// merged trace and every invariant are unchanged — the executor is
-  /// bitwise-neutral on the epoch path and timing-equivalent on the
-  /// free-running path (tests/train_executor_test.cc pins both).
-  bool shared_train_plane = false;
 };
 
 /// One serving of the online phase, recorded at its global serving index.

@@ -6,8 +6,8 @@ checks the product-surface contracts: the saved matrix does not depend on
 the serving thread count, a --checkpoint-dir run restores as a fleet
 restart, a restored run explores from the restored matrix (so its
 exploration budget changes what it saves), a corrupted tier manifest falls
-back to a cold start, and the invalid option combinations are usage errors
-(exit 2).
+back to a cold start, and the invalid option combinations and unknown
+options are usage errors (exit 2).
 """
 
 import os
@@ -57,14 +57,18 @@ class LimeqoSimSmokeTest(unittest.TestCase):
         return ckpt
 
     def test_saved_matrix_is_independent_of_serve_threads(self):
-        saved = []
-        for threads in (1, 3):
-            out = self.path(f"t{threads}.txt")
-            self.run_ok("--budget=0.5", f"--serve-threads={threads}",
-                        f"--save={out}")
-            saved.append(read_bytes(out))
-        self.assertTrue(saved[0] == saved[1],
-                        "saved matrices differ at 1 and 3 serving threads")
+        # At 3 serving threads the fleet's train executor gets 3 workers,
+        # so with 3 shards every epoch barrier spreads over helper threads.
+        for shards in (1, 3):
+            saved = []
+            for threads in (1, 3):
+                out = self.path(f"s{shards}t{threads}.txt")
+                self.run_ok("--budget=0.5", f"--shards={shards}",
+                            f"--serve-threads={threads}", f"--save={out}")
+                saved.append(read_bytes(out))
+            self.assertTrue(saved[0] == saved[1],
+                            f"saved matrices differ at 1 and 3 serving "
+                            f"threads over {shards} shard(s)")
 
     def test_restore_is_a_fleet_restart(self):
         ckpt = self.checkpoint()
@@ -98,7 +102,7 @@ class LimeqoSimSmokeTest(unittest.TestCase):
         ckpt = self.checkpoint()
         matrix = self.path("m.txt")
         self.run_ok("--budget=0", f"--save={matrix}")
-        for args in (["--shards=0"],
+        for args in (["--shards=0"], ["--shared-train"],
                      [f"--load={matrix}", f"--restore={ckpt}"]):
             result = run_sim(*args)
             self.assertEqual(result.returncode, 2,

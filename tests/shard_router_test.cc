@@ -284,7 +284,7 @@ TEST(ShardedServingTest, GridInvariantsHoldAtTwoShards) {
 }
 
 // ---------------------------------------------------------------------------
-// Free-running fleet: per-shard train threads against serving threads that
+// Free-running fleet: the train executor's workers against serving threads that
 // claim global batches. Traces are timing-dependent; the driver checks the
 // per-shard statistical invariants plus the fleet compositions (summed
 // slack, composed staleness bound, fleet freeze). TSan coverage target.

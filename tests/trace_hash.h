@@ -1,9 +1,9 @@
 #ifndef LIMEQO_TESTS_TRACE_HASH_H_
 #define LIMEQO_TESTS_TRACE_HASH_H_
 
-/// The serving-trace fingerprint the pinned-trace tests compare against
-/// captured constants (tests/decision_kernel_test.cc,
-/// tests/shard_router_test.cc).
+/// The fingerprints the pinned-trace tests compare against captured
+/// constants (tests/decision_kernel_test.cc, tests/shard_router_test.cc,
+/// tests/train_executor_test.cc).
 
 #include <cstddef>
 #include <cstdint>
@@ -12,24 +12,35 @@
 
 namespace limeqo::tests {
 
-/// FNV-1a over the serving trace: every (query, hint, latency-bits) triple
-/// in sequence order. Latency goes in as its exact bit pattern, so the hash
-/// pins the trace bitwise, not approximately.
-inline uint64_t TraceHash(const scenarios::SimulationResult& r) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  auto mix = [&h](const void* p, size_t len) {
-    const unsigned char* bytes = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001B3ULL;
+/// FNV-1a accumulator over the raw bytes of trivially copyable values.
+/// Doubles go in as their exact bit patterns, so a fingerprint pins its
+/// inputs bitwise, not approximately.
+class Fnv1a {
+ public:
+  template <typename T>
+  void Mix(const T& value) {
+    const unsigned char* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      h_ ^= bytes[i];
+      h_ *= 0x100000001B3ULL;
     }
-  };
-  for (const scenarios::ServingRecord& rec : r.serving_trace) {
-    mix(&rec.query, sizeof(rec.query));
-    mix(&rec.hint, sizeof(rec.hint));
-    mix(&rec.latency, sizeof(rec.latency));
   }
-  return h;
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xCBF29CE484222325ULL;
+};
+
+/// FNV-1a over the serving trace: every (query, hint, latency-bits) triple
+/// in sequence order.
+inline uint64_t TraceHash(const scenarios::SimulationResult& r) {
+  Fnv1a h;
+  for (const scenarios::ServingRecord& rec : r.serving_trace) {
+    h.Mix(rec.query);
+    h.Mix(rec.hint);
+    h.Mix(rec.latency);
+  }
+  return h.value();
 }
 
 }  // namespace limeqo::tests

@@ -1,19 +1,16 @@
-// Shared-train-plane tests. The centerpiece is the differential twin
-// property: a sharded tier driven by the shared TrainExecutor produces a
-// merged serving trace, matrices, predictions, and ledgers *bitwise
-// identical* to the thread-per-shard tier over random op schedules
-// (epochs x growth) at every shard count x
-// serving-thread count — the executor may only change when train steps
-// run and on which thread, never what they compute. Around it: executor
-// scheduling smoke (free-running drains everything, idle shards park),
-// the prioritized SyncEpochAll barrier vs the serial loop, and the
-// manifest's per-row servings roundtrip.
-// Seeded and shrinkable via tests/proptest.h (LIMEQO_PROPTEST_SEED).
+// Train-plane tests. Every ShardedServingTier trains through one
+// TrainExecutor; the centerpiece pins that plane against frozen outputs of
+// the thread-per-shard plane it replaced: twelve fixed op schedules
+// (epochs x growth, over 1/2/4 shards) must reproduce that plane's merged
+// serving trace, matrix, per-row serving counts, predictions, and ledgers
+// bitwise at 1, 2 and 4 serving threads. Around it: executor scheduling
+// smoke (free-running drains everything, idle shards park), the
+// prioritized SyncEpochAll barrier vs the serial loop, and the manifest's
+// per-row servings roundtrip.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -22,266 +19,217 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/als.h"
 #include "core/engine.h"
 #include "core/predictor.h"
 #include "core/shard_router.h"
 #include "core/train_executor.h"
 #include "core/workload_matrix.h"
-#include "proptest.h"
 #include "scenarios/scenario.h"
+#include "scenarios/simulation.h"
 #include "scenarios/synthetic_backend.h"
+#include "trace_hash.h"
 
 namespace limeqo::scenarios {
 namespace {
 
-// One recorded serving of the merged trace (indexed by global seq).
-struct TraceEntry {
-  int query = -1;
-  int hint = -1;
-  double latency = 0.0;
-};
-
-// The op schedule is generated *before* either tier runs, so both twins
-// replay exactly the same operations.
+// One epoch of the op schedule: serve `servings` through ServeSchedule,
+// then optionally append one query row.
 struct Round {
   uint64_t servings = 0;
   bool grow = false;
 };
 
-core::ShardedTierOptions TierOptions(int shards, bool shared,
-                                     proptest::Params& p) {
+// A fixed op schedule over a synthetic world. Everything but the shard
+// count is drawn from `seed`, so (seed, shards) reproduces the case.
+struct PlaneCase {
+  PlaneCase(int rows, int hints) : matrix(rows, hints) {}
+  ScenarioSpec spec;
+  core::WorkloadMatrix matrix;
+  core::AlsOptions als;
   core::ShardedTierOptions options;
-  options.num_shards = shards;
-  options.online.epsilon = 0.2;
-  options.online.min_predicted_ratio = 0.05;
-  options.online.regret_budget_seconds = 25.0;
-  options.online.refresh_every = static_cast<int>(p.Int(6, 16));
-  options.online.publish_every = static_cast<int>(p.Int(3, 8));
-  options.online.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
-  options.shared_train_plane = shared;
-  options.executor.workers = 2;
-  return options;
+  std::vector<Round> rounds;
+};
+
+PlaneCase BuildCase(uint64_t seed, int shards) {
+  Rng rng(seed);
+  const int hints = static_cast<int>(rng.UniformInt(3, 6));
+  const int rows = static_cast<int>(rng.UniformInt(8, 16));
+  PlaneCase c(rows, hints);
+  c.spec.name = "train-plane-golden";
+  c.spec.num_queries = rows + 4;
+  c.spec.num_hints = hints;
+  c.spec.latent_rank = static_cast<int>(rng.UniformInt(1, 3));
+  c.spec.noise_sigma = rng.Uniform(0.0, 0.2);
+  c.spec.seed = rng.NextUint64();
+  const SyntheticBackend backend(c.spec);
+
+  for (int q = 0; q < rows; ++q) {
+    c.matrix.Observe(q, 0, backend.TrueLatency(q, 0));
+    if (rng.Bernoulli(0.4)) {
+      const int h = static_cast<int>(rng.UniformInt(1, hints - 1));
+      c.matrix.ObserveCensored(q, h, 0.5 * backend.TrueLatency(q, h));
+    }
+  }
+
+  c.als.rank = static_cast<int>(rng.UniformInt(1, 2));
+  c.als.iterations = 8;
+  c.als.seed = rng.NextUint64();
+
+  c.options.num_shards = shards;
+  c.options.online.epsilon = 0.2;
+  c.options.online.min_predicted_ratio = 0.05;
+  c.options.online.regret_budget_seconds = 25.0;
+  c.options.online.refresh_every = static_cast<int>(rng.UniformInt(6, 16));
+  c.options.online.publish_every = static_cast<int>(rng.UniformInt(3, 8));
+  c.options.online.seed = rng.NextUint64();
+  // Two workers: the epoch barrier spreads over a transient helper thread.
+  c.options.executor.workers = 2;
+
+  c.rounds.resize(static_cast<size_t>(rng.UniformInt(2, 4)));
+  for (Round& r : c.rounds) {
+    r.servings = static_cast<uint64_t>(rng.UniformInt(8, 30));
+    r.grow = rng.Bernoulli(0.5);
+  }
+  return c;
 }
 
-// Runs the op schedule against a fresh tier and returns its merged trace;
-// the tier itself is returned through *tier_out for state comparison.
-std::vector<TraceEntry> RunSchedule(
-    const core::WorkloadMatrix& matrix, const SyntheticBackend& backend,
-    const core::AlsOptions& als, const core::ShardedTierOptions& options,
-    const std::vector<Round>& rounds, int threads,
-    std::vector<std::unique_ptr<core::Predictor>>* preds_out,
-    std::unique_ptr<core::ShardedServingTier>* tier_out) {
-  preds_out->clear();
-  std::vector<core::Predictor*> pred_ptrs;
-  for (int i = 0; i < options.num_shards; ++i) {
-    preds_out->push_back(std::make_unique<core::CompleterPredictor>(
-        std::make_unique<core::AlsCompleter>(als)));
-    pred_ptrs.push_back(preds_out->back().get());
+// What a run of a case leaves behind, reduced to comparable values.
+struct PlaneFingerprint {
+  uint64_t trace_hash = 0;       // tests::TraceHash of the merged trace
+  uint64_t matrix_hash = 0;      // merged cells + per-row serving counts
+  uint64_t prediction_hash = 0;  // every shard's prediction matrix
+  double regret_spent = 0.0;
+  int explorations = 0;
+  int rows = 0;                  // global rows after growth
+};
+
+// Serves the case's schedule at `threads` serving threads on a fresh tier.
+PlaneFingerprint RunCase(const PlaneCase& c, int threads) {
+  const SyntheticBackend backend(c.spec);
+  std::vector<std::unique_ptr<core::Predictor>> predictors;
+  std::vector<core::Predictor*> predictor_ptrs;
+  for (int i = 0; i < c.options.num_shards; ++i) {
+    predictors.push_back(std::make_unique<core::CompleterPredictor>(
+        std::make_unique<core::AlsCompleter>(c.als)));
+    predictor_ptrs.push_back(predictors.back().get());
   }
-  auto tier = std::make_unique<core::ShardedServingTier>(matrix, pred_ptrs,
-                                                         options);
-  tier->RefreshAll(/*force=*/true);
-  tier->PublishAll();
+  core::ShardedServingTier tier(c.matrix, predictor_ptrs, c.options);
+  tier.RefreshAll(/*force=*/true);
+  tier.PublishAll();
 
   uint64_t total = 0;
-  for (const Round& r : rounds) total += r.servings;
-  std::vector<TraceEntry> trace(static_cast<size_t>(total));
-
+  for (const Round& r : c.rounds) total += r.servings;
+  SimulationResult trace;
+  trace.serving_trace.resize(static_cast<size_t>(total));
   const auto resolve = [&backend](int q, int chosen, uint64_t seq) {
-    core::ServedOutcome out;
-    out.hint = chosen;
-    out.latency = backend.ServeLatency(q, chosen, seq);
-    return out;
+    return core::ServedOutcome{chosen, backend.ServeLatency(q, chosen, seq)};
   };
   const auto record = [&trace](const core::TierServing& s) {
-    TraceEntry& e = trace[static_cast<size_t>(s.seq)];
-    e.query = s.query;
-    e.hint = s.observation.hint;
-    e.latency = s.observation.latency;
+    trace.serving_trace[static_cast<size_t>(s.seq)] = ServingRecord{
+        s.query, s.observation.hint, s.observation.latency};
   };
 
   uint64_t served = 0;
-  for (const Round& r : rounds) {
-    tier->ServeSchedule(served, served + r.servings, threads, resolve,
-                        record);
+  for (const Round& r : c.rounds) {
+    tier.ServeSchedule(served, served + r.servings, threads, resolve, record);
     served += r.servings;
     if (r.grow) {
-      const int g = tier->AppendQueries(1);
-      tier->shard_engine(tier->ShardOfRow(g))
-          .Observe(tier->LocalRowOf(g), 0, backend.TrueLatency(g, 0));
-      tier->RefreshAll(true);
-      tier->PublishAll();
+      const int g = tier.AppendQueries(1);
+      tier.shard_engine(tier.ShardOfRow(g))
+          .Observe(tier.LocalRowOf(g), 0, backend.TrueLatency(g, 0));
+      tier.RefreshAll(/*force=*/true);
+      tier.PublishAll();
     }
   }
-  *tier_out = std::move(tier);
-  return trace;
+  EXPECT_EQ(tier.scheduled_servings(), total);
+
+  PlaneFingerprint f;
+  f.trace_hash = tests::TraceHash(trace);
+  const core::WorkloadMatrix merged = tier.MergedMatrix();
+  tests::Fnv1a cells;
+  for (int q = 0; q < merged.num_queries(); ++q) {
+    for (int h = 0; h < merged.num_hints(); ++h) {
+      cells.Mix(merged.state(q, h));
+      cells.Mix(merged.values()(q, h));
+    }
+    cells.Mix(tier.shard_engine(tier.ShardOfRow(q))
+                  .row_servings(tier.LocalRowOf(q)));
+  }
+  f.matrix_hash = cells.value();
+  tests::Fnv1a predictions;
+  for (int s = 0; s < tier.num_shards(); ++s) {
+    const core::ExplorationEngine& engine = tier.shard_engine(s);
+    predictions.Mix(engine.have_predictions());
+    if (!engine.have_predictions()) continue;
+    const linalg::Matrix& p = engine.predictions();
+    for (size_t i = 0; i < p.rows(); ++i) {
+      for (size_t j = 0; j < p.cols(); ++j) predictions.Mix(p(i, j));
+    }
+  }
+  f.prediction_hash = predictions.value();
+  f.regret_spent = tier.regret_spent();
+  f.explorations = tier.explorations();
+  f.rows = tier.num_queries();
+  return f;
 }
 
-bool TiersMatchBitwise(const core::ShardedServingTier& a,
-                       const core::ShardedServingTier& b) {
-  if (a.num_queries() != b.num_queries() ||
-      a.num_shards() != b.num_shards()) {
-    std::fprintf(stderr, "tier shapes diverged\n");
-    return false;
-  }
-  if (a.regret_spent() != b.regret_spent() ||
-      a.explorations() != b.explorations() ||
-      a.scheduled_servings() != b.scheduled_servings()) {
-    std::fprintf(stderr, "fleet ledgers diverged: (%.17g, %d, %llu) vs "
-                 "(%.17g, %d, %llu)\n",
-                 a.regret_spent(), a.explorations(),
-                 static_cast<unsigned long long>(a.scheduled_servings()),
-                 b.regret_spent(), b.explorations(),
-                 static_cast<unsigned long long>(b.scheduled_servings()));
-    return false;
-  }
-  for (int row = 0; row < a.num_queries(); ++row) {
-    if (a.ShardOfRow(row) != b.ShardOfRow(row) ||
-        a.LocalRowOf(row) != b.LocalRowOf(row)) {
-      std::fprintf(stderr, "row %d placement diverged\n", row);
-      return false;
+struct PlaneGolden {
+  uint64_t seed;
+  int shards;
+  PlaneFingerprint expected;
+};
+
+// Captured from the last build whose tier trained one thread per shard
+// (its epoch barrier was a serial per-engine SyncEpoch loop), at one
+// serving thread; that build's differential twin test held the executor
+// bitwise equal to it. Never regenerate these from the executor: they are
+// the reference it is checked against.
+// Every case appends at least one row.
+constexpr PlaneGolden kPerShardPlaneGoldens[] = {
+    {11, 1, {0xEF3C2EAEF83995E6ULL, 0x0E7CF96C2F6B2A41ULL,
+             0x605CAC0F76EF65CCULL, 0x1.cd16b7ba887a4p+2, 7, 16}},
+    {11, 2, {0xE246A8F29504DEC8ULL, 0x0BF6D6BA9DD1B09FULL,
+             0x4504517D550B61EBULL, 0x1.5ede15b02e1fap+1, 5, 16}},
+    {11, 4, {0x4734F7F122B6C487ULL, 0x2BA67D4285F686A2ULL,
+             0x2BFD5D2ABA479903ULL, 0x1.d7a72409c13e8p-3, 3, 16}},
+    {23, 1, {0x0796F654C7053EB4ULL, 0x62720F0A4114BE8FULL,
+             0xABB0F255D21D5AA1ULL, 0x1.98a1065507441p-1, 10, 11}},
+    {23, 2, {0x5FA7DE4EB0A8E359ULL, 0x20FE1B0017597453ULL,
+             0x99386FF24BDF3DF1ULL, 0x1.21808cafa12fdp+2, 9, 11}},
+    {23, 4, {0x347DDD66D7E60D48ULL, 0xCB4367C724A8BFFAULL,
+             0x749D89F31AD284E8ULL, 0x1.2a089acc4c7eap+0, 5, 11}},
+    {71, 1, {0x6878B6EE26A78091ULL, 0x3A5D81288C96410CULL,
+             0x1D6692C21C5A0420ULL, 0x1.c290c1b14d9eap+2, 8, 13}},
+    {71, 2, {0x97C62E4025FB0501ULL, 0xAC8BB0D548819725ULL,
+             0x5EE86BD0C1AC7C40ULL, 0x1.02ac7de6f24b1p+2, 5, 13}},
+    {71, 4, {0x97C62E4025FB0501ULL, 0xAC8BB0D548819725ULL,
+             0x7C55BA964A92A557ULL, 0x1.02ac7de6f24b1p+2, 5, 13}},
+    {83, 1, {0x19CB6D36DFD0CE1CULL, 0x3C0E7753E07797C2ULL,
+             0xABB60C143862A97FULL, 0x1.53067b0db23fp+3, 9, 17}},
+    {83, 2, {0x96646FBAC4C9BB17ULL, 0x0D51C9291FE8DE3EULL,
+             0x24E11B5516615BE3ULL, 0x1.672118db84d37p+2, 6, 17}},
+    {83, 4, {0x8ADE0A548D4D2729ULL, 0x66D46593947EEB36ULL,
+             0xD3C67B77B79558F0ULL, 0x1.12c9fce7a338p+1, 4, 17}},
+};
+
+TEST(TrainExecutorTest, TierReproducesPerShardPlaneGoldens) {
+  for (const PlaneGolden& g : kPerShardPlaneGoldens) {
+    const PlaneCase c = BuildCase(g.seed, g.shards);
+    for (int threads : {1, 2, 4}) {
+      const PlaneFingerprint f = RunCase(c, threads);
+      const std::string where = "seed " + std::to_string(g.seed) + ", " +
+                                std::to_string(g.shards) + " shard(s), " +
+                                std::to_string(threads) + " thread(s)";
+      EXPECT_EQ(f.trace_hash, g.expected.trace_hash) << where;
+      EXPECT_EQ(f.matrix_hash, g.expected.matrix_hash) << where;
+      EXPECT_EQ(f.prediction_hash, g.expected.prediction_hash) << where;
+      EXPECT_EQ(f.regret_spent, g.expected.regret_spent) << where;
+      EXPECT_EQ(f.explorations, g.expected.explorations) << where;
+      EXPECT_EQ(f.rows, g.expected.rows) << where;
     }
   }
-  for (int s = 0; s < a.num_shards(); ++s) {
-    const core::ExplorationEngine& ea = a.shard_engine(s);
-    const core::ExplorationEngine& eb = b.shard_engine(s);
-    const core::WorkloadMatrix& ma = ea.matrix();
-    const core::WorkloadMatrix& mb = eb.matrix();
-    if (ma.num_queries() != mb.num_queries()) {
-      std::fprintf(stderr, "shard %d row count diverged\n", s);
-      return false;
-    }
-    for (int q = 0; q < ma.num_queries(); ++q) {
-      for (int h = 0; h < ma.num_hints(); ++h) {
-        if (ma.state(q, h) != mb.state(q, h) ||
-            ma.values()(q, h) != mb.values()(q, h)) {
-          std::fprintf(stderr, "shard %d cell (%d,%d) diverged\n", s, q, h);
-          return false;
-        }
-      }
-      if (ea.row_servings(q) != eb.row_servings(q)) {
-        std::fprintf(stderr, "shard %d row %d servings diverged\n", s, q);
-        return false;
-      }
-    }
-    if (ea.have_predictions() != eb.have_predictions()) {
-      std::fprintf(stderr, "shard %d refit availability diverged\n", s);
-      return false;
-    }
-    if (ea.have_predictions()) {
-      const linalg::Matrix& pa = ea.predictions();
-      const linalg::Matrix& pb = eb.predictions();
-      for (size_t i = 0; i < pa.rows(); ++i) {
-        for (size_t j = 0; j < pa.cols(); ++j) {
-          if (pa(i, j) != pb(i, j)) {
-            std::fprintf(stderr,
-                         "shard %d prediction (%zu,%zu) diverged: %.17g vs "
-                         "%.17g\n",
-                         s, i, j, pa(i, j), pb(i, j));
-            return false;
-          }
-        }
-      }
-    }
-  }
-  return true;
-}
-
-TEST(TrainExecutorTest, SharedPlaneIsBitwiseIdenticalToPerShardPlane) {
-  proptest::Config config;
-  config.runs = 6;
-  proptest::Check(
-      "shared-executor tier == thread-per-shard tier, bitwise, at every "
-      "shard x thread count",
-      [](proptest::Params& p) {
-        const int shard_grid[] = {1, 2, 4};
-        const int shards = shard_grid[p.Int(0, 2)];
-        const int hints = static_cast<int>(p.Int(3, 6));
-        const int rows = static_cast<int>(p.Int(8, 16));
-        ScenarioSpec spec;
-        spec.name = "shared-train-prop";
-        spec.num_queries = rows + 4;
-        spec.num_hints = hints;
-        spec.latent_rank = static_cast<int>(p.Int(1, 3));
-        spec.noise_sigma = p.Double(0.0, 0.2);
-        spec.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
-        const SyntheticBackend backend(spec);
-
-        core::WorkloadMatrix matrix(rows, hints);
-        for (int q = 0; q < rows; ++q) {
-          matrix.Observe(q, 0, backend.TrueLatency(q, 0));
-          if (hints > 1 && p.Bool(0.4)) {
-            const int h = 1 + static_cast<int>(p.Int(0, hints - 2));
-            matrix.ObserveCensored(q, h, 0.5 * backend.TrueLatency(q, h));
-          }
-        }
-
-        core::AlsOptions als;
-        als.rank = static_cast<int>(p.Int(1, 2));
-        als.iterations = 8;
-        als.seed = static_cast<uint64_t>(p.Int(1, 1 << 30));
-
-        // One option draw used for both twins: identical in everything
-        // except who drives the train plane.
-        core::ShardedTierOptions base = TierOptions(shards, false, p);
-        core::ShardedTierOptions shared = base;
-        shared.shared_train_plane = true;
-
-        // The op schedule, fixed up front.
-        std::vector<Round> rounds(static_cast<size_t>(p.Int(2, 4)));
-        int growths = 0;
-        for (Round& r : rounds) {
-          r.servings = static_cast<uint64_t>(p.Int(8, 30));
-          r.grow = growths < 4 && p.Bool(0.3);
-          if (r.grow) ++growths;
-        }
-
-        std::vector<TraceEntry> reference;
-        for (int threads : {1, 2, 4}) {
-          std::vector<std::unique_ptr<core::Predictor>> preds_a, preds_b;
-          std::unique_ptr<core::ShardedServingTier> tier_a, tier_b;
-          const std::vector<TraceEntry> trace_a = RunSchedule(
-              matrix, backend, als, base, rounds, threads, &preds_a,
-              &tier_a);
-          const std::vector<TraceEntry> trace_b = RunSchedule(
-              matrix, backend, als, shared, rounds, threads, &preds_b,
-              &tier_b);
-          if (trace_a.size() != trace_b.size()) return false;
-          for (size_t i = 0; i < trace_a.size(); ++i) {
-            if (trace_a[i].query != trace_b[i].query ||
-                trace_a[i].hint != trace_b[i].hint ||
-                trace_a[i].latency != trace_b[i].latency) {
-              std::fprintf(stderr,
-                           "trace diverged at seq %zu (threads=%d): "
-                           "(%d,%d,%.17g) vs (%d,%d,%.17g)\n",
-                           i, threads, trace_a[i].query, trace_a[i].hint,
-                           trace_a[i].latency, trace_b[i].query,
-                           trace_b[i].hint, trace_b[i].latency);
-              return false;
-            }
-          }
-          if (!TiersMatchBitwise(*tier_a, *tier_b)) return false;
-          // Thread-count invariance holds through the executor too: every
-          // (threads, plane) run yields the one reference trace.
-          if (reference.empty()) {
-            reference = trace_a;
-          } else {
-            for (size_t i = 0; i < reference.size(); ++i) {
-              if (reference[i].hint != trace_b[i].hint ||
-                  reference[i].latency != trace_b[i].latency) {
-                std::fprintf(stderr,
-                             "thread-count variance at seq %zu "
-                             "(threads=%d)\n",
-                             i, threads);
-                return false;
-              }
-            }
-          }
-        }
-        return true;
-      },
-      config);
 }
 
 // Free-running smoke: the executor drains every reported observation,

@@ -41,10 +41,10 @@ noise largely cancels):
   * fleet tax: the 4-shard / 4-refit-thread tier
     (sharded_serving_s4r4_ns_per_op) must stay under --max-fleet-tax
     times the 1-shard / 1-thread point. That is the train plane's
-    serving-path cost at full fan-out — the ratio the shared train
-    executor exists to keep bounded on a small box (4 train threads each
-    fanning refits over 4 linalg threads would otherwise time-slice the
-    serving core away).
+    serving-path cost at full fan-out: the fleet's one TrainExecutor (2
+    workers splitting the 4 linalg threads) keeps that cost bounded on a
+    small box, so a blown ratio means the train plane started taking the
+    serving core (more threads, a wider refit fan-out, a busy wait).
 
 Usage:
   check_bench_regression.py BASELINE.json CURRENT.json [--max-ratio 2.0]

@@ -61,11 +61,6 @@ struct Args {
   /// checkpoints plus a tier manifest, and --restore=DIR reassembles the
   /// fleet from them.
   int shards = 1;
-  /// Drive the sharded tier's epoch barriers through the shared
-  /// TrainExecutor (one prioritized worker pool for the whole fleet)
-  /// instead of the serial per-shard loop; the merged trace is bitwise
-  /// unchanged.
-  bool shared_train = false;
   /// Directory for crash-consistent tier checkpoints (`shard-<i>.ckpt`
   /// per shard plus `tier.manifest`): written once as soon as the serving
   /// tier is published and again after every serving epoch (atomic temp +
@@ -99,8 +94,6 @@ void Usage() {
       "                  [--save=PATH]  save the matrix afterwards\n"
       "                  [--serve=N]    online servings after exploring\n"
       "                  [--serve-threads=T]  serving threads (default 1)\n"
-      "                  [--shared-train]  one shared train-plane executor\n"
-      "                                 for the fleet\n"
       "                  [--shards=N]   shard serving across N >= 1 engines\n"
       "                                 behind the deterministic router\n"
       "                                 (default 1)\n"
@@ -156,8 +149,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->faults = v;
     } else if (const char* v = value("--max-retries=")) {
       args->max_retries = std::atoi(v);
-    } else if (arg == "--shared-train") {
-      args->shared_train = true;
     } else if (arg == "--list") {
       args->list = true;
     } else {
@@ -296,7 +287,8 @@ int Run(const Args& args) {
   core::ShardedTierOptions tier_options;
   tier_options.num_shards = args.shards;
   tier_options.online = online;
-  tier_options.shared_train_plane = args.shared_train;
+  // The fleet's one train plane gets a worker per serving thread, so an
+  // epoch barrier spreads over that many threads.
   tier_options.executor.workers = threads;
   std::vector<std::unique_ptr<core::Predictor>> predictors;
   std::vector<core::Predictor*> predictor_ptrs;
