@@ -428,6 +428,44 @@ void MeasureReobserve(int n, int k, double* fold_ns_out,
   *refit_publish_ms_out = refit_publish_s / refit_publishes * 1e3;
 }
 
+/// How long a warm refit holds the train plane's drain lock before it lets
+/// go: a warm AlsCompleter::CompleteFrom at serve-large's 20000x49, timed
+/// from the call to its ScopedRefitYield callback (the completion's last
+/// read of the matrix). The matrix stores every default plus about 2/3 of
+/// the other cells (a quarter of those censored), the fit runs on one
+/// linalg thread, and the warm factors come from one untimed warm-up fit.
+/// Returns the median of kLockedFits fits, in ms.
+constexpr int kLockedFits = 7;
+
+double MeasureRefitSetupLocked(int n, int k) {
+  Rng rng(4096);
+  core::WorkloadMatrix w(n, k);
+  for (int q = 0; q < n; ++q) {
+    w.Observe(q, 0, rng.Uniform(0.1, 10.0));
+    for (int j = 1; j < k; ++j) {
+      const double u = rng.NextDouble();
+      if (u < 0.5) {
+        w.Observe(q, j, rng.Uniform(0.05, 10.0));
+      } else if (u < 2.0 / 3.0) {
+        w.ObserveCensored(q, j, rng.Uniform(0.05, 10.0));
+      }
+    }
+  }
+  ScopedParallelBudget one_thread(1);
+  core::AlsCompleter als(WarmServingWorld::MakeAlsOptions());
+  core::CompletionFactors factors;
+  std::vector<double> locked_ms;
+  for (int fit = 0; fit <= kLockedFits; ++fit) {
+    double yielded_at = 0.0;
+    core::ScopedRefitYield yield([&] { yielded_at = WallSeconds(); });
+    const double start = WallSeconds();
+    LIMEQO_CHECK(als.CompleteFrom(w, &factors).ok());
+    if (fit > 0) locked_ms.push_back((yielded_at - start) * 1e3);
+  }
+  std::sort(locked_ms.begin(), locked_ms.end());
+  return locked_ms[locked_ms.size() / 2];
+}
+
 /// Checkpoint write cost vs matrix rows: one MakeCheckpoint +
 /// crash-atomic SaveCheckpoint (serialize, write temp, fsync, rename).
 /// This is what the free-running train loop pays every checkpoint_every
@@ -663,6 +701,16 @@ int Main(int argc, char** argv) {
                 "publication):\n    %6.1f ns/observation fold, %.2f ms "
                 "post-refit publish\n",
                 kReobserveBlock, fold_ns, refit_publish_ms);
+  }
+
+  // The drain lock a refit holds at serve-large's shape: the span the
+  // producers of a 20000x49 engine cannot drain.
+  {
+    const double locked_ms = MeasureRefitSetupLocked(20000, 49);
+    reporter.Report("refit_setup_locked_ms", locked_ms, kLockedFits, 1);
+    std::printf("\n  warm refit, drain lock held before the yield "
+                "(20000x49, 1 thread): %.2f ms (median of %d)\n",
+                locked_ms, kLockedFits);
   }
 
   // Checkpoint write cost vs n (k=16): the train loop's per-cadence price

@@ -437,6 +437,13 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   LIMEQO_CHECK(n <= std::numeric_limits<uint32_t>::max() &&
                cells.size() <= std::numeric_limits<uint32_t>::max());
 
+  // The cell list is the last read of `w`: from here on the fit reads only
+  // the cell list, the arena, the options and the warm factors — the yield
+  // contract of RefitYieldPoint (completer.h). The train plane releases
+  // its drain lock here, so the caller may write to `w` during the rest of
+  // set-up and the sweeps.
+  RefitYieldPoint();
+
   // Log-ratio space: x = log(v) - b_i - c_j, with b_i the row's observed
   // default log latency (fallback: row mean, then global mean) and c_j a
   // shrunk per-hint mean residual. Censored cells contribute their
@@ -662,12 +669,6 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
       }
     }
   }
-
-  // Set-up is done: from here on the fit reads only the cell list, the
-  // biases and the factors, never `w` — the yield contract of
-  // RefitYieldPoint (completer.h). The train plane releases its drain lock
-  // here, so the caller may write to `w` while the sweeps run.
-  RefitYieldPoint();
 
   // The alternating sweeps (Algorithm 2 lines 2-12) without the dense
   // fill. W-hat = M .* W + (1 - M) .* (Q H^T), censored cells clamped up

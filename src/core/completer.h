@@ -122,7 +122,8 @@ struct CompletionArena {
 /// finishes: the first RefitYieldPoint() this thread reaches while the
 /// scope is alive runs `yield`; later yield points are no-ops. The train
 /// plane opens one around each refit and releases its drain lock from the
-/// callback, so producers drain into the matrix while the model fits. The
+/// callback, so producers drain into the matrix for the rest of the fit:
+/// for AlsCompleter, everything after its cell-list build. The
 /// scope is thread-local like ScopedParallelBudget: pool workers never see
 /// it, and it needs no Completer virtual, so it reaches through any
 /// decorator that forwards Complete/CompleteFrom. A thread holds at most
@@ -145,7 +146,8 @@ class ScopedRefitYield {
 
 /// Runs the open ScopedRefitYield's callback on this thread, the first time
 /// only; a no-op when no scope is open. A completion calls it on the
-/// calling thread, outside any ParallelFor body, at its set-up-done point.
+/// calling thread, outside any ParallelFor body, right after its last read
+/// of the input, so the callback comes as early as the contract allows.
 /// The contract that makes this safe: once a completion reaches a yield
 /// point it never reads its input WorkloadMatrix again, because the caller
 /// may mutate that matrix from then on (the train plane drains
@@ -156,10 +158,11 @@ void RefitYieldPoint();
 /// from the partial observations in a WorkloadMatrix. Implementations:
 /// AlsCompleter (the paper's Algorithm 2), SvtCompleter and
 /// NuclearNormCompleter (the Sec. 5.5.5 comparison baselines). Only
-/// AlsCompleter calls RefitYieldPoint(), once, when its set-up is done,
-/// and it reads `w` only before that; the others never yield, so they may
-/// read `w` throughout (the train plane then keeps its drain lock for the
-/// whole fit).
+/// AlsCompleter calls RefitYieldPoint(), once, as soon as it has built and
+/// checked its cell list, and it reads `w` only before that (the rest of
+/// its set-up reads the cell list, its arena, its options and the warm
+/// factors); the others never yield, so they may read `w` throughout (the
+/// train plane then keeps its drain lock for the whole fit).
 class Completer {
  public:
   virtual ~Completer() = default;

@@ -480,10 +480,10 @@ void ExplorationEngine::FoldCell(int query, int hint, CellState before) {
 
 StatusOr<linalg::Matrix> ExplorationEngine::FitReleasingDrainLock(
     uint64_t* fit_ns) {
-  // The completion's set-up-done point: from there on it never reads
-  // matrix_ again (the Completer yield contract), so producers may drain
-  // into the matrix while the model fits.
-  ScopedRefitYield set_up_done(
+  // The completion's yield point follows its last read of matrix_ (the
+  // Completer yield contract; for ALS, the cell-list build), so producers
+  // may drain into the matrix for the rest of the fit.
+  ScopedRefitYield matrix_read_done(
       [this]() NO_THREAD_SAFETY_ANALYSIS { drain_mu_.Unlock(); });
   const auto start = std::chrono::steady_clock::now();
   StatusOr<linalg::Matrix> prediction = predictor_->PredictFrom(
@@ -492,7 +492,7 @@ StatusOr<linalg::Matrix> ExplorationEngine::FitReleasingDrainLock(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  if (set_up_done.yielded()) {
+  if (matrix_read_done.yielded()) {
     train_waiting_.store(true, std::memory_order_relaxed);
     drain_mu_.Lock();
     train_waiting_.store(false, std::memory_order_relaxed);
@@ -510,8 +510,8 @@ bool ExplorationEngine::TryRefit() {
   refits_completed_.fetch_add(1, std::memory_order_relaxed);
   predictions_ = std::make_shared<const linalg::Matrix>(
       std::move(prediction).value());
-  // The fit saw the matrix as of its set-up; observations drained while it
-  // ran are updates it has not absorbed yet. (The next Publish sees new
+  // The fit saw the matrix as of its cell-list build; observations drained
+  // while it ran are updates it has not absorbed yet. (The next Publish sees new
   // predictions and rescans every row's model half against them.)
   updates_since_refresh_ -= updates_before;
   return true;

@@ -269,10 +269,11 @@ struct EngineOptions {
 /// producer whose queue slot is still a lap behind does not just wait for
 /// the train plane — it try-locks the drain lock and, when it gets it,
 /// publishes if due, drains one queue lap and publishes if due again. The
-/// fitter holds the lock for a refit's set-up, for the prediction swap and
-/// for the publication after it, which rescans every row's model half
-/// (the completion's set-up-done point releases it for the fit itself,
-/// see ScopedRefitYield), so serving never waits for a model fit. While the
+/// fitter holds the lock while the completion reads the matrix (for ALS,
+/// the cell-list build), for the prediction swap and for the publication
+/// after it, which rescans every row's model half; the completion's
+/// yield point (ScopedRefitYield) releases it for the rest of the fit, so
+/// serving never waits for the sweeps. While the
 /// train plane waits for the lock, producers stop trying it, so a steady
 /// stream of combiners cannot starve the fitter.
 class ExplorationEngine {
@@ -410,10 +411,11 @@ class ExplorationEngine {
   /// wrote a checkpoint — and false when the engine was idle, so a
   /// scheduler can park idle engines instead of spinning on them.
   ///
-  /// A refit does not stop the drain: the step releases the drain lock at
-  /// the completion's set-up-done point (ScopedRefitYield, completer.h),
+  /// A refit stops the drain only while the completion reads the matrix:
+  /// the step releases the drain lock at the completion's yield point
+  /// (ScopedRefitYield, completer.h), right after ALS builds its cell list,
   /// and lapped producers drain and publish while the model fits. The
-  /// refit fits the matrix as of its set-up, so what was drained while it
+  /// refit fits the matrix as of that read, so what was drained while it
   /// ran counts toward the next refit's refresh_every. The epoch path
   /// (SyncEpoch, RefreshPredictions) has no concurrent drainer, so its
   /// traces stay a pure function of the schedule.
@@ -497,8 +499,8 @@ class ExplorationEngine {
     return matrix_;
   }
   /// Matrix updates the current predictions have not absorbed: what was
-  /// applied since the last refit's set-up, including what producers
-  /// drained while that refit ran. A refit is due once this reaches
+  /// applied since the last refit read the matrix, including what
+  /// producers drained while that refit ran. A refit is due once this reaches
   /// refresh_every.
   int updates_since_refresh() const NO_THREAD_SAFETY_ANALYSIS {
     return updates_since_refresh_;
@@ -617,8 +619,9 @@ class ExplorationEngine {
   /// predictions; the drain kept the verified half current.
   bool TryRefit() REQUIRES(drain_mu_);
   /// Runs the predictor. The drain lock is held at entry and at exit, but
-  /// released from the completion's set-up-done point (RefitYieldPoint)
-  /// until it returns; *fit_ns receives the fitting time. Outside the
+  /// released from the completion's yield point (RefitYieldPoint, after
+  /// its last read of matrix_) until it returns; *fit_ns receives the
+  /// fitting time. Outside the
   /// capability analysis because the release happens in a thread-local
   /// callback it cannot follow.
   StatusOr<linalg::Matrix> FitReleasingDrainLock(uint64_t* fit_ns)

@@ -13,8 +13,9 @@
 //     counts;
 //   * the output is bitwise equal at 1/2/4 threads and with or without a
 //     borrowed arena;
-//   * mutating the input matrix at its set-up-done RefitYieldPoint changes
-//     no bit of the completion (the yield contract of completer.h);
+//   * mutating the input matrix at its RefitYieldPoint, right after the
+//     cell-list build, changes no bit of the completion (the yield
+//     contract of completer.h);
 // and that a warmed arena leaves the result matrix as the only
 // allocation of a completion that scales with the problem.
 
@@ -693,11 +694,13 @@ TEST(AlsSparseResidualTest, RefitYieldPointWithoutAScopeIsANoOp) {
 }
 
 TEST(AlsSparseResidualTest, CompletionNeverReadsTheMatrixAfterItsFirstYield) {
-  // The train plane releases its drain lock at a refit's set-up-done
-  // yield point, and producers drain observations into the live matrix
-  // from then on. The fit must not see them: a completion whose input is
-  // mutated at its yield is bitwise equal to one on an untouched copy —
-  // output, factors and sweep count.
+  // The train plane releases its drain lock at a refit's yield point,
+  // right after the cell-list build, and producers drain observations into
+  // the live matrix from then on. The fit must not see them: a completion
+  // whose input is mutated at its yield is bitwise equal to one on an
+  // untouched copy — output, factors and sweep count. The mutation also
+  // stores +Inf in row 0's complete default, which set-up rejects: any
+  // read of the matrix after the yield would fail the fit or change it.
   const WorkloadMatrix original = RandomCensoredMatrix(2400, 32, 0.08, 606);
   for (CensoredMode mode : {CensoredMode::kCensored,
                             CensoredMode::kNaiveObserved,
@@ -745,12 +748,13 @@ TEST(AlsSparseResidualTest, CompletionNeverReadsTheMatrixAfterItsFirstYield) {
                   break;
               }
             }
+            w.Observe(0, 0, std::numeric_limits<double>::infinity());
           });
           AlsCompleter als(o);
           StatusOr<linalg::Matrix> out =
               als.CompleteFrom(w, warm ? &fit.factors : nullptr);
           EXPECT_TRUE(out.ok());
-          fit.out = *out;
+          if (out.ok()) fit.out = *out;
           fit.q = als.query_factors();
           fit.h = als.hint_factors();
           fit.iterations = als.last_iterations();
@@ -758,7 +762,7 @@ TEST(AlsSparseResidualTest, CompletionNeverReadsTheMatrixAfterItsFirstYield) {
           return fit;
         };
         const Fit reference = run(1, /*mutate=*/false);
-        // Exactly one yield: the set-up-done point.
+        // Exactly one yield: right after the cell-list build.
         EXPECT_EQ(reference.yields, 1);
         for (int threads : {1, 2, 4}) {
           const Fit got = run(threads, /*mutate=*/true);

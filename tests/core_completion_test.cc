@@ -202,6 +202,55 @@ TEST(AlsTest, NonFiniteInputsAndFitsFail) {
   EXPECT_FALSE(out.ok());
 }
 
+TEST(AlsTest, NonFiniteLatenciesFailOnlyWhereTheFitStoresThem) {
+  // The finiteness check covers exactly the cells the fit stores, and it
+  // runs before the completion's yield point: a rejected matrix fails with
+  // the caller's lock still held (the yield callback never runs).
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    bool complete;  // +Inf complete cell, else +Inf timeout
+    CensoredMode mode;
+    bool ok;
+  };
+  const Case cases[] = {
+      {false, CensoredMode::kCensored, false},
+      {false, CensoredMode::kNaiveObserved, false},
+      {false, CensoredMode::kIgnore, true},
+      {true, CensoredMode::kCensored, false},
+      {true, CensoredMode::kNaiveObserved, false},
+      {true, CensoredMode::kIgnore, false},
+  };
+  for (const Case& c : cases) {
+    for (FitSpace space : {FitSpace::kLogRatio, FitSpace::kRaw}) {
+      SCOPED_TRACE(testing::Message()
+                   << "complete=" << c.complete << " mode="
+                   << static_cast<int>(c.mode)
+                   << " log=" << (space == FitSpace::kLogRatio));
+      PlantedProblem prob = MakePlanted(30, 8, 2, 0.5, 5);
+      prob.observed.Clear(4, 3);
+      if (c.complete) {
+        prob.observed.Observe(4, 3, inf);
+      } else {
+        prob.observed.ObserveCensored(4, 3, inf);
+      }
+      AlsOptions opt;
+      opt.fit_space = space;
+      opt.censored_mode = c.mode;
+      AlsCompleter als(opt);
+      int yields = 0;
+      ScopedRefitYield yield([&] { ++yields; });
+      StatusOr<linalg::Matrix> out = als.Complete(prob.observed);
+      EXPECT_EQ(out.ok(), c.ok);
+      EXPECT_EQ(yields, c.ok ? 1 : 0);
+      if (out.ok()) {
+        for (size_t i = 0; i < out->size(); ++i) {
+          EXPECT_TRUE(std::isfinite(out->data()[i]));
+        }
+      }
+    }
+  }
+}
+
 TEST(AlsTest, CensoredClampRaisesPredictions) {
   // A cell censored at a threshold far above the low-rank prediction must
   // be predicted at or near the threshold by the censored mode, while the

@@ -512,15 +512,15 @@ TEST(EngineTest, ConcurrentServingDrainsEveryObservationExactlyOnce) {
 // ---------------------------------------------------------------------------
 // The combining drain: between BeginTrainSteps and FinishTrainSteps a
 // producer whose slot is a lap behind drains the lap itself when the drain
-// lock is free, and the fitter holds that lock only for a refit's set-up
-// and its prediction swap.
+// lock is free, and the fitter holds that lock only while the completion
+// reads the matrix and for its prediction swap and publication.
 // ---------------------------------------------------------------------------
 
 /// Stands in for a long refit: reads the matrix shape, reaches its
-/// set-up-done point (RefitYieldPoint, where the train plane releases the
+/// yield point (RefitYieldPoint, where the train plane releases the
 /// drain lock), then sleeps in `pause` steps until `done` says stop (or
 /// `max_pauses` is reached) and returns a flat prediction. Hooks run at
-/// entry, right after the set-up point, and at exit, on the refitting
+/// entry, right after the yield point, and at exit, on the refitting
 /// thread. Sleeping rather than spinning leaves the producers CPU time
 /// even on a host with fewer free cores than threads.
 class SlowCompleter : public Completer {
