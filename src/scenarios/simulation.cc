@@ -271,6 +271,440 @@ class CountTree {
   std::vector<uint64_t> tree_;
 };
 
+
+/// Offline phase: explores the budget, applying drift and arrival events
+/// at their marks, then checks the offline invariants.
+void ExploreOffline(const ScenarioSpec& spec, ScenarioBackend* backend,
+                    core::OfflineExplorer* explorer,
+                    SimulationResult* result) {
+  const double budget =
+      spec.budget_fraction * backend->DefaultWorkloadLatency();
+  const std::vector<TimelineEvent> events = BuildTimeline(spec);
+  double spent_fraction = 0.0;
+  for (size_t e = 0; e <= events.size(); ++e) {
+    const double until = e < events.size() ? events[e].at : 1.0;
+    const std::vector<core::TrajectoryPoint> trajectory =
+        explorer->Explore((until - spent_fraction) * budget);
+    spent_fraction = until;
+    // Between events observations only accumulate on unobserved cells, so
+    // the served workload latency can only improve.
+    for (size_t t = 1; t < trajectory.size(); ++t) {
+      if (trajectory[t].workload_latency >
+          trajectory[t - 1].workload_latency + 1e-9) {
+        std::ostringstream os;
+        os << "segment " << e << " step " << t << ": "
+           << trajectory[t - 1].workload_latency << "s -> "
+           << trajectory[t].workload_latency << "s";
+        Violate(result, "offline-monotonicity", os.str());
+      }
+    }
+    if (e < events.size()) {
+      if (events[e].is_arrival) {
+        ApplyArrivalChecked(explorer, *backend, events[e].count, result);
+        result->arrivals += events[e].count;
+      } else {
+        backend->ApplyDrift(events[e].severity);
+        explorer->ResetAfterDataShift();
+      }
+    }
+  }
+
+  result->offline_seconds = explorer->offline_seconds();
+  result->overhead_seconds = explorer->overhead_seconds();
+  result->executions = explorer->num_executions();
+  result->timeouts = explorer->num_timeouts();
+
+  // Each Explore call may overshoot its deadline by at most one execution's
+  // charge, and the event timeline splits the budget into events.size() + 1
+  // calls — so that is the exact end-to-end overshoot bound.
+  const double overshoot_allowance =
+      static_cast<double>(events.size() + 1) * explorer->max_single_charge();
+  if (explorer->offline_seconds() > budget + overshoot_allowance + 1e-9) {
+    std::ostringstream os;
+    os << explorer->offline_seconds() << "s spent vs budget " << budget
+       << "s + " << events.size() + 1 << " segments x max charge "
+       << explorer->max_single_charge() << "s";
+    Violate(result, "offline-budget", os.str());
+  }
+  if (explorer->num_timeouts() != backend->timeouts_reported()) {
+    std::ostringstream os;
+    os << "explorer counted " << explorer->num_timeouts()
+       << " timeouts, backend reported " << backend->timeouts_reported();
+    Violate(result, "timeout-accounting", os.str());
+  }
+  const core::WorkloadMatrix& m = explorer->matrix();
+  if (!spec.use_timeouts &&
+      (explorer->num_timeouts() != 0 || m.NumCensored() != 0)) {
+    std::ostringstream os;
+    os << explorer->num_timeouts() << " timeouts / " << m.NumCensored()
+       << " censored cells with timeouts disabled";
+    Violate(result, "timeout-accounting", os.str());
+  }
+  if (m.num_queries() != spec.num_queries) {
+    std::ostringstream os;
+    os << m.num_queries() << " matrix rows after the "
+       << "arrival schedule, expected " << spec.num_queries;
+    Violate(result, "arrival-fresh-rows", os.str());
+  }
+  CheckMatrixConsistency(m, result);
+  // Both real serving outputs: the offline loop's BestHints and the online
+  // path's OnlineOptimizer rule.
+  CheckNoRegression(m, explorer->BestHints(), "offline", result);
+  CheckNoRegression(m, OnlineServedHints(m), "offline-serving", result);
+}
+
+/// Serves global indices [0, total) and returns each serving's TierServing
+/// at its global index. The run mode only picks the tier loop:
+/// ServeFreeRunning against the running train plane, or ServeSchedule in
+/// epochs of `publish_every` servings, each ending in the tier's barrier.
+std::vector<core::TierServing> ServeTier(
+    const RunConfig& config, int total, int publish_every,
+    const core::ShardedServingTier::Resolver& resolve,
+    core::ShardedServingTier* tier) {
+  std::vector<core::TierServing> records(total);
+  const core::ShardedServingTier::Recorder record =
+      [&records](const core::TierServing& served) {
+        records[served.seq] = served;
+      };
+  if (config.free_running) {
+    tier->StartTraining();
+    tier->ServeFreeRunning(total, config.serve_threads, resolve, record);
+    tier->StopTraining();  // final drain + publish on every shard
+  } else {
+    for (int epoch = 0; epoch < total; epoch += publish_every) {
+      tier->ServeSchedule(epoch, std::min(total, epoch + publish_every),
+                          config.serve_threads, resolve, record);
+    }
+  }
+  return records;
+}
+
+/// Replays one shard's servings in local order: ledger consistency, no
+/// exploration on an exhausted published ledger, local and global
+/// staleness. `shard_rank[s]` counts the servings routed to s's shard under
+/// a smaller global index. Returns the shard's in-flight regret window.
+double ReplayShard(const core::ShardedServingTier& tier, int shard,
+                   const std::vector<core::TierServing>& records,
+                   const std::vector<int>& order,
+                   const std::vector<uint64_t>& shard_rank, int threads,
+                   int publish_every, std::vector<uint64_t>* global_staleness,
+                   SimulationResult* result) {
+  const core::ExplorationEngine& engine = tier.shard_engine(shard);
+  const uint64_t count = order.size();
+  // prefix[l] is the regret drained before local serving l — bitwise the
+  // ledger any snapshot published at drain front l froze, because the
+  // drain applies deltas in the same order with the same additions.
+  std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
+  for (uint64_t l = 0; l < count; ++l) {
+    prefix[l + 1] = prefix[l] + records[order[l]].observation.regret_delta;
+  }
+  if (std::abs(prefix[count] - engine.regret_spent()) > 1e-9) {
+    std::ostringstream os;
+    os << "shard " << shard << " drained ledger " << engine.regret_spent()
+       << "s != replayed per-serving deltas " << prefix[count] << "s";
+    Violate(result, "ledger-consistency", os.str());
+  }
+  const double slice = tier.shard_budget(shard);
+  // The single-engine bound: a free-running producer of local serving l
+  // blocks until the drain passes l - capacity, publications lag the drain
+  // front by < capacity + publish_every, and each thread holds at most one
+  // claimed batch. An epoch decides on its entry snapshot, so its
+  // staleness stays below publish_every.
+  constexpr uint64_t kBatch = core::ShardedServingTier::kFreeRunningBatch;
+  const uint64_t local_bound = 2 * engine.queue_capacity() +
+                               static_cast<uint64_t>(threads) * kBatch +
+                               static_cast<uint64_t>(publish_every);
+  // Global staleness of the serving at local position l, global index s,
+  // decided on snapshot p: the earlier global servings of its shard the
+  // snapshot had not drained, #{m >= p : order[m] < s}. Those at m < l
+  // number at most l - p <= local_bound; those at m > l were claimed
+  // globally before s but took their local index after it — at most one
+  // claimed batch per other serving thread.
+  const uint64_t global_bound =
+      local_bound + static_cast<uint64_t>(threads - 1) * kBatch;
+  double max_inflight = 0.0;
+  std::vector<std::pair<uint64_t, uint64_t>> by_snapshot;  // (p, l)
+  by_snapshot.reserve(static_cast<size_t>(count));
+  for (uint64_t l = 0; l < count; ++l) {
+    const core::TierServing& r = records[order[l]];
+    const uint64_t p = r.snapshot_seq;
+    if (p > l) {
+      std::ostringstream os;
+      os << "shard " << shard << " local serving " << l
+         << " decided on snapshot seq " << p << " ahead of itself";
+      Violate(result, "gate", os.str());
+      continue;
+    }
+    if (r.observation.exploratory) {
+      if (prefix[p] >= slice) {
+        std::ostringstream os;
+        os << "shard " << shard << " serving " << order[l] << " (query "
+           << r.query << ", hint " << r.observation.hint << ", "
+           << r.observation.latency
+           << "s) explored on a snapshot whose ledger (" << prefix[p]
+           << "s) already exhausted the slice (" << slice << "s)";
+        Violate(result, "gate", os.str());
+      }
+      max_inflight = std::max(max_inflight, prefix[l + 1] - prefix[p]);
+    }
+    if (l - p > local_bound) {
+      std::ostringstream os;
+      os << "shard " << shard << " local staleness " << l - p
+         << " exceeds the per-shard bound " << local_bound;
+      Violate(result, "staleness", os.str());
+    }
+    by_snapshot.emplace_back(p, l);
+  }
+  // One sweep over the snapshot fronts in ascending order: `drained` holds
+  // the shard ranks of the local positions below the front, so the missing
+  // count is the serving's own rank minus the drained servings ranked
+  // below it.
+  std::sort(by_snapshot.begin(), by_snapshot.end());
+  CountTree drained(static_cast<size_t>(count));
+  uint64_t front = 0;
+  for (const auto& [p, l] : by_snapshot) {
+    for (; front < p; ++front) drained.Add(shard_rank[order[front]]);
+    const uint64_t s = static_cast<uint64_t>(order[l]);
+    const uint64_t gstale = shard_rank[s] - drained.CountBelow(shard_rank[s]);
+    global_staleness->push_back(gstale);
+    if (gstale > global_bound) {
+      std::ostringstream os;
+      os << "serving " << s << " global staleness " << gstale
+         << " exceeds the tier bound " << global_bound << " (shard " << shard
+         << ", local staleness " << l - p << ")";
+      Violate(result, "staleness", os.str());
+    }
+  }
+  return max_inflight;
+}
+
+/// The serving replay, one checker for both run modes. Seq accounting
+/// first: each shard's local sequence numbers must be exactly 0..count-1
+/// for the servings routed to it, and each shard must have drained exactly
+/// what was routed. Then every shard is replayed in local order
+/// (ReplayShard). Fills the staleness percentiles and returns the fleet's
+/// regret allowance, the summed per-shard in-flight windows: each shard
+/// gates on its snapshot's frozen ledger prefix[p] < slice, so spent_i <
+/// slice_i + window_i, and the slices sum to the fleet budget.
+double ReplayServings(const core::ShardedServingTier& tier,
+                      const std::vector<core::TierServing>& records,
+                      int threads, int publish_every,
+                      SimulationResult* result) {
+  const int shards = tier.num_shards();
+  std::vector<uint64_t> shard_rank(records.size());
+  std::vector<std::vector<int>> orders(shards);
+  for (size_t s = 0; s < records.size(); ++s) {
+    shard_rank[s] = orders[records[s].shard].size();
+    orders[records[s].shard].push_back(-1);
+  }
+  bool seq_ok = true;
+  for (size_t s = 0; s < records.size(); ++s) {
+    const core::TierServing& r = records[s];
+    std::vector<int>& order = orders[r.shard];
+    const uint64_t local_seq = r.observation.seq;
+    if (local_seq >= order.size() || order[local_seq] != -1) {
+      std::ostringstream os;
+      os << "serving " << s << " drained at shard " << r.shard
+         << " local seq " << local_seq << " (out of range or double-counted)";
+      Violate(result, "shard-seq-accounting", os.str());
+      seq_ok = false;
+      continue;
+    }
+    order[local_seq] = static_cast<int>(s);
+  }
+  for (int i = 0; i < shards; ++i) {
+    if (tier.shard_engine(i).drained_servings() != orders[i].size()) {
+      std::ostringstream os;
+      os << "shard " << i << " drained "
+         << tier.shard_engine(i).drained_servings() << " servings, "
+         << orders[i].size() << " were routed to it";
+      Violate(result, "shard-seq-accounting", os.str());
+      seq_ok = false;
+    }
+  }
+  if (!seq_ok) return 0.0;  // no local order to replay
+
+  std::vector<uint64_t> staleness;
+  staleness.reserve(records.size());
+  double allowance = 0.0;
+  for (int i = 0; i < shards; ++i) {
+    allowance += ReplayShard(tier, i, records, orders[i], shard_rank,
+                             threads, publish_every, &staleness, result);
+  }
+  std::sort(staleness.begin(), staleness.end());
+  if (!staleness.empty()) {
+    result->staleness_p50 =
+        static_cast<double>(staleness[staleness.size() / 2]);
+    result->staleness_p95 =
+        static_cast<double>(staleness[(95 * (staleness.size() - 1)) / 100]);
+    result->staleness_max = static_cast<double>(staleness.back());
+  }
+  return allowance;
+}
+
+/// The fleet checks after the replay: the per-shard freeze probe, the
+/// fleet regret budget plus the replay's in-flight allowance, the binomial
+/// epsilon cap, and no-regression on `merged`, the matrix the serving plane
+/// observed (captured before the probe's diagnostic traffic).
+void CheckFleet(const ScenarioSpec& spec,
+                const core::OnlineExplorationOptions& online,
+                double regret_allowance, const ScenarioBackend& backend,
+                const core::WorkloadMatrix& merged,
+                core::ShardedServingTier* tier, SimulationResult* result) {
+  // Per-shard freeze: a shard whose exhausted slice is published (the last
+  // epoch barrier or StopTraining's final publish) must not explore again;
+  // the other shards may keep exploring their own slices. Probed past
+  // every claimed index with the deterministic schedule, in publish_every
+  // epochs so the slice must stay frozen across several barriers, refits
+  // and republished snapshots.
+  std::vector<int> frozen(tier->num_shards(), -1);
+  bool any_exhausted = false;
+  for (int i = 0; i < tier->num_shards(); ++i) {
+    if (!tier->shard_engine(i).budget_exhausted()) continue;
+    frozen[i] = tier->shard_engine(i).explorations();
+    any_exhausted = true;
+  }
+  if (any_exhausted) {
+    const uint64_t probe = std::max<uint64_t>(result->servings,
+                                              tier->claimed_servings());
+    const uint64_t probe_end = probe + 50;
+    for (uint64_t k = probe; k < probe_end; k += online.publish_every) {
+      tier->ServeSchedule(
+          k, std::min<uint64_t>(k + online.publish_every, probe_end), 1,
+          [&backend](int q, int chosen, uint64_t seq) {
+            core::ServedOutcome out;
+            out.hint = chosen;
+            out.latency = backend.ServeLatency(q, chosen, seq);
+            return out;
+          });
+    }
+    for (int i = 0; i < tier->num_shards(); ++i) {
+      const int explored = tier->shard_engine(i).explorations();
+      if (frozen[i] < 0 || explored == frozen[i]) continue;
+      std::ostringstream os;
+      os << "shard " << i << ": " << explored - frozen[i]
+         << " explorations after slice exhaustion";
+      Violate(result, "online-budget-freeze", os.str());
+    }
+  }
+
+  if (result->regret_spent >
+      online.regret_budget_seconds + regret_allowance + 1e-9) {
+    std::ostringstream os;
+    os << result->regret_spent << "s regret vs budget "
+       << online.regret_budget_seconds
+       << "s + summed per-shard in-flight windows (" << regret_allowance
+       << "s)";
+    Violate(result, "online-regret-budget", os.str());
+  }
+  // Exploration is gated by one Bernoulli(epsilon) per serving: the count
+  // is stochastically dominated by Binomial(servings, epsilon). A 4-sigma
+  // band never flakes with deterministic seeds.
+  const double n = static_cast<double>(result->servings);
+  const double cap =
+      n * spec.epsilon +
+      4.0 * std::sqrt(n * spec.epsilon * (1.0 - spec.epsilon)) + 2.0;
+  if (result->explorations > cap) {
+    std::ostringstream os;
+    os << result->explorations << " explorations in " << result->servings
+       << " servings exceeds epsilon cap " << cap;
+    Violate(result, "online-epsilon-cap", os.str());
+  }
+  if (spec.epsilon == 0.0 && result->explorations != 0) {
+    Violate(result, "online-epsilon-cap", "explorations with epsilon = 0");
+  }
+  CheckMatrixConsistency(merged, result);
+  CheckNoRegression(merged, OnlineServedHints(merged), "online-serving",
+                    result);
+}
+
+/// Online phase: stands up the serving tier over the explored matrix,
+/// serves spec.online_servings (ServeTier), replays every serving
+/// (ReplayServings) and runs the fleet checks (CheckFleet).
+void ServeOnline(const ScenarioSpec& spec, const RunConfig& config,
+                 const core::WorkloadMatrix& explored,
+                 const ScenarioBackend& backend, SimulationResult* result) {
+  core::OnlineExplorationOptions online;
+  online.epsilon = spec.epsilon;
+  online.min_predicted_ratio = spec.min_predicted_ratio;
+  online.regret_budget_seconds = spec.online_regret_budget_seconds;
+  online.seed = MixSeed(spec.seed, 0x534Fu);
+
+  // serve_threads threads over a tier of config.shards engines behind the
+  // deterministic router (src/core/shard_router.h). Rows partition by the
+  // seed-pure hash; the fleet regret budget splits into row-count-
+  // proportional slices; decisions stay keyed by *global* serving index,
+  // so the fleet consumes exactly one epsilon-gate draw per serving like a
+  // single engine would. At one shard local rows are global rows, so every
+  // predictor arm serves; more shards need a per-shard completion model.
+  LIMEQO_CHECK(config.shards == 1 || config.arm == PredictorArm::kCompleter);
+  std::vector<std::unique_ptr<core::Predictor>> shard_predictors;
+  std::vector<core::Predictor*> shard_predictor_ptrs;
+  for (int i = 0; i < config.shards; ++i) {
+    // Per-shard instances of the same predictor configuration (same
+    // derived seed): refits are per-shard-matrix pure functions.
+    shard_predictors.push_back(
+        MakePredictor(config, &backend, MixSeed(spec.seed, 0x4F4Eu)));
+    shard_predictor_ptrs.push_back(shard_predictors.back().get());
+  }
+  core::ShardedTierOptions tier_options;
+  tier_options.num_shards = config.shards;
+  tier_options.online = online;
+  // A queue much smaller than the serving phase makes the free-running
+  // staleness bound meaningful (2 * capacity + threads * batch +
+  // publish_every must undercut the total servings): producers more than a
+  // lap ahead of the drain block, so the bound is a hard invariant, not a
+  // heuristic.
+  if (config.free_running) tier_options.engine.queue_capacity = 64;
+  core::ShardedServingTier tier(explored, shard_predictor_ptrs,
+                                tier_options);
+  tier.RefreshAll(/*force=*/true);
+  tier.PublishAll();
+
+  const int total = spec.online_servings;
+  // How each serving's faults resolved, written once per global index by
+  // the serving thread that owns it (no locking required).
+  std::vector<ResolvedServing> resolved(total);
+  const core::ShardedServingTier::Resolver resolve = [&](int q, int chosen,
+                                                         uint64_t seq) {
+    const ResolvedServing& r = resolved[seq] = ResolveServingFaults(
+        config.faults, config.max_retries, config.retry_backoff_seconds, q,
+        chosen, seq);
+    return core::ServedOutcome{r.hint, backend.ServeLatency(q, r.hint, seq),
+                               r.degraded};
+  };
+  const std::vector<core::TierServing> records =
+      ServeTier(config, total, online.publish_every, resolve, &tier);
+  const double regret_allowance = ReplayServings(
+      tier, records, config.serve_threads, online.publish_every, result);
+  // Epoch-synchronized decisions are pure functions of (snapshot, serving
+  // index), so this trace is bitwise identical at every thread count; a
+  // free-running trace depends on timing and is not recorded.
+  if (!config.free_running) {
+    result->serving_trace.reserve(records.size());
+    for (const core::TierServing& r : records) {
+      result->serving_trace.push_back(
+          {r.query, r.observation.hint, r.observation.latency});
+    }
+  }
+
+  result->servings = total;
+  result->explorations = tier.explorations();
+  result->regret_spent = tier.regret_spent();
+  result->regret_slack =
+      std::max(0.0, result->regret_spent - online.regret_budget_seconds);
+  const core::WorkloadMatrix merged = tier.MergedMatrix();
+  result->final_latency = merged.CurrentWorkloadLatency();
+  // Fault accounting in global sequence order: deterministic sums, even
+  // over a timing-dependent free-running run.
+  for (const ResolvedServing& r : resolved) {
+    result->fault_serve_failures += r.failures;
+    if (r.degraded) ++result->fault_serve_fallbacks;
+    result->fault_backoff_seconds += r.backoff_seconds;
+  }
+  CheckFleet(spec, online, regret_allowance, backend, merged, &tier, result);
+}
+
 }  // namespace
 
 std::string PolicyKindName(PolicyKind p) {
@@ -421,459 +855,12 @@ SimulationResult SimulationDriver::Run(const RunConfig& config) {
   core::OfflineExplorer explorer(backend.get(), exploration_policy.get(),
                                  options);
 
-  // ---- Offline loop, drift + arrival events at their budget marks -------
-  const double budget =
-      spec_.budget_fraction * backend->DefaultWorkloadLatency();
-  const std::vector<TimelineEvent> events = BuildTimeline(spec_);
-  double spent_fraction = 0.0;
-  for (size_t e = 0; e <= events.size(); ++e) {
-    const double until = e < events.size() ? events[e].at : 1.0;
-    const std::vector<core::TrajectoryPoint> trajectory =
-        explorer.Explore((until - spent_fraction) * budget);
-    spent_fraction = until;
-    // Between events observations only accumulate on unobserved cells, so
-    // the served workload latency can only improve.
-    for (size_t t = 1; t < trajectory.size(); ++t) {
-      if (trajectory[t].workload_latency >
-          trajectory[t - 1].workload_latency + 1e-9) {
-        std::ostringstream os;
-        os << "segment " << e << " step " << t << ": "
-           << trajectory[t - 1].workload_latency << "s -> "
-           << trajectory[t].workload_latency << "s";
-        Violate(&result, "offline-monotonicity", os.str());
-      }
-    }
-    if (e < events.size()) {
-      if (events[e].is_arrival) {
-        ApplyArrivalChecked(&explorer, *backend, events[e].count, &result);
-        result.arrivals += events[e].count;
-      } else {
-        backend->ApplyDrift(events[e].severity);
-        explorer.ResetAfterDataShift();
-      }
-    }
-  }
-
-  result.offline_seconds = explorer.offline_seconds();
-  result.overhead_seconds = explorer.overhead_seconds();
-  result.executions = explorer.num_executions();
-  result.timeouts = explorer.num_timeouts();
-
-  // ---- Offline invariants ----------------------------------------------
-  // Each Explore call may overshoot its deadline by at most one execution's
-  // charge, and the event timeline splits the budget into events.size() + 1
-  // calls — so that is the exact end-to-end overshoot bound.
-  const double overshoot_allowance =
-      static_cast<double>(events.size() + 1) * explorer.max_single_charge();
-  if (explorer.offline_seconds() > budget + overshoot_allowance + 1e-9) {
-    std::ostringstream os;
-    os << explorer.offline_seconds() << "s spent vs budget " << budget
-       << "s + " << events.size() + 1 << " segments x max charge "
-       << explorer.max_single_charge() << "s";
-    Violate(&result, "offline-budget", os.str());
-  }
-  if (explorer.num_timeouts() != backend->timeouts_reported()) {
-    std::ostringstream os;
-    os << "explorer counted " << explorer.num_timeouts()
-       << " timeouts, backend reported " << backend->timeouts_reported();
-    Violate(&result, "timeout-accounting", os.str());
-  }
-  if (!spec_.use_timeouts && (explorer.num_timeouts() != 0 ||
-                              explorer.matrix().NumCensored() != 0)) {
-    std::ostringstream os;
-    os << explorer.num_timeouts() << " timeouts / "
-       << explorer.matrix().NumCensored()
-       << " censored cells with timeouts disabled";
-    Violate(&result, "timeout-accounting", os.str());
-  }
-  if (explorer.matrix().num_queries() != spec_.num_queries) {
-    std::ostringstream os;
-    os << explorer.matrix().num_queries() << " matrix rows after the "
-       << "arrival schedule, expected " << spec_.num_queries;
-    Violate(&result, "arrival-fresh-rows", os.str());
-  }
-  CheckMatrixConsistency(explorer.matrix(), &result);
-  // Both real serving outputs: the offline loop's BestHints and the online
-  // path's OnlineOptimizer rule.
-  CheckNoRegression(explorer.matrix(), explorer.BestHints(), "offline",
-                    &result);
-  CheckNoRegression(explorer.matrix(), OnlineServedHints(explorer.matrix()),
-                    "offline-serving", &result);
-
-  // ---- Online serving phase --------------------------------------------
+  ExploreOffline(spec_, backend.get(), &explorer, &result);
   if (spec_.online_servings > 0) {
-    core::OnlineExplorationOptions online;
-    online.epsilon = spec_.epsilon;
-    online.min_predicted_ratio = spec_.min_predicted_ratio;
-    online.regret_budget_seconds = spec_.online_regret_budget_seconds;
-    online.seed = MixSeed(spec_.seed, 0x534Fu);
-
-    // The per-mode regret-overshoot allowance: one epoch's exploratory
-    // regret per shard in the epoch-synchronized mode (the gate reads the
-    // snapshot's frozen ledger, so everything charged within an epoch lands
-    // after the decision that allowed it); the largest in-flight regret
-    // window per shard that no single decision could yet see in the
-    // free-running mode.
-    double regret_allowance = 0.0;
-    const char* allowance_kind = config.free_running
-                                     ? "summed per-shard in-flight windows"
-                                     : "one epoch per shard";
-
-    // -- serve_threads threads over a tier of config.shards engines behind
-    // the deterministic router (src/core/shard_router.h). Rows partition
-    // by the seed-pure hash; the fleet regret budget splits into
-    // row-count-proportional slices; decisions stay keyed by *global*
-    // serving index, so the fleet consumes exactly one epsilon-gate draw
-    // per serving like a single engine would. At one shard local rows are
-    // global rows, so every predictor arm serves; more shards need a
-    // per-shard completion model.
-    LIMEQO_CHECK(config.shards == 1 ||
-                 config.arm == PredictorArm::kCompleter);
-    std::vector<std::unique_ptr<core::Predictor>> shard_predictors;
-    std::vector<core::Predictor*> shard_predictor_ptrs;
-    shard_predictors.reserve(config.shards);
-    for (int i = 0; i < config.shards; ++i) {
-      // Per-shard instances of the same predictor configuration (same
-      // derived seed): refits are per-shard-matrix pure functions.
-      shard_predictors.push_back(MakePredictor(
-          config, backend.get(), MixSeed(spec_.seed, 0x4F4Eu)));
-      shard_predictor_ptrs.push_back(shard_predictors.back().get());
-    }
-    core::ShardedTierOptions tier_options;
-    tier_options.num_shards = config.shards;
-    tier_options.online = online;
-    // A queue much smaller than the serving phase makes the free-running
-    // staleness bound meaningful (2 * capacity + threads * batch +
-    // publish_every must undercut the total servings): producers more
-    // than a lap ahead of the drain block, so the bound is a hard
-    // invariant, not a heuristic.
-    if (config.free_running) tier_options.engine.queue_capacity = 64;
-    core::ShardedServingTier tier(explorer.matrix(), shard_predictor_ptrs,
-                                  tier_options);
-    tier.RefreshAll(/*force=*/true);
-    tier.PublishAll();
-
-    const int total = spec_.online_servings;
-    const int threads = config.serve_threads;
-    const int shards = tier.num_shards();
-    // How each serving's faults resolved, written once per global index
-    // by the serving thread that owns it (no locking required).
-    std::vector<ResolvedServing> resolved(total);
-    const auto resolve = [&](int q, int chosen, uint64_t seq) {
-      const ResolvedServing& r = resolved[seq] = ResolveServingFaults(
-          config.faults, config.max_retries, config.retry_backoff_seconds,
-          q, chosen, seq);
-      return core::ServedOutcome{
-          r.hint, backend->ServeLatency(q, r.hint, seq), r.degraded};
-    };
-
-    if (config.free_running) {
-      // -- Free-running plane: the shards' train planes run while
-      // ServeFreeRunning's threads claim *global* index batches, route
-      // each serving to its shard, and report under shard-local sequence
-      // numbers. Which snapshot a serving sees depends on timing, so
-      // the invariants below are statistical: the single-engine set
-      // applied per shard, plus the fleet-wide compositions.
-      std::vector<core::TierServing> records(total);
-      tier.StartTraining();
-      tier.ServeFreeRunning(total, threads, resolve,
-                            [&records](const core::TierServing& served) {
-                              records[served.seq] = served;
-                            });
-      tier.StopTraining();  // final drain + publish on every shard
-
-      // ---- No serving lost or double-counted: each shard's local
-      // sequence numbers must be exactly 0..count-1 for the servings
-      // routed to it, and each shard must have drained exactly what was
-      // routed. shard_rank[s] counts the servings routed to s's shard
-      // under a smaller global index.
-      std::vector<uint64_t> routed(shards, 0);
-      std::vector<uint64_t> shard_rank(total);
-      for (int s = 0; s < total; ++s) {
-        shard_rank[s] = routed[records[s].shard]++;
-      }
-      std::vector<std::vector<int>> local_to_global(shards);
-      for (int i = 0; i < shards; ++i) {
-        local_to_global[i].assign(static_cast<size_t>(routed[i]), -1);
-      }
-      bool seq_ok = true;
-      for (int s = 0; s < total; ++s) {
-        const core::TierServing& r = records[s];
-        const uint64_t local_seq = r.observation.seq;
-        if (local_seq >= local_to_global[r.shard].size() ||
-            local_to_global[r.shard][local_seq] != -1) {
-          std::ostringstream os;
-          os << "serving " << s << " drained at shard " << r.shard
-             << " local seq " << local_seq
-             << " (out of range or double-counted)";
-          Violate(&result, "shard-seq-accounting", os.str());
-          seq_ok = false;
-          continue;
-        }
-        local_to_global[r.shard][local_seq] = s;
-      }
-      for (int i = 0; i < shards; ++i) {
-        if (tier.shard_engine(i).drained_servings() != routed[i]) {
-          std::ostringstream os;
-          os << "shard " << i << " drained "
-             << tier.shard_engine(i).drained_servings() << " servings, "
-             << routed[i] << " were routed to it";
-          Violate(&result, "shard-seq-accounting", os.str());
-          seq_ok = false;
-        }
-      }
-
-      if (seq_ok) {
-        // ---- Per-shard replay in local order: ledger consistency,
-        // slice-gated exploration, the local staleness bound — plus the
-        // fleet compositions (summed in-flight slack, the global
-        // staleness bound).
-        std::vector<uint64_t> global_staleness;
-        global_staleness.reserve(static_cast<size_t>(total));
-        for (int i = 0; i < shards; ++i) {
-          const std::vector<int>& order = local_to_global[i];
-          const uint64_t count = routed[i];
-          // prefix[l] is the regret drained before local serving l —
-          // bitwise the ledger any snapshot published at drain front l
-          // froze, because the drain applies deltas in the same order
-          // with the same additions.
-          std::vector<double> prefix(static_cast<size_t>(count) + 1, 0.0);
-          for (uint64_t l = 0; l < count; ++l) {
-            prefix[l + 1] =
-                prefix[l] + records[order[l]].observation.regret_delta;
-          }
-          const double shard_spent = tier.shard_engine(i).regret_spent();
-          if (std::abs(prefix[count] - shard_spent) > 1e-9) {
-            std::ostringstream os;
-            os << "shard " << i << " drained ledger " << shard_spent
-               << "s != replayed per-serving deltas " << prefix[count]
-               << "s";
-            Violate(&result, "free-ledger-consistency", os.str());
-          }
-          const double slice = tier.shard_budget(i);
-          // The single-engine bound: a producer of local serving l
-          // blocks until the drain passes l - capacity, publications lag
-          // the drain front by < capacity + publish_every, and each
-          // thread holds at most one claimed batch.
-          constexpr uint64_t kBatch =
-              core::ShardedServingTier::kFreeRunningBatch;
-          const uint64_t local_bound =
-              2 * tier.shard_engine(i).queue_capacity() +
-              static_cast<uint64_t>(threads) * kBatch +
-              static_cast<uint64_t>(online.publish_every);
-          // Global staleness of the serving at local position l, global
-          // index s, decided on snapshot p: the earlier global servings
-          // of its shard the snapshot had not drained,
-          // #{m >= p : order[m] < s}. Those at m < l number at most
-          // l - p <= local_bound; those at m > l were claimed globally
-          // before s but took their local index after it — at most one
-          // claimed batch per other serving thread.
-          const uint64_t global_bound =
-              local_bound +
-              static_cast<uint64_t>(threads - 1) * kBatch;
-          double max_inflight = 0.0;
-          std::vector<std::pair<uint64_t, uint64_t>> by_snapshot;  // (p, l)
-          by_snapshot.reserve(static_cast<size_t>(count));
-          for (uint64_t l = 0; l < count; ++l) {
-            const core::TierServing& r = records[order[l]];
-            const uint64_t p = r.snapshot_seq;
-            if (p > l) {
-              std::ostringstream os;
-              os << "shard " << i << " local serving " << l
-                 << " decided on snapshot seq " << p
-                 << " ahead of itself";
-              Violate(&result, "free-gate", os.str());
-              continue;
-            }
-            if (r.observation.exploratory) {
-              if (prefix[p] >= slice) {
-                std::ostringstream os;
-                os << "shard " << i << " serving " << order[l]
-                   << " (query " << r.query << ", hint "
-                   << r.observation.hint << ", " << r.observation.latency
-                   << "s) explored on a snapshot whose ledger ("
-                   << prefix[p] << "s) already exhausted the slice ("
-                   << slice << "s)";
-                Violate(&result, "free-gate", os.str());
-              }
-              max_inflight =
-                  std::max(max_inflight, prefix[l + 1] - prefix[p]);
-            }
-            if (l - p > local_bound) {
-              std::ostringstream os;
-              os << "shard " << i << " local staleness " << l - p
-                 << " exceeds the per-shard bound " << local_bound;
-              Violate(&result, "free-staleness", os.str());
-            }
-            by_snapshot.emplace_back(p, l);
-          }
-          // One sweep over the snapshot fronts in ascending order:
-          // `drained` holds the shard ranks of the local positions below
-          // the front, so the missing count is the serving's own rank
-          // minus the drained servings ranked below it.
-          std::sort(by_snapshot.begin(), by_snapshot.end());
-          CountTree drained(static_cast<size_t>(count));
-          uint64_t front = 0;
-          for (const auto& [p, l] : by_snapshot) {
-            for (; front < p; ++front) {
-              drained.Add(shard_rank[order[front]]);
-            }
-            const uint64_t s = static_cast<uint64_t>(order[l]);
-            const uint64_t gstale =
-                shard_rank[s] - drained.CountBelow(shard_rank[s]);
-            global_staleness.push_back(gstale);
-            if (gstale > global_bound) {
-              std::ostringstream os;
-              os << "serving " << s << " global staleness " << gstale
-                 << " exceeds the tier bound " << global_bound
-                 << " (shard " << i << ", local staleness " << l - p
-                 << ")";
-              Violate(&result, "free-staleness", os.str());
-            }
-          }
-          regret_allowance += max_inflight;
-        }
-        result.regret_slack = std::max(
-            0.0, tier.regret_spent() - online.regret_budget_seconds);
-        std::sort(global_staleness.begin(), global_staleness.end());
-        if (!global_staleness.empty()) {
-          result.staleness_p50 = static_cast<double>(
-              global_staleness[global_staleness.size() / 2]);
-          result.staleness_p95 = static_cast<double>(
-              global_staleness[(95 * (global_staleness.size() - 1)) / 100]);
-          result.staleness_max =
-              static_cast<double>(global_staleness.back());
-        }
-      }
-    } else {
-      // -- Epoch-synchronized plane: epochs of publish_every servings,
-      // each ending in the tier's SyncEpoch barrier (drain, refit on
-      // the refresh_every cadence, republish). ServeSchedule preassigns
-      // shard-local sequence numbers in global order and decisions are
-      // pure functions of (snapshot, serving index), so the merged trace
-      // is bitwise identical at every thread count.
-      result.serving_trace.resize(total);
-      std::vector<double> shard_epoch_regret(shards, 0.0);
-      std::vector<double> regret_before(shards, 0.0);
-      for (int epoch = 0; epoch < total; epoch += online.publish_every) {
-        const int end = std::min(total, epoch + online.publish_every);
-        for (int i = 0; i < shards; ++i) {
-          regret_before[i] = tier.shard_engine(i).regret_spent();
-        }
-        tier.ServeSchedule(
-            epoch, end, threads, resolve,
-            [&](const core::TierServing& served) {
-              result.serving_trace[served.seq] =
-                  ServingRecord{served.query, served.observation.hint,
-                                served.observation.latency};
-            });
-        for (int i = 0; i < shards; ++i) {
-          shard_epoch_regret[i] = std::max(
-              shard_epoch_regret[i],
-              tier.shard_engine(i).regret_spent() - regret_before[i]);
-        }
-      }
-      // Each shard's slice can be overshot by one epoch of its own
-      // exploratory regret, so the fleet allowance is the sum.
-      for (int i = 0; i < shards; ++i) {
-        regret_allowance += shard_epoch_regret[i];
-      }
-    }
-
-    result.servings = total;
-    result.explorations = tier.explorations();
-    result.regret_spent = tier.regret_spent();
-    // Capture the merged reassembly before the freeze probe below adds
-    // diagnostic traffic.
-    const core::WorkloadMatrix merged = tier.MergedMatrix();
-    result.final_latency = merged.CurrentWorkloadLatency();
-    // Fault accounting in global sequence order: deterministic sums,
-    // even over a timing-dependent free-running run.
-    for (const ResolvedServing& r : resolved) {
-      result.fault_serve_failures += r.failures;
-      if (r.degraded) ++result.fault_serve_fallbacks;
-      result.fault_backoff_seconds += r.backoff_seconds;
-    }
-
-    // ---- Per-shard freeze: a shard whose exhausted slice is published
-    // (the last epoch barrier or StopTraining's final publish) must not
-    // explore again; the other shards may keep exploring their own
-    // slices. Probed past every claimed index with the deterministic
-    // schedule (StopTraining re-synced its counters), in publish_every
-    // epochs so the slice must stay frozen across several barriers,
-    // refits and republished snapshots.
-    std::vector<int> frozen(shards, -1);
-    bool any_exhausted = false;
-    for (int i = 0; i < shards; ++i) {
-      if (!tier.shard_engine(i).budget_exhausted()) continue;
-      frozen[i] = tier.shard_engine(i).explorations();
-      any_exhausted = true;
-    }
-    if (any_exhausted) {
-      const uint64_t probe =
-          std::max<uint64_t>(total, tier.claimed_servings());
-      const uint64_t probe_end = probe + 50;
-      for (uint64_t k = probe; k < probe_end; k += online.publish_every) {
-        tier.ServeSchedule(
-            k, std::min<uint64_t>(k + online.publish_every, probe_end), 1,
-            [&](int q, int chosen, uint64_t seq) {
-              core::ServedOutcome out;
-              out.hint = chosen;
-              out.latency = backend->ServeLatency(q, chosen, seq);
-              return out;
-            });
-      }
-      for (int i = 0; i < shards; ++i) {
-        if (frozen[i] < 0 ||
-            tier.shard_engine(i).explorations() == frozen[i]) {
-          continue;
-        }
-        std::ostringstream os;
-        os << "shard " << i << ": "
-           << tier.shard_engine(i).explorations() - frozen[i]
-           << " explorations after slice exhaustion";
-        Violate(&result, "online-budget-freeze", os.str());
-      }
-    }
-
-    // Regret is checked before a serving against state that may lag by up
-    // to the mode's allowance (see regret_allowance above).
-    if (result.regret_spent >
-        online.regret_budget_seconds + regret_allowance + 1e-9) {
-      std::ostringstream os;
-      os << result.regret_spent << "s regret vs budget "
-         << online.regret_budget_seconds << "s + " << allowance_kind << " ("
-         << regret_allowance << "s)";
-      Violate(&result, "online-regret-budget", os.str());
-    }
-    // Exploration is gated by one Bernoulli(epsilon) per serving: the count
-    // is stochastically dominated by Binomial(servings, epsilon). A 4-sigma
-    // band never flakes with deterministic seeds.
-    const double n = static_cast<double>(result.servings);
-    const double cap = n * spec_.epsilon +
-                       4.0 * std::sqrt(n * spec_.epsilon *
-                                       (1.0 - spec_.epsilon)) +
-                       2.0;
-    if (result.explorations > cap) {
-      std::ostringstream os;
-      os << result.explorations << " explorations in " << result.servings
-         << " servings exceeds epsilon cap " << cap;
-      Violate(&result, "online-epsilon-cap", os.str());
-    }
-    if (spec_.epsilon == 0.0 && result.explorations != 0) {
-      Violate(&result, "online-epsilon-cap",
-              "explorations with epsilon = 0");
-    }
-
-    // The matrix the serving plane actually observed: the tier's merged
-    // reassembly.
-    CheckMatrixConsistency(merged, &result);
-    CheckNoRegression(merged, OnlineServedHints(merged), "online-serving",
-                      &result);
+    ServeOnline(spec_, config, explorer.matrix(), *backend, &result);
   } else {
     result.final_latency = explorer.matrix().CurrentWorkloadLatency();
   }
-
   if (fault_injector != nullptr) {
     result.fault_exec_failures = fault_injector->exec_failures();
     result.fault_exec_retries = fault_injector->exec_retries();

@@ -97,25 +97,26 @@ struct RunConfig {
   /// (src/core/shard_router.h), epoch-synchronized by default or
   /// free-running (below). Every run serves through the tier.
   int serve_threads = 1;
-  /// Serving mode. False (default) is epoch-synchronized
-  /// (ShardedServingTier::ServeSchedule): the threads decide hints on the
-  /// shard snapshots over the deterministic schedule in epochs of
-  /// publish_every servings, and each epoch ends in the tier's barrier
-  /// (drain, refit on cadence, republish). The merged serving trace is
-  /// bitwise identical at every serve_threads. True is the deployment
-  /// shape: the tier's train plane drains, refits, and republishes while
+  /// Serving mode; it only picks the tier loop that serves. False
+  /// (default) is epoch-synchronized (ShardedServingTier::ServeSchedule):
+  /// the threads decide hints on the shard snapshots over the
+  /// deterministic schedule in epochs of publish_every servings, and each
+  /// epoch ends in the tier's barrier (drain, refit on cadence,
+  /// republish). The merged serving trace is bitwise identical at every
+  /// serve_threads. True is the deployment shape: the tier's train plane
+  /// drains, refits, and republishes while
   /// ShardedServingTier::ServeFreeRunning's serve_threads threads serve
   /// against whatever snapshot is current, claiming global indices in
   /// batches of 16. Timing decides which snapshot each serving sees, so
-  /// the bitwise trace contract does not apply; SimulationDriver instead
-  /// replays the recorded TierServing of every serving and checks
-  /// *statistical* invariants per shard and fleet-wide: a hard per-shard
-  /// staleness bound L = 2 * queue capacity + serve_threads * 16 +
-  /// publish_every, a global staleness bound L + (serve_threads - 1) * 16,
-  /// gate correctness (no exploration ever decided on an exhausted
+  /// the bitwise trace contract does not apply. In both modes
+  /// SimulationDriver replays the recorded TierServing of every serving
+  /// and checks the same invariants per shard and fleet-wide: a hard
+  /// per-shard staleness bound L = 2 * queue capacity + serve_threads * 16
+  /// + publish_every, a global staleness bound L + (serve_threads - 1) *
+  /// 16, gate correctness (no exploration ever decided on an exhausted
   /// published slice), regret bounded by the budget plus the summed
-  /// in-flight slack, ledger consistency, the binomial epsilon cap, and
-  /// freeze-after-exhaustion.
+  /// per-shard in-flight windows, ledger consistency, the binomial epsilon
+  /// cap, and freeze-after-exhaustion.
   bool free_running = false;
   /// Offline policies (Greedy, ModelGuided) may re-probe censored cells
   /// whose bound/prediction still undercuts the row's current best.
@@ -194,23 +195,24 @@ struct SimulationResult {
   int servings = 0;               ///< online ChooseHint calls
   int explorations = 0;           ///< exploratory servings
   double regret_spent = 0.0;      ///< cumulative regret charged (seconds)
-  /// Per-serving record of the online phase (filled only by the
-  /// epoch-synchronized mode, not free_running), indexed by global serving
-  /// sequence number — the bitwise determinism artifact. Free-running runs
-  /// are timing-dependent by design and record the statistical fields
-  /// below instead.
+  /// Per-serving record of the online phase, indexed by global serving
+  /// sequence number — the bitwise determinism artifact. Built from the
+  /// servings the driver replays, and filled only by the epoch-synchronized
+  /// mode: free-running traces are timing-dependent by design.
   std::vector<ServingRecord> serving_trace;
 
-  // Free-running serving accounting (zeros unless RunConfig::free_running).
-  // A serving's staleness is the number of earlier global servings on its
-  // shard that its deciding snapshot had not yet drained.
+  // Serving replay accounting, filled in both serving modes (zeros when the
+  // scenario has no online phase). A serving's staleness is the number of
+  // earlier global servings on its shard that its deciding snapshot had not
+  // yet drained; in the epoch-synchronized mode it stays below
+  // publish_every.
   double staleness_p50 = 0.0;  ///< median staleness at decision (servings)
   double staleness_p95 = 0.0;  ///< 95th-percentile staleness (servings)
   double staleness_max = 0.0;  ///< worst staleness observed (servings)
   /// Regret overshoot past the budget (seconds): regret charged by
   /// explorations whose deciding snapshot predated budget exhaustion. The
-  /// driver checks it against the explicit in-flight slack term (the
-  /// largest regret any single decision could not yet see).
+  /// driver checks it against the summed per-shard in-flight windows (per
+  /// shard, the largest regret any single decision could not yet see).
   double regret_slack = 0.0;
 
   // Fault accounting (zeros unless RunConfig::faults is active). Fault
@@ -260,27 +262,28 @@ struct SimulationResult {
 ///  * arrival integrity: a mid-budget arrival never alters any existing
 ///    observation, and new rows join with exactly the default plan class
 ///    observed (all other cells unobserved);
-///  * online bounds: cumulative regret <= regret_budget_seconds plus one
-///    epoch's exploratory regret per shard (epoch-synchronized mode, where
-///    the gate reads the snapshot's frozen ledger), exploration count
-///    stays under its binomial epsilon cap, and an exhausted budget
-///    (slice, per shard) freezes exploration;
+///  * online bounds: cumulative regret <= regret_budget_seconds plus the
+///    summed per-shard in-flight windows (the gate reads the snapshot's
+///    frozen ledger, so a shard's window is the largest regret drained
+///    between an exploratory decision's snapshot and its own charge),
+///    exploration count stays under its binomial epsilon cap, and an
+///    exhausted budget (slice, per shard) freezes exploration;
 ///  * serving determinism (epoch-synchronized mode): the merged serving
 ///    trace is a pure function of (spec, config) — bitwise identical at
 ///    every serve_threads — because each decision depends only on the
 ///    epoch's shard snapshot and its global serving index, and
 ///    observations are drained in serving order;
-///  * free-running statistics (free_running mode), per shard: snapshot
-///    staleness is hard-bounded by L = 2 * queue capacity + serve_threads
-///    * 16 + publish_every (threads claim the shard-local index before
-///    probing the snapshot and decide in claimed batches of 16 global
-///    indices), no exploration is ever decided on a published ledger
-///    at/over the shard's slice, the drained ledger reproduces the
+///  * serving replay (both modes), per shard: no serving is lost or
+///    double-counted, snapshot staleness is hard-bounded by L = 2 * queue
+///    capacity + serve_threads * 16 + publish_every (free-running threads
+///    claim the shard-local index before probing the snapshot and decide
+///    in claimed batches of 16 global indices; an epoch decides on its
+///    entry snapshot), no exploration is ever decided on a published
+///    ledger at/over the shard's slice, the drained ledger reproduces the
 ///    per-serving regret deltas exactly, and exploration freezes for good
 ///    once an exhausted ledger is published; fleet-wide, the earlier
 ///    global servings missing from any deciding snapshot stay within
-///    L + (serve_threads - 1) * 16 and total regret stays within budget
-///    plus the summed per-shard in-flight windows;
+///    L + (serve_threads - 1) * 16;
 ///  * fault tolerance (RunConfig::faults): under any seed-pure fault world
 ///    every invariant above still holds — failed executions are dropped
 ///    whole (no offline charge, no observation), failed servings retry and

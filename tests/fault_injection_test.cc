@@ -209,7 +209,7 @@ TEST(FaultDriverTest, RetriesAndBackoffNeverDoubleChargeAnyBudget) {
   EXPECT_LE(result.offline_seconds, budget + slack + 1e-9)
       << "backoff or retries leaked into the offline clock";
   // ok() above already asserts the online-regret-budget invariant with the
-  // mode's exact allowance — the ledger is clean in both runs.
+  // summed per-shard in-flight windows — the ledger is clean in both runs.
 }
 
 TEST(FaultDriverTest, ColdStartFleetSurvivesEveryFaultWorld) {

@@ -6,8 +6,8 @@ checks the product-surface contracts: the saved matrix does not depend on
 the serving thread count, a --checkpoint-dir run restores as a fleet
 restart, a restored run explores from the restored matrix (so its
 exploration budget changes what it saves), a corrupted tier manifest falls
-back to a cold start, and the invalid option combinations and unknown
-options are usage errors (exit 2).
+back to a cold start, and out-of-range values, invalid option
+combinations and unknown options are usage errors (exit 2).
 """
 
 import os
@@ -102,7 +102,8 @@ class LimeqoSimSmokeTest(unittest.TestCase):
         ckpt = self.checkpoint()
         matrix = self.path("m.txt")
         self.run_ok("--budget=0", f"--save={matrix}")
-        for args in (["--shards=0"], ["--shared-train"],
+        for args in (["--shards=0"], ["--serve-threads=0"],
+                     ["--max-retries=-1"], ["--serve=-1"], ["--shared-train"],
                      [f"--load={matrix}", f"--restore={ckpt}"]):
             result = run_sim(*args)
             self.assertEqual(result.returncode, 2,

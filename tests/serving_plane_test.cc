@@ -148,15 +148,29 @@ TEST(FreeRunningServingTest, GridInvariantsHoldUnderFreeRunningServing) {
 }
 
 TEST(FreeRunningServingTest, InvariantsHoldAcrossServingThreadCounts) {
+  // The driver replays every serving in both modes, so both report
+  // staleness.
   const ScenarioSpec spec = GridWorld("baseline");
-  for (int threads : {1, 2, 4}) {
-    const SimulationResult result = RunFreeRunning(spec, threads);
-    ASSERT_TRUE(result.ok())
-        << threads << " threads: " << result.Summary();
-    EXPECT_EQ(result.servings, spec.online_servings);
-    // The staleness accounting is populated and ordered sanely.
-    EXPECT_LE(result.staleness_p50, result.staleness_p95);
-    EXPECT_LE(result.staleness_p95, result.staleness_max);
+  for (bool free_running : {true, false}) {
+    for (int threads : {1, 2, 4}) {
+      const SimulationResult result =
+          free_running ? RunFreeRunning(spec, threads)
+                       : RunConcurrent(spec, threads);
+      ASSERT_TRUE(result.ok())
+          << threads << " threads, free_running " << free_running << ": "
+          << result.Summary();
+      EXPECT_EQ(result.servings, spec.online_servings);
+      // The staleness accounting is populated and ordered sanely.
+      EXPECT_LE(result.staleness_p50, result.staleness_p95);
+      EXPECT_LE(result.staleness_p95, result.staleness_max);
+      if (!free_running) {
+        // Every epoch decides on the snapshot published at its start, so a
+        // shard's second serving in an epoch is already one serving stale,
+        // and no serving is staler than the epoch (publish_every = 8).
+        EXPECT_GT(result.staleness_max, 0.0) << threads << " threads";
+        EXPECT_LE(result.staleness_max, 8.0) << threads << " threads";
+      }
+    }
   }
 }
 

@@ -160,6 +160,14 @@ bool Parse(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "--shards must be >= 1\n");
     return false;
   }
+  if (args->serve_threads < 1) {
+    std::fprintf(stderr, "--serve-threads must be >= 1\n");
+    return false;
+  }
+  if (args->serve < 0 || args->max_retries < 0) {
+    std::fprintf(stderr, "--serve and --max-retries must be >= 0\n");
+    return false;
+  }
   if ((!args->checkpoint_dir.empty() || !args->restore.empty()) &&
       args->serve <= 0) {
     std::fprintf(stderr, "--checkpoint-dir and --restore need --serve > 0\n");
@@ -276,7 +284,7 @@ int Run(const Args& args) {
 
   // The serving tier: N engines behind the deterministic router, built
   // once exploration is done (or restored before it, see --restore).
-  const int threads = std::max(1, args.serve_threads);
+  const int threads = args.serve_threads;
   core::AlsOptions als;
   als.convergence_tol = 1e-3;  // warm-started refreshes stop early
   core::OnlineExplorationOptions online;
