@@ -437,13 +437,6 @@ StatusOr<linalg::Matrix> AlsCompleter::CompleteInternal(
   LIMEQO_CHECK(n <= std::numeric_limits<uint32_t>::max() &&
                cells.size() <= std::numeric_limits<uint32_t>::max());
 
-  // The cell list is the last read of `w`: from here on the fit reads only
-  // the cell list, the arena, the options and the warm factors — the yield
-  // contract of RefitYieldPoint (completer.h). The train plane releases
-  // its drain lock here, so the caller may write to `w` during the rest of
-  // set-up and the sweeps.
-  RefitYieldPoint();
-
   // Log-ratio space: x = log(v) - b_i - c_j, with b_i the row's observed
   // default log latency (fallback: row mean, then global mean) and c_j a
   // shrunk per-hint mean residual. Censored cells contribute their

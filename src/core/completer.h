@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -118,51 +117,10 @@ struct CompletionArena {
   linalg::RidgeWorkspace ridge;
 };
 
-/// RAII scope that lets a completion hand its input matrix back before it
-/// finishes: the first RefitYieldPoint() this thread reaches while the
-/// scope is alive runs `yield`; later yield points are no-ops. The train
-/// plane opens one around each refit and releases its drain lock from the
-/// callback, so producers drain into the matrix for the rest of the fit:
-/// for AlsCompleter, everything after its cell-list build. The
-/// scope is thread-local like ScopedParallelBudget: pool workers never see
-/// it, and it needs no Completer virtual, so it reaches through any
-/// decorator that forwards Complete/CompleteFrom. A thread holds at most
-/// one scope at a time.
-class ScopedRefitYield {
- public:
-  explicit ScopedRefitYield(std::function<void()> yield);
-  ~ScopedRefitYield();
-
-  ScopedRefitYield(const ScopedRefitYield&) = delete;
-  ScopedRefitYield& operator=(const ScopedRefitYield&) = delete;
-
-  /// True once a yield point ran the callback.
-  bool yielded() const { return yield_ == nullptr; }
-
- private:
-  friend void RefitYieldPoint();
-  std::function<void()> yield_;
-};
-
-/// Runs the open ScopedRefitYield's callback on this thread, the first time
-/// only; a no-op when no scope is open. A completion calls it on the
-/// calling thread, outside any ParallelFor body, right after its last read
-/// of the input, so the callback comes as early as the contract allows.
-/// The contract that makes this safe: once a completion reaches a yield
-/// point it never reads its input WorkloadMatrix again, because the caller
-/// may mutate that matrix from then on (the train plane drains
-/// observations into it).
-void RefitYieldPoint();
-
 /// A matrix-completion algorithm: estimates the full workload matrix W-hat
 /// from the partial observations in a WorkloadMatrix. Implementations:
 /// AlsCompleter (the paper's Algorithm 2), SvtCompleter and
-/// NuclearNormCompleter (the Sec. 5.5.5 comparison baselines). Only
-/// AlsCompleter calls RefitYieldPoint(), once, as soon as it has built and
-/// checked its cell list, and it reads `w` only before that (the rest of
-/// its set-up reads the cell list, its arena, its options and the warm
-/// factors); the others never yield, so they may read `w` throughout (the
-/// train plane then keeps its drain lock for the whole fit).
+/// NuclearNormCompleter (the Sec. 5.5.5 comparison baselines).
 class Completer {
  public:
   virtual ~Completer() = default;

@@ -194,18 +194,12 @@ class ExplorationEngine::ChunkPool {
   std::atomic<uint64_t> allocated_{0};
 };
 
-/// The train plane's hold on the drain lock: raises train_waiting_ while
-/// it blocks, so producers stop trying the lock and the train plane gets
-/// it after at most the lap a combiner is already draining.
+/// The train plane's scoped hold on the drain lock (LockForTrainPlane).
 class SCOPED_CAPABILITY ExplorationEngine::TrainPlaneLock {
  public:
   explicit TrainPlaneLock(const ExplorationEngine* engine)
       ACQUIRE(engine->drain_mu_)
-      : engine_(engine) {
-    engine_->train_waiting_.store(true, std::memory_order_relaxed);
-    engine_->drain_mu_.Lock();
-    engine_->train_waiting_.store(false, std::memory_order_relaxed);
-  }
+      : engine_(engine) { engine_->LockForTrainPlane(); }
   ~TrainPlaneLock() RELEASE() { engine_->drain_mu_.Unlock(); }
 
   TrainPlaneLock(const TrainPlaneLock&) = delete;
@@ -215,6 +209,12 @@ class SCOPED_CAPABILITY ExplorationEngine::TrainPlaneLock {
   const ExplorationEngine* engine_;
 };
 
+void ExplorationEngine::LockForTrainPlane() const {
+  train_waiting_.store(true, std::memory_order_relaxed);
+  drain_mu_.Lock();
+  train_waiting_.store(false, std::memory_order_relaxed);
+}
+
 ExplorationEngine::ExplorationEngine(WorkloadMatrix matrix,
                                      Predictor* predictor,
                                      const EngineOptions& options)
@@ -222,6 +222,7 @@ ExplorationEngine::ExplorationEngine(WorkloadMatrix matrix,
       predictor_(predictor),
       matrix_(std::move(matrix)),
       chunk_pool_(std::make_shared<ChunkPool>()),
+      fit_matrix_(0, matrix_.num_hints()),
       row_servings_(static_cast<size_t>(matrix_.num_queries()), 0),
       slots_(RoundUpPow2(options.queue_capacity)) {
   queue_mask_ = slots_.size() - 1;
@@ -480,23 +481,28 @@ void ExplorationEngine::FoldCell(int query, int hint, CellState before) {
 
 StatusOr<linalg::Matrix> ExplorationEngine::FitReleasingDrainLock(
     uint64_t* fit_ns) {
-  // The completion's yield point follows its last read of matrix_ (the
-  // Completer yield contract; for ALS, the cell-list build), so producers
-  // may drain into the matrix for the rest of the fit.
-  ScopedRefitYield matrix_read_done(
-      [this]() NO_THREAD_SAFETY_ANALYSIS { drain_mu_.Unlock(); });
-  const auto start = std::chrono::steady_clock::now();
-  StatusOr<linalg::Matrix> prediction = predictor_->PredictFrom(
-      matrix_, &factors_);
-  *fit_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-  if (matrix_read_done.yielded()) {
-    train_waiting_.store(true, std::memory_order_relaxed);
-    drain_mu_.Lock();
-    train_waiting_.store(false, std::memory_order_relaxed);
-  }
+  const auto fit = [this, fit_ns](const WorkloadMatrix& w) {
+    const auto start = std::chrono::steady_clock::now();
+    StatusOr<linalg::Matrix> prediction = predictor_->PredictFrom(w, &factors_);
+    *fit_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    return prediction;
+  };
+  // Combining producers are the only writers of matrix_ outside the train
+  // plane (see the class comment). Without them nothing can write it
+  // during the fit, so the model fits matrix_ itself and an engine that
+  // never free-runs allocates no copy.
+  if (!combining_.load(std::memory_order_relaxed)) return fit(matrix_);
+  // The fit reads a train-owned copy of the drain front, so producers may
+  // drain into matrix_ while the model fits. The copy is kept across
+  // refits: once it has grown to the matrix's size, assigning it reuses
+  // its buffers.
+  fit_matrix_ = matrix_;
+  drain_mu_.Unlock();
+  StatusOr<linalg::Matrix> prediction = fit(fit_matrix_);
+  LockForTrainPlane();
   return prediction;
 }
 
@@ -510,8 +516,8 @@ bool ExplorationEngine::TryRefit() {
   refits_completed_.fetch_add(1, std::memory_order_relaxed);
   predictions_ = std::make_shared<const linalg::Matrix>(
       std::move(prediction).value());
-  // The fit saw the matrix as of its cell-list build; observations drained
-  // while it ran are updates it has not absorbed yet. (The next Publish sees new
+  // The fit saw the matrix as of its copy; observations drained while it
+  // ran are updates it has not absorbed yet. (The next Publish sees new
   // predictions and rescans every row's model half against them.)
   updates_since_refresh_ -= updates_before;
   return true;

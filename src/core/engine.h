@@ -269,11 +269,12 @@ struct EngineOptions {
 /// producer whose queue slot is still a lap behind does not just wait for
 /// the train plane — it try-locks the drain lock and, when it gets it,
 /// publishes if due, drains one queue lap and publishes if due again. The
-/// fitter holds the lock while the completion reads the matrix (for ALS,
-/// the cell-list build), for the prediction swap and for the publication
-/// after it, which rescans every row's model half; the completion's
-/// yield point (ScopedRefitYield) releases it for the rest of the fit, so
-/// serving never waits for the sweeps. While the
+/// fitter holds the lock while it copies the matrix into a train-owned
+/// buffer, for the prediction swap and for the publication after it,
+/// which rescans every row's model half; every predictor fits the copy
+/// with the lock released, so serving never waits for the fit. (With the
+/// combining drain off nothing else drains, and a refit fits the matrix
+/// itself under the lock.) While the
 /// train plane waits for the lock, producers stop trying it, so a steady
 /// stream of combiners cannot starve the fitter.
 class ExplorationEngine {
@@ -411,14 +412,13 @@ class ExplorationEngine {
   /// wrote a checkpoint — and false when the engine was idle, so a
   /// scheduler can park idle engines instead of spinning on them.
   ///
-  /// A refit stops the drain only while the completion reads the matrix:
-  /// the step releases the drain lock at the completion's yield point
-  /// (ScopedRefitYield, completer.h), right after ALS builds its cell list,
-  /// and lapped producers drain and publish while the model fits. The
-  /// refit fits the matrix as of that read, so what was drained while it
-  /// ran counts toward the next refit's refresh_every. The epoch path
-  /// (SyncEpoch, RefreshPredictions) has no concurrent drainer, so its
-  /// traces stay a pure function of the schedule.
+  /// A refit stops the drain only while it copies the matrix: the step
+  /// then releases the drain lock, and lapped producers drain and publish
+  /// while the model fits the copy. The refit fits the matrix as of the
+  /// copy, so what was drained while it ran counts toward the next
+  /// refit's refresh_every. The epoch path (SyncEpoch,
+  /// RefreshPredictions) has no concurrent drainer, so its traces stay a
+  /// pure function of the schedule.
   bool TrainStep() EXCLUDES(drain_mu_);
   /// The shutdown tail of the train plane: turns the combining drain off,
   /// drains everything left, refreshes, publishes a final snapshot, and
@@ -583,10 +583,9 @@ class ExplorationEngine {
     return refits_completed_.load(std::memory_order_relaxed);
   }
   /// Wall-clock nanoseconds spent fitting inside refit attempts (successful
-  /// or not): from the start of the fit to the completion's return, while
-  /// the drain lock is released for most of it. refit_nanos() /
-  /// refits_completed() is the per-refit latency the serving bench reports
-  /// per shard.
+  /// or not): from the start of the fit to the completion's return, with
+  /// the drain lock released. refit_nanos() / refits_completed() is the
+  /// per-refit latency the serving bench reports per shard.
   uint64_t refit_nanos() const {
     return refit_nanos_.load(std::memory_order_relaxed);
   }
@@ -618,14 +617,16 @@ class ExplorationEngine {
   /// the model half of every row (RescanModels) against the new
   /// predictions; the drain kept the verified half current.
   bool TryRefit() REQUIRES(drain_mu_);
-  /// Runs the predictor. The drain lock is held at entry and at exit, but
-  /// released from the completion's yield point (RefitYieldPoint, after
-  /// its last read of matrix_) until it returns; *fit_ns receives the
-  /// fitting time. Outside the
-  /// capability analysis because the release happens in a thread-local
-  /// callback it cannot follow.
+  /// Runs the predictor; *fit_ns receives the fitting time. The drain lock
+  /// is held at entry and at exit. While the combining drain is on, the
+  /// predictor fits fit_matrix_, a copy of matrix_ taken under the lock,
+  /// with the lock released; otherwise it fits matrix_ under the lock.
   StatusOr<linalg::Matrix> FitReleasingDrainLock(uint64_t* fit_ns)
-      REQUIRES(drain_mu_) NO_THREAD_SAFETY_ANALYSIS;
+      REQUIRES(drain_mu_);
+  /// Takes the drain lock for the train plane: raises train_waiting_
+  /// while it blocks, so producers stop trying the lock and the train
+  /// plane gets it after at most the lap a combiner is already draining.
+  void LockForTrainPlane() const ACQUIRE(drain_mu_);
   /// Publishes when publish_every observations have drained since the last
   /// stepping publication (or unconditionally with `force`) and moves the
   /// cadence mark to the current drain front. Returns whether it published.
@@ -704,12 +705,14 @@ class ExplorationEngine {
   std::atomic<uint64_t> unpublished_updates_{0};
 
   // Model state. predictions_ is shared into snapshots and replaced (never
-  // mutated) on refit. factors_ belongs to the thread running the refit:
-  // the completion writes it back after the drain lock was released, and
-  // nothing on the combining path reads it.
+  // mutated) on refit. factors_ and fit_matrix_ (the copy of matrix_ a
+  // refit fits while producers combine) belong to the thread running the
+  // refit: it uses them after the drain lock was released, and nothing on
+  // the combining path reads them.
   std::shared_ptr<const linalg::Matrix> predictions_ GUARDED_BY(drain_mu_);
   int updates_since_refresh_ GUARDED_BY(drain_mu_) = 0;
   CompletionFactors factors_;
+  WorkloadMatrix fit_matrix_;
 
   // Ledgers: written under the drain lock, read anywhere.
   std::atomic<double> regret_spent_{0.0};

@@ -381,13 +381,15 @@ std::vector<core::TierServing> ServeTier(
 
 /// Replays one shard's servings in local order: ledger consistency, no
 /// exploration on an exhausted published ledger, local and global
-/// staleness. `shard_rank[s]` counts the servings routed to s's shard under
-/// a smaller global index. Returns the shard's in-flight regret window.
+/// staleness against the run mode's bound. `shard_rank[s]` counts the
+/// servings routed to s's shard under a smaller global index. Returns the
+/// shard's in-flight regret window.
 double ReplayShard(const core::ShardedServingTier& tier, int shard,
                    const std::vector<core::TierServing>& records,
                    const std::vector<int>& order,
-                   const std::vector<uint64_t>& shard_rank, int threads,
-                   int publish_every, std::vector<uint64_t>* global_staleness,
+                   const std::vector<uint64_t>& shard_rank,
+                   const RunConfig& config, int publish_every,
+                   std::vector<uint64_t>* global_staleness,
                    SimulationResult* result) {
   const core::ExplorationEngine& engine = tier.shard_engine(shard);
   const uint64_t count = order.size();
@@ -405,23 +407,29 @@ double ReplayShard(const core::ShardedServingTier& tier, int shard,
     Violate(result, "ledger-consistency", os.str());
   }
   const double slice = tier.shard_budget(shard);
-  // The single-engine bound: a free-running producer of local serving l
-  // blocks until the drain passes l - capacity, publications lag the drain
-  // front by < capacity + publish_every, and each thread holds at most one
-  // claimed batch. An epoch decides on its entry snapshot, so its
-  // staleness stays below publish_every.
+  // An epoch decides on the snapshot its shard published at the epoch's
+  // barrier, which had drained every earlier serving, so its local and
+  // global staleness both stay below publish_every. Free-running, the
+  // single-engine bound holds: a producer of local serving l blocks until
+  // the drain passes l - capacity, publications lag the drain front by
+  // < capacity + publish_every, and each thread holds at most one claimed
+  // batch.
+  const uint64_t threads = static_cast<uint64_t>(config.serve_threads);
   constexpr uint64_t kBatch = core::ShardedServingTier::kFreeRunningBatch;
-  const uint64_t local_bound = 2 * engine.queue_capacity() +
-                               static_cast<uint64_t>(threads) * kBatch +
-                               static_cast<uint64_t>(publish_every);
-  // Global staleness of the serving at local position l, global index s,
-  // decided on snapshot p: the earlier global servings of its shard the
-  // snapshot had not drained, #{m >= p : order[m] < s}. Those at m < l
-  // number at most l - p <= local_bound; those at m > l were claimed
-  // globally before s but took their local index after it — at most one
-  // claimed batch per other serving thread.
+  const uint64_t epoch_bound = static_cast<uint64_t>(publish_every) - 1;
+  const uint64_t local_bound =
+      config.free_running ? 2 * engine.queue_capacity() + threads * kBatch +
+                                static_cast<uint64_t>(publish_every)
+                          : epoch_bound;
+  // Free-running global staleness of the serving at local position l,
+  // global index s, decided on snapshot p: the earlier global servings of
+  // its shard the snapshot had not drained, #{m >= p : order[m] < s}.
+  // Those at m < l number at most l - p <= local_bound; those at m > l
+  // were claimed globally before s but took their local index after it —
+  // at most one claimed batch per other serving thread.
   const uint64_t global_bound =
-      local_bound + static_cast<uint64_t>(threads - 1) * kBatch;
+      config.free_running ? local_bound + (threads - 1) * kBatch
+                          : epoch_bound;
   double max_inflight = 0.0;
   std::vector<std::pair<uint64_t, uint64_t>> by_snapshot;  // (p, l)
   by_snapshot.reserve(static_cast<size_t>(count));
@@ -488,7 +496,7 @@ double ReplayShard(const core::ShardedServingTier& tier, int shard,
 /// slice_i + window_i, and the slices sum to the fleet budget.
 double ReplayServings(const core::ShardedServingTier& tier,
                       const std::vector<core::TierServing>& records,
-                      int threads, int publish_every,
+                      const RunConfig& config, int publish_every,
                       SimulationResult* result) {
   const int shards = tier.num_shards();
   std::vector<uint64_t> shard_rank(records.size());
@@ -529,7 +537,7 @@ double ReplayServings(const core::ShardedServingTier& tier,
   double allowance = 0.0;
   for (int i = 0; i < shards; ++i) {
     allowance += ReplayShard(tier, i, records, orders[i], shard_rank,
-                             threads, publish_every, &staleness, result);
+                             config, publish_every, &staleness, result);
   }
   std::sort(staleness.begin(), staleness.end());
   if (!staleness.empty()) {
@@ -675,8 +683,8 @@ void ServeOnline(const ScenarioSpec& spec, const RunConfig& config,
   };
   const std::vector<core::TierServing> records =
       ServeTier(config, total, online.publish_every, resolve, &tier);
-  const double regret_allowance = ReplayServings(
-      tier, records, config.serve_threads, online.publish_every, result);
+  const double regret_allowance =
+      ReplayServings(tier, records, config, online.publish_every, result);
   // Epoch-synchronized decisions are pure functions of (snapshot, serving
   // index), so this trace is bitwise identical at every thread count; a
   // free-running trace depends on timing and is not recorded.

@@ -13,9 +13,6 @@
 //     counts;
 //   * the output is bitwise equal at 1/2/4 threads and with or without a
 //     borrowed arena;
-//   * mutating the input matrix at its RefitYieldPoint, right after the
-//     cell-list build, changes no bit of the completion (the yield
-//     contract of completer.h);
 // and that a warmed arena leaves the result matrix as the only
 // allocation of a completion that scales with the problem.
 
@@ -29,7 +26,6 @@
 #include <new>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -663,124 +659,6 @@ TEST(AlsSparseResidualTest, BitwiseAcrossThreadCountsAndArenas) {
         EXPECT_TRUE(BitwiseEqual(got.first, reference.first))
             << threads << " threads, arena " << (borrowed != nullptr);
         EXPECT_EQ(got.second, reference.second);
-      }
-    }
-  }
-}
-
-TEST(AlsSparseResidualTest, RefitYieldPointWithoutAScopeIsANoOp) {
-  int calls = 0;
-  RefitYieldPoint();  // nothing open: returns without effect
-  {
-    // The callback fires at the first yield point only — also when it
-    // reaches a yield point itself.
-    ScopedRefitYield scope([&] {
-      ++calls;
-      RefitYieldPoint();
-    });
-    EXPECT_FALSE(scope.yielded());
-    RefitYieldPoint();
-    EXPECT_TRUE(scope.yielded());
-    RefitYieldPoint();
-  }
-  RefitYieldPoint();
-  EXPECT_EQ(calls, 1);
-  // The scope is thread-local: another thread sees no open scope.
-  ScopedRefitYield scope([&] { ++calls; });
-  std::thread other([] { RefitYieldPoint(); });
-  other.join();
-  EXPECT_EQ(calls, 1);
-  EXPECT_FALSE(scope.yielded());
-}
-
-TEST(AlsSparseResidualTest, CompletionNeverReadsTheMatrixAfterItsFirstYield) {
-  // The train plane releases its drain lock at a refit's yield point,
-  // right after the cell-list build, and producers drain observations into
-  // the live matrix from then on. The fit must not see them: a completion
-  // whose input is mutated at its yield is bitwise equal to one on an
-  // untouched copy — output, factors and sweep count. The mutation also
-  // stores +Inf in row 0's complete default, which set-up rejects: any
-  // read of the matrix after the yield would fail the fit or change it.
-  const WorkloadMatrix original = RandomCensoredMatrix(2400, 32, 0.08, 606);
-  for (CensoredMode mode : {CensoredMode::kCensored,
-                            CensoredMode::kNaiveObserved,
-                            CensoredMode::kIgnore}) {
-    for (FitSpace space : {FitSpace::kLogRatio, FitSpace::kRaw}) {
-      for (bool warm : {false, true}) {
-        const Config config{mode,  space, space == FitSpace::kRaw,
-                            warm,  true,  true};
-        SCOPED_TRACE(config.Name());
-        AlsOptions o = config.Options(kRank);
-        o.iterations = 8;
-        CompletionFactors warm_factors;
-        if (warm) warm_factors = WarmFactors(o, original, 40);
-        struct Fit {
-          linalg::Matrix out, q, h;
-          CompletionFactors factors;
-          int iterations = 0;
-          int yields = 0;
-        };
-        auto run = [&](int threads, bool mutate) {
-          SetNumThreads(threads);
-          WorkloadMatrix w = original;
-          Fit fit;
-          fit.factors = warm_factors;
-          Rng rng(707 + static_cast<uint64_t>(threads));
-          ScopedRefitYield yield([&] {
-            ++fit.yields;
-            if (!mutate) return;
-            for (int c = 0; c < 400; ++c) {
-              const int i = static_cast<int>(rng.NextUint64Below(2400));
-              const int j = static_cast<int>(rng.NextUint64Below(32));
-              switch (w.state(i, j)) {
-                case CellState::kUnobserved:
-                  if (c % 2 == 0) {
-                    w.Observe(i, j, rng.Uniform(0.1, 5.0));
-                  } else {
-                    w.ObserveCensored(i, j, rng.Uniform(0.1, 5.0));
-                  }
-                  break;
-                case CellState::kCensored:
-                  w.ObserveCensored(i, j, w.timeout(i, j) * 2.0);
-                  break;
-                case CellState::kComplete:
-                  w.Observe(i, j, w.observed(i, j) * 0.5);
-                  break;
-              }
-            }
-            w.Observe(0, 0, std::numeric_limits<double>::infinity());
-          });
-          AlsCompleter als(o);
-          StatusOr<linalg::Matrix> out =
-              als.CompleteFrom(w, warm ? &fit.factors : nullptr);
-          EXPECT_TRUE(out.ok());
-          if (out.ok()) fit.out = *out;
-          fit.q = als.query_factors();
-          fit.h = als.hint_factors();
-          fit.iterations = als.last_iterations();
-          SetNumThreads(1);
-          return fit;
-        };
-        const Fit reference = run(1, /*mutate=*/false);
-        // Exactly one yield: right after the cell-list build.
-        EXPECT_EQ(reference.yields, 1);
-        for (int threads : {1, 2, 4}) {
-          const Fit got = run(threads, /*mutate=*/true);
-          EXPECT_EQ(got.yields, reference.yields) << threads << " threads";
-          EXPECT_TRUE(BitwiseEqual(got.out, reference.out))
-              << threads << " threads";
-          EXPECT_TRUE(BitwiseEqual(got.q, reference.q))
-              << threads << " threads";
-          EXPECT_TRUE(BitwiseEqual(got.h, reference.h))
-              << threads << " threads";
-          if (warm) {
-            EXPECT_TRUE(BitwiseEqual(got.factors.query_factors,
-                                     reference.factors.query_factors));
-            EXPECT_TRUE(BitwiseEqual(got.factors.hint_factors,
-                                     reference.factors.hint_factors));
-          }
-          EXPECT_EQ(got.iterations, reference.iterations);
-        }
       }
     }
   }

@@ -203,9 +203,7 @@ TEST(AlsTest, NonFiniteInputsAndFitsFail) {
 }
 
 TEST(AlsTest, NonFiniteLatenciesFailOnlyWhereTheFitStoresThem) {
-  // The finiteness check covers exactly the cells the fit stores, and it
-  // runs before the completion's yield point: a rejected matrix fails with
-  // the caller's lock still held (the yield callback never runs).
+  // The finiteness check covers exactly the cells the fit stores.
   const double inf = std::numeric_limits<double>::infinity();
   struct Case {
     bool complete;  // +Inf complete cell, else +Inf timeout
@@ -237,11 +235,8 @@ TEST(AlsTest, NonFiniteLatenciesFailOnlyWhereTheFitStoresThem) {
       opt.fit_space = space;
       opt.censored_mode = c.mode;
       AlsCompleter als(opt);
-      int yields = 0;
-      ScopedRefitYield yield([&] { ++yields; });
       StatusOr<linalg::Matrix> out = als.Complete(prob.observed);
       EXPECT_EQ(out.ok(), c.ok);
-      EXPECT_EQ(yields, c.ok ? 1 : 0);
       if (out.ok()) {
         for (size_t i = 0; i < out->size(); ++i) {
           EXPECT_TRUE(std::isfinite(out->data()[i]));

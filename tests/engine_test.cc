@@ -512,20 +512,20 @@ TEST(EngineTest, ConcurrentServingDrainsEveryObservationExactlyOnce) {
 // ---------------------------------------------------------------------------
 // The combining drain: between BeginTrainSteps and FinishTrainSteps a
 // producer whose slot is a lap behind drains the lap itself when the drain
-// lock is free, and the fitter holds that lock only while the completion
-// reads the matrix and for its prediction swap and publication.
+// lock is free, and the fitter holds that lock only while it copies the
+// matrix it fits and for its prediction swap and publication.
 // ---------------------------------------------------------------------------
 
-/// Stands in for a long refit: reads the matrix shape, reaches its
-/// yield point (RefitYieldPoint, where the train plane releases the
-/// drain lock), then sleeps in `pause` steps until `done` says stop (or
-/// `max_pauses` is reached) and returns a flat prediction. Hooks run at
-/// entry, right after the yield point, and at exit, on the refitting
-/// thread. Sleeping rather than spinning leaves the producers CPU time
-/// even on a host with fewer free cores than threads.
+/// Stands in for a long refit: reads the matrix shape, then sleeps in
+/// `pause` steps until `done` says stop (or `max_pauses` is reached) and
+/// returns a flat prediction. Hooks run at entry (handed the input
+/// matrix), after the shape read, and at exit, on the refitting thread,
+/// with the drain lock released.
+/// Sleeping rather than spinning leaves the producers CPU time even on a
+/// host with fewer free cores than threads.
 class SlowCompleter : public Completer {
  public:
-  std::function<void()> on_start;
+  std::function<void(const WorkloadMatrix&)> on_start;
   std::function<void()> after_set_up;
   std::function<bool()> done;
   std::function<void()> on_end;
@@ -535,8 +535,7 @@ class SlowCompleter : public Completer {
   StatusOr<linalg::Matrix> Complete(const WorkloadMatrix& w) override {
     const size_t n = static_cast<size_t>(w.num_queries());
     const size_t k = static_cast<size_t>(w.num_hints());
-    if (on_start) on_start();
-    RefitYieldPoint();
+    if (on_start) on_start(w);
     if (after_set_up) after_set_up();
     for (int i = 0; i < max_pauses && !(done && done()); ++i) {
       std::this_thread::sleep_for(pause);
@@ -651,6 +650,74 @@ TEST(EngineCombiningDrainTest, ProducersDrainLapsWhileASlowRefitRuns) {
   while (engine.drained_servings() < total) engine.TrainStep();
   producers.Join();
   engine.FinishTrainSteps();
+  EXPECT_EQ(engine.drained_servings(), engine.claimed_servings());
+}
+
+/// FNV-1a over a matrix's values and cell states.
+uint64_t MatrixChecksum(const WorkloadMatrix& w) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const void* data, size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  };
+  mix(w.values().data(), w.values().size() * sizeof(double));
+  for (int q = 0; q < w.num_queries(); ++q) {
+    mix(w.row_states(q), static_cast<size_t>(w.num_hints()) *
+                             sizeof(CellState));
+  }
+  return h;
+}
+
+TEST(EngineCombiningDrainTest, TheFitNeverReadsTheLiveMatrix) {
+  // Producers drain into the live matrix while the model fits, so the fit
+  // must read a copy: the matrix the completer is handed is not the
+  // engine's, and it holds still from the fit's start to its end while
+  // combiners drain at least four queue laps of re-observations.
+  EngineOptions options;
+  options.queue_capacity = 64;
+  auto owned = std::make_unique<SlowCompleter>();
+  SlowCompleter* completer = owned.get();
+  CompleterPredictor predictor(std::move(owned));
+  ExplorationEngine engine(MakeMatrix(32, 4, 0.0, 43), &predictor, options);
+  const uint64_t lap = engine.queue_capacity();
+  const WorkloadMatrix* fitted = nullptr;
+  uint64_t start = 0, end = 0, sum_at_start = 0, sum_at_end = 0;
+  completer->max_pauses = 1 << 30;
+  completer->on_start = [&](const WorkloadMatrix& w) {
+    fitted = &w;
+    sum_at_start = MatrixChecksum(w);
+    start = engine.drained_servings();
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  completer->done = [&] {
+    return engine.drained_servings() > start + 4 * lap ||
+           std::chrono::steady_clock::now() > deadline;
+  };
+  completer->on_end = [&] {
+    sum_at_end = MatrixChecksum(*fitted);
+    end = engine.drained_servings();
+  };
+
+  // The producers serve until stopped: a bounded stream could be drained
+  // whole by combiners before the first step's refit starts.
+  Producers producers(&engine, 2, /*total=*/0);
+  engine.BeginTrainSteps();
+  const bool progressed = engine.TrainStep();
+  const uint64_t refits = engine.refits_completed();
+  producers.Stop();
+  producers.Join();
+  completer->on_start = nullptr;
+  completer->on_end = nullptr;
+  completer->done = nullptr;
+  completer->max_pauses = 0;
+  engine.FinishTrainSteps();
+  EXPECT_TRUE(progressed);
+  EXPECT_EQ(refits, 1u);
+  EXPECT_GT(end - start, 4 * lap);
+  EXPECT_GE(engine.combined_drains(), 4u);
+  EXPECT_NE(fitted, &engine.matrix());
+  EXPECT_EQ(sum_at_end, sum_at_start);
   EXPECT_EQ(engine.drained_servings(), engine.claimed_servings());
 }
 

@@ -104,7 +104,9 @@ class LimeqoSimSmokeTest(unittest.TestCase):
         self.run_ok("--budget=0", f"--save={matrix}")
         for args in (["--shards=0"], ["--serve-threads=0"],
                      ["--max-retries=-1"], ["--serve=-1"], ["--shared-train"],
-                     [f"--load={matrix}", f"--restore={ckpt}"]):
+                     [f"--load={matrix}", f"--restore={ckpt}"],
+                     ["--serve=1e3"], ["--max-retries=x2"], ["--scale=0.2x"],
+                     ["--seed=abc"]):
             result = run_sim(*args)
             self.assertEqual(result.returncode, 2,
                              f"{args}: {result.stdout}\n{result.stderr}")

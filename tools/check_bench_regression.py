@@ -23,10 +23,11 @@ Watched serving metrics:
     The row rescan per slower best that the runner-up bound removed cost
     about 1.5x here, inside the 2x band; the entry guards against larger
     mistakes on the drain path.
-  * refit_setup_locked_ms @ 1 thread — how long a warm 20000x49 refit
-    holds the drain lock before the completion's yield point. The yield
-    follows the cell-list build; one that drifts back to the end of ALS's
-    set-up costs about 5x here, and no test sees it.
+  * refit_setup_locked_ms @ 1 thread — how long a 20000x49 refit holds
+    the drain lock: the copy-assign of the live matrix into the engine's
+    train-owned copy, into buffers grown by an earlier refit. A refit
+    that read the live matrix under the lock again (ALS's cell-list
+    build) would cost about 8x here, and no test times it.
 
 Watched micro metrics (with --micro-baseline/--micro-current):
   * als_complete_rank10_1000x49 @ 1 thread — a cold 50-sweep ALS

@@ -17,9 +17,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -114,6 +114,16 @@ void Usage() {
       "                  [--list]      list workloads and exit\n");
 }
 
+// Parses all of `text` as a T: false when it is empty, malformed, out of
+// range or followed by anything else ("1e3" is not an int, "0.2x" is not a
+// double).
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [last, error] = std::from_chars(text, end, *out);
+  return error == std::errc() && last == end;
+}
+
 bool Parse(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -121,26 +131,27 @@ bool Parse(int argc, char** argv, Args* args) {
       const size_t n = std::strlen(prefix);
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    bool parsed = true;
     if (const char* v = value("--workload=")) {
       args->workload = v;
     } else if (const char* v = value("--scale=")) {
-      args->scale = std::atof(v);
+      parsed = ParseNumber(v, &args->scale);
     } else if (const char* v = value("--policy=")) {
       args->policy = v;
     } else if (const char* v = value("--budget=")) {
-      args->budget = std::atof(v);
+      parsed = ParseNumber(v, &args->budget);
     } else if (const char* v = value("--seed=")) {
-      args->seed = std::strtoull(v, nullptr, 10);
+      parsed = ParseNumber(v, &args->seed);
     } else if (const char* v = value("--load=")) {
       args->load = v;
     } else if (const char* v = value("--save=")) {
       args->save = v;
     } else if (const char* v = value("--serve=")) {
-      args->serve = std::atoi(v);
+      parsed = ParseNumber(v, &args->serve);
     } else if (const char* v = value("--serve-threads=")) {
-      args->serve_threads = std::atoi(v);
+      parsed = ParseNumber(v, &args->serve_threads);
     } else if (const char* v = value("--shards=")) {
-      args->shards = std::atoi(v);
+      parsed = ParseNumber(v, &args->shards);
     } else if (const char* v = value("--checkpoint-dir=")) {
       args->checkpoint_dir = v;
     } else if (const char* v = value("--restore=")) {
@@ -148,11 +159,15 @@ bool Parse(int argc, char** argv, Args* args) {
     } else if (const char* v = value("--faults=")) {
       args->faults = v;
     } else if (const char* v = value("--max-retries=")) {
-      args->max_retries = std::atoi(v);
+      parsed = ParseNumber(v, &args->max_retries);
     } else if (arg == "--list") {
       args->list = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      return false;
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "malformed number: %s\n", arg.c_str());
       return false;
     }
   }
