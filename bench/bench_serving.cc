@@ -51,33 +51,34 @@ double WallSeconds() {
 }
 
 /// A warm serving world: matrix seeded the way deployment would (defaults
-/// known, a short offline exploration pass), ALS predictor attached and
-/// refitted, serving options configured, first snapshot published. Shared
-/// by the end-to-end throughput measurement and the pure decision-cost
-/// sweeps so both run over the same snapshot shape.
+/// known, a short offline exploration pass), then handed to an engine with
+/// the ALS predictor attached and refitted, serving options configured,
+/// first snapshot published. Shared by the end-to-end throughput
+/// measurement and the pure decision-cost sweeps so both run over the same
+/// snapshot shape.
 struct WarmServingWorld {
   explicit WarmServingWorld(const scenarios::ScenarioSpec& spec)
       : backend(spec),
-        explorer(&backend, &policy, MakeExplorerOptions()),
-        predictor(std::make_unique<core::AlsCompleter>(MakeAlsOptions())) {
-    explorer.Explore(0.2 * backend.DefaultWorkloadLatency());
-    core::ExplorationEngine& e = explorer.engine();
-    e.SetPredictor(&predictor);
+        predictor(std::make_unique<core::AlsCompleter>(MakeAlsOptions())),
+        engine(ExploredMatrix(&backend), &predictor) {
     core::OnlineExplorationOptions online;
     online.epsilon = 0.1;
     online.min_predicted_ratio = 0.05;
     online.regret_budget_seconds = 1e9;
     online.seed = 31;
-    e.ConfigureServing(online);
-    e.RefreshPredictions(/*force=*/true);
-    e.Publish();
+    engine.ConfigureServing(online);
+    engine.RefreshPredictions(/*force=*/true);
+    engine.Publish();
   }
-  core::ExplorationEngine& engine() { return explorer.engine(); }
 
-  static core::ExplorerOptions MakeExplorerOptions() {
+  static core::WorkloadMatrix ExploredMatrix(
+      scenarios::SyntheticBackend* backend) {
+    core::RandomPolicy policy;
     core::ExplorerOptions options;
     options.seed = 42;
-    return options;
+    core::OfflineExplorer explorer(backend, &policy, options);
+    explorer.Explore(0.2 * backend->DefaultWorkloadLatency());
+    return explorer.matrix();
   }
   static core::AlsOptions MakeAlsOptions() {
     core::AlsOptions als;
@@ -87,9 +88,8 @@ struct WarmServingWorld {
   }
 
   scenarios::SyntheticBackend backend;
-  core::RandomPolicy policy;
-  core::OfflineExplorer explorer;
   core::CompleterPredictor predictor;
+  core::ExplorationEngine engine;
 };
 
 /// One throughput measurement: `threads` serving threads push
@@ -103,7 +103,7 @@ struct WarmServingWorld {
 double MeasureServing(const scenarios::ScenarioSpec& spec, int threads,
                       double* staleness_out) {
   WarmServingWorld world(spec);
-  core::ExplorationEngine& engine = world.engine();
+  core::ExplorationEngine& engine = world.engine;
   scenarios::SyntheticBackend& backend = world.backend;
 
   const int n = backend.num_queries();
@@ -209,7 +209,7 @@ double MeasureShardedServing(const scenarios::ScenarioSpec& spec, int shards,
             WarmServingWorld::MakeAlsOptions())));
     predictor_ptrs.push_back(predictors.back().get());
   }
-  core::ShardedServingTier tier(seed_world.engine().matrix(), predictor_ptrs,
+  core::ShardedServingTier tier(seed_world.engine.matrix(), predictor_ptrs,
                                 options);
   tier.RefreshAll(/*force=*/true);
   tier.PublishAll();
@@ -644,7 +644,7 @@ int Main(int argc, char** argv) {
     long checksum = 0;
     for (int threads : {1, 2, 4}) {
       const double scalar_ns =
-          MeasureDecisionCost(world.engine(), threads, /*batch=*/1,
+          MeasureDecisionCost(world.engine, threads, /*batch=*/1,
                               kDecisionsPerThread, &checksum);
       reporter.Report("choose_hint_scalar_ns", scalar_ns,
                       kDecisionsPerThread, threads);
@@ -652,7 +652,7 @@ int Main(int argc, char** argv) {
                   scalar_ns);
       for (int batch : {8, 64, 256}) {
         const double batch_ns =
-            MeasureDecisionCost(world.engine(), threads, batch,
+            MeasureDecisionCost(world.engine, threads, batch,
                                 kDecisionsPerThread, &checksum);
         char name[48];
         std::snprintf(name, sizeof(name), "choose_hints_b%d_ns", batch);

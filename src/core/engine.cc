@@ -878,32 +878,11 @@ int ExplorationEngine::AppendQueries(int count) {
   return first;
 }
 
-void ExplorationEngine::ResetMatrix(WorkloadMatrix matrix) {
-  TrainPlaneLock lock(this);
-  matrix_ = std::move(matrix);
-  row_servings_.assign(static_cast<size_t>(matrix_.num_queries()), 0);
-  chunks_stale_ = true;
-  InvalidateModelLocked();
-  PublishLocked();
-}
-
 void ExplorationEngine::RestoreRowServings(int query, uint64_t servings) {
   LIMEQO_CHECK(!training_);
   TrainPlaneLock lock(this);
   LIMEQO_CHECK(query >= 0 && query < matrix_.num_queries());
   row_servings_[query] = servings;
-}
-
-void ExplorationEngine::InvalidateModel() {
-  TrainPlaneLock lock(this);
-  InvalidateModelLocked();
-}
-
-void ExplorationEngine::InvalidateModelLocked() {
-  factors_.clear();
-  predictions_.reset();
-  updates_since_refresh_ = 0;
-  if (predictor_ != nullptr) predictor_->Reset();
 }
 
 }  // namespace limeqo::core

@@ -303,11 +303,10 @@ class ExplorationEngine {
   const OnlineExplorationOptions& online_options() const {
     return options_.online;
   }
-  /// Attaches / replaces the completion model (not owned). The offline
-  /// exploration path runs without one; the serving path needs one for
-  /// exploratory candidates. Replacing the predictor drops the previous
-  /// model's predictions and warm-start factors — they describe a
-  /// different model and must neither be served nor seed the new one.
+  /// Attaches / replaces the completion model (not owned). Replacing it
+  /// drops the previous model's predictions and warm-start factors — they
+  /// describe a different model and must neither be served nor seed the
+  /// new one.
   void SetPredictor(Predictor* predictor) EXCLUDES(drain_mu_);
 
   // --- Serving plane (any thread) ----------------------------------------
@@ -374,8 +373,8 @@ class ExplorationEngine {
   /// SnapshotChunk::kRows) pointer copies, because the chunks were kept
   /// current at drain time. After a refit the next publication copies
   /// every chunk and rescans each row's model half against the new
-  /// predictions. A checkpoint restore or a shape change (ResetMatrix,
-  /// AppendQueries) makes it rebuild every chunk from the matrix instead.
+  /// predictions. A checkpoint restore or a shape change (AppendQueries)
+  /// makes it rebuild every chunk from the matrix instead.
   /// The version stamped into the snapshot and the published counter come
   /// from a single fetch_add, so they can never drift apart. Readers
   /// holding the previous snapshot keep it alive through their own
@@ -463,9 +462,9 @@ class ExplorationEngine {
   /// file write runs outside the drain lock.
   Status SaveCheckpoint() EXCLUDES(drain_mu_);
 
-  // --- Train-plane observation entry points (offline loop) ---------------
-  /// Records a completed execution directly (no queue, no regret): the
-  /// offline exploration path.
+  // --- Direct train-plane writes ------------------------------------------
+  /// Records a completed execution directly (no queue, no regret): replaying
+  /// an explored matrix into a serving engine, and tests.
   void Observe(int query, int hint, double latency) EXCLUDES(drain_mu_);
   /// Records a censored execution directly.
   void ObserveCensored(int query, int hint, double timeout)
@@ -474,18 +473,11 @@ class ExplorationEngine {
   void Clear(int query, int hint) EXCLUDES(drain_mu_);
   /// Appends new all-unobserved query rows; returns the first new index.
   int AppendQueries(int count) EXCLUDES(drain_mu_);
-  /// Replaces the matrix wholesale (resume-from-disk) and invalidates the
-  /// model state.
-  void ResetMatrix(WorkloadMatrix matrix) EXCLUDES(drain_mu_);
 
   /// Overwrites one row's serving count without touching the engine
   /// totals: the tier restore path, where EngineCheckpoint carries only the
   /// engine totals and the tier manifest carries the per-row counts.
   void RestoreRowServings(int query, uint64_t servings) EXCLUDES(drain_mu_);
-  /// Drops predictions, warm-start factors, and any state the predictor
-  /// retains: after a data shift nothing fitted on the old data may leak
-  /// into the new fit (the warm-start no-leak contract).
-  void InvalidateModel() EXCLUDES(drain_mu_);
 
   // --- Train-plane views ---------------------------------------------------
   // Unlocked reads of drain-lock state: call them only at an op boundary —
@@ -519,7 +511,7 @@ class ExplorationEngine {
   /// invalidation).
   const CompletionFactors& warm_factors() const { return factors_; }
   /// Servings of `query` drained from the queue so far. Reset by
-  /// ResetMatrix and RestoreFromCheckpoint.
+  /// RestoreFromCheckpoint.
   uint64_t row_servings(int query) const NO_THREAD_SAFETY_ANALYSIS {
     return row_servings_[query];
   }
@@ -609,7 +601,6 @@ class ExplorationEngine {
   size_t DrainLocked(size_t max_observations) REQUIRES(drain_mu_);
   bool RefreshLocked(bool force) REQUIRES(drain_mu_);
   void PublishLocked() REQUIRES(drain_mu_) EXCLUDES(snapshot_mu_);
-  void InvalidateModelLocked() REQUIRES(drain_mu_);
   void ApplyObservation(const ServingObservation& obs) REQUIRES(drain_mu_);
   /// Refits unconditionally; true when the fit succeeded (predictions_
   /// replaced, updates_since_refresh_ reduced to the observations drained

@@ -40,11 +40,9 @@ OfflineExplorer::OfflineExplorer(WorkloadBackend* backend,
     : backend_(backend),
       policy_(policy),
       options_(options),
-      engine_(WorkloadMatrix(options.initial_queries >= 0
-                                 ? options.initial_queries
-                                 : backend->num_queries(),
-                             backend->num_hints()),
-              /*predictor=*/nullptr),
+      matrix_(options.initial_queries >= 0 ? options.initial_queries
+                                           : backend->num_queries(),
+              backend->num_hints()),
       rng_(options.seed) {
   LIMEQO_CHECK(backend != nullptr && policy != nullptr);
   LIMEQO_CHECK(options.batch_size > 0);
@@ -62,7 +60,7 @@ OfflineExplorer::OfflineExplorer(WorkloadBackend* backend,
 void OfflineExplorer::ObserveDefaultClass(int query) {
   const BackendResult r = ExecuteFreeObservation(backend_, query, 0);
   for (int j : backend_->EquivalentHints(query, 0)) {
-    engine_.Observe(query, j, r.observed_latency);
+    matrix_.Observe(query, j, r.observed_latency);
   }
 }
 
@@ -123,19 +121,19 @@ void OfflineExplorer::ExecuteCandidate(const Candidate& candidate) {
     ++num_timeouts_;
     // The whole plan-equivalence class shares the lower bound.
     for (int j : backend_->EquivalentHints(q, h)) {
-      engine_.ObserveCensored(q, j, r.observed_latency);
+      matrix_.ObserveCensored(q, j, r.observed_latency);
     }
   } else {
     // One execution measures every hint with the identical plan.
     for (int j : backend_->EquivalentHints(q, h)) {
-      engine_.Observe(q, j, r.observed_latency);
+      matrix_.Observe(q, j, r.observed_latency);
     }
   }
 }
 
 void OfflineExplorer::AddNewQueries(int count) {
   LIMEQO_CHECK(count > 0);
-  const int first = engine_.AppendQueries(count);
+  const int first = matrix_.AppendQueries(count);
   LIMEQO_CHECK(matrix().num_queries() <= backend_->num_queries());
   for (int i = first; i < matrix().num_queries(); ++i) {
     ObserveDefaultClass(i);
@@ -143,20 +141,19 @@ void OfflineExplorer::AddNewQueries(int count) {
 }
 
 void OfflineExplorer::ResetAfterDataShift() {
-  // Everything the model has learned describes the old data: drop the
-  // predictions and the warm-start factors before re-seeding the matrix,
-  // so nothing fitted pre-shift can leak into post-shift fits (the
-  // CompleteFrom no-leak contract).
-  engine_.InvalidateModel();
+  // Everything the policy's model has learned describes the old data:
+  // reset it before re-seeding the matrix, so nothing fitted pre-shift can
+  // leak into post-shift predictions.
+  policy_->Reset();
   for (int i = 0; i < matrix().num_queries(); ++i) {
     int best = matrix().BestObservedHint(i);
     if (best < 0) best = 0;
-    for (int j = 0; j < matrix().num_hints(); ++j) engine_.Clear(i, j);
+    for (int j = 0; j < matrix().num_hints(); ++j) matrix_.Clear(i, j);
     // The previous best hint keeps serving the online path, so its latency
     // on the new data is observed for free (and so is its plan class).
     const BackendResult r = ExecuteFreeObservation(backend_, i, best);
     for (int j : backend_->EquivalentHints(i, best)) {
-      engine_.Observe(i, j, r.observed_latency);
+      matrix_.Observe(i, j, r.observed_latency);
     }
   }
 }

@@ -12,7 +12,6 @@
 
 #include "common/rng.h"
 #include "core/backend.h"
-#include "core/engine.h"
 #include "core/policy.h"
 #include "core/workload_matrix.h"
 
@@ -56,8 +55,8 @@ struct TrajectoryPoint {
 /// The offline exploration driver (the loop of Algorithm 1 and the offline
 /// path of Fig. 2): repeatedly asks the policy for a batch of cells,
 /// executes them against the backend with timeouts, and updates the
-/// workload matrix, while accounting offline execution time (simulated) and
-/// model overhead (measured wall time) separately.
+/// workload matrix it owns, while accounting offline execution time
+/// (simulated) and model overhead (measured wall time) separately.
 class OfflineExplorer {
  public:
   /// Neither pointer is owned; both must outlive the explorer. The default
@@ -79,27 +78,19 @@ class OfflineExplorer {
   /// always uses the default plan to avoid regressions).
   void AddNewQueries(int count);
 
-  /// Handles a data shift (Sec. 5.4): all stale measurements are dropped
-  /// and each query's previous best hint is re-observed on the new data at
-  /// zero offline cost (those executions happen on the online path).
+  /// Handles a data shift (Sec. 5.4): resets the policy's model, drops all
+  /// stale measurements and re-observes each query's previous best hint on
+  /// the new data at zero offline cost (it runs on the online path).
   void ResetAfterDataShift();
 
-  /// The partially observed workload matrix W-tilde built so far.
-  const WorkloadMatrix& matrix() const { return engine_.matrix(); }
-
-  /// The exploration engine owning the matrix. Components that keep
-  /// observing after the offline loop (the online serving plane) attach
-  /// here — there is no direct mutable matrix access: every mutation goes
-  /// through the engine's train plane so that published ServingSnapshots
-  /// can never be bypassed.
-  ExplorationEngine& engine() { return engine_; }
-  const ExplorationEngine& engine() const { return engine_; }
+  /// The partially observed workload matrix W-tilde built so far. The
+  /// explorer owns it and is its only writer; serving builds its engines
+  /// or tiers from a copy.
+  const WorkloadMatrix& matrix() const { return matrix_; }
 
   /// Replaces the matrix wholesale (the resume-from-disk path of
-  /// limeqo_sim). Invalidates any model state held by the engine.
-  void LoadMatrix(const WorkloadMatrix& matrix) {
-    engine_.ResetMatrix(matrix);
-  }
+  /// limeqo_sim).
+  void LoadMatrix(const WorkloadMatrix& matrix) { matrix_ = matrix; }
 
   /// Cumulative offline execution time spent so far.
   double offline_seconds() const { return offline_seconds_; }
@@ -151,7 +142,7 @@ class OfflineExplorer {
   WorkloadBackend* backend_;
   ExplorationPolicy* policy_;
   ExplorerOptions options_;
-  ExplorationEngine engine_;
+  WorkloadMatrix matrix_;
   Rng rng_;
   double offline_seconds_ = 0.0;
   double overhead_seconds_ = 0.0;

@@ -34,6 +34,9 @@ class ExplorationPolicy {
       const WorkloadMatrix& w, int batch_size, Rng* rng) = 0;
 
   virtual std::string name() const = 0;
+
+  /// Drops what the policy's model learned (a data shift makes it stale).
+  virtual void Reset() {}
 };
 
 /// Baseline: uniformly random unobserved cells.
@@ -126,6 +129,7 @@ class ModelGuidedPolicy : public ExplorationPolicy {
                                                int batch_size,
                                                Rng* rng) override;
   std::string name() const override { return display_name_; }
+  void Reset() override { predictor_->Reset(); }
 
   Predictor* predictor() { return predictor_.get(); }
 
@@ -167,6 +171,7 @@ class BaoCachePolicy : public ExplorationPolicy {
                                                int batch_size,
                                                Rng* rng) override;
   std::string name() const override { return "Bao-Cache"; }
+  void Reset() override { predictor_->Reset(); }
 
  private:
   std::unique_ptr<Predictor> predictor_;

@@ -30,10 +30,10 @@ class Predictor {
     return Predict(w);
   }
 
-  /// Drops any training state the model carries across Predict calls. The
-  /// train plane calls this on a data shift so that nothing fitted on the
-  /// old data leaks into post-shift predictions. The base implementation
-  /// is a no-op (stateless models).
+  /// Drops any training state the model carries across Predict calls, so
+  /// nothing fitted on old data leaks into later predictions: a policy
+  /// calls it on a data shift, an engine on a checkpoint restore. The base
+  /// implementation is a no-op (stateless models).
   virtual void Reset() {}
 
   /// Borrows a scratch arena for subsequent fits (nullptr removes it), per

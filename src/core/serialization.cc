@@ -24,6 +24,47 @@ constexpr char kMatrixVersion[] = "v2";
 constexpr char kCheckpointMagic[] = "limeqo-engine-checkpoint";
 constexpr char kCheckpointVersion[] = "v1";
 
+// Each writer checks these rules before it writes and each reader after it
+// parses, so no save produces a file that its load refuses.
+
+/// A cell record's value: finite and non-negative, and positive for a
+/// censored cell (a zero timeout bounds nothing).
+Status CheckCellValue(CellState state, double value) {
+  if (!std::isfinite(value) || value < 0.0 ||
+      (state == CellState::kCensored && value == 0.0)) {
+    return Status::InvalidArgument("non-finite or negative latency");
+  }
+  return Status::Ok();
+}
+
+/// A factor or prediction entry: finite.
+Status CheckDenseValue(double value, const char* what) {
+  if (std::isfinite(value)) return Status::Ok();
+  return Status::InvalidArgument(std::string(what) + ": non-finite value");
+}
+
+/// A checkpoint's shapes and scalars: one factor rank, predictions that
+/// cover the matrix, a finite non-negative ledger, non-negative counters.
+Status CheckCheckpointFields(const EngineCheckpoint& c) {
+  if (c.factors.query_factors.cols() != c.factors.hint_factors.cols()) {
+    return Status::InvalidArgument("checkpoint: factor rank mismatch");
+  }
+  if (c.have_predictions &&
+      (c.predictions.rows() != static_cast<size_t>(c.matrix.num_queries()) ||
+       c.predictions.cols() != static_cast<size_t>(c.matrix.num_hints()))) {
+    return Status::InvalidArgument(
+        "checkpoint: predictions shape does not match the matrix");
+  }
+  if (!std::isfinite(c.regret_spent) || c.regret_spent < 0.0 ||
+      c.explorations < 0) {
+    return Status::InvalidArgument("checkpoint: implausible ledger values");
+  }
+  if (c.updates_since_refresh < 0) {
+    return Status::InvalidArgument("checkpoint: implausible counters");
+  }
+  return Status::Ok();
+}
+
 /// Parses `C i j v` / `X i j v` records until `is` is exhausted, applying
 /// them to `w`. Shared between the legacy v1 loader (records run to EOF)
 /// and the v2 loader (records live in a bounded, CRC-verified payload).
@@ -38,27 +79,32 @@ Status ParseCellRecords(std::istream& is, int n, int k, WorkloadMatrix* w) {
     if (i < 0 || i >= n || j < 0 || j >= k) {
       return Status::InvalidArgument("cell out of range");
     }
-    if (!std::isfinite(value) || value < 0.0) {
-      return Status::InvalidArgument("non-finite or negative latency");
-    }
-    if (tag == "C") {
-      w->Observe(i, j, value);
-    } else if (tag == "X") {
-      w->ObserveCensored(i, j, value);
-    } else {
+    if (tag != "C" && tag != "X") {
       return Status::InvalidArgument("unknown record tag: " + tag);
+    }
+    const CellState state =
+        tag == "C" ? CellState::kComplete : CellState::kCensored;
+    Status st = CheckCellValue(state, value);
+    if (!st.ok()) return st;
+    if (state == CellState::kComplete) {
+      w->Observe(i, j, value);
+    } else {
+      w->ObserveCensored(i, j, value);
     }
   }
   return Status::Ok();
 }
 
-void SaveDenseMatrix(const linalg::Matrix& m, std::ostream& os) {
+Status SaveDenseMatrix(const linalg::Matrix& m, std::ostream& os) {
   for (size_t i = 0; i < m.rows(); ++i) {
     for (size_t j = 0; j < m.cols(); ++j) {
+      Status st = CheckDenseValue(m(i, j), "checkpoint");
+      if (!st.ok()) return st;
       os << (j == 0 ? "" : " ") << m(i, j);
     }
     os << '\n';
   }
+  return Status::Ok();
 }
 
 StatusOr<linalg::Matrix> LoadDenseMatrix(std::istream& is, long long rows,
@@ -76,6 +122,8 @@ StatusOr<linalg::Matrix> LoadDenseMatrix(std::istream& is, long long rows,
         return Status::InvalidArgument(std::string(what) +
                                        ": truncated matrix values");
       }
+      Status st = CheckDenseValue(v, what);
+      if (!st.ok()) return st;
       m(i, j) = v;
     }
   }
@@ -190,16 +238,12 @@ Status SaveWorkloadMatrix(const WorkloadMatrix& w, std::ostream& os) {
   payload.precision(std::numeric_limits<double>::max_digits10);
   for (int i = 0; i < w.num_queries(); ++i) {
     for (int j = 0; j < w.num_hints(); ++j) {
-      switch (w.state(i, j)) {
-        case CellState::kUnobserved:
-          break;
-        case CellState::kComplete:
-          payload << "C " << i << ' ' << j << ' ' << w.observed(i, j) << '\n';
-          break;
-        case CellState::kCensored:
-          payload << "X " << i << ' ' << j << ' ' << w.observed(i, j) << '\n';
-          break;
-      }
+      const CellState state = w.state(i, j);
+      if (state == CellState::kUnobserved) continue;
+      Status st = CheckCellValue(state, w.observed(i, j));
+      if (!st.ok()) return st;
+      payload << (state == CellState::kComplete ? "C " : "X ") << i << ' '
+              << j << ' ' << w.observed(i, j) << '\n';
     }
   }
   const std::string body = payload.str();
@@ -279,19 +323,23 @@ StatusOr<WorkloadMatrix> LoadWorkloadMatrixFromFile(const std::string& path) {
 }
 
 Status SaveEngineCheckpoint(const EngineCheckpoint& c, std::ostream& os) {
+  Status st = CheckCheckpointFields(c);
+  if (!st.ok()) return st;
   std::ostringstream payload;
   payload.precision(std::numeric_limits<double>::max_digits10);
-  Status st = SaveWorkloadMatrix(c.matrix, payload);
+  st = SaveWorkloadMatrix(c.matrix, payload);
   if (!st.ok()) return st;
   payload << "factors " << c.factors.query_factors.rows() << ' '
           << c.factors.query_factors.cols() << ' '
           << c.factors.hint_factors.rows() << ' '
           << c.factors.hint_factors.cols() << '\n';
-  SaveDenseMatrix(c.factors.query_factors, payload);
-  SaveDenseMatrix(c.factors.hint_factors, payload);
+  st = SaveDenseMatrix(c.factors.query_factors, payload);
+  if (st.ok()) st = SaveDenseMatrix(c.factors.hint_factors, payload);
+  if (!st.ok()) return st;
   payload << "predictions " << (c.have_predictions ? 1 : 0) << ' '
           << c.predictions.rows() << ' ' << c.predictions.cols() << '\n';
-  SaveDenseMatrix(c.predictions, payload);
+  st = SaveDenseMatrix(c.predictions, payload);
+  if (!st.ok()) return st;
   payload << "ledger " << c.regret_spent << ' ' << c.explorations << '\n';
   payload << "counters " << c.serving_seq << ' ' << c.updates_since_refresh
           << ' ' << c.snapshot_version << '\n';
@@ -338,9 +386,6 @@ StatusOr<EngineCheckpoint> LoadEngineCheckpoint(std::istream& is) {
   if (!(body >> word >> qr >> qc >> hr >> hc) || word != "factors") {
     return Status::InvalidArgument("checkpoint: malformed factors section");
   }
-  if (qc != hc) {
-    return Status::InvalidArgument("checkpoint: factor rank mismatch");
-  }
   StatusOr<linalg::Matrix> qf = LoadDenseMatrix(body, qr, qc, "checkpoint");
   if (!qf.ok()) return qf.status();
   StatusOr<linalg::Matrix> hf = LoadDenseMatrix(body, hr, hc, "checkpoint");
@@ -357,29 +402,18 @@ StatusOr<EngineCheckpoint> LoadEngineCheckpoint(std::istream& is) {
   if (!pred.ok()) return pred.status();
   c.predictions = *std::move(pred);
   c.have_predictions = have != 0;
-  if (c.have_predictions &&
-      (c.predictions.rows() != static_cast<size_t>(c.matrix.num_queries()) ||
-       c.predictions.cols() != static_cast<size_t>(c.matrix.num_hints()))) {
-    return Status::InvalidArgument(
-        "checkpoint: predictions shape does not match the matrix");
-  }
 
   if (!(body >> word >> c.regret_spent >> c.explorations) ||
       word != "ledger") {
     return Status::InvalidArgument("checkpoint: malformed ledger section");
-  }
-  if (!std::isfinite(c.regret_spent) || c.regret_spent < 0.0 ||
-      c.explorations < 0) {
-    return Status::InvalidArgument("checkpoint: implausible ledger values");
   }
   if (!(body >> word >> c.serving_seq >> c.updates_since_refresh >>
         c.snapshot_version) ||
       word != "counters") {
     return Status::InvalidArgument("checkpoint: malformed counters section");
   }
-  if (c.updates_since_refresh < 0) {
-    return Status::InvalidArgument("checkpoint: implausible counters");
-  }
+  Status st = CheckCheckpointFields(c);
+  if (!st.ok()) return st;
   return c;
 }
 

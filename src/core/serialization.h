@@ -57,8 +57,8 @@ StatusOr<std::string> ReadCheckedPayload(std::istream& is, long long bytes,
 /// file or the new complete file, never a torn mix.
 Status AtomicWriteFile(const std::string& path, const std::string& contents);
 
-/// Writes `w` to `os` in the v2 format. Returns a Status for stream
-/// failures.
+/// Writes `w` to `os` in the v2 format. Refuses (InvalidArgument, nothing
+/// written) any cell LoadWorkloadMatrix would refuse.
 Status SaveWorkloadMatrix(const WorkloadMatrix& w, std::ostream& os);
 
 /// Reads a matrix written by SaveWorkloadMatrix (v2, or legacy v1).
@@ -115,6 +115,8 @@ struct EngineCheckpoint {
 ///   predictions <n> <k>      + row-major doubles (0 0 when absent)
 ///   ledger <regret_spent> <explorations>
 ///   counters <serving_seq> <updates_since_refresh> <snapshot_version>
+/// Refuses (InvalidArgument, nothing written) anything LoadEngineCheckpoint
+/// would refuse: a bad cell, a non-finite value, or an implausible field.
 Status SaveEngineCheckpoint(const EngineCheckpoint& c, std::ostream& os);
 
 /// Reads a checkpoint written by SaveEngineCheckpoint. Returns

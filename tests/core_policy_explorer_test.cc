@@ -9,6 +9,8 @@
 #include "core/online.h"
 #include "core/policy.h"
 #include "core/simdb_backend.h"
+#include "nn/tcnn_predictor.h"
+#include "scenarios/simdb_bridge.h"
 #include "simdb/database.h"
 
 namespace limeqo::core {
@@ -394,6 +396,43 @@ TEST(ExplorerTest, ResetAfterDataShiftKeepsBestHintsObserved) {
     EXPECT_DOUBLE_EQ(explorer.matrix().observed(i, best_before[i]),
                      db.TrueLatency(i, best_before[i]));
   }
+}
+
+/// The no-leak contract on a data shift: the model that explores is the
+/// policy's, so ResetAfterDataShift must reset it. Afterwards the policy's
+/// TCNN predicts the post-shift matrix exactly as a fresh TCNN does —
+/// neither its weights nor the plan features it flattened before the drift
+/// survive.
+TEST(ExplorerTest, DataShiftResetsThePolicysModel) {
+  scenarios::ScenarioSpec spec;
+  spec.num_queries = 24;
+  spec.num_hints = 8;
+  scenarios::SimDbScenarioBackend backend(spec);
+  nn::TcnnOptions tcnn;
+  tcnn.max_epochs = 5;
+  auto owned = std::make_unique<nn::TcnnPredictor>(&backend, tcnn, "TCNN");
+  nn::TcnnPredictor* model = owned.get();
+  ModelGuidedPolicy policy(std::move(owned), "TCNN");
+  ExplorerOptions opt;
+  opt.seed = 11;
+  OfflineExplorer explorer(&backend, &policy, opt);
+  explorer.Explore(0.3 * backend.DefaultWorkloadLatency());
+  ASSERT_NE(model->model(), nullptr);  // the policy trained pre-shift
+
+  backend.ApplyDrift(1.0);
+  explorer.ResetAfterDataShift();
+
+  nn::TcnnPredictor fresh(&backend, tcnn, "TCNN");
+  StatusOr<linalg::Matrix> expected = fresh.Predict(explorer.matrix());
+  StatusOr<linalg::Matrix> actual = model->Predict(explorer.matrix());
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(actual.ok());
+  ASSERT_EQ(actual->size(), expected->size());
+  int differing = 0;
+  for (size_t c = 0; c < actual->size(); ++c) {
+    if (actual->data()[c] != expected->data()[c]) ++differing;
+  }
+  EXPECT_EQ(differing, 0) << "of " << actual->size() << " cells";
 }
 
 TEST(ExplorerTest, OverheadIsTrackedForModelPolicies) {

@@ -88,6 +88,13 @@ TEST(SerializationTest, RejectsNegativeLatency) {
   EXPECT_FALSE(LoadWorkloadMatrix(ss).ok());
 }
 
+TEST(SerializationTest, RejectsZeroCensoredBound) {
+  std::stringstream ss(
+      "limeqo-workload-matrix v1 2 2\n"
+      "X 0 1 0\n");
+  EXPECT_FALSE(LoadWorkloadMatrix(ss).ok());
+}
+
 TEST(SerializationTest, RejectsUnknownTag) {
   std::stringstream ss(
       "limeqo-workload-matrix v1 2 2\n"
@@ -211,6 +218,71 @@ TEST(SerializationTest, LegacyV1FormatStillLoads) {
   EXPECT_EQ(loaded->observed(0, 0), 1.25);
   EXPECT_EQ(loaded->state(2, 1), CellState::kCensored);
   EXPECT_EQ(loaded->NumUnobserved(), 4);
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// Every value a loader refuses, its writer refuses too, with nothing
+// written: a save never leaves behind a file the next load cannot read.
+TEST(SerializationTest, WritersRefuseWhatReadersRefuse) {
+  for (const bool censored : {false, true}) {
+    WorkloadMatrix w = MakeMixedMatrix(3, 4, 7);
+    if (censored) {
+      w.ObserveCensored(1, 2, kInf);
+    } else {
+      w.Observe(1, 2, kInf);
+    }
+    std::stringstream ss;
+    EXPECT_EQ(SaveWorkloadMatrix(w, ss).code(), StatusCode::kInvalidArgument)
+        << "censored=" << censored;
+    EXPECT_TRUE(ss.str().empty());
+  }
+
+  EngineCheckpoint good;
+  good.matrix = MakeMixedMatrix(4, 3, 11);
+  good.factors.query_factors = linalg::Matrix(4, 2, 0.5);
+  good.factors.hint_factors = linalg::Matrix(3, 2, -0.5);
+  good.predictions = linalg::Matrix(4, 3, 1.25);
+  good.have_predictions = true;
+  good.regret_spent = 2.0;
+  good.explorations = 3;
+  good.updates_since_refresh = 5;
+  std::stringstream saved;
+  ASSERT_TRUE(SaveEngineCheckpoint(good, saved).ok());
+
+  struct Break {
+    const char* what;
+    void (*apply)(EngineCheckpoint*);
+  };
+  const Break breaks[] = {
+      {"cell", [](EngineCheckpoint* c) { c->matrix.Observe(0, 1, kInf); }},
+      {"query factor",
+       [](EngineCheckpoint* c) { c->factors.query_factors(1, 1) = kNaN; }},
+      {"hint factor",
+       [](EngineCheckpoint* c) { c->factors.hint_factors(2, 0) = -kInf; }},
+      {"prediction", [](EngineCheckpoint* c) { c->predictions(3, 2) = kInf; }},
+      {"factor rank",
+       [](EngineCheckpoint* c) {
+         c->factors.hint_factors = linalg::Matrix(3, 1, 0.5);
+       }},
+      {"predictions shape",
+       [](EngineCheckpoint* c) { c->predictions = linalg::Matrix(3, 3, 1.0); }},
+      {"regret", [](EngineCheckpoint* c) { c->regret_spent = kInf; }},
+      {"negative regret", [](EngineCheckpoint* c) { c->regret_spent = -1.0; }},
+      {"explorations", [](EngineCheckpoint* c) { c->explorations = -1; }},
+      {"updates since refresh",
+       [](EngineCheckpoint* c) { c->updates_since_refresh = -1; }},
+  };
+  for (const Break& b : breaks) {
+    EngineCheckpoint c = good;
+    b.apply(&c);
+    std::stringstream ss;
+    EXPECT_EQ(SaveEngineCheckpoint(c, ss).code(),
+              StatusCode::kInvalidArgument)
+        << b.what;
+    EXPECT_TRUE(ss.str().empty()) << b.what;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -531,6 +532,38 @@ TEST(CheckpointRecoveryTest, CorruptedCheckpointIsRejectedWithColdFallback) {
     EXPECT_EQ(cold.shard_engine(0).drained_servings(), 16u);
   }
   std::remove(path.c_str());
+}
+
+// A +Inf latency can reach an engine's matrix, and the loader refuses it,
+// so the writer must too: the refused save is an error, it is not counted,
+// and the last good checkpoint on disk stays untouched and loadable.
+TEST(CheckpointRecoveryTest, RefusedSaveKeepsTheLastGoodCheckpoint) {
+  ScenarioSpec spec;
+  spec.num_queries = 8;
+  spec.num_hints = 4;
+  spec.seed = 57;
+  const SyntheticBackend backend(spec);
+  core::EngineOptions opts;
+  opts.checkpoint_path = UniqueCheckpointPath("refused");
+  core::ExplorationEngine engine(SeedMatrix(backend, 8, 4), nullptr, opts);
+  engine.SyncEpoch();
+  ASSERT_TRUE(engine.SaveCheckpoint().ok());
+  ASSERT_EQ(engine.checkpoints_written(), 1u);
+  const auto read_file = [&] {
+    std::ifstream in(opts.checkpoint_path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  };
+  const std::string good = read_file();
+
+  engine.Observe(2, 1, std::numeric_limits<double>::infinity());
+  const Status refused = engine.SaveCheckpoint();
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.checkpoints_written(), 1u);
+  EXPECT_EQ(read_file(), good);
+  EXPECT_TRUE(core::LoadEngineCheckpointFromFile(opts.checkpoint_path).ok());
+  std::remove(opts.checkpoint_path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "core/als.h"
 #include "core/engine.h"
-#include "core/explorer.h"
 #include "core/online.h"
 #include "core/predictor.h"
 #include "core/shard_router.h"
@@ -616,43 +615,6 @@ class Producers {
   std::atomic<uint64_t> exploratory_{0};
 };
 
-TEST(EngineCombiningDrainTest, ProducersDrainLapsWhileASlowRefitRuns) {
-  EngineOptions options;
-  options.queue_capacity = 64;
-  auto owned = std::make_unique<SlowCompleter>();
-  SlowCompleter* completer = owned.get();
-  CompleterPredictor predictor(std::move(owned));
-  ExplorationEngine engine(MakeMatrix(32, 4, 0.0, 41), &predictor, options);
-  const uint64_t lap = engine.queue_capacity();
-  uint64_t start = 0, end = 0;
-  completer->max_pauses = 1 << 30;
-  completer->after_set_up = [&] { start = engine.drained_servings(); };
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  completer->done = [&] {
-    return engine.drained_servings() > start + 4 * lap ||
-           std::chrono::steady_clock::now() > deadline;
-  };
-  completer->on_end = [&] { end = engine.drained_servings(); };
-
-  const uint64_t total = 32 * lap;
-  Producers producers(&engine, 2, total);
-  engine.BeginTrainSteps();
-  // No predictions yet and complete defaults: the first step refits.
-  ASSERT_TRUE(engine.TrainStep());
-  ASSERT_EQ(engine.refits_completed(), 1u);
-  // The drain front kept moving while the model was fitting, with no
-  // train-plane thread draining: producers drained the laps themselves.
-  EXPECT_GT(end - start, 4 * lap);
-  EXPECT_GE(engine.combined_drains(), 4u);
-  completer->done = nullptr;
-  completer->max_pauses = 0;
-  while (engine.drained_servings() < total) engine.TrainStep();
-  producers.Join();
-  engine.FinishTrainSteps();
-  EXPECT_EQ(engine.drained_servings(), engine.claimed_servings());
-}
-
 /// FNV-1a over a matrix's values and cell states.
 uint64_t MatrixChecksum(const WorkloadMatrix& w) {
   uint64_t h = 1469598103934665603ull;
@@ -993,48 +955,6 @@ TEST(EngineWarmStartTest, WarmStartConvergesInFewerSweeps) {
   const int warm_iters = als.last_iterations();
   EXPECT_LT(warm_iters, cold_iters)
       << "warm=" << warm_iters << " cold=" << cold_iters;
-}
-
-/// The no-leak contract: after ResetAfterDataShift, a refit must be
-/// bitwise identical to what a from-scratch engine computes on the same
-/// matrix — nothing fitted on the pre-shift data may survive.
-TEST(EngineWarmStartTest, FactorReuseNeverLeaksAcrossDataShift) {
-  scenarios::ScenarioSpec spec;
-  spec.num_queries = 30;
-  spec.num_hints = 8;
-  spec.noise_sigma = 0.0;
-  spec.seed = 555;
-  scenarios::SyntheticBackend backend(spec);
-  RandomPolicy policy;
-  ExplorerOptions options;
-  options.seed = 11;
-  OfflineExplorer explorer(&backend, &policy, options);
-  explorer.Explore(0.3 * backend.DefaultWorkloadLatency());
-
-  AlsOptions als;
-  als.convergence_tol = 1e-3;
-  CompleterPredictor predictor(std::make_unique<AlsCompleter>(als));
-  explorer.engine().SetPredictor(&predictor);
-  ASSERT_TRUE(explorer.engine().RefreshPredictions(/*force=*/true));
-  ASSERT_FALSE(explorer.engine().warm_factors().empty());
-
-  // Data shift: the engine must drop the warm factors with the stale
-  // observations.
-  backend.ApplyDrift(1.0);
-  explorer.ResetAfterDataShift();
-  EXPECT_TRUE(explorer.engine().warm_factors().empty());
-
-  // And the post-shift refit equals a cold fit of the post-shift matrix,
-  // bitwise: no pre-shift state can influence it.
-  ASSERT_TRUE(explorer.engine().RefreshPredictions(/*force=*/true));
-  AlsCompleter cold(als);
-  StatusOr<linalg::Matrix> reference = cold.Complete(explorer.matrix());
-  ASSERT_TRUE(reference.ok());
-  const linalg::Matrix& refit = explorer.engine().predictions();
-  ASSERT_EQ(refit.size(), reference->size());
-  for (size_t c = 0; c < refit.size(); ++c) {
-    ASSERT_EQ(refit.data()[c], reference->data()[c]) << "cell " << c;
-  }
 }
 
 }  // namespace

@@ -3,11 +3,12 @@
 
 Runs the binary (its path is the first argument) on the JOB workload and
 checks the product-surface contracts: the saved matrix does not depend on
-the serving thread count, a --checkpoint-dir run restores as a fleet
-restart, a restored run explores from the restored matrix (so its
-exploration budget changes what it saves), a corrupted tier manifest falls
-back to a cold start, and out-of-range values, invalid option
-combinations and unknown options are usage errors (exit 2).
+the serving thread count, a --load run resumes the saved matrix exactly, a
+--checkpoint-dir run restores as a fleet restart, a restored run explores
+from the restored matrix (so its exploration budget changes what it
+saves), a corrupted tier manifest falls back to a cold start, and
+out-of-range values, invalid option combinations and unknown options are
+usage errors (exit 2).
 """
 
 import os
@@ -69,6 +70,22 @@ class LimeqoSimSmokeTest(unittest.TestCase):
             self.assertTrue(saved[0] == saved[1],
                             f"saved matrices differ at 1 and 3 serving "
                             f"threads over {shards} shard(s)")
+
+    def test_load_resumes_the_saved_matrix(self):
+        # No serving phase (it would keep exploring after the load), and
+        # the first run explores so the saved matrix holds censored cells.
+        first, second = self.path("a.txt"), self.path("b.txt")
+        self.run_ok("--serve=0", "--budget=0.3", f"--save={first}")
+        result = self.run_ok("--serve=0", "--budget=0", f"--load={first}",
+                             f"--save={second}")
+        records = read_bytes(first).decode().splitlines()[1:]
+        complete = sum(r.startswith("C ") for r in records)
+        censored = sum(r.startswith("X ") for r in records)
+        self.assertGreater(censored, 0)
+        self.assertIn(f"resumed: {complete} complete / {censored} censored "
+                      f"cells", result.stdout)
+        self.assertTrue(read_bytes(first) == read_bytes(second),
+                        "a loaded matrix saved again changed")
 
     def test_restore_is_a_fleet_restart(self):
         ckpt = self.checkpoint()
